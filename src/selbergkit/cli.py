@@ -162,7 +162,11 @@ def cmd_eval(args) -> int:
     elif f == "ortho":
         val = cf.ortho_norm_rhs(args.n, lam, args.q, args.t)
     elif f == "elliptic-selberg":
-        ts = _parse_floats(args.ts)
+        ts = _parse_floats(args.ts) if args.ts else []
+        if len(ts) != 6:
+            print("eval elliptic-selberg needs --ts with six comma-separated "
+                  f"values; got {len(ts)}", file=sys.stderr)
+            return 2
         val = cf.elliptic_selberg_rhs(args.n, ts, args.t, args.p, args.q)
     else:
         print(f"unknown formula: {f}", file=sys.stderr)

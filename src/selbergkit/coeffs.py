@@ -3,13 +3,19 @@
 Most functions are generic over the scalar ring: they accept FieldElements
 (for exact identities in q, t, a, ...) or complex numbers interchangeably,
 as long as only +, -, *, /, integer powers are used.  Infinite products
-(q-Pochhammer at infinity, theta, elliptic gamma) are numeric only.
+(q-Pochhammer at infinity, theta, elliptic gamma) are numeric only.  The
+theta family (theta, theta_poch, ell_qt_poch, delta0) also takes numpy
+arrays of points in its first argument; theta then runs kernels.theta_arr
+once for the whole array.  numpy is not imported here: the exact suites
+use this module without it, and a caller that holds an array has imported
+it already.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .field import PoleError
@@ -315,8 +321,25 @@ class EllipticParams:
             raise ValueError("elliptic parameters need |p|, |q| < 1")
 
 
+def _is_array(x) -> bool:
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
+def _point(x):
+    """complex(x) for a scalar; an array of points passes through."""
+    return x if _is_array(x) else complex(x)
+
+
 def theta(z, p, eps: float = ELL_TRUNC_EPS) -> complex:
-    """Modified theta theta(z;p) = (z;p)_inf (p/z;p)_inf, z != 0, |p| < 1."""
+    """Modified theta theta(z;p) = (z;p)_inf (p/z;p)_inf, z != 0, |p| < 1.
+
+    On an array z the product is truncated at kernels.trunc_order(|p|).
+    """
+    if _is_array(z):
+        from . import kernels
+        return kernels.theta_arr(z, complex(p),
+                                 kernels.trunc_order(abs(p), eps))
     z = complex(z)
     if z == 0:
         raise ZeroDivisionError("theta(0; p) undefined")
@@ -325,27 +348,29 @@ def theta(z, p, eps: float = ELL_TRUNC_EPS) -> complex:
 
 def theta_poch(b, q, p, n: int, eps: float = ELL_TRUNC_EPS) -> complex:
     """Elliptic shifted factorial (b;q,p)_n = prod theta(b q^i;p), n in Z."""
+    b = _point(b)
     if n >= 0:
         out = 1.0 + 0.0j
         for i in range(n):
-            out *= theta(complex(b) * complex(q) ** i, p, eps)
+            out *= theta(b * complex(q) ** i, p, eps)
         return out
     out = 1.0 + 0.0j
     for i in range(1, -n + 1):
-        out *= theta(complex(b) * complex(q) ** (-i), p, eps)
+        out *= theta(b * complex(q) ** (-i), p, eps)
     return 1 / out
 
 
 def ell_gamma(z, p, q, eps: float = ELL_TRUNC_EPS) -> complex:
     """Elliptic gamma by the truncated double product, accumulated in log space."""
+    from .kernels import trunc_order
     z = complex(z)
     p = complex(p)
     q = complex(q)
     if z == 0:
         raise ZeroDivisionError("elliptic gamma undefined at z = 0")
     mp, mq = abs(p), abs(q)
-    np_ = _trunc_order(mp, eps)
-    nq = _trunc_order(mq, eps)
+    np_ = trunc_order(mp, eps)
+    nq = trunc_order(mq, eps)
     acc = 0.0 + 0.0j
     pq_over_z = p * q / z
     pi_ = 1.0 + 0.0j
@@ -364,18 +389,12 @@ def ell_gamma(z, p, q, eps: float = ELL_TRUNC_EPS) -> complex:
     return cmath.exp(acc)
 
 
-def _trunc_order(m: float, eps: float) -> int:
-    if m == 0:
-        return 1
-    return max(2, int(math.log(eps) / math.log(m)) + 2)
-
-
 def ell_qt_poch(b, q, t, p, lam: Partition, eps: float = ELL_TRUNC_EPS) -> complex:
     """(b;q,t;p)_lambda = prod_i (b t^{1-i};q,p)_{lambda_i}."""
     lam = Partition(lam)
     out = 1.0 + 0.0j
     for i, part in enumerate(lam.parts, start=1):
-        out *= theta_poch(complex(b) * complex(t) ** (1 - i), q, p, part, eps)
+        out *= theta_poch(_point(b) * complex(t) ** (1 - i), q, p, part, eps)
     return out
 
 
@@ -386,8 +405,8 @@ def delta0(a, bs, q, t, p, lam: Partition) -> complex:
     out = 1.0 + 0.0j
     for b in bs:
         num = ell_qt_poch(b, q, t, p, lam)
-        den = ell_qt_poch(pq * complex(a) / complex(b), q, t, p, lam)
-        if den == 0:
+        den = ell_qt_poch(pq * complex(a) / _point(b), q, t, p, lam)
+        if (den == 0).any() if _is_array(den) else den == 0:
             raise PoleError("Delta0 denominator vanished")
         out *= num / den
     return out

@@ -5,7 +5,7 @@ verification of the elliptic beta/interpolation-pair integrals.
 The one-variable interpolation function is defined by its principal
 specialisation product read at a general argument (at rank one the function
 is pinned by that formula); everything downstream is verified against
-независимые finite identities.  All suites restrict partition components to
+independent finite identities.  All suites restrict partition components to
 single rows: longer components would need higher-rank interpolation theory
 and are rejected with a scope error.
 """
@@ -49,13 +49,15 @@ def bc1_interp(m: int, z, a, b, q, p) -> complex:
     """One-variable interpolation function (principal-product definition).
 
     R*_m(z; a, b) = (az, a/z;q,p)_m / ((pq/(bz), pqz/b;q,p)_m).
+    z may be a numpy array of points.
     """
-    z, a, b, q, p = (complex(z), complex(a), complex(b), complex(q),
-                     complex(p))
+    a, b, q, p = complex(a), complex(b), complex(q), complex(p)
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
     num = theta_poch(a * z, q, p, m) * theta_poch(a / z, q, p, m)
     den = (theta_poch(p * q / (b * z), q, p, m)
            * theta_poch(p * q * z / b, q, p, m))
-    if den == 0:
+    if np.any(den == 0):
         raise PoleError("BC1 interpolation denominator vanished")
     return num / den
 
@@ -125,54 +127,95 @@ def jackson_sum_check(lam: Partition, nu: Partition, a, b, c, d, e,
     return total, rhs, err <= tol
 
 
-def skew_interp(lam: Partition, nu: Partition, vs, a, b, q, t, p) -> complex:
-    """Skew interpolation function R*_{lam/nu}([v_1..v_{2n}]; a, b)."""
+def _skew_terms(lam: Partition, nu: Partition, V, a, b, q, t, p) -> list:
+    """The argument-free part of R*_{lam/nu}: one (mu, binomial, binomial)
+    per term, where V is the product of the arguments."""
     lam, nu = Partition(lam), Partition(nu)
-    if len(vs) % 2:
-        raise ValueError("need an even number of arguments")
     a, b = complex(a), complex(b)
     pq = complex(p) * complex(q)
-    V = 1.0 + 0.0j
-    for v in vs:
-        V *= complex(v)
     lm, nm = _single_row(lam), _single_row(nu)
-    total = 0.0 + 0.0j
+    terms = []
     for mm in range(nm, lm + 1):
         mu = P(mm) if mm else P()
-        term = delta0(pq / b ** 2, [pq / (b * complex(v)) for v in vs],
-                      q, t, p, mu)
-        term *= normalised_binomial(lam, mu, a / b, a * b / pq, [], q, t, p)
-        term *= normalised_binomial(mu, nu, pq / b ** 2, pq * V / (a * b),
-                                    [], q, t, p)
+        terms.append((
+            mu,
+            normalised_binomial(lam, mu, a / b, a * b / pq, [], q, t, p),
+            normalised_binomial(mu, nu, pq / b ** 2, pq * V / (a * b),
+                                [], q, t, p)))
+    return terms
+
+
+def _skew_sum(terms, vs, b, q, t, p):
+    """Sum of Delta0_mu(pq/b^2 | pq/(b v_i)) times the binomials of each
+    term; the arguments v_i may be scalars or arrays of points."""
+    b = complex(b)
+    pq = complex(p) * complex(q)
+    total = 0.0 + 0.0j
+    for mu, nb_lam, nb_nu in terms:
+        term = delta0(pq / b ** 2, [pq / (b * v) for v in vs], q, t, p, mu)
+        term *= nb_lam
+        term *= nb_nu
         total += term
     return total
 
 
+def skew_interp(lam: Partition, nu: Partition, vs, a, b, q, t, p) -> complex:
+    """Skew interpolation function R*_{lam/nu}([v_1..v_{2n}]; a, b)."""
+    if len(vs) % 2:
+        raise ValueError("need an even number of arguments")
+    vs = [complex(v) for v in vs]
+    V = 1.0 + 0.0j
+    for v in vs:
+        V *= v
+    return _skew_sum(_skew_terms(lam, nu, V, a, b, q, t, p), vs, b, q, t, p)
+
+
+def _skew_pm_factor(lam: Partition, nu: Partition, u, n: int, extra, a, b,
+                    q, t, p):
+    """R*_{lam/nu}(u z_1^pm, ..., u z_n^pm, extras) as a function of
+    (z_1..z_n).  The product of the arguments, u^{2n} prod(extras), does
+    not depend on the z_i, so the binomials of every term are computed
+    here once; the returned function evaluates only the Delta0 factors,
+    on scalars or on arrays of points."""
+    if len(extra) % 2:
+        raise ValueError("need an even number of arguments")
+    u = complex(u)
+    extra = [complex(e) for e in extra]
+    V = u ** (2 * n)
+    for e in extra:
+        V *= e
+    terms = _skew_terms(lam, nu, V, a, b, q, t, p)
+
+    def at(zs):
+        vs = []
+        for z in zs:
+            vs += [u * z, u / z]
+        return _skew_sum(terms, vs + extra, b, q, t, p)
+
+    return at
+
+
 def skew_interp_pm(lam: Partition, nu: Partition, u, zs, extra, a, b,
                    q, t, p) -> complex:
-    """Plus-minus convention: arguments (u z_i, u / z_i) plus extras."""
-    vs = []
-    for z in zs:
-        vs += [u * z, u / z]
-    vs += list(extra)
-    return skew_interp(lam, nu, vs, a, b, q, t, p)
+    """Plus-minus convention: arguments (u z_i, u / z_i) plus extras.
+
+    The z_i may be arrays of points."""
+    return _skew_pm_factor(lam, nu, u, len(zs), extra, a, b, q, t, p)(zs)
+
+
+def _bipartite_pm_factor(blam: Bipartition, u, n: int, extra, a, b, t, p, q):
+    """R*_{blam/0} in the plus-minus convention as a function of the z_i."""
+    first = _skew_pm_factor(blam.first, P(), u, n, extra, a, b, q, t, p)
+    second = _skew_pm_factor(blam.second, P(), u, n, extra, a, b, p, t, q)
+    return lambda zs: first(zs) * second(zs)
 
 
 def bipartite_skew_interp_pm(blam: Bipartition, u, zs, extra, a, b,
                              t, p, q) -> complex:
-    """R*_{blam/0} in the (q,t;p) x (p,t;q) bipartite convention."""
-    first = skew_interp_pm(blam.first, P(), u, zs, extra, a, b, q, t, p)
-    second = skew_interp_pm(blam.second, P(), u, zs, extra, a, b, p, t, q)
-    return first * second
+    """R*_{blam/0} in the (q,t;p) x (p,t;q) bipartite convention.
 
-
-def interpolation_skew_reduction(lam: Partition, x, a, b, q, t, p) -> complex:
-    """R*_{lam/0}([t^{1/2} x^pm]; t^{1/2}a, t^{1/2}b) at n = 1 against the
-    plain interpolation function."""
-    lam = Partition(lam)
-    m = _single_row(lam)
-    pref = delta0(complex(a) / complex(b), [complex(t)], q, t, p, lam)
-    return pref * bc1_interp(m, x, a, b, q, p)
+    The z_i may be arrays of points."""
+    return _bipartite_pm_factor(blam, u, len(zs), extra, a, b, t, p, q)(zs)
 
 
 def connection_check(blam: Bipartition, x, a, a2, b, t, p, q,
@@ -283,12 +326,9 @@ def thm92_lhs_n1(blam: Bipartition, bmu: Bipartition, ts, t, p, q,
     m1, m2 = _single_row(bmu.first), _single_row(bmu.second)
 
     def f(z):
-        out = weight(z)
-        rl = np.array([bc1_interp(l1, zz, t1, t2, q, p)
-                       * bc1_interp(l2, zz, t1, t2, p, q) for zz in z])
-        rm = np.array([bc1_interp(m1, zz, t3, t6, q, p)
-                       * bc1_interp(m2, zz, t3, t6, p, q) for zz in z])
-        return out * rl * rm
+        rl = bc1_interp(l1, z, t1, t2, q, p) * bc1_interp(l2, z, t1, t2, p, q)
+        rm = bc1_interp(m1, z, t3, t6, q, p) * bc1_interp(m2, z, t3, t6, p, q)
+        return weight(z) * rl * rm
 
     if not contour_pole_scan(f):
         raise ValueError("pole scan failed near the unit torus")
@@ -303,18 +343,12 @@ def eaflt_lhs_n1(blam: Bipartition, bmu: Bipartition, t, ts, p, q,
     t1, t2, t3, t4, t5, t6 = (complex(x) for x in ts)
     rt = cmath.sqrt(t)
     weight = _gamma_weight_factory(ts, p, q)
+    rl = _bipartite_pm_factor(blam, rt, 1, [], rt * t1, rt * t2, t, p, q)
+    rm = _bipartite_pm_factor(bmu, rt, 1, [t4 / rt, t5 / rt],
+                              t3 * t4 * t5 / rt, rt * t6, t, p, q)
 
     def f(z):
-        out = weight(z)
-        rl = np.empty(len(z), dtype=np.complex128)
-        rm = np.empty(len(z), dtype=np.complex128)
-        for i, zz in enumerate(z):
-            rl[i] = bipartite_skew_interp_pm(
-                blam, rt, [zz], [], rt * t1, rt * t2, t, p, q)
-            rm[i] = bipartite_skew_interp_pm(
-                bmu, rt, [zz], [t4 / rt, t5 / rt],
-                t3 * t4 * t5 / rt, rt * t6, t, p, q)
-        return out * rl * rm
+        return weight(z) * rl([z]) * rm([z])
 
     if not contour_pole_scan(f):
         raise ValueError("pole scan failed near the unit torus")

@@ -1,9 +1,12 @@
-"""Hot numeric kernels for the quadrature suites.
+"""Hot numeric kernels for the quadrature and elliptic torus suites.
 
-Each kernel has a pure-numpy implementation and, when numba is available,
-an @njit-compiled twin.  Selection: the environment variable
-SELBERGKIT_NO_NUMBA=1 forces the numpy path; otherwise numba is used when
-importable.  benchmarks/bench_kernels.py compares the two paths.
+Each kernel takes a whole array of points: q-Pochhammer symbols at
+infinity, theta functions, the elliptic gamma function (a truncated double
+product, reduced one p-power block at a time) and the pair-power products
+of the chain quadrature.  Each has a pure-numpy implementation and, when
+numba is available, an @njit-compiled twin.  Selection: the environment
+variable SELBERGKIT_NO_NUMBA=1 forces the numpy path; otherwise numba is
+used when importable.  benchmarks/bench_kernels.py compares the two paths.
 """
 
 from __future__ import annotations
@@ -59,19 +62,26 @@ def theta_arr_numpy(z: np.ndarray, p: complex, nterms: int) -> np.ndarray:
 
 def ellgamma_arr_numpy(z: np.ndarray, p: complex, q: complex,
                        n_p: int, n_q: int) -> np.ndarray:
-    """Elliptic gamma, truncated double product in log space."""
-    acc = np.zeros_like(z, dtype=np.complex128)
-    pq_over_z = (p * q) / z
+    """Elliptic gamma, elementwise, as the truncated double product
+
+        prod_{j<n_p, k<n_q} (1 - p^(j+1) q^(k+1) / z) / (1 - p^j q^k z).
+
+    Each p-power j is one (n_q x N) block of factors reduced by np.prod,
+    so a 64-point array needs n_p passes and no logarithms.  A pole
+    (p^j q^k z = 1) gives a non-finite value.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    flat = z.reshape(-1)
+    qpow = q ** np.arange(n_q, dtype=np.complex128)[:, None]
+    pq_over_z = (p * q) / flat
+    out = np.ones(flat.shape, dtype=np.complex128)
     ppow = 1.0 + 0.0j
     for _ in range(n_p):
-        num = pq_over_z * ppow
-        den = z * ppow
-        for _ in range(n_q):
-            acc += np.log(1.0 - num) - np.log(1.0 - den)
-            num = num * q
-            den = den * q
+        block = ppow * qpow
+        out *= (np.prod(1.0 - block * pq_over_z, axis=0)
+                / np.prod(1.0 - block * flat, axis=0))
         ppow *= p
-    return np.exp(acc)
+    return out.reshape(z.shape)
 
 
 def vandermonde_pow_numpy(ts: np.ndarray, expo: float) -> np.ndarray:

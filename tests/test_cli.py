@@ -38,6 +38,27 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert abs(float(out) - 1 / 6) < 1e-9
 
+    def test_eval_elliptic_selberg(self, capsys):
+        from selbergkit.closedform import elliptic_selberg_rhs
+        ts = [0.4, 0.15, 0.4, 0.35, 0.4, 0.2]
+        q = 0.45
+        p = 0.4 * 0.15 * 0.4 * 0.35 * 0.4 * 0.2 / q
+        assert main(["eval", "elliptic-selberg", "--ts",
+                     ",".join(map(str, ts)), "--p", repr(p), "--q", "0.45",
+                     "--t", "0.4"]) == 0
+        out = capsys.readouterr().out.strip()
+        ref = elliptic_selberg_rhs(1, ts, 0.4, p, q)
+        assert abs(complex(out) - ref) < 1e-9 * abs(ref)
+
+    def test_eval_elliptic_selberg_without_ts(self, capsys):
+        assert main(["eval", "elliptic-selberg"]) == 2
+        assert "--ts" in capsys.readouterr().err
+
+    def test_eval_elliptic_selberg_wrong_count(self, capsys):
+        assert main(["eval", "elliptic-selberg", "--ts", "0.4,0.15,0.4"]) == 2
+        err = capsys.readouterr().err
+        assert "--ts" in err and "got 3" in err
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 2
 

@@ -7,8 +7,8 @@ import pytest
 from selbergkit.closedform import eaflt_rhs, elliptic_selberg_rhs
 from selbergkit.coeffs import delta0
 from selbergkit.elliptic import (
-    bc1_interp, connection_check, eaflt_lhs_n1, elliptic_beta_lhs,
-    elliptic_binomial, jackson_sum_check, mac_side_limit,
+    bc1_interp, bipartite_skew_interp_pm, connection_check, eaflt_lhs_n1,
+    elliptic_beta_lhs, elliptic_binomial, jackson_sum_check, mac_side_limit,
     normalised_binomial, skew_interp, skew_interp_pm, skew_limit_value,
     thm92_lhs_n1, thm92_rhs_n1,
 )
@@ -193,3 +193,65 @@ class TestSkewLimit:
         # error tracks p^(1/4) for the chosen scaling exponents
         ratio = errs[1] / errs[2]
         assert 1.5 < ratio < 4.0
+
+
+class TestBatchedInterpolationFactors:
+    """The torus integrands evaluate their interpolation factors once per
+    array of points; on the pole-scan rings these must equal the values the
+    functions give one point at a time."""
+
+    RINGS = [rho * np.exp(2j * np.pi * np.arange(64) / 64)
+             for rho in (0.82, 1.0, 1.22)]
+
+    @staticmethod
+    def _assert_close(batched, pointwise):
+        # a factor that is constant in z (an empty row) may be a scalar
+        pointwise = np.asarray(pointwise)
+        batched = np.broadcast_to(batched, pointwise.shape)
+        rel = np.abs(batched - pointwise) / np.abs(pointwise)
+        assert np.max(rel) < 1e-12
+
+    def test_thm92_factors(self):
+        from selbergkit.suites import cases_thm92
+        for case in cases_thm92({"seed": 7}):
+            ts, p, q = case["ts"], case["p"], case["q"]
+            for row, a, b in ((case["lam"], ts[0], ts[1]),
+                              (case["mu"], ts[2], ts[5])):
+                m = row[0] if row else 0
+                for z in self.RINGS:
+                    # the second bipartition component is empty in the suite
+                    batched = (bc1_interp(m, z, a, b, q, p)
+                               * bc1_interp(0, z, a, b, p, q))
+                    pointwise = [bc1_interp(m, zz, a, b, q, p)
+                                 * bc1_interp(0, zz, a, b, p, q) for zz in z]
+                    self._assert_close(batched, pointwise)
+
+    def test_eaflt_factors(self):
+        from selbergkit.suites import cases_elliptic_aflt
+        for case in cases_elliptic_aflt({"seed": 7}):
+            ts, p, q, t = case["ts"], case["p"], case["q"], case["t"]
+            t1, t2, t3, t4, t5, t6 = ts
+            rt = cmath.sqrt(t)
+            factors = [
+                (Bipartition(P(*case["lam"]), P()), [], rt * t1, rt * t2),
+                (Bipartition(P(*case["mu"]), P()), [t4 / rt, t5 / rt],
+                 t3 * t4 * t5 / rt, rt * t6),
+            ]
+            for blam, extra, a, b in factors:
+                for z in self.RINGS:
+                    batched = bipartite_skew_interp_pm(blam, rt, [z], extra,
+                                                       a, b, t, p, q)
+                    pointwise = [bipartite_skew_interp_pm(
+                        blam, rt, [zz], extra, a, b, t, p, q) for zz in z]
+                    self._assert_close(batched, pointwise)
+                # the general skew_interp, which takes V as the product of
+                # its arguments, agrees with the z-free V of the +- form
+                z = self.RINGS[0]
+                general = [skew_interp(blam.first, P(),
+                                       [rt * zz, rt / zz] + extra,
+                                       a, b, q, t, p)
+                           * skew_interp(blam.second, P(),
+                                         [rt * zz, rt / zz] + extra,
+                                         a, b, p, t, q) for zz in z]
+                self._assert_close(bipartite_skew_interp_pm(
+                    blam, rt, [z], extra, a, b, t, p, q), general)
