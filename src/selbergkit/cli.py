@@ -75,6 +75,15 @@ def _parse_partition(s):
     return P(tuple(int(x) for x in s.split(",") if x != ""))
 
 
+def _flag(args, name, parse):
+    """Parse the value of --name; a ValueError names the flag and its value."""
+    text = getattr(args, name)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"--{name} {text!r}: {exc}") from None
+
+
 def _config_from_args(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
@@ -86,7 +95,7 @@ def _config_from_args(args) -> dict:
         if val is not None:
             cfg[key] = val
     if getattr(args, "k", None):
-        cfg["k"] = _parse_ints(args.k)
+        cfg["k"] = _flag(args, "k", _parse_ints)
     cfg.setdefault("seed", 7)
     cfg.setdefault("jobs", 1)
     return cfg
@@ -98,7 +107,11 @@ def _run_one(task):
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
+    try:
+        cfg = _config_from_args(args)
+    except ValueError as exc:
+        print(f"verify {args.suite}: {exc}", file=sys.stderr)
+        return 2
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -137,11 +150,16 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import closedform as cf
-    lam = _parse_partition(args.lam)
-    mu = _parse_partition(args.mu)
-    ks = _parse_ints(args.k)
-    alphas = _parse_floats(args.alpha)
     f = args.formula
+    try:
+        lam = _flag(args, "lam", _parse_partition)
+        mu = _flag(args, "mu", _parse_partition)
+        ks = _flag(args, "k", _parse_ints)
+        alphas = _flag(args, "alpha", _parse_floats)
+        ts = _flag(args, "ts", _parse_floats) if args.ts else []
+    except ValueError as exc:
+        print(f"eval {f}: {exc}", file=sys.stderr)
+        return 2
     if f == "selberg":
         val = cf.selberg_rhs(ks[0], alphas[0], args.beta, args.gamma)
     elif f == "aflt":
@@ -162,12 +180,17 @@ def cmd_eval(args) -> int:
     elif f == "ortho":
         val = cf.ortho_norm_rhs(args.n, lam, args.q, args.t)
     elif f == "elliptic-selberg":
-        ts = _parse_floats(args.ts) if args.ts else []
         if len(ts) != 6:
             print("eval elliptic-selberg needs --ts with six comma-separated "
                   f"values; got {len(ts)}", file=sys.stderr)
             return 2
-        val = cf.elliptic_selberg_rhs(args.n, ts, args.t, args.p, args.q)
+        try:
+            val = cf.elliptic_selberg_rhs(args.n, ts, args.t, args.p, args.q)
+        except ValueError as exc:
+            print(f"eval elliptic-selberg: --ts {args.ts!r} with --n {args.n} "
+                  f"--t {args.t} --p {args.p} --q {args.q}: {exc} "
+                  "(t^(2n-2) t1...t6 must equal p q)", file=sys.stderr)
+            return 2
     else:
         print(f"unknown formula: {f}", file=sys.stderr)
         return 2

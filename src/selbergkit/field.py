@@ -18,8 +18,17 @@ Reduction policy, in order:
    in any variable the other operand lacks, until both have the same
    variables; then it tries the heuristic gcd GCDHEU (Char, Geddes and
    Gonnet, 1989); only if that fails does it fall back to a primitive
-   pseudo-remainder sequence (PRS).  Every gcd is verified by exact
-   division.
+   pseudo-remainder sequence (PRS).  Every non-constant gcd candidate is
+   verified by exact division; a constant candidate divides everything
+   over Q and is accepted without one.
+4. the gcd hands back its cofactors num/h and den/h: the quotients of its
+   own verification, rescaled for the contents GCDHEU split off, so num
+   and den are not divided a second time.  An operand replaced by the
+   one-sided-variable step gets its cofactor by exact division; for h = 1
+   the cofactors are num and den themselves.
+5. num and den are scaled jointly to coprime integer contents with a
+   positive leading denominator coefficient, as plain ints.  No reduced
+   element carries a ``Fraction`` with denominator 1.
 """
 
 from __future__ import annotations
@@ -367,10 +376,6 @@ class MPoly:
                         del rem[k]
         return MPoly(quot)
 
-    def divide_exact_into(self, other: "MPoly") -> bool:
-        """True if self divides other exactly."""
-        return other.divide_exact(self) is not None
-
     # -- evaluation / substitution -------------------------------------------
     def eval(self, bindings: Mapping[str, complex]):
         """Numeric (or Fraction) evaluation; every present variable must be bound."""
@@ -480,19 +485,6 @@ def _from_univar(coeffs: dict[int, MPoly], v: int) -> MPoly:
     return MPoly(out)
 
 
-def _uni_mul(a: dict[int, MPoly], b: dict[int, MPoly]) -> dict[int, MPoly]:
-    out: dict[int, MPoly] = {}
-    for da, pa in a.items():
-        for db, pb in b.items():
-            d = da + db
-            prod = pa * pb
-            if d in out:
-                out[d] = out[d] + prod
-            else:
-                out[d] = prod
-    return {d: p for d, p in out.items() if not p.is_zero()}
-
-
 def _uni_pseudo_rem(u: dict[int, MPoly], w: dict[int, MPoly]) -> dict[int, MPoly]:
     dw = max(w)
     lw = w[dw]
@@ -532,24 +524,24 @@ def _content_gcd(coeffs: Iterable[MPoly]) -> MPoly:
     return g
 
 
-def _normalize_sign(f: MPoly) -> MPoly:
-    c = f.rational_content()
-    if c == 0:
-        return f
-    if f.lead_coeff() < 0:
-        c = -c
-    return MPoly({e: _coeff_div(v, c) for e, v in f.terms.items()})
-
-
-def _clear_denoms(f: MPoly) -> MPoly:
+def _clear_denoms(f: MPoly) -> tuple[MPoly, int]:
+    """(lcm * f, lcm), lcm the least common denominator of f's coefficients."""
     lcm = 1
     for c in f.terms.values():
         d = c.denominator
         if d != 1:
             lcm = lcm * d // math.gcd(lcm, d)
     if lcm == 1 and all(isinstance(c, int) for c in f.terms.values()):
+        return f, 1
+    return MPoly({e: int(c * lcm) for e, c in f.terms.items()}), lcm
+
+
+def _rescale(f: MPoly, shift: tuple[int, ...], num, den) -> MPoly:
+    """f * x^shift * num / den, with coefficients kept as ints where exact."""
+    if not shift and num == den:
         return f
-    return MPoly({e: int(c * lcm) for e, c in f.terms.items()})
+    return MPoly({_add_exp(e, shift): _coeff_div(c * num, den)
+                  for e, c in f.terms.items()})
 
 
 def _int_content(f: MPoly) -> int:
@@ -614,12 +606,16 @@ def _heu_digits(g: MPoly, v: int, xi: int, max_digits: int):
     return out
 
 
-def _gcdheu(f: MPoly, g: MPoly, depth: int = 0):
-    """Heuristic gcd on integer-coefficient polys; verified, or None.
+def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
+    """Heuristic gcd on integer-coefficient polys: ``(h, f/h, g/h)``, or None.
 
     Contents are split off exactly (gcd = gcd(contents) * gcd(primitive
     parts) over Z[x..]), which keeps systematic factors out of the integer
-    evaluation images.
+    evaluation images.  A non-constant candidate is verified by exact
+    division of both primitive parts.  With ``cofactors`` the quotients of
+    that verification, rescaled for the split-off contents, are returned as
+    the cofactors; otherwise (and for a constant h) they are None.  A
+    constant candidate divides everything over Q, so it needs no division.
     """
     if depth > 12:
         return None
@@ -636,11 +632,11 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0):
         f = MPoly({e: c // c1 for e, c in f.terms.items()})
     if c2 > 1:
         g = MPoly({e: c // c2 for e, c in g.terms.items()})
-    base = MPoly({common: math.gcd(c1, c2)} if any(common)
-                 else {(): math.gcd(c1, c2)})
+    gc = math.gcd(c1, c2)
+    base = MPoly({common: gc})
     variables = sorted(f.variables() | g.variables())
     if not variables or f.is_const() or g.is_const():
-        return base
+        return base, None, None
     v = min(variables, key=lambda i: max(f.degree_in(i), g.degree_in(i)))
     max_digits = max(f.degree_in(v), g.degree_in(v)) + 1
     bound = min(max((abs(c.numerator) for c in f.terms.values()), default=1),
@@ -649,41 +645,78 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0):
     for _ in range(8):
         gam = _gcdheu(_eval_var_int(f, v, xi), _eval_var_int(g, v, xi), depth + 1)
         if gam is not None:
-            cand = _heu_digits(gam, v, xi, max_digits)
+            cand = _heu_digits(gam[0], v, xi, max_digits)
             if cand is not None and not cand.is_zero():
-                if cand.divide_exact_into(f) and cand.divide_exact_into(g):
-                    return base * cand
+                if cand.is_const():
+                    return base * cand, None, None
+                qf = f.divide_exact(cand)
+                qg = g.divide_exact(cand) if qf is not None else None
+                if qg is not None:
+                    if not cofactors:
+                        return base * cand, None, None
+                    return (base * cand,
+                            _rescale(qf, _sub_exp(mf, common), c1 // gc, 1),
+                            _rescale(qg, _sub_exp(mg, common), c2 // gc, 1))
         xi = xi * 73794 // 27011 + 1
     return None
 
 
-def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Primitive gcd over Z (positive leading coefficient, content 1)."""
-    if f.is_zero():
-        return _normalize_sign(g)
-    if g.is_zero():
-        return _normalize_sign(f)
-    # integer coefficients keep Fraction normalisation trivial throughout
-    f = _clear_denoms(f)
-    g = _clear_denoms(g)
-    # A variable present in one operand only cannot divide the gcd, so that
-    # operand may be replaced by its content in the variable.  This keeps
-    # GCDHEU from evaluating a variable the other side lacks, which puts a
-    # spurious common factor into every integer image.
-    vf, vg = f.variables(), g.variables()
-    while vf != vg and vf and vg:
-        for v in vf - vg:
-            f = _content_gcd(_to_univar(f, v).values())
-        for v in vg - vf:
-            g = _content_gcd(_to_univar(g, v).values())
+def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
+    """Primitive gcd h over Z (positive leading coefficient, content 1).
+
+    With ``cofactors`` the result is ``(h, f/h, g/h)``, exact for any
+    rational input.  A cofactor is GCDHEU's (or the PRS check's)
+    verification quotient where the operand reached it unchanged; where the
+    one-sided-variable step replaced the operand it is an exact division.
+    For h = 1 the cofactors are f and g themselves.
+    """
+    f0, g0 = f, g
+    qf = qg = None
+    lf = lg = 1
+    if f.is_zero() or g.is_zero():
+        raw = g if f.is_zero() else f
+    else:
+        # integer coefficients keep Fraction normalisation trivial throughout
+        f, lf = _clear_denoms(f)
+        g, lg = _clear_denoms(g)
+        f1, g1 = f, g
+        # A variable present in one operand only cannot divide the gcd, so
+        # that operand may be replaced by its content in the variable.  This
+        # keeps GCDHEU from evaluating a variable the other side lacks, which
+        # puts a spurious common factor into every integer image.
         vf, vg = f.variables(), g.variables()
-    heu = _gcdheu(f, g)
-    if heu is not None:
-        return _normalize_sign(heu)
-    prs = _prs_gcd(f, g)
-    if not (prs.divide_exact_into(f) and prs.divide_exact_into(g)):
-        raise ArithmeticError("gcd verification failed (PRS fallback)")
-    return _normalize_sign(prs)
+        while vf != vg and vf and vg:
+            for v in vf - vg:
+                f = _content_gcd(_to_univar(f, v).values())
+            for v in vg - vf:
+                g = _content_gcd(_to_univar(g, v).values())
+            vf, vg = f.variables(), g.variables()
+        heu = _gcdheu(f, g, cofactors=cofactors)
+        if heu is not None:
+            raw, qf, qg = heu
+        else:
+            raw = _prs_gcd(f, g)
+            qf = f.divide_exact(raw)
+            qg = g.divide_exact(raw) if qf is not None else None
+            if qg is None:
+                raise ArithmeticError("gcd verification failed (PRS fallback)")
+        # a quotient of a replaced operand is no cofactor of the input
+        if f is not f1:
+            qf = None
+        if g is not g1:
+            qg = None
+    s = raw.rational_content()
+    if raw.lead_coeff() < 0:
+        s = -s
+    h = MPoly({e: _coeff_div(v, s) for e, v in raw.terms.items()})
+    if not cofactors:
+        return h
+    if h.is_const():
+        return h, f0, g0
+    # f0 = raw * qf / lf = h * qf * s / lf
+    return (h,
+            _rescale(qf, (), s, lf) if qf is not None else f0.divide_exact(h),
+            _rescale(qg, (), s, lg) if qg is not None else g0.divide_exact(h))
 
 
 def _prs_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -773,32 +806,34 @@ class FieldElement:
             self.num, self.den = self._int_canonical(MPoly.const(1), q)
             return
         if len(num.terms) + len(den.terms) > GCD_TERM_THRESHOLD:
-            g = mpoly_gcd(num, den)
-            if not g.is_const():
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
+            _, num, den = mpoly_gcd(num, den, cofactors=True)
         self.num, self.den = self._int_canonical(num, den)
 
     @staticmethod
     def _int_canonical(num: MPoly, den: MPoly):
-        """Scale num/den jointly to coprime integer contents, den lead > 0."""
+        """Scale num/den jointly to coprime integer contents, den lead > 0.
+
+        Every coefficient comes out a plain int: a ``Fraction`` with
+        denominator 1 would send later products through ``Fraction``.
+        """
         lcm = 1
+        has_fraction = False
         for p in (num, den):
             for c in p.terms.values():
-                d = c.denominator
-                if d != 1:
-                    lcm = lcm * d // math.gcd(lcm, d)
-        if lcm != 1:
+                if isinstance(c, Fraction):
+                    has_fraction = True
+                    d = c.denominator
+                    if d != 1:
+                        lcm = lcm * d // math.gcd(lcm, d)
+        if has_fraction:
             num = MPoly({e: int(c * lcm) for e, c in num.terms.items()})
             den = MPoly({e: int(c * lcm) for e, c in den.terms.items()})
         g = math.gcd(_int_content(num), _int_content(den))
         if den.lead_coeff() < 0:
             g = -g
         if g != 1:
-            num = MPoly({e: c // g if isinstance(c, int) else _coeff_div(c, g)
-                         for e, c in num.terms.items()})
-            den = MPoly({e: c // g if isinstance(c, int) else _coeff_div(c, g)
-                         for e, c in den.terms.items()})
+            num = MPoly({e: c // g for e, c in num.terms.items()})
+            den = MPoly({e: c // g for e, c in den.terms.items()})
         return num, den
 
     # -- predicates ----------------------------------------------------------

@@ -18,7 +18,7 @@ from .field import FieldElement, fe, var
 from .partitions import Partition, partitions_of, spectral_vector, subpartitions
 from .symfunc import (
     Alphabet, Letters, Ratio, Sum, SymFunc,
-    monomial_expansion, plethysm, z_lambda,
+    plethysm, z_lambda,
 )
 
 __all__ = [
@@ -220,6 +220,7 @@ def macdonald_Q(lam: Partition) -> SymFunc:
     return macdonald_P(lam).scale(b_lambda(lam))
 
 
+@lru_cache(maxsize=None)
 def b_lambda(lam: Partition) -> FieldElement:
     _, _, b = hooks(lam, _qvar(), _tvar())
     return b
@@ -245,68 +246,54 @@ def macdonald_hall_norm(lam: Partition) -> FieldElement:
 # skew Macdonald polynomials via two-alphabet expansion
 # ---------------------------------------------------------------------------
 
+def _without(parts: tuple[int, ...], sub: tuple[int, ...]):
+    """The multiset ``parts`` less ``sub`` (both non-increasing), or None."""
+    rest = list(parts)
+    for p in sub:
+        if p not in rest:
+            return None
+        rest.remove(p)
+    return tuple(rest)
+
+
 @lru_cache(maxsize=None)
 def _skew_table(lam: Partition) -> dict[Partition, SymFunc]:
-    """All P_{lam/mu} as m-basis SymFuncs, extracted from P_lam[X + Y]."""
+    """All P_{lam/mu} as m-basis SymFuncs, peeled from P_lam[X + Y].
+
+    P_lam[X + Y] = sum_mu P_{lam/mu}[X] P_mu[Y] with |lam| X-variables and
+    l(lam) Y-variables.  Both factors are symmetric, so only the monomials
+    x^a y^b with a and b non-increasing are read: there the coefficient of
+    m_nu[X + Y] is 1 if nu is the union of a and b, and the coefficient of
+    P_{lam/mu}[X] (or P_nu[Y]) is its m-coefficient at a (or b).  For each
+    degree, mu is peeled from the lex-largest down: the y^mu coefficient
+    less the P_{lam/nu} P_nu[Y] terms of the lex-larger nu already found.
+    """
     lam = Partition(lam)
     if not lam:
         return {Partition(): SymFunc("m", {Partition(): fe(1)})}
-    nx = lam.size
-    ny = len(lam)
-    # expand P_lam in nx + ny variables, first nx are X, last ny are Y
-    pm = macdonald_P(lam).to_basis("m")
-    nvars = nx + ny
-    buckets: dict[tuple[int, ...], dict[tuple[int, ...], FieldElement]] = {}
-    for nu, c in pm.coeffs.items():
-        if len(nu) > nvars:
-            continue
-        for exps, _ in monomial_expansion(nu, nvars):
-            xpart, ypart = exps[:nx], exps[nx:]
-            b = buckets.setdefault(ypart, {})
-            b[xpart] = b.get(xpart, fe(0)) + c
-    # P_mu expansions in the Y variables for all mu with l(mu) <= ny
-    mus = [mu for mu in subpartitions(lam) if len(mu) <= ny]
-    mus.sort(key=lambda m: (-m.size, m.parts))  # by degree, then lex ascending
-    pm_y: dict[Partition, dict[tuple[int, ...], FieldElement]] = {}
-    for mu in mus:
-        exp_map = {}
-        for nu, c in macdonald_P(mu).to_basis("m").coeffs.items():
-            for exps, _ in monomial_expansion(nu, ny):
-                exp_map[exps] = exp_map.get(exps, fe(0)) + c
-        pm_y[mu] = exp_map
-    # peel off coefficients: process mu of each degree from lex-largest down
+    pm = macdonald_P(lam).coeffs
+    mus = list(subpartitions(lam))
     out: dict[Partition, SymFunc] = {}
     for d in sorted({mu.size for mu in mus}, reverse=True):
         degree_mus = sorted((mu for mu in mus if mu.size == d),
                             key=lambda m: m.parts, reverse=True)
         for mu in degree_mus:
-            key = mu.parts + (0,) * (ny - len(mu))
-            coeff_map = dict(buckets.get(key, {}))
+            coeff_map: dict[Partition, FieldElement] = {}
+            for nu, c in pm.items():
+                rest = _without(nu.parts, mu.parts)
+                if rest is not None:
+                    coeff_map[Partition(rest)] = c
             # subtract contributions of lex-larger nu of the same degree
             for nu in degree_mus:
-                if nu.parts <= mu.parts or nu not in out:
+                if nu.parts <= mu.parts:
                     continue
-                w = pm_y[nu].get(key)
+                w = macdonald_P(nu).coeffs.get(mu)
                 if w is None:
                     continue
-                for xexp, c in _sf_to_xmap(out[nu], nx).items():
-                    coeff_map[xexp] = coeff_map.get(xexp, fe(0)) - c * w
-            sf_coeffs: dict[Partition, FieldElement] = {}
-            for xexp, c in coeff_map.items():
-                if isinstance(c, FieldElement) and c.is_zero():
-                    continue
-                se = tuple(sorted((x for x in xexp if x), reverse=True))
-                if xexp[:len(se)] == se and not any(xexp[len(se):]):
-                    sf_coeffs[Partition(se)] = c
-            out[mu] = SymFunc("m", sf_coeffs)
-    return out
-
-
-def _sf_to_xmap(f: SymFunc, nx: int) -> dict[tuple[int, ...], FieldElement]:
-    out: dict[tuple[int, ...], FieldElement] = {}
-    for nu, c in f.to_basis("m").coeffs.items():
-        for exps, _ in monomial_expansion(nu, nx):
-            out[exps] = out.get(exps, fe(0)) + c
+                for rho, c in out[nu].coeffs.items():
+                    coeff_map[rho] = coeff_map.get(rho, fe(0)) - c * w
+            out[mu] = SymFunc("m", {rho: c for rho, c in coeff_map.items()
+                                    if not c.is_zero()})
     return out
 
 

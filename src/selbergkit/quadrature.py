@@ -37,7 +37,11 @@ _GJ_CACHE: dict = {}
 
 
 def gauss_jacobi_01(n: int, p: float, q: float):
-    """Nodes/weights for integral_0^1 f(t) t^p (1-t)^q dt, p, q > -1."""
+    """Nodes/weights for integral_0^1 f(t) t^p (1-t)^q dt, p, q > -1.
+
+    The rules are cached and shared between callers, so both arrays are
+    read-only.
+    """
     key = (n, round(float(p), 12), round(float(q), 12))
     hit = _GJ_CACHE.get(key)
     if hit is not None:
@@ -67,6 +71,8 @@ def gauss_jacobi_01(n: int, p: float, q: float):
     # map x in [-1,1] to t = (1+x)/2; t^p(1-t)^q dt = 2^{-p-q-1}(1+x)^p(1-x)^q dx
     t = (1 + vals) / 2
     w = w * 2.0 ** (-apb - 1)
+    t.flags.writeable = False
+    w.flags.writeable = False
     _GJ_CACHE[key] = (t, w)
     return t, w
 

@@ -507,7 +507,25 @@ def plethysm(f: SymFunc, A: Alphabet):
 
 
 def h_series_of_alphabet(A: Alphabet, cap: int) -> list:
-    """[h_0[A], ..., h_cap[A]] via the Newton recursion from power sums."""
+    """[h_0[A], ..., h_cap[A]].
+
+    For a ``Ratio`` (a - b)/(1 - t) with scalar a, b and t the q-binomial
+    theorem gives sum_m h_m z^m = (bz;t)_inf / (az;t)_inf, so
+    h_m = h_{m-1} (a - b t^{m-1}) / (1 - t^m): O(cap) field operations.
+    Other alphabets take the O(cap^2) Newton recursion from power sums.
+    """
+    if isinstance(A, Ratio) and all(isinstance(x, (int, Fraction, FieldElement))
+                                    for x in (A.a, A.b, A.t)):
+        hs = [Fraction(1)]
+        tpow = Fraction(1)  # t^(m-1)
+        for m in range(1, cap + 1):
+            tnext = tpow * A.t
+            den = 1 - tnext
+            if _scalar_is_zero(den):
+                raise ZeroDivisionError(f"Ratio alphabet needs t^{m} != 1")
+            hs.append(hs[-1] * ((A.a - A.b * tpow) / den))
+            tpow = tnext
+        return hs
     ps = [None] + [pk_of_alphabet(k, A) for k in range(1, cap + 1)]
     hs: list = [Fraction(1)]
     for k in range(1, cap + 1):

@@ -59,6 +59,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--ts" in err and "got 3" in err
 
+    @pytest.mark.parametrize("formula, flag, value", [
+        ("elliptic-selberg", "--ts", "0.4,x,0.4,0.35,0.4,0.2"),
+        ("selberg", "--k", "1,two"),
+        ("selberg", "--alpha", "one"),
+        ("aflt", "--lam", "2,a"),
+        ("aflt", "--mu", "1.5"),
+    ])
+    def test_eval_non_numeric_value(self, capsys, formula, flag, value):
+        assert main(["eval", formula, flag, value]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and flag in err and value in err
+
+    def test_eval_elliptic_selberg_unbalanced(self, capsys):
+        ts = "0.4,0.15,0.4,0.35,0.4,0.2"
+        assert main(["eval", "elliptic-selberg", "--ts", ts]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "--ts" in err and "balancing" in err
+
+    def test_verify_non_numeric_k(self, capsys):
+        assert main(["verify", "jackson", "--k", "1,x"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "--k" in err and "1,x" in err
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 2
 

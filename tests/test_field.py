@@ -175,3 +175,85 @@ def test_monomial_content():
     assert (q * t + t).num.monomial_content() == t.num.monomial_content()
     assert (1 + q).num.monomial_content() == ()
     assert MPoly().monomial_content() == ()
+
+
+def _check_cofactors(f, g):
+    h, cf, cg = mpoly_gcd(f, g, cofactors=True)
+    assert h == mpoly_gcd(f, g)
+    assert h * cf == f and h * cg == g
+    return h, cf, cg
+
+
+def test_gcd_cofactors_exact():
+    # contents GCDHEU splits off: monomials, integers and a sign
+    f = (6 * q ** 2 * t * (1 - q) * (1 + q * t) * (2 - t)).num
+    g = (-4 * q * (1 - q) * (1 + q * t) * (1 + t ** 2)).num
+    h, _, _ = _check_cofactors(f, g)
+    assert h == (q * (q - 1) * (1 + q * t)).num
+    _check_cofactors(g, f)
+
+
+def test_gcd_cofactors_fraction_input():
+    f = (Fraction(2, 3) * (1 - q * t) * (1 + q) - Fraction(1, 5) * q * (1 - q * t)).num
+    g = (Fraction(3, 7) * (1 - q * t) * (1 - t ** 2)).num
+    assert any(isinstance(c, Fraction) for c in f.terms.values())
+    h, _, _ = _check_cofactors(f, g)
+    assert h == (q * t - 1).num
+
+
+def test_gcd_cofactors_one_sided_variable():
+    f = ((1 - q ** 3) * (1 - q ** 2 * t) * (1 - q * t) * (1 - q * t ** 2)).num
+    g = ((1 - q ** 4) * (1 - q ** 3) * (1 - q)).num
+    h, _, _ = _check_cofactors(f, g)
+    assert h == (q ** 3 - 1).num
+    _check_cofactors(g, f)
+    # each operand has a variable the other lacks
+    _check_cofactors(f * Fraction(1, 2), (a * (1 - q ** 3) * (1 + a)).num)
+
+
+def test_gcd_cofactors_trivial_gcd_returns_inputs():
+    f = (1 + q * t + t ** 2).num
+    g = (Fraction(1, 2) + q).num
+    h, cf, cg = mpoly_gcd(f, g, cofactors=True)
+    assert h == MPoly.const(1) and cf is f and cg is g
+
+
+def test_gcd_cofactors_prs_fallback(monkeypatch):
+    calls = []
+
+    def prs(f, g):
+        calls.append(1)
+        return real_prs(f, g)
+
+    real_prs = field._prs_gcd
+    monkeypatch.setattr(field, "_gcdheu", lambda *args, **kwargs: None)
+    monkeypatch.setattr(field, "_prs_gcd", prs)
+    f = (Fraction(1, 2) * (1 - q * t) * (1 + q ** 2) * (3 - t)).num
+    g = (-2 * (1 - q * t) * (1 + q ** 2) * (1 + q + t)).num
+    h, _, _ = _check_cofactors(f, g)
+    assert h == ((q * t - 1) * (1 + q ** 2)).num
+    assert calls
+
+
+def test_reduced_elements_carry_no_integral_fractions(monkeypatch):
+    # a Fraction with denominator 1 would push later products through Fraction
+    seen = []
+    reduce = FieldElement._reduce
+
+    def checked(self):
+        reduce(self)
+        seen.append(1)
+        for p in (self.num, self.den):
+            for c in p.terms.values():
+                assert not (isinstance(c, Fraction) and c.denominator == 1), self
+
+    monkeypatch.setattr(FieldElement, "_reduce", checked)
+    num = MPoly({e: Fraction(c) for e, c in (2 * q + 3).num.terms.items()})
+    x = FieldElement(num, (1 + t).num)
+    assert x == (2 * q + 3) / (1 + t)
+    y = fe(Fraction(3, 2)) * (1 - q) / (1 - t)
+    z = (y * (2 + q * t) + fe(Fraction(1, 2))) / (1 - q * t)
+    assert z * (1 - q * t) == y * (2 + q * t) + fe(Fraction(1, 2))
+    from selbergkit.macdonald import _hall_norm_qt, _orthogonal_family
+    _orthogonal_family(3, _hall_norm_qt)
+    assert len(seen) > 100

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from selbergkit.field import eval_complex, fe, var
+from selbergkit.field import FieldElement, eval_complex, fe, var
 from selbergkit.macdonald import (
-    _hall_norm_gamma, _hall_norm_qt, _orthogonal_family, b_lambda,
+    _hall_norm_gamma, _hall_norm_qt, _orthogonal_family, _skew_table, b_lambda,
     evaluation_symmetry_check, generalized_evaluation_symmetry_check,
     jack_P, jack_binomial_spec, jack_eval, macdonald_P, macdonald_Q,
     principal_spec_a, principal_spec_n, single_row_xminusy, skew_P, skew_Q,
@@ -13,10 +13,52 @@ from selbergkit.macdonald import (
 from selbergkit.partitions import P, partitions_of, partitions_up_to, subpartitions
 from selbergkit.symfunc import (
     Binomial, Difference, Letters, Ratio, SymFunc, Sum, expand_in_letters,
-    m_sf, plethysm, s_sf,
+    m_sf, monomial_expansion, plethysm, s_sf,
 )
 
 q, t, g, a = var("q"), var("t"), var("gamma"), var("a")
+
+
+def skew_table_all_monomials(lam):
+    """Reference P_{lam/mu}: peel the coefficient of every x-monomial of
+    P_lam[X + Y] (|lam| X- and l(lam) Y-variables), sorted or not, and keep
+    the sorted ones at the end."""
+    nx, ny = lam.size, len(lam)
+
+    def xmap(f, n):
+        out = {}
+        for nu, c in f.coeffs.items():
+            for exps, _ in monomial_expansion(nu, n):
+                out[exps] = out.get(exps, fe(0)) + c
+        return out
+
+    buckets = {}
+    for nu, c in macdonald_P(lam).coeffs.items():
+        for exps, _ in monomial_expansion(nu, nx + ny):
+            b = buckets.setdefault(exps[nx:], {})
+            b[exps[:nx]] = b.get(exps[:nx], fe(0)) + c
+    mus = list(subpartitions(lam))
+    pm_y = {mu: xmap(macdonald_P(mu), ny) for mu in mus}
+    out = {}
+    for d in sorted({mu.size for mu in mus}, reverse=True):
+        degree_mus = sorted((mu for mu in mus if mu.size == d),
+                            key=lambda m: m.parts, reverse=True)
+        for mu in degree_mus:
+            key = mu.parts + (0,) * (ny - len(mu))
+            coeff_map = dict(buckets.get(key, {}))
+            for nu in degree_mus:
+                w = pm_y[nu].get(key)
+                if nu.parts <= mu.parts or w is None:
+                    continue
+                for xexp, c in xmap(out[nu], nx).items():
+                    coeff_map[xexp] = coeff_map.get(xexp, fe(0)) - c * w
+            coeffs = {}
+            for xexp, c in coeff_map.items():
+                se = tuple(sorted((x for x in xexp if x), reverse=True))
+                if xexp == se + (0,) * (nx - len(se)) and not c.is_zero():
+                    coeffs[P(*se)] = c
+            out[mu] = SymFunc("m", coeffs)
+    return out
 
 
 def hall_qt(f, h):
@@ -102,6 +144,20 @@ class TestSkew:
             keys = set(full.terms) | set(recomposed)
             for k in keys:
                 assert fe(full.terms.get(k, fe(0))) == fe(recomposed.get(k, fe(0)))
+
+    def test_matches_all_monomial_peel(self):
+        # the table reads only sorted monomials; peeling every monomial
+        # must give the same reduced coefficients, num and den alike
+        for lam in list(partitions_up_to(5))[1:]:
+            want = skew_table_all_monomials(lam)
+            got = _skew_table(lam)
+            assert set(got) == set(want) == set(subpartitions(lam))
+            for mu, f in want.items():
+                assert set(got[mu].coeffs) == set(f.coeffs)
+                for nu, c in f.coeffs.items():
+                    d = got[mu].coeffs[nu]
+                    assert isinstance(d, FieldElement)
+                    assert (d.num, d.den) == (c.num, c.den), (lam, mu, nu)
 
     def test_skew_Q_normalisation(self):
         lam, mu = P(2, 1), P(1)

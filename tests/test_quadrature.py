@@ -26,6 +26,16 @@ class TestGaussJacobi:
             ref = (gamma(2.3 + j) * gamma(1.7) / gamma(4.0 + j)).real
             assert abs(got - ref) < 1e-14
 
+    def test_cached_rule_is_read_only(self):
+        t, w = gauss_jacobi_01(12, 0.25, 0.5)
+        for arr in (t, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+        again = gauss_jacobi_01(12, 0.25, 0.5)
+        assert again[0] is t and again[1] is w
+
     def test_matches_legendre(self):
         t, w = gauss_jacobi_01(16, 0.0, 0.0)
         x, wl = np.polynomial.legendre.leggauss(16)

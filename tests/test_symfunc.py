@@ -103,6 +103,34 @@ class TestGeneratingSeries:
         min_deg = min((sum(e) for e in poly.terms), default=cap + 1)
         assert min_deg > cap
 
+    def test_ratio_product_form_matches_newton(self):
+        # a Difference of two Ratios takes the Newton recursion; the Ratio
+        # itself the product h_m = h_{m-1} (a - b t^{m-1}) / (1 - t^m)
+        bvar = var("b")
+        for A, B, T in [(fe(1), t, q), (a * q, t, q), (fe(0), fe(1), q),
+                        (1 / a, fe(1), q), (q * t ** 2, t ** 3, q),
+                        (a, bvar, t), (Fraction(1, 2), 3, Fraction(1, 3)),
+                        (1, 0, Fraction(2)), (3, 5, Fraction(-2))]:
+            prod = h_series_of_alphabet(Ratio(A, B, T), 6)
+            newton = h_series_of_alphabet(
+                Difference(Ratio(A, 0, T), Ratio(B, 0, T)), 6)
+            assert len(prod) == len(newton) == 7
+            for u, v in zip(prod, newton):
+                assert type(u) is type(v)
+                if isinstance(u, Fraction):
+                    assert u == v
+                else:
+                    assert (u.num, u.den) == (v.num, v.den)
+
+    def test_ratio_product_form_stays_exact_on_ints(self):
+        hs = h_series_of_alphabet(Ratio(3, 5, -2), 5)
+        assert all(isinstance(h, Fraction) for h in hs)
+        assert hs == h_series_of_alphabet(Ratio(3, 5, Fraction(-2)), 5)
+
+    def test_ratio_product_form_rejects_root_of_unity(self):
+        with pytest.raises(ZeroDivisionError):
+            h_series_of_alphabet(Ratio(a, fe(1), fe(1)), 2)
+
     def test_z2_coefficient_matches_plethysm(self):
         hs = h_series_of_alphabet(Ratio(fe(1), a, t), 4)
         direct = plethysm(h_sf(P(2)), Ratio(fe(1), a, t))
