@@ -2,7 +2,9 @@
 
 Subcommands: `verify <suite>|all`, `eval <formula>`, `list`.  Reports are
 JSON lines (one VerificationReport per line); the process exits 0 iff all
-cases pass.  A JSON config file may mirror any flag; explicit flags win.
+cases pass.  A JSON config file may set any of the VERIFY_KEYS; explicit
+flags win.  Bad input (an unknown config key, a size above a suite's cap,
+a malformed eval value) gets one line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -25,21 +27,12 @@ def _build_parser():
     v.add_argument("--config", help="JSON config file mirroring flags")
     v.add_argument("--max-degree", type=int, default=None)
     v.add_argument("--max-size", type=int, default=None)
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--k", type=str, default=None,
-                   help="comma-separated cardinalities, e.g. 1,2")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--tol", type=float, default=None)
     v.add_argument("--quad-points", type=int, default=None)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=int, default=None)
     v.add_argument("--report", type=str, default=None,
                    help="append JSON-lines reports to this path")
-    v.add_argument("--precision", choices=("double", "extended"),
-                   default="double")
-    v.add_argument("--rho", type=float, default=None)
-    v.add_argument("--theta", type=float, default=None)
-    v.add_argument("--radius", type=float, default=None)
-    v.add_argument("--epsilon0", type=float, default=None)
 
     e = sub.add_parser("eval", help="evaluate a closed form")
     e.add_argument("formula", help="selberg|aflt|an-selberg|an-one|an-aflt|"
@@ -84,18 +77,23 @@ def _flag(args, name, parse):
         raise ValueError(f"--{name} {text!r}: {exc}") from None
 
 
+# the verify settings, each the dest of a flag and a key a --config may set
+VERIFY_KEYS = ("max_degree", "max_size", "seed", "tol", "quad_points", "jobs")
+
+
 def _config_from_args(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg.update(json.load(fh))
-    for key in ("max_degree", "max_size", "n", "seed", "tol", "quad_points",
-                "jobs", "precision", "rho", "theta", "radius", "epsilon0"):
+        for key in cfg:
+            if key not in VERIFY_KEYS:
+                raise ValueError(f"--config {args.config}: unknown key "
+                                 f"{key!r} (known: {', '.join(VERIFY_KEYS)})")
+    for key in VERIFY_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if getattr(args, "k", None):
-        cfg["k"] = _flag(args, "k", _parse_ints)
     cfg.setdefault("seed", 7)
     cfg.setdefault("jobs", 1)
     return cfg
@@ -119,10 +117,14 @@ def cmd_verify(args) -> int:
             print(f"available: {', '.join(SUITES)}", file=sys.stderr)
             return 2
     tasks = []
-    for name in names:
-        gen, _ = SUITES[name]
-        for params in gen(cfg):
-            tasks.append((name, params, cfg))
+    try:
+        for name in names:
+            gen, _ = SUITES[name]
+            for params in gen(cfg):
+                tasks.append((name, params, cfg))
+    except ValueError as exc:
+        print(f"verify {args.suite}: {exc}", file=sys.stderr)
+        return 2
     jobs = cfg.get("jobs", 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

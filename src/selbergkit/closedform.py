@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .coeffs import gamma_ratio, poch, qpoch, qpoch_inf, qt_poch
+from .coeffs import gamma_poch, gamma_ratio, poch, qpoch, qpoch_inf, qt_poch
 from .field import PoleError, fe
 from .macdonald import jack_binomial_spec, principal_spec_a
 from .partitions import Bipartition, Partition, bipartite_spectral_vector
@@ -43,12 +43,8 @@ def schur_binomial(lam: Partition, z) -> complex:
 
 
 def gamma_pochhammer(b, g, lam: Partition) -> complex:
-    """(b;gamma)_lam = prod_i (b + (1-i) gamma)_{lam_i}, numeric."""
-    lam = Partition(lam)
-    out = 1.0 + 0.0j
-    for i, part in enumerate(lam.parts, start=1):
-        out *= complex(poch(complex(b) + (1 - i) * complex(g), part))
-    return out
+    """(b;gamma)_lam, numeric."""
+    return complex(gamma_poch(b, g, lam))
 
 
 def _div(x, d):
@@ -543,7 +539,7 @@ def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p, q,
     derivation; display_form switches to the printed variant (kept for the
     record, see the ledger).
     """
-    from .coeffs import delta0_bipartite, ell_gamma
+    from .coeffs import delta0_bipartite
     _check_balancing(n, ts, t, p, q)
     t = complex(t)
     t1, t2, t3, t4, t5, t6 = [complex(x) for x in ts]

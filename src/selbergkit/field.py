@@ -14,13 +14,14 @@ Reduction policy, in order:
 2. an exact-division fast path (num/den or den/num) catches the structural
    cancellations that dominate in practice;
 3. otherwise, once num and den together exceed ``GCD_TERM_THRESHOLD`` (2)
-   terms, ``mpoly_gcd`` runs.  It first replaces an operand by its content
-   in any variable the other operand lacks, until both have the same
-   variables; then it tries the heuristic gcd GCDHEU (Char, Geddes and
-   Gonnet, 1989); only if that fails does it fall back to a primitive
-   pseudo-remainder sequence (PRS).  Every non-constant gcd candidate is
-   verified by exact division; a constant candidate divides everything
-   over Q and is accepted without one.
+   terms, ``mpoly_gcd`` runs.  It first splits off the monomial contents,
+   then replaces an operand by its content in any variable the other
+   operand lacks, until both have the same variables; then it tries the
+   heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989); only if that
+   fails does it fall back to a primitive pseudo-remainder sequence
+   (PRS).  Every non-constant gcd candidate is verified by exact
+   division; a constant candidate divides everything over Q and is
+   accepted without one.
 4. the gcd hands back its cofactors num/h and den/h: the quotients of its
    own verification, rescaled for the contents GCDHEU split off, so num
    and den are not divided a second time.  An operand replaced by the
@@ -100,6 +101,11 @@ def _sub_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     if d and min(d) < 0:
         return None
     return _trim(d + a[len(b):])
+
+
+def _min_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Trimmed componentwise minimum: the exponent of the monomial gcd."""
+    return _trim(tuple(min(x, y) for x, y in zip(a, b)))
 
 
 def _exp_get(e: tuple[int, ...], i: int) -> int:
@@ -186,9 +192,6 @@ class MPoly:
             return Fraction(self.terms[()])
         raise ValueError("not a constant polynomial")
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) <= 1
-
     def variables(self) -> set[int]:
         out: set[int] = set()
         for e in self.terms:
@@ -196,9 +199,6 @@ class MPoly:
                 if p:
                     out.add(i)
         return out
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, i: int) -> int:
         return max((_exp_get(e, i) for e in self.terms), default=0)
@@ -621,8 +621,7 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
         return None
     # split off monomial and integer content of each input
     mf, mg = f.monomial_content(), g.monomial_content()
-    common = _trim(tuple(min(_exp_get(mf, i), _exp_get(mg, i))
-                         for i in range(max(len(mf), len(mg)))))
+    common = _min_exp(mf, mg)
     if any(mf):
         f = f.shift_down(mf)
     if any(mg):
@@ -679,11 +678,17 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
         # integer coefficients keep Fraction normalisation trivial throughout
         f, lf = _clear_denoms(f)
         g, lg = _clear_denoms(g)
+        # the gcd's monomial part is the smaller of the monomial contents
+        mf, mg = f.monomial_content(), g.monomial_content()
+        common = _min_exp(mf, mg)
+        f, g = f.shift_down(mf), g.shift_down(mg)
         f1, g1 = f, g
         # A variable present in one operand only cannot divide the gcd, so
         # that operand may be replaced by its content in the variable.  This
         # keeps GCDHEU from evaluating a variable the other side lacks, which
-        # puts a spurious common factor into every integer image.
+        # puts a spurious common factor into every integer image.  It runs
+        # after the monomial split, so a variable held by one operand only
+        # as a monomial factor counts as lacking there.
         vf, vg = f.variables(), g.variables()
         while vf != vg and vf and vg:
             for v in vf - vg:
@@ -701,10 +706,11 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
             if qg is None:
                 raise ArithmeticError("gcd verification failed (PRS fallback)")
         # a quotient of a replaced operand is no cofactor of the input
-        if f is not f1:
-            qf = None
-        if g is not g1:
-            qg = None
+        qf = (_rescale(qf, _sub_exp(mf, common), 1, 1)
+              if qf is not None and f is f1 else None)
+        qg = (_rescale(qg, _sub_exp(mg, common), 1, 1)
+              if qg is not None and g is g1 else None)
+        raw = _rescale(raw, common, 1, 1)
     s = raw.rational_content()
     if raw.lead_coeff() < 0:
         s = -s
@@ -722,8 +728,7 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
 def _prs_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Primitive pseudo-remainder sequence gcd (fallback path)."""
     mf, mg = f.monomial_content(), g.monomial_content()
-    common = _trim(tuple(min(_exp_get(mf, i), _exp_get(mg, i))
-                         for i in range(max(len(mf), len(mg)))))
+    common = _min_exp(mf, mg)
     if any(mf):
         f = f.shift_down(mf)
     if any(mg):
@@ -787,8 +792,7 @@ class FieldElement:
             return
         # common monomial content
         mn, md = num.monomial_content(), den.monomial_content()
-        common = _trim(tuple(min(_exp_get(mn, i), _exp_get(md, i))
-                             for i in range(max(len(mn), len(md)))))
+        common = _min_exp(mn, md)
         if any(common):
             num = num.shift_down(common)
             den = den.shift_down(common)

@@ -278,9 +278,6 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
             return a_sym
         return t ** (ks[r - 1] - ks[r]) if ks[r] is not None else None
 
-    def tpow_k(r):  # t^{k_r} with the t^infinity = 0 convention
-        return fe(0) if ks[r - 1] is None else t ** ks[r - 1]
-
     xs = [var(nm) for nm in x_names]
 
     # ---------------- left-hand side ----------------

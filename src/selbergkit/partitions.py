@@ -136,9 +136,6 @@ class Partition:
             raise ValueError(f"{self} does not fit in ({N}^{n})")
         return Partition(tuple(N - self.part(i) for i in range(n, 0, -1)))
 
-    def add_part(self, p: int) -> "Partition":
-        return Partition(tuple(sorted(self.parts + (p,), reverse=True)))
-
 
 def P(*parts) -> Partition:
     if len(parts) == 1 and isinstance(parts[0], (tuple, list, Partition)):

@@ -8,6 +8,7 @@ the suite's default tolerance (overridable from the CLI).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -37,17 +38,25 @@ def _pt(lam):
     return Partition(tuple(lam))
 
 
+def _capped(size, cap, flag, suite):
+    """``size`` as given; a size above the suite's cap is an error."""
+    if size > cap:
+        raise ValueError(f"{flag} {size} is above the {suite} cap of {cap}")
+    return size
+
+
 # ---------------------------------------------------------------------------
 # exact algebra suites
 # ---------------------------------------------------------------------------
 
 def cases_cauchy(cfg):
-    cap = min(cfg.get("max_degree", 6), 6)
+    cap = _capped(cfg.get("max_degree", 6), 6, "--max-degree", "cauchy")
     return [{"case_id": f"cauchy-mu{mu}", "mu": mu.parts, "cap": cap}
             for mu in (P(), P(1), P(2, 1))]
 
 
 def run_cauchy(params, cfg):
+    from .identities import _embed
     from .macdonald import macdonald_P, skew_Q
     from .symfunc import LetterSeries, Ratio, expand_in_letters, h_series_of_alphabet
     from fractions import Fraction
@@ -69,7 +78,7 @@ def run_cauchy(params, cfg):
                 prev = lhs.terms.get(key)
                 lhs.terms[key] = v if prev is None else prev + v
     rhs = expand_in_letters(macdonald_P(mu), letters[:2])
-    rhs = _embed4(rhs, letters, 0, T)
+    rhs = _embed(rhs, letters, 0, T)
     for i in range(2):
         for j in range(2):
             hs = h_series_of_alphabet(Ratio(fe(1), t, q), cap)
@@ -88,19 +97,8 @@ def run_cauchy(params, cfg):
     return ("equal", "equal" if ok else "DIFFERENT", True)
 
 
-def _embed4(sub, letters, offset, cap):
-    from .symfunc import LetterSeries
-    out = LetterSeries(letters, cap=cap)
-    for e, c in sub.terms.items():
-        full = [0] * len(letters)
-        for i, p in enumerate(e):
-            full[offset + i] = p
-        out.terms[tuple(full)] = c
-    return out
-
-
 def cases_skew_sum(cfg):
-    size = min(cfg.get("max_size", 3), 3)
+    size = _capped(cfg.get("max_size", 3), 3, "--max-size", "skew-sum")
     out = []
     pool = list(partitions_up_to(size))
     for lam in pool:
@@ -131,7 +129,7 @@ def run_skew_sum(params, cfg):
 
 
 def cases_eval_sym(cfg):
-    size = min(cfg.get("max_size", 3), 3)
+    size = _capped(cfg.get("max_size", 3), 3, "--max-size", "eval-sym")
     out = []
     pool = list(partitions_up_to(size))
     for lam in pool:
@@ -162,7 +160,8 @@ def run_eval_sym(params, cfg):
 
 
 def cases_an_cauchy(cfg):
-    cap = min(cfg.get("max_degree", 3), 3)
+    cap = _capped(cfg.get("max_degree", 3), 3, "--max-degree",
+                  "an-cauchy")
     shapes = [(1, [2], "I"), (1, [2], "II"),
               (2, [1, 1], "I"), (2, [1, 1], "II"),
               (2, [1, 2], "I"), (2, [1, 2], "II"), (2, [1, 2], "II-pleth"),
@@ -275,17 +274,28 @@ def cases_an_aflt(cfg):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_norm(ks, alphas, beta, gamma_, companion, points):
+    """The rank-2 chain integral without integrand, which an-aflt and an-alt
+    divide by; cached, since the cases of one shape share it."""
+    from .quadrature import QuadratureSpec, an_selberg_lhs
+    spec = QuadratureSpec(points=points, tol=1e-8, max_refine=2)
+    val, _ = an_selberg_lhs(2, list(ks), list(alphas), beta, gamma_,
+                            companion=companion, spec=spec)
+    return val
+
+
 def run_an_aflt(params, cfg):
     from .closedform import an_aflt_rhs
     from .quadrature import QuadratureSpec, an_selberg_lhs, jack_pair_callback
     ks, g = params["ks"], params["gamma"]
     lam, mu = _pt(params["lam"]), _pt(params["mu"])
     alphas, beta = [1.2, 1.4], 1.3
-    spec = QuadratureSpec(points=cfg.get("quad_points") or 24,
-                          tol=1e-8, max_refine=2)
+    points = cfg.get("quad_points") or 24
+    spec = QuadratureSpec(points=points, tol=1e-8, max_refine=2)
     cb = jack_pair_callback(2, lam, mu, beta, g)
     num, _ = an_selberg_lhs(2, ks, alphas, beta, g, integrand=cb, spec=spec)
-    den, _ = an_selberg_lhs(2, ks, alphas, beta, g, spec=spec)
+    den = _chain_norm(tuple(ks), tuple(alphas), beta, g, None, points)
     rhs = an_aflt_rhs(2, ks, alphas, beta, g, lam, mu).real
     return (num / den, rhs, False)
 
@@ -300,15 +310,14 @@ def cases_an_alt(cfg):
 
 
 def run_an_alt(params, cfg):
-    import numpy as np
     from .closedform import an_alt_avg_rhs
     from .quadrature import QuadratureSpec, an_selberg_lhs, _jack_on_grid
     ks, g = params["ks"], params["gamma"]
     b1, b2 = params["beta1"], params["beta2"]
     lam, mu = _pt(params["lam"]), _pt(params["mu"])
     alphas = [1.2, 1.4]
-    spec = QuadratureSpec(points=cfg.get("quad_points") or 32,
-                          tol=1e-8, max_refine=2)
+    points = cfg.get("quad_points") or 32
+    spec = QuadratureSpec(points=points, tol=1e-8, max_refine=2)
 
     def cb(levels):
         return (_jack_on_grid(lam, levels[0], g, None)
@@ -316,8 +325,7 @@ def run_an_alt(params, cfg):
 
     num, _ = an_selberg_lhs(2, ks, alphas, None, g, integrand=cb,
                             companion=(b1, b2), spec=spec)
-    den, _ = an_selberg_lhs(2, ks, alphas, None, g, companion=(b1, b2),
-                            spec=spec)
+    den = _chain_norm(tuple(ks), tuple(alphas), None, g, (b1, b2), points)
     rhs = an_alt_avg_rhs(2, ks, alphas, b1, b2, g, lam, mu).real
     return (num / den, rhs, False)
 
@@ -705,7 +713,7 @@ def run_guess(params, cfg):
     """The naive product formula fails when a middle partition is nonzero:
     report the relative deviation (pass = deviation EXCEEDS the threshold)."""
     from .closedform import r_function
-    from .quadrature import QuadratureSpec, an_selberg_lhs, _jack_on_grid
+    from .quadrature import QuadratureSpec, an_selberg_lhs
     g = 0.5
     alphas, beta = [1.4, 1.6], 1.3
     lams = [P(), P(1), P()]
@@ -742,7 +750,6 @@ def cases_hyper(cfg):
 
 
 def run_hyper(params, cfg):
-    import numpy as np
     from .closedform import seven_one_rhs, seven_two_gamma_one, seven_two_rhs
     from .quadrature import QuadratureSpec, an_selberg_lhs
     spec = QuadratureSpec(points=32, tol=1e-9, max_refine=2)
@@ -825,10 +832,9 @@ def cases_properties(cfg):
 
 
 def run_properties(params, cfg):
-    import numpy as np
     cid = params["case_id"]
     if cid == "props-padding":
-        from .closedform import aflt_rhs, nplusone_rhs, r_function
+        from .closedform import aflt_rhs, r_function
         v1 = aflt_rhs(2, P(2), P(1), 1.7, 2.2, 0.6, m=1)
         v2 = aflt_rhs(2, P(2), P(1), 1.7, 2.2, 0.6, m=3)
         d1 = abs(v1 - v2) / abs(v1)

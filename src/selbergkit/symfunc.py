@@ -254,10 +254,6 @@ class SymFunc:
     def degree(self) -> int:
         return max((lam.size for lam in self.coeffs), default=0)
 
-    def homogeneous(self, d: int) -> "SymFunc":
-        return SymFunc(self.basis,
-                       {lam: c for lam, c in self.coeffs.items() if lam.size == d})
-
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if self.basis != other.basis:
             other = other.to_basis(self.basis)
@@ -683,24 +679,8 @@ class LetterSeries:
                 base = base * base
         return out
 
-    def truncate(self, cap: int) -> "LetterSeries":
-        return LetterSeries(self.letters,
-                            {e: c for e, c in self.terms.items() if sum(e) <= cap},
-                            cap)
-
     def coeff(self, exps: tuple[int, ...]):
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def degrees_in(self, subset: Sequence[int]) -> dict:
-        """Group terms by the exponent pattern on a subset of letter indices."""
-        out: dict[tuple[int, ...], LetterSeries] = {}
-        for e, c in self.terms.items():
-            key = tuple(e[i] for i in subset)
-            rest = tuple(0 if i in subset else x for i, x in enumerate(e))
-            bucket = out.setdefault(key, LetterSeries(self.letters, cap=self.cap))
-            v = bucket.terms.get(rest)
-            bucket.terms[rest] = c if v is None else v + c
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, LetterSeries):

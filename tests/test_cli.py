@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -77,10 +75,33 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "--ts" in err and "balancing" in err
 
-    def test_verify_non_numeric_k(self, capsys):
-        assert main(["verify", "jackson", "--k", "1,x"]) == 2
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "2"), ("--k", "1,2"), ("--precision", "extended"),
+        ("--rho", "0.5"), ("--theta", "0.1"), ("--radius", "1.0"),
+        ("--epsilon0", "0.01"),
+    ])
+    def test_verify_removed_flag(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "jackson", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite, flag, value, cap", [
+        ("skew-sum", "--max-size", "4", 3),
+        ("eval-sym", "--max-size", "9", 3),
+        ("cauchy", "--max-degree", "7", 6),
+        ("an-cauchy", "--max-degree", "4", 3),
+    ])
+    def test_verify_size_above_cap(self, capsys, suite, flag, value, cap):
+        assert main(["verify", suite, flag, value]) == 2
         err = capsys.readouterr().err.strip()
-        assert "\n" not in err and "--k" in err and "1,x" in err
+        assert "\n" not in err
+        assert flag in err and suite in err and f"cap of {cap}" in err
+
+    def test_verify_all_size_above_cap(self, capsys):
+        assert main(["verify", "all", "--max-size", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "--max-size 4" in captured.err and captured.out == ""
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 2
@@ -126,3 +147,11 @@ class TestCli:
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"seed": 7, "quad_points": 24}))
         assert main(["verify", "jackson", "--config", str(cfgp)]) == 0
+
+    @pytest.mark.parametrize("key", ["rho", "precision", "k"])
+    def test_config_unknown_key(self, tmp_path, capsys, key):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"seed": 7, key: 1}))
+        assert main(["verify", "jackson", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and repr(key) in err

@@ -136,6 +136,41 @@ def test_gcd_one_sided_variable_skips_prs(monkeypatch):
     assert mpoly_gcd(f, g) == (q ** 3 - 1).num
 
 
+def _no_prs(f, g):
+    raise AssertionError("PRS fallback taken")
+
+
+def test_gcd_monomial_only_variable_skips_prs(monkeypatch):
+    # g = a^5 (q;q)_5 holds a only as a monomial factor.  Once the monomial
+    # contents are split off, a is one-sided and GCDHEU settles the gcd.
+    monkeypatch.setattr(field, "_prs_gcd", _no_prs)
+    f = g = fe(1)
+    for i in range(5):
+        f = f * (1 - a * q ** i)
+        g = g * a * (1 - q ** (i + 1))
+    f, g = f.num, g.num
+    assert (len(f.terms), len(g.terms)) == (26, 12)
+    assert mpoly_gcd(f, g) == MPoly.const(1)
+    _check_cofactors(f, g)
+    _check_cofactors(g, f)
+    # a monomial part in the gcd itself
+    h, _, _ = _check_cofactors((q ** 2 * (1 - q) * (1 - a * q)).num,
+                               (a ** 3 * q * (1 - q) * (1 + q)).num)
+    assert h == (q * (q - 1)).num
+
+
+def test_ratio_h_series_skips_prs(monkeypatch):
+    from selbergkit.symfunc import Ratio, h_series_of_alphabet
+    monkeypatch.setattr(field, "_prs_gcd", _no_prs)
+    hs = h_series_of_alphabet(Ratio(1 / a, fe(1), q), 6)
+    # h_m[(1/a - 1)/(1 - q)] = (a;q)_m / (a^m (q;q)_m)
+    num = den = fe(1)
+    for m in range(1, 7):
+        num = num * (1 - a * q ** (m - 1))
+        den = den * a * (1 - q ** m)
+        assert hs[m] == num / den
+
+
 def test_divide_exact_quotient():
     d = ((1 - q * t) * (1 + q ** 2 - t)).num
     quo = (Fraction(2, 3) - q * t ** 2 + 5 * q ** 3).num

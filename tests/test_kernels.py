@@ -1,8 +1,3 @@
-import importlib
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -120,42 +115,3 @@ class TestEllgammaAgainstLogSum:
         with np.errstate(divide="ignore", invalid="ignore"):
             assert contour_pole_scan(with_pole) is False
         assert contour_pole_scan(without_pole) is True
-
-
-class TestPathsAgree:
-    def test_numpy_twin_matches_active_path(self):
-        z = _sample_z(seed=3)
-        q = 0.35
-        n = kernels.trunc_order(q)
-        a = kernels.qpoch_inf_arr(z, q, n)
-        b = kernels.qpoch_inf_arr_numpy(z, q, n)
-        assert np.max(np.abs(a - b)) < 1e-13
-
-        p = 0.2
-        a = kernels.ellgamma_arr(z, p, q, kernels.trunc_order(p), n)
-        b = kernels.ellgamma_arr_numpy(z, p, q, kernels.trunc_order(p), n)
-        assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12
-
-        ts = np.random.default_rng(4).random((40, 3))
-        ss = np.random.default_rng(5).random((40, 2))
-        if kernels.HAS_NUMBA:
-            a = kernels.vandermonde_pow_nb(ts, 1.0)
-            b = kernels.vandermonde_pow_numpy(ts, 1.0)
-            assert np.max(np.abs(a - b)) < 1e-14
-            a = kernels.cross_pow_nb(ts, ss, -0.5)
-            b = kernels.cross_pow_numpy(ts, ss, -0.5)
-            assert np.max(np.abs(a - b) / np.abs(b)) < 1e-13
-
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "import os\n"
-            "os.environ['SELBERGKIT_NO_NUMBA'] = '1'\n"
-            "from selbergkit import kernels\n"
-            "assert not kernels.HAS_NUMBA\n"
-            "assert kernels.qpoch_inf_arr is kernels.qpoch_inf_arr_numpy\n"
-            "print('fallback ok')\n"
-        )
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert "fallback ok" in out.stdout
