@@ -3,8 +3,10 @@
 Subcommands: `verify <suite>|all`, `eval <formula>`, `list`.  Reports are
 JSON lines (one VerificationReport per line); the process exits 0 iff all
 cases pass.  A JSON config file may set any of the VERIFY_KEYS; explicit
-flags win.  Bad input (an unknown config key, a size above a suite's cap,
-a malformed eval value) gets one line on stderr and exit code 2.
+flags win.  Bad input gets one line on stderr and exit code 2: a config
+file that is not a JSON object, an unknown config key, a setting of the
+wrong type, a negative size, fewer than one quadrature point or job, a
+size above a suite's cap, a malformed eval value.
 """
 
 from __future__ import annotations
@@ -77,23 +79,45 @@ def _flag(args, name, parse):
         raise ValueError(f"--{name} {text!r}: {exc}") from None
 
 
-# the verify settings, each the dest of a flag and a key a --config may set
-VERIFY_KEYS = ("max_degree", "max_size", "seed", "tol", "quad_points", "jobs")
+# the verify settings, each the dest of a flag and a key a --config may set,
+# with its type and least value
+VERIFY_KEYS = {"max_degree": (int, 0), "max_size": (int, 0),
+               "seed": (int, None), "tol": ((int, float), None),
+               "quad_points": (int, 1), "jobs": (int, 1)}
+
+
+def _checked(where, key, val):
+    """``val`` for setting ``key``; a wrong type or a value below the
+    setting's least one is a ValueError naming ``where``."""
+    kind, least = VERIFY_KEYS[key]
+    if isinstance(val, bool) or not isinstance(val, kind):
+        want = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: expected {want}, got {val!r}")
+    if least is not None and val < least:
+        raise ValueError(f"{where}: {val} is below the least value {least}")
+    return val
 
 
 def _config_from_args(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
-        for key in cfg:
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--config {args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config {args.config}: expected a JSON "
+                             f"object, got {type(loaded).__name__}")
+        for key, val in loaded.items():
             if key not in VERIFY_KEYS:
                 raise ValueError(f"--config {args.config}: unknown key "
                                  f"{key!r} (known: {', '.join(VERIFY_KEYS)})")
+            cfg[key] = _checked(f"--config {args.config}: {key!r}", key, val)
     for key in VERIFY_KEYS:
         val = getattr(args, key, None)
         if val is not None:
-            cfg[key] = val
+            cfg[key] = _checked("--" + key.replace("_", "-"), key, val)
     cfg.setdefault("seed", 7)
     cfg.setdefault("jobs", 1)
     return cfg

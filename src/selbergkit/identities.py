@@ -17,7 +17,7 @@ from fractions import Fraction
 from .coeffs import inv_qpoch, qpoch
 from .field import FieldElement, fe, var
 from .macdonald import (
-    b_lambda, macdonald_P, macdonald_Q, principal_spec_a, skew_Q,
+    b_lambda, macdonald_P, macdonald_Q, principal_spec_a, skew_P, skew_Q,
 )
 from .partitions import Bipartition, P, Partition, partitions_up_to, subpartitions
 from .symfunc import (
@@ -177,7 +177,7 @@ def verify_skew_sum(lam: Partition, mu: Partition, k: int, l: int,
     for nu in subpartitions(mu):
         if not lam.contains(nu):
             continue
-        p_part = plethysm(skew_P_cached(mu, nu), Ratio(fe(1), 1 / a, t))
+        p_part = plethysm(skew_P(mu, nu), Ratio(fe(1), 1 / a, t))
         q_part = plethysm(skew_Q(lam, nu), Ratio(fe(1), a * q / t, t))
         lhs = lhs + t ** (-nu.size) * p_part * q_part
     rhs = (principal_spec_a(mu, t ** k / a)
@@ -197,18 +197,13 @@ def verify_skew_sum_limit(lam: Partition, mu: Partition, k: int,
     for nu in subpartitions(mu):
         if not lam.contains(nu):
             continue
-        p_part = plethysm(skew_P_cached(mu, nu), Ratio(fe(1), t ** (l - k), t))
+        p_part = plethysm(skew_P(mu, nu), Ratio(fe(1), t ** (l - k), t))
         q_part = plethysm(skew_Q(lam, nu), Ratio(fe(1), q * t ** (k - l - 1), t))
         lhs = lhs + t ** (-nu.size) * p_part * q_part
     rhs = (principal_spec_a(mu, t ** l)
            * b_lambda(lam) * principal_spec_a(lam, q * t ** (k - 1))
            * f_function_limit(lam, mu, k, l))
     return IdentityCheck(lhs, rhs, fe(lhs) == fe(rhs))
-
-
-def skew_P_cached(lam, mu):
-    from .macdonald import skew_P
-    return skew_P(lam, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Verification reports: per-case records emitted as JSON lines."""
+"""Verification reports: per-case records emitted as JSON lines.
+
+A case runner returns an `Outcome`: what it measured and the rule that
+judges it.  `make_report` is the one place a rule is applied; it always
+records the measured deviation, whether the case passed or not.
+"""
 
 from __future__ import annotations
 
@@ -27,29 +32,68 @@ class VerificationReport:
         return cls(**json.loads(line))
 
 
+RULES = ("rel_tol", "must_differ", "converges", "exact", "raised")
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """A runner's measurement and its pass rule.
+
+    rel_tol      lhs and rhs are numbers; pass iff the deviation <= tol.
+    must_differ  as rel_tol, but pass iff the deviation > tol.
+    converges    lhs is a sequence of approximations of rhs; pass iff their
+                 deviations strictly decrease and the last is <= tol.
+    exact        pass iff lhs == rhs, compared exactly (a field comparison
+                 already made is passed as its verdict against True).
+    raised       the runner raised; lhs and rhs name what ("pole" or
+                 "error") and notes hold the message.  Never passes.
+
+    The deviation is |lhs - rhs| / |rhs|, or |lhs - rhs| for |rhs| <= 1e-30.
+    """
+    lhs: object
+    rhs: object
+    tol: float = 0.0
+    rule: str = "rel_tol"
+    notes: str = ""
+
+    def __post_init__(self):
+        if self.rule not in RULES:
+            raise ValueError(f"unknown rule {self.rule!r}")
+
+
 def format_value(v) -> str:
     if isinstance(v, complex):
         return f"{v.real:.15g}{v.imag:+.15g}j"
     return str(v)
 
 
-def make_report(suite, case_id, params, lhs, rhs, tol, runtime_ms,
-                notes="", exact=False) -> VerificationReport:
-    """Build a report; pass iff rel_err <= tol (abs_err for near-zero rhs)."""
-    if exact:
-        passed = bool(lhs == rhs)
-        abs_err = 0.0 if passed else float("nan")
-        rel_err = 0.0 if passed else float("nan")
+def _deviation(lhs, rhs):
+    lv, rv = complex(lhs), complex(rhs)
+    abs_err = abs(lv - rv)
+    return abs_err, abs_err / abs(rv) if abs(rv) > 1e-30 else abs_err
+
+
+def make_report(suite, case_id, params, outcome: Outcome,
+                runtime_ms) -> VerificationReport:
+    """Apply the outcome's rule and build the report."""
+    lhs, rhs, tol, rule = outcome.lhs, outcome.rhs, outcome.tol, outcome.rule
+    if rule in ("exact", "raised"):
+        passed = rule == "exact" and bool(lhs == rhs)
+        abs_err = rel_err = 0.0 if passed else float("nan")
+        if rule == "exact":
+            lhs = rhs = "equal" if passed else "unequal"
+    elif rule == "converges":
+        devs = [_deviation(v, rhs)[1] for v in lhs]
+        lhs = lhs[-1]
+        abs_err, rel_err = _deviation(lhs, rhs)
+        passed = (all(a > b for a, b in zip(devs, devs[1:]))
+                  and rel_err <= tol)
     else:
-        lv, rv = complex(lhs), complex(rhs)
-        abs_err = abs(lv - rv)
-        scale = abs(rv)
-        rel_err = abs_err / scale if scale > 1e-30 else abs_err
-        passed = rel_err <= tol
+        abs_err, rel_err = _deviation(lhs, rhs)
+        passed = rel_err <= tol if rule == "rel_tol" else rel_err > tol
     return VerificationReport(
         suite=suite, case_id=case_id,
         params={k: format_value(v) for k, v in params.items()},
-        lhs=format_value(lhs) if not exact else str(lhs),
-        rhs=format_value(rhs) if not exact else str(rhs),
+        lhs=format_value(lhs), rhs=format_value(rhs),
         abs_err=abs_err, rel_err=rel_err, passed=passed,
-        runtime_ms=runtime_ms, notes=notes)
+        runtime_ms=runtime_ms, notes=outcome.notes)

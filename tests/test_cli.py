@@ -1,27 +1,73 @@
 import json
+import math
 
 import pytest
 
 from selbergkit.cli import main
-from selbergkit.reports import VerificationReport, make_report
+from selbergkit.reports import Outcome, VerificationReport, make_report
 
 
 class TestReports:
     def test_round_trip(self):
         rep = make_report("demo", "case-1", {"k": 2, "z": 0.5 + 0.25j},
-                          1.0 + 0j, 1.0 + 1e-12j, 1e-6, 12.5, notes="n")
+                          Outcome(1.0 + 0j, 1.0 + 1e-12j, 1e-6, notes="n"),
+                          12.5)
         back = VerificationReport.from_json(rep.to_json())
         assert back == rep
 
     def test_pass_semantics(self):
-        rep = make_report("demo", "c", {}, 1.0, 1.001, 1e-6, 0.0)
+        rep = make_report("demo", "c", {}, Outcome(1.0, 1.001, 1e-6), 0.0)
         assert not rep.passed
-        rep = make_report("demo", "c", {}, 1.0, 1.0 + 1e-9, 1e-6, 0.0)
+        rep = make_report("demo", "c", {}, Outcome(1.0, 1.0 + 1e-9, 1e-6), 0.0)
         assert rep.passed
 
     def test_near_zero_uses_abs(self):
-        rep = make_report("demo", "c", {}, 1e-12, 0.0, 1e-6, 0.0)
+        rep = make_report("demo", "c", {}, Outcome(1e-12, 0.0, 1e-6), 0.0)
         assert rep.passed
+
+    @pytest.mark.parametrize("outcome, passed, rel_err", [
+        (Outcome(1.0, 1.0 + 1e-9, 1e-6), True, 1e-9),
+        (Outcome(1.001, 1.0, 1e-6), False, 1e-3),
+        (Outcome(0.173, 0.0, 1e-2, "must_differ"), True, 0.173),
+        (Outcome(1.0, 1.0 + 1e-9, 1e-2, "must_differ"), False, 1e-9),
+        (Outcome([1.5, 1.1, 1.01], 1.0, 0.05, "converges"), True, 0.01),
+        # decreasing, but the last deviation is outside tol
+        (Outcome([1.5, 1.1, 1.01], 1.0, 1e-3, "converges"), False, 0.01),
+        # inside tol, but not decreasing
+        (Outcome([1.01, 1.02, 1.03], 1.0, 0.5, "converges"), False, 0.03),
+        (Outcome([1.1, 1.1, 1.1], 1.0, 0.5, "converges"), False, 0.1),
+        (Outcome(True, True, rule="exact"), True, 0.0),
+        (Outcome(False, True, rule="exact"), False, float("nan")),
+    ])
+    def test_rule(self, outcome, passed, rel_err):
+        rep = make_report("demo", "c", {}, outcome, 0.0)
+        assert rep.passed is passed
+        assert rep.rel_err == pytest.approx(rel_err, rel=1e-6, nan_ok=True)
+
+    def test_converges_reports_last_value_against_target(self):
+        rep = make_report("demo", "c", {},
+                          Outcome([2.0, 1.5, 1.25], 1.0, 0.5, "converges"),
+                          0.0)
+        assert (rep.lhs, rep.rhs, rep.abs_err) == ("1.25", "1.0", 0.25)
+
+    def test_exact_reports_verdict(self):
+        ok = make_report("demo", "c", {}, Outcome(True, True, rule="exact"),
+                         0.0)
+        bad = make_report("demo", "c", {},
+                          Outcome(False, True, rule="exact", notes="at x"),
+                          0.0)
+        assert (ok.lhs, ok.rhs, ok.abs_err) == ("equal", "equal", 0.0)
+        assert (bad.lhs, bad.rhs, bad.notes) == ("unequal", "unequal", "at x")
+
+    def test_raised_never_passes(self):
+        rep = make_report("demo", "c", {},
+                          Outcome("pole", "pole", rule="raised"), 0.0)
+        assert not rep.passed and rep.lhs == "pole"
+        assert math.isnan(rep.rel_err)
+
+    def test_unknown_rule(self):
+        with pytest.raises(ValueError, match="unknown rule"):
+            Outcome(1.0, 1.0, rule="close")
 
 
 class TestCli:
@@ -155,3 +201,31 @@ class TestCli:
         assert main(["verify", "jackson", "--config", str(cfgp)]) == 2
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and repr(key) in err
+
+    @pytest.mark.parametrize("flags, config, setting", [
+        (["--max-size", "-1"], None, "--max-size"),
+        (["--max-degree", "-1"], None, "--max-degree"),
+        (["--quad-points", "0"], None, "--quad-points"),
+        (["--jobs", "0"], None, "--jobs"),
+        ([], [1, 2], "JSON object"),
+        ([], {"max_size": "3"}, "'max_size'"),
+        ([], {"tol": True}, "'tol'"),
+        ([], {"seed": 1.5}, "'seed'"),
+        ([], {"max_degree": -1}, "'max_degree'"),
+        ([], {"quad_points": None}, "'quad_points'"),
+    ])
+    def test_verify_rejected_setting(self, tmp_path, capsys, flags, config,
+                                     setting):
+        if config is not None:
+            cfgp = tmp_path / "cfg.json"
+            cfgp.write_text(json.dumps(config))
+            flags = flags + ["--config", str(cfgp)]
+        assert main(["verify", "eval-sym"] + flags) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "\n" not in err and setting in err and captured.out == ""
+
+    @pytest.mark.parametrize("suite, rc", [("guess", 0), ("skew-limit", 1)])
+    def test_tol_replaces_every_numeric_rule(self, capsys, suite, rc):
+        # guess must miss by more than tol; skew-limit must come within it
+        assert main(["verify", suite, "--tol", "1e-9"]) == rc
