@@ -6,30 +6,30 @@ map from exponent vectors to rationals; exponent vectors are dense over a
 global registry of indeterminate names but stored with trailing zeros
 stripped, so registering a new indeterminate never invalidates existing
 polynomials.
-``FieldElement`` is a reduced num/den pair of ``MPoly``.
+``FieldElement`` is a coprime num/den pair of ``MPoly`` in canonical form.
 
-Reduction policy, in order:
+Reduction policy.  Operands are coprime, so arithmetic follows Henrici
+(JACM 3, 1956; Knuth, TAOCP 2, 4.5.1) and never reduces a product it did
+not need: (a/b)(c/d) cancels only gcd(a, d) and gcd(c, b), a quotient is
+the product with d/c, and a power needs no gcd; a/b + c/d with
+g = gcd(b, d) forms t = a(d/g) + c(b/g) and cancels only gcd(t, g); the
+constructor cancels gcd(num, den).
 
-1. the common monomial content and the rational content are removed;
-2. an exact-division fast path (num/den or den/num) catches the structural
-   cancellations that dominate in practice;
-3. otherwise, once num and den together exceed ``GCD_TERM_THRESHOLD`` (2)
-   terms, ``mpoly_gcd`` runs.  It first splits off the monomial contents,
-   then replaces an operand by its content in any variable the other
-   operand lacks, until both have the same variables; then it tries the
-   heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989); only if that
-   fails does it fall back to a primitive pseudo-remainder sequence
-   (PRS).  Every non-constant gcd candidate is verified by exact
-   division; a constant candidate divides everything over Q and is
-   accepted without one.
-4. the gcd hands back its cofactors num/h and den/h: the quotients of its
-   own verification, rescaled for the contents GCDHEU split off, so num
-   and den are not divided a second time.  An operand replaced by the
-   one-sided-variable step gets its cofactor by exact division; for h = 1
-   the cofactors are num and den themselves.
-5. num and den are scaled jointly to coprime integer contents with a
-   positive leading denominator coefficient, as plain ints.  No reduced
-   element carries a ``Fraction`` with denominator 1.
+Every gcd goes through ``_cofactors``, which skips a zero or monomial side
+and otherwise takes ``mpoly_gcd`` with its cofactors.  ``mpoly_gcd``
+splits off the monomial contents, replaces an operand by its content in
+any variable the other lacks, then tries the heuristic gcd GCDHEU (Char,
+Geddes and Gonnet, 1989) and, only if that fails, a primitive
+pseudo-remainder sequence (PRS).  A non-constant GCDHEU candidate is
+verified by exact division, whose quotients are the cofactors.  A
+constant one needs no division, which holds only while every integer
+image is nonzero: a zero image is an unlucky point, and the next is tried.
+
+Every result passes through one canonicaliser, ``_canonical``: zero is
+0/1, a constant denominator is divided in, and otherwise num and den are
+scaled jointly to coprime integer contents with a positive leading
+denominator coefficient, as plain ints.  A coprime pair has exactly one
+such form, so equality compares the pairs.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 POLE_TOLERANCE = 1e-13
-
-# Size (total stored terms) above which _reduce attempts a full gcd.
-GCD_TERM_THRESHOLD = 2
 
 _REGISTRY: list[str] = []
 _INDEX: dict[str, int] = {}
@@ -615,9 +612,12 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
     division of both primitive parts.  With ``cofactors`` the quotients of
     that verification, rescaled for the split-off contents, are returned as
     the cofactors; otherwise (and for a constant h) they are None.  A
-    constant candidate divides everything over Q, so it needs no division.
+    constant candidate is accepted without a division, which is exact only
+    because a zero image is refused.
     """
-    if depth > 12:
+    if depth > 12 or f.is_zero() or g.is_zero():
+        # a zero integer image is an unlucky evaluation point: its gcd
+        # with the other image is that image, not the content 1
         return None
     # split off monomial and integer content of each input
     mf, mg = f.monomial_content(), g.monomial_content()
@@ -765,6 +765,50 @@ def _prs_gcd(f: MPoly, g: MPoly) -> MPoly:
 # fraction field
 # --------------------------------------------------------------------------
 
+def _cofactors(f: MPoly, g: MPoly):
+    """``(h, f/h, g/h)`` for h = gcd(f, g); a monomial side needs no gcd.
+
+    For a zero side h is 1, which the canonical 0/1 makes harmless.
+    """
+    if f.is_zero() or g.is_zero():
+        return MPoly.const(1), f, g
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        common = _min_exp(f.monomial_content(), g.monomial_content())
+        return MPoly({common: 1}), f.shift_down(common), g.shift_down(common)
+    return mpoly_gcd(f, g, cofactors=True)
+
+
+def _canonical(num: MPoly, den: MPoly):
+    """The one representative of the coprime pair num/den.
+
+    Zero is 0/1 and a constant denominator is divided into the numerator.
+    Otherwise num and den are scaled jointly to coprime integer contents
+    with a positive leading denominator coefficient, as plain ints: a
+    ``Fraction`` with denominator 1 would send later products through
+    ``Fraction``.
+    """
+    if num.is_zero():
+        return num, MPoly.const(1)
+    if den.is_const():
+        c = den.terms[()]
+        return (MPoly({e: _coeff_div(v, c) for e, v in num.terms.items()}),
+                MPoly.const(1))
+    # num/den = (num * ld) / (den * ln) over integers, then divided by g
+    num, ln = _clear_denoms(num)
+    den, ld = _clear_denoms(den)
+    g = math.gcd(_int_content(num) * ld, _int_content(den) * ln)
+    if den.lead_coeff() < 0:
+        g = -g
+    return _rescale(num, (), ld, g), _rescale(den, (), ln, g)
+
+
+def _product(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "FieldElement":
+    """(a/b)(c/d) of coprime pairs: only gcd(a, d) and gcd(c, b) can cancel."""
+    _, a, d = _cofactors(a, d)
+    _, c, b = _cofactors(c, b)
+    return FieldElement(*_canonical(a * c, b * d), reduce=False)
+
+
 class FieldElement:
     """Element of the fraction field of MPoly; immutable after construction."""
 
@@ -779,66 +823,11 @@ class FieldElement:
             den = MPoly.const(den)
         if den.is_zero():
             raise PoleError("division by zero field element")
+        if reduce:
+            _, num, den = _cofactors(num, den)
+            num, den = _canonical(num, den)
         self.num = num
         self.den = den
-        if reduce:
-            self._reduce()
-
-    # -- normalization -----------------------------------------------------
-    def _reduce(self):
-        num, den = self.num, self.den
-        if num.is_zero():
-            self.den = MPoly.const(1)
-            return
-        # common monomial content
-        mn, md = num.monomial_content(), den.monomial_content()
-        common = _min_exp(mn, md)
-        if any(common):
-            num = num.shift_down(common)
-            den = den.shift_down(common)
-        if den.is_const():
-            c = den.const_value()
-            self.num = MPoly({e: _coeff_div(v, c) for e, v in num.terms.items()})
-            self.den = MPoly.const(1)
-            return
-        q = num.divide_exact(den)
-        if q is not None:
-            self.num, self.den = q, MPoly.const(1)
-            return
-        q = den.divide_exact(num)
-        if q is not None:
-            self.num, self.den = self._int_canonical(MPoly.const(1), q)
-            return
-        if len(num.terms) + len(den.terms) > GCD_TERM_THRESHOLD:
-            _, num, den = mpoly_gcd(num, den, cofactors=True)
-        self.num, self.den = self._int_canonical(num, den)
-
-    @staticmethod
-    def _int_canonical(num: MPoly, den: MPoly):
-        """Scale num/den jointly to coprime integer contents, den lead > 0.
-
-        Every coefficient comes out a plain int: a ``Fraction`` with
-        denominator 1 would send later products through ``Fraction``.
-        """
-        lcm = 1
-        has_fraction = False
-        for p in (num, den):
-            for c in p.terms.values():
-                if isinstance(c, Fraction):
-                    has_fraction = True
-                    d = c.denominator
-                    if d != 1:
-                        lcm = lcm * d // math.gcd(lcm, d)
-        if has_fraction:
-            num = MPoly({e: int(c * lcm) for e, c in num.terms.items()})
-            den = MPoly({e: int(c * lcm) for e, c in den.terms.items()})
-        g = math.gcd(_int_content(num), _int_content(den))
-        if den.lead_coeff() < 0:
-            g = -g
-        if g != 1:
-            num = MPoly({e: c // g for e, c in num.terms.items()})
-            den = MPoly({e: c // g for e, c in den.terms.items()})
-        return num, den
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -859,10 +848,15 @@ class FieldElement:
             return other
         if other.num.is_zero():
             return self
-        if self.den == other.den:
-            return FieldElement(self.num + other.num, self.den)
-        return FieldElement(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            g, b, d = b, MPoly.const(1), MPoly.const(1)
+        else:
+            g, b, d = _cofactors(b, d)
+        # a prime of b/g divides c*(b/g) but neither a nor d/g, so it cannot
+        # divide the numerator; likewise for d/g: only gcd(num, g) is left
+        _, num, g = _cofactors(a * d + c * b, g)
+        return FieldElement(*_canonical(num, b * d * g), reduce=False)
 
     __radd__ = __add__
 
@@ -885,7 +879,7 @@ class FieldElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -895,7 +889,7 @@ class FieldElement:
             return NotImplemented
         if other.num.is_zero():
             raise PoleError("division by zero field element")
-        return FieldElement(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -906,16 +900,16 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return (FieldElement(1) / self) ** (-n)
-        return FieldElement(self.num ** n, self.den ** n)
+        # powers of coprime polynomials are coprime
+        return FieldElement(*_canonical(self.num ** n, self.den ** n),
+                            reduce=False)
 
     def __eq__(self, other):
         try:
             other = fe(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    __hash__ = None  # lazily-reduced representation is not canonical
+        return self.num == other.num and self.den == other.den
 
     def __bool__(self):
         return not self.is_zero()

@@ -513,8 +513,8 @@ def selberg_jack_average(k: int, lam: Partition, mu: Partition,
 
 
 def verify_Z_Selb(k: int, lam: Partition, mu: Partition, b: complex,
-                  Pval: complex, alpha: complex, tol: float = 1e-8):
-    """Bridge check: Z_bifund against the closed-form Selberg average.
+                  Pval: complex, alpha: complex):
+    """Bridge check: (Z_bifund, the closed-form Selberg average).
 
     The identity closes with the bifundamental mass read as Q - alpha and
     the two momenta entering the kappa factors and the average in the
@@ -531,5 +531,4 @@ def verify_Z_Selb(k: int, lam: Partition, mu: Partition, b: complex,
     beta_s = 1 - 2 * b * alpha
     avg = selberg_jack_average(k, lam, mu, alpha_s, beta_s, gam)
     rhs = kappa_factor(lam, Pp, b) * kappa_factor(mu, Pval, b) * avg
-    err = abs(lhs - rhs) / max(1.0, abs(rhs))
-    return IdentityCheck(lhs, rhs, err <= tol, f"rel_err={err:.2e}")
+    return lhs, rhs

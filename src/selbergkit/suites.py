@@ -184,9 +184,10 @@ def cases_zbifund(cfg):
 
 def run_zbifund(params, cfg):
     from .identities import verify_Z_Selb
-    chk = verify_Z_Selb(params["k"], _pt(params["lam"]), _pt(params["mu"]),
-                        params["b"], params["P"], params["alpha"])
-    return Outcome(chk.lhs, chk.rhs, 1e-8)
+    lhs, rhs = verify_Z_Selb(params["k"], _pt(params["lam"]),
+                             _pt(params["mu"]), params["b"], params["P"],
+                             params["alpha"])
+    return Outcome(lhs, rhs, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,7 @@ def run_jackson(params, cfg):
     from .elliptic import jackson_sum_check
     e = params["a"] * params["p"] * params["q"] / (
         params["b"] * params["c"] * params["d"])
-    tot, rhs, _ = jackson_sum_check(
+    tot, rhs = jackson_sum_check(
         _pt(params["lam"]), _pt(params["nu"]), params["a"], params["b"],
         params["c"], params["d"], e, params["q"], params["t"], params["p"])
     return Outcome(tot, rhs, 1e-10)
@@ -600,8 +601,8 @@ def cases_connection(cfg):
 def run_connection(params, cfg):
     from .elliptic import connection_check
     bl = Bipartition(_pt(params["lam"]), _pt(params["lam2"]))
-    lhs, tot, _ = connection_check(bl, 0.83 + 0.2j, 0.52, 0.37, 0.31,
-                                   params["t"], params["p"], params["q"])
+    lhs, tot = connection_check(bl, 0.83 + 0.2j, 0.52, 0.37, 0.31,
+                                params["t"], params["p"], params["q"])
     return Outcome(lhs, tot, 1e-10)
 
 

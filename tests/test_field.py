@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -273,16 +274,18 @@ def test_gcd_cofactors_prs_fallback(monkeypatch):
 def test_reduced_elements_carry_no_integral_fractions(monkeypatch):
     # a Fraction with denominator 1 would push later products through Fraction
     seen = []
-    reduce = FieldElement._reduce
+    canonical = field._canonical
 
-    def checked(self):
-        reduce(self)
+    def checked(num, den):
+        num, den = canonical(num, den)
         seen.append(1)
-        for p in (self.num, self.den):
+        for p in (num, den):
             for c in p.terms.values():
-                assert not (isinstance(c, Fraction) and c.denominator == 1), self
+                assert not (isinstance(c, Fraction) and c.denominator == 1), (
+                    num, den)
+        return num, den
 
-    monkeypatch.setattr(FieldElement, "_reduce", checked)
+    monkeypatch.setattr(field, "_canonical", checked)
     num = MPoly({e: Fraction(c) for e, c in (2 * q + 3).num.terms.items()})
     x = FieldElement(num, (1 + t).num)
     assert x == (2 * q + 3) / (1 + t)
@@ -292,3 +295,63 @@ def test_reduced_elements_carry_no_integral_fractions(monkeypatch):
     from selbergkit.macdonald import _hall_norm_qt, _orthogonal_family
     _orthogonal_family(3, _hall_norm_qt)
     assert len(seen) > 100
+
+
+def test_gcd_zero_image_is_unlucky():
+    # GCDHEU evaluates t = 8, making q - 8 a factor of the first image, and
+    # then evaluates that image at q = 8: a zero image, whose gcd with the
+    # other image was once taken as 1
+    f = (2 * (q - t) * (2 * q ** 2 - 3)).num
+    g = (q ** 2 * (2 * t ** 2 - 1) * (2 * q ** 2 - 3)).num
+    want = (2 * q ** 2 - 3).num
+    assert mpoly_gcd(f, g) == want
+    assert mpoly_gcd(g, f) == want
+    _check_cofactors(f, g)
+
+
+def _assert_canonical(r, num, den):
+    """r is the coprime canonical form of num/den."""
+    assert r.num * den == num * r.den
+    if r.den.is_const():
+        assert r.den == MPoly.const(1)
+        return
+    assert mpoly_gcd(r.num, r.den).is_const(), r
+    for p in (r.num, r.den):
+        assert all(isinstance(c, int) for c in p.terms.values()), r
+    assert math.gcd(field._int_content(r.num), field._int_content(r.den)) == 1
+    assert r.den.lead_coeff() > 0
+
+
+def test_arithmetic_results_are_coprime_and_canonical(monkeypatch):
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(60):
+        x, y, z = (_random_fe(rng) for _ in range(3))
+        cases.append((x ** 3, x.num ** 3, x.den ** 3))
+        # the second pair's operands are results with larger gcds
+        for u, v in ((x, y), (x * y + z, y - z)):
+            cases += [
+                (u * v, u.num * v.num, u.den * v.den),
+                (u / v, u.num * v.den, u.den * v.num),
+                (u + v, u.num * v.den + v.num * u.den, u.den * v.den),
+                (u - v, u.num * v.den - v.num * u.den, u.den * v.den),
+            ]
+    # coprimality is decided by the PRS gcd, not by the GCDHEU that built r
+    monkeypatch.setattr(field, "_gcdheu", lambda *args, **kwargs: None)
+    for r, num, den in cases:
+        _assert_canonical(r, num, den)
+
+
+def test_equality_compares_canonical_pairs(monkeypatch):
+    x, w = (1 - q ** 2) / (1 - q), 1 + q
+    y = FieldElement((6 - 6 * q * t).num, (4 - 4 * t ** 2).num)
+    z = 3 * (1 - q * t) / (2 * (1 - t) * (1 + t))
+
+    def no_mul(self, other):
+        raise AssertionError("equality multiplied polynomials")
+
+    monkeypatch.setattr(MPoly, "__mul__", no_mul)
+    monkeypatch.setattr(MPoly, "__rmul__", no_mul)
+    assert x == w and x != q
+    assert y == z and (y.num, y.den) == (z.num, z.den)
+    assert y != x and y != fe(Fraction(3, 2))
