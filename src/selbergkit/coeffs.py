@@ -39,8 +39,9 @@ ELL_TRUNC_EPS = 1e-16
 def poch(b, n):
     """Pochhammer (b)_n.
 
-    Integer n (negative allowed, as 1/(b-1)...(b+n)); non-integer n falls
-    back to Gamma(b+n)/Gamma(b) for numeric b.
+    Integer n (negative allowed, as 1/(b-1)...(b+n), with PoleError on a
+    vanishing factor); non-integer n falls back to Gamma(b+n)/Gamma(b) for
+    numeric b.
     """
     if isinstance(n, int):
         if n >= 0:
@@ -51,6 +52,8 @@ def poch(b, n):
         out = 1
         for i in range(1, -n + 1):
             out = out * (b - i)
+        if out == 0:
+            raise PoleError(f"({b})_{n} has a vanishing factor in the denominator")
         return _recip(out)
     return gamma_ratio([b + n], [b])
 

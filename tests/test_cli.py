@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,10 +137,10 @@ class TestCli:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite, flag, value, cap", [
-        ("skew-sum", "--max-size", "4", 3),
-        ("eval-sym", "--max-size", "9", 3),
-        ("cauchy", "--max-degree", "7", 6),
-        ("an-cauchy", "--max-degree", "4", 3),
+        ("skew-sum", "--max-size", "5", 4),
+        ("eval-sym", "--max-size", "9", 4),
+        ("cauchy", "--max-degree", "8", 7),
+        ("an-cauchy", "--max-degree", "5", 4),
     ])
     def test_verify_size_above_cap(self, capsys, suite, flag, value, cap):
         assert main(["verify", suite, flag, value]) == 2
@@ -144,10 +148,26 @@ class TestCli:
         assert "\n" not in err
         assert flag in err and suite in err and f"cap of {cap}" in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["list"], 0), (["verify", "skew-sum", "--max-size", "5"], 2),
+    ], ids=["list", "above-cap"])
+    def test_python_dash_m(self, argv, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "selbergkit", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert "skew-sum" in done.stdout.split()
+        else:
+            assert done.stderr.strip() == ("verify skew-sum: --max-size 5 "
+                                           "is above the skew-sum cap of 4")
+
     def test_verify_all_size_above_cap(self, capsys):
-        assert main(["verify", "all", "--max-size", "4"]) == 2
+        assert main(["verify", "all", "--max-size", "5"]) == 2
         captured = capsys.readouterr()
-        assert "--max-size 4" in captured.err and captured.out == ""
+        assert "--max-size 5" in captured.err and captured.out == ""
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 2

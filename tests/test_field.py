@@ -286,6 +286,9 @@ def test_reduced_elements_carry_no_integral_fractions(monkeypatch):
         return num, den
 
     monkeypatch.setattr(field, "_canonical", checked)
+    # a memo hit returns an element canonicalised when it was first built;
+    # bypass the memo so that every operation builds its result here
+    monkeypatch.setattr(field, "_memo", field._memo.__wrapped__)
     num = MPoly({e: Fraction(c) for e, c in (2 * q + 3).num.terms.items()})
     x = FieldElement(num, (1 + t).num)
     assert x == (2 * q + 3) / (1 + t)
@@ -355,3 +358,70 @@ def test_equality_compares_canonical_pairs(monkeypatch):
     assert x == w and x != q
     assert y == z and (y.num, y.den) == (z.num, z.den)
     assert y != x and y != fe(Fraction(3, 2))
+
+
+def _memo_operands(rng, count):
+    """Operand pairs from _random_fe triples.  Next to each x stand x + 1,
+    with x's denominator, and x/(1 + x), with x's numerator, so that pairs
+    share three of the four operand polynomials of a product or sum."""
+    pairs = []
+    for _ in range(count):
+        x, y, z = (_random_fe(rng) for _ in range(3))
+        xs = (x, x + 1, x / (1 + x))
+        ys = (y, y + 1, y / (1 + y), y - z)
+        pairs += [(u, v) for u in xs for v in ys]
+    return pairs
+
+
+def _memo_ops(u, v):
+    return (u + v, u - v, u * v, u / v, u ** 2, v ** 3)
+
+
+def test_memo_hit_equals_fresh_result():
+    pairs = _memo_operands(random.Random(8080), 25)
+    field._memo.cache_clear()
+    warm = [_memo_ops(u, v) for u, v in pairs]
+    info = field._memo.cache_info()
+    assert info.hits > 0 and info.currsize == field._MEMO_SIZE
+    for (u, v), results in zip(pairs, warm):
+        field._memo.cache_clear()
+        fresh = _memo_ops(u, v)
+        for r, f in zip(results, fresh):
+            assert (r.num, r.den) == (f.num, f.den), (u, v)
+    # results are shared between callers: neither operand may be altered
+    x, y = pairs[0]
+    before = (dict(x.num.terms), dict(x.den.terms))
+    x * y
+    x * y
+    assert (x.num.terms, x.den.terms) == before
+
+
+def test_mpoly_hash_is_exact_and_cached():
+    p = (3 * q ** 2 * t - 2 * q + 5).num
+    f = MPoly({e: Fraction(c) for e, c in p.terms.items()})
+    assert any(isinstance(c, Fraction) for c in f.terms.values())
+    assert f == p and hash(f) == hash(p)
+    h = hash(p)
+    assert p._hash == h and hash(p) == h
+    assert hash(p) == hash(frozenset(p.terms.items()))
+    assert MPoly(dict(p.terms))._hash is None
+    assert hash(MPoly({(): 1})) == hash(MPoly({(): Fraction(1)}))
+    assert p != (p + 1) and MPoly() == MPoly({(): 0})
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    from selbergkit import cli
+    sizes = []
+    run_case = cli.run_case
+
+    def sized(*args):
+        rep = run_case(*args)
+        sizes.append(field._memo.cache_info().currsize)
+        return rep
+
+    monkeypatch.setattr(cli, "run_case", sized)
+    field._memo.cache_clear()
+    assert cli.main(["verify", "skew-sum", "--max-size", "2"]) == 0
+    assert len(sizes) == 202
+    assert max(sizes) == field._MEMO_SIZE
+    assert field._memo.cache_info().maxsize == field._MEMO_SIZE

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from pathlib import Path
 
@@ -34,8 +35,8 @@ def test_size_at_cap_is_used_as_given():
     ids = {c["case_id"] for c in gen({"max_size": 2})}
     assert "skew-(2)-(1,1)-2-2" in ids
     assert not any("(3)" in i or "(2,1)" in i for i in ids)
-    with pytest.raises(ValueError, match="--max-size 4"):
-        gen({"max_size": 4})
+    with pytest.raises(ValueError, match="--max-size 5"):
+        gen({"max_size": 5})
 
 
 def test_every_verify_setting_is_read():
@@ -57,6 +58,39 @@ def test_every_verify_setting_is_read():
 def test_cauchy_cases_compare_something(cap, ids):
     gen, _ = suites.SUITES["cauchy"]
     assert [c["case_id"] for c in gen({"max_degree": cap})] == ids
+
+
+def test_size_four_sample_holds_exactly():
+    # a fixed sample of the cases that the raised --max-size cap of 4 adds
+    rng = random.Random(804)
+    for suite, count in (("skew-sum", 24), ("eval-sym", 12)):
+        gen, _ = suites.SUITES[suite]
+        known = {c["case_id"] for c in gen({"max_size": 3})}
+        new = [c for c in gen({"max_size": 4}) if c["case_id"] not in known]
+        for params in rng.sample(new, count):
+            rep = suites.run_case(suite, params, {})
+            assert rep.passed and rep.lhs == rep.rhs == "equal", rep
+
+
+@pytest.mark.parametrize("seed, pole", [
+    # alpha_1 - gamma = 1.582 - 0.582 = 1 zeroes a Pochhammer denominator
+    (105, {"case_id": "recR-00", "n": 3, "ks": [1, 2, 3],
+           "lams": [(), (2,), (2,), (2,)], "alphas": [1.582, 1.674, 1.876],
+           "beta": 0.644, "gamma": 0.582, "kind": "recR"}),
+    # alpha_1 = 2 at gamma = 1 does so in the gamma = 1 closed form
+    (1428, {"case_id": "recG1-3", "n": 2, "ks": [1, 2],
+            "lams": [(2,), (2,), (1,)], "alphas": [2.0, 1.747],
+            "beta": 0.879, "gamma": 1.0, "kind": "gamma1"}),
+], ids=["recR-seed105", "gamma1-seed1428"])
+def test_recursion_draws_inside_the_domain(seed, pole):
+    rep = suites.run_case("recursion", pole, {})
+    assert not rep.passed and rep.lhs == "pole"
+    assert rep.notes.startswith("pole: ")
+    cases = suites.cases_recursion({"seed": seed})
+    assert pole not in cases and len(cases) == 26
+    assert [c["case_id"] for c in cases].count(pole["case_id"]) == 1
+    for params in cases:
+        assert suites.run_case("recursion", params, {}).passed, params
 
 
 def _raising(exc):
