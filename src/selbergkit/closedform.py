@@ -479,18 +479,8 @@ def mac_corollary_rhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             d = lam.part(i) - mu.part(j)
-            num = qpoch(q * t ** (j - i) / a, q, d) if d >= 0 else \
-                1 / _qp_neg(q * t ** (j - i) / a, q, d)
-            den = qpoch(q * t ** (j - i + 1) / a, q, d) if d >= 0 else \
-                1 / _qp_neg(q * t ** (j - i + 1) / a, q, d)
-            out *= num / den
-    return out
-
-
-def _qp_neg(bv, q, n):
-    out = 1.0 + 0.0j
-    for i in range(1, -n + 1):
-        out *= 1 - complex(bv) * complex(q) ** (-i)
+            out *= (qpoch(q * t ** (j - i) / a, q, d)
+                    / qpoch(q * t ** (j - i + 1) / a, q, d))
     return out
 
 

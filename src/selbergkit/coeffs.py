@@ -23,7 +23,7 @@ from .partitions import Partition
 
 __all__ = [
     "poch", "qpoch", "qpoch_ext", "QPochExt", "qt_poch", "gamma_poch",
-    "hooks", "b_hook", "gamma", "lgamma", "gamma_ratio", "gamma_q",
+    "hooks", "gamma", "lgamma", "gamma_ratio", "gamma_q",
     "theta", "theta_poch", "ell_gamma", "ell_qt_poch", "delta0",
     "delta0_bipartite", "c_minus", "c_plus", "EllipticParams",
     "ELL_TRUNC_EPS",
@@ -202,11 +202,6 @@ def hooks_row_form(lam: Partition, q, t, n: int):
             c = c * qpoch(t ** (j - i), q, d) / qpoch(t ** (j - i + 1), q, d)
             cp = cp * qpoch(q * t ** (j - i - 1), q, d) / qpoch(q * t ** (j - i), q, d)
     return c, cp
-
-
-def b_hook(lam: Partition, q, t):
-    c, cp, b = hooks(lam, q, t)
-    return b
 
 
 # ---------------------------------------------------------------------------

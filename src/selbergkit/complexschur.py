@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 from .coeffs import gamma, gamma_ratio, poch
 from .partitions import P, Partition, subpartitions
-from .symfunc import alternant_ratio, schur_eval
+from .symfunc import _complex_det, _perm_sign, alternant_ratio, schur_eval
 
 __all__ = [
     "SectorContour", "complex_schur", "split_expansion",
     "thm_schur_residue_oracle", "thm_schur_closed", "schur_points",
-    "staircase_exponents", "beta_contour_closed", "schur_binomial_jt",
-    "skew_schur_binomial", "beta_schur_exact_sum", "beta_schur_rhs",
+    "staircase_exponents", "beta_contour_closed", "skew_schur_binomial",
+    "beta_schur_exact_sum", "beta_schur_rhs",
     "complex_an_aflt_recursive", "complex_an_aflt_closed",
     "an_one_staircase",
 ]
@@ -123,36 +123,12 @@ def beta_contour_closed(alpha, beta) -> complex:
     return gamma_ratio([alpha], [1 - beta, alpha + beta])
 
 
-def schur_binomial_jt(lam: Partition, z) -> complex:
-    """s_lam[z] for a binomial element via Jacobi-Trudi in h_m[z]."""
-    lam = Partition(lam)
-    k = len(lam)
-    if k == 0:
-        return 1.0
-    from .symfunc import _perm_sign
-
-    def h_bin(m):
-        if m < 0:
-            return 0.0
-        return complex(poch(z, m)) / math.factorial(m)
-
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(k)):
-        sgn = _perm_sign(perm)
-        term = complex(sgn)
-        for i in range(k):
-            term *= h_bin(lam.part(i + 1) - (i + 1) + (perm[i] + 1))
-        total += term
-    return total
-
-
 def skew_schur_binomial(lam: Partition, mu: Partition, z) -> complex:
     """s_{lam/mu}[z] via the skew Jacobi-Trudi determinant."""
     lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
         return 0.0
     k = max(len(lam), 1)
-    from .symfunc import _perm_sign
 
     def h_bin(m):
         if m < 0:
@@ -188,7 +164,7 @@ def beta_schur_exact_sum(k: int, zs, beta, lam: Partition) -> complex:
         mat = [[complex(poch(zs[i] + 1, mu.part(j + 1) + k - j - 1))
                 / complex(poch(zs[i] + beta + 1, mu.part(j + 1) + k - j - 1))
                 for j in range(k)] for i in range(k)]
-        total += sval * _det(mat)
+        total += sval * _complex_det(mat)
     return pref * total
 
 
@@ -203,18 +179,13 @@ def beta_schur_rhs(k: int, zs, beta, lam: Partition) -> complex:
         for j in range(i + 1, k):
             sval *= (zs[i] - zs[j]) / (j - i)
     out = (-1.0) ** (k * (k - 1) // 2) * sval
-    out *= schur_binomial_jt(lam, beta + k - 1)
+    out *= skew_schur_binomial(lam, P(), beta + k - 1)
     for i, z in enumerate(zs, start=1):
         out *= math.factorial(i) * gamma_ratio(
             [z + 1], [2 - i - beta, z + beta + k])
         for j in range(1, len(lam) + 1):
             out *= (z + beta + k - j) / (z + lam.part(j) + beta + k - j)
     return out
-
-
-def _det(mat) -> complex:
-    from .symfunc import _complex_det
-    return _complex_det(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +247,9 @@ def complex_an_aflt_closed(n: int, ks, zs, lams, alphas, beta) -> complex:
         out *= (-1.0) ** (kr * (kr - 1) // 2)
         lam_next = lams[r - 1] if r <= n - 1 else lam_np1
         if r <= n - 1:
-            out *= schur_binomial_jt(lams[r - 1], ks[r] - ks[r - 1])
+            out *= skew_schur_binomial(lams[r - 1], P(), ks[r] - ks[r - 1])
         else:
-            out *= schur_binomial_jt(lam_np1, 1 - beta - ks[n - 1])
+            out *= skew_schur_binomial(lam_np1, P(), 1 - beta - ks[n - 1])
         for i in range(1, kr + 1):
             out *= math.factorial(i)
             out /= gamma(ks_ext[r + 1] - i + 1) if r < n else 1.0

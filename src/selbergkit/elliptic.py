@@ -21,7 +21,7 @@ from .coeffs import (
     c_minus, c_plus, delta0, ell_gamma, ell_qt_poch, theta_poch,
 )
 from .field import PoleError
-from .partitions import Bipartition, P, Partition
+from .partitions import Bipartition, P, Partition, bipartite_spectral_vector
 
 __all__ = [
     "bc1_interp", "elliptic_binomial", "normalised_binomial",
@@ -299,17 +299,12 @@ def thm92_rhs_n1(blam: Bipartition, bmu: Bipartition, ts, t, p, q) -> complex:
             * bc1_interp(_single_row(blam.second), t3 / zeta_p, t1 * zeta_p,
                          t2 * zeta_p, p, q))
     z_lam = [complex(x.eval({"q": complex(q), "p": complex(p), "t": t}))
-             for x in _bip_spec(blam, 1)]
+             for x in bipartite_spectral_vector(blam, 1)]
     out *= (bc1_interp(_single_row(bmu.first), t1 * z_lam[0] / zeta,
                        t3 * zeta, t6 * zeta, q, p)
             * bc1_interp(_single_row(bmu.second), t1 * z_lam[0] / zeta,
                          t3 * zeta, t6 * zeta, p, q))
     return out
-
-
-def _bip_spec(blam, n):
-    from .partitions import bipartite_spectral_vector
-    return bipartite_spectral_vector(blam, n)
 
 
 def thm92_lhs_n1(blam: Bipartition, bmu: Bipartition, ts, t, p, q,
@@ -385,16 +380,10 @@ def mac_side_limit(lam: Partition, xs, c, d, a, q, t) -> complex:
     cl = complex(cl)
     pref = (-a * t ** -0.5) ** lam.size \
         * q ** lam.conjugate().n_stat() * t ** (-2 * lam.n_stat()) * cl
-    # P_lam[X + (d - c)/(1 - t)]
-    from .macdonald import macdonald_P
-    fp = macdonald_P(lam).to_basis("p")
-    total = 0.0 + 0.0j
-    for rho, coeff in fp.coeffs.items():
-        cv = complex(coeff.eval({"q": q, "t": t}))
-        term = cv
-        for part in rho:
-            pk = sum(complex(x) ** part for x in xs) \
-                + (complex(d) ** part - complex(c) ** part) / (1 - t ** part)
-            term *= pk
-        total += term
-    return pref * total
+    from .macdonald import macdonald_P, plethysm_eval
+    xs, c, d = [complex(x) for x in xs], complex(c), complex(d)
+
+    def pk(k):  # p_k[X + (d - c)/(1 - t)]
+        return sum(x ** k for x in xs) + (d ** k - c ** k) / (1 - t ** k)
+
+    return pref * plethysm_eval(macdonald_P(lam), pk, {"q": q, "t": t})

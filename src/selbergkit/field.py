@@ -56,7 +56,6 @@ __all__ = [
     "FieldElement",
     "fe",
     "var",
-    "registered_names",
     "mpoly_gcd",
     "substitute",
     "eval_complex",
@@ -80,10 +79,6 @@ def _register(name: str) -> int:
         _REGISTRY.append(name)
         _INDEX[name] = idx
     return idx
-
-
-def registered_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
 
 
 def _trim(exp: tuple[int, ...]) -> tuple[int, ...]:

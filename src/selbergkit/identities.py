@@ -30,17 +30,6 @@ __all__ = [
     "verify_skew_sum_limit", "an_cauchy_check", "zbifund", "verify_Z_Selb",
 ]
 
-INF = None  # sentinel for an infinite second padding
-
-
-def _qvar():
-    return var("q")
-
-
-def _tvar():
-    return var("t")
-
-
 def _qpoch_ratio(x, y, q, n: int):
     """(x;q)_n / (y;q)_n for n in Z, resolved as a plain product."""
     if n == 0:
@@ -62,7 +51,7 @@ def f_function(lam: Partition, mu: Partition, k: int, l, a=None):
         raise ValueError("k must be at least l(lambda)")
     if l is not None and l < len(mu):
         raise ValueError("l must be at least l(mu)")
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     if a is None:
         a = var("a")
     out = t ** (-k * mu.size)
@@ -100,7 +89,7 @@ def _f_ext(lam: Partition, mu: Partition, k: int, l, a):
     if l is None or l >= len(mu):
         return f_function(lam, mu, k, l, a)
     from .coeffs import qt_poch
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     base = fe(1) * f_function(lam, mu, len(lam), len(mu), a)
     corr = (fe(1) * qt_poch(a * q * t ** (len(mu) - 1), q, t, lam)
             / (fe(1) * qt_poch(a * q * t ** (l - 1), q, t, lam)))
@@ -120,7 +109,7 @@ def f_function_limit(lam: Partition, mu: Partition, k: int, l: int):
         raise ValueError("the limit needs k <= l")
     if k < len(lam) or l < len(mu):
         raise ValueError("padding preconditions violated")
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     out = t ** (-k * mu.size)
     # t-dependent factors survive the b -> 1 limit directly
     for i in range(1, k + 1):
@@ -170,7 +159,7 @@ def verify_skew_sum(lam: Partition, mu: Partition, k: int, l: int,
     lam, mu = Partition(lam), Partition(mu)
     if k < len(lam) or l < len(mu):
         raise ValueError("padding preconditions violated")
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     if a is None:
         a = var("a")
     lhs = fe(0)
@@ -192,7 +181,7 @@ def verify_skew_sum_limit(lam: Partition, mu: Partition, k: int,
     lam, mu = Partition(lam), Partition(mu)
     if k > l or k < len(lam):
         raise ValueError("needs l(lam) <= k <= l")
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     lhs = fe(0)
     for nu in subpartitions(mu):
         if not lam.contains(nu):
@@ -232,7 +221,7 @@ def _kernel_series(alpha, beta, U: LetterSeries, q, cap: int) -> LetterSeries:
 
 
 def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
-                    variant: str = "II", progress=None) -> IdentityCheck:
+                    variant: str = "II") -> IdentityCheck:
     """Rank-n Cauchy-type identity, exact as a truncated letter series.
 
     variant: 'I' (finite k_n, symbolic a_{n-1}), 'I-inf' (k_n = infinity,
@@ -240,7 +229,7 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
     (variant II with the extra (c-d)/(1-t) plethystic shift, mu_n = 0).
     """
     mu_n = Partition(mu_n)
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     ks = list(ks)
     if variant in ("I", "II", "II-pleth"):
         if len(ks) != n:
@@ -284,8 +273,6 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
                             x_names, y_names, z_names, cd_names)
         if term is not None:
             lhs = lhs + term
-        if progress is not None:
-            progress()
 
     # ---------------- right-hand side ----------------
     rhs = LetterSeries.const(letters, Fraction(1), T)
@@ -386,7 +373,7 @@ def _pleth_letterseries(f, A, letters, cap) -> LetterSeries:
 
 def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, T,
                  x_names, y_names, z_names, cd_names):
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     k1 = ks[0]
     # scalar part: middle P's, all Q-prefactors, f-factors
     scalar = fe(1)

@@ -1,11 +1,16 @@
 """Macdonald polynomials P/Q and skews over Q(q,t), Jack polynomials over
-Q(gamma), specialisation formulas, and evaluation symmetry.
+Q(gamma), specialisation formulas, evaluation symmetry, and the numeric
+plethysm.
 
-P_lambda is computed basis-free (an m-basis coefficient map) by solving the
-unitriangular orthogonality system for the q,t-Hall scalar product; Jack
-polynomials are built independently over Q(gamma) with the scalar product
-<p_lam, p_mu> = delta z_lam gamma^{-l(lam)}, not as a limit (the numeric
-q -> 1 limit along t = q^gamma is kept as a cross-check in the tests).
+P_lambda and the Jack polynomials are built basis-free (an m-basis
+coefficient map) by the branching rule over horizontal strips (Macdonald,
+*Symmetric Functions and Hall Polynomials*, 2nd ed., ch. VI §7): the q,t
+cells give P_lambda(q,t), the gamma cells the Jack P^(1/gamma) over
+Q(gamma), built independently and not as a limit.  The Gram-Schmidt solve
+of the orthogonality system (`_orthogonal_family`) is only the oracle the
+tests compare the branching construction with.  `plethysm_eval` is the one
+numeric plethysm: every Jack or Macdonald evaluation at numbers or at
+arrays of points goes through it.
 """
 
 from __future__ import annotations
@@ -23,19 +28,11 @@ from .symfunc import (
 
 __all__ = [
     "macdonald_P", "macdonald_Q", "skew_P", "skew_Q", "jack_P",
-    "b_lambda", "macdonald_hall_norm",
+    "b_lambda",
     "principal_spec_a", "principal_spec_n", "jack_binomial_spec",
     "single_row_xminusy", "evaluation_symmetry_check",
     "generalized_evaluation_symmetry_check", "jack_eval", "plethysm_eval",
 ]
-
-
-def _qvar():
-    return var("q")
-
-
-def _tvar():
-    return var("t")
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +40,7 @@ def _tvar():
 # ---------------------------------------------------------------------------
 
 def _hall_norm_qt(rho: Partition) -> FieldElement:
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     out = fe(z_lambda(rho))
     for part in rho:
         out = out * (1 - q ** part) / (1 - t ** part)
@@ -145,7 +142,7 @@ def _horizontal_strip_preds(lam: Partition):
 
 
 def _b_cell_qt(lam: Partition, i: int, j: int) -> FieldElement:
-    q, t = _qvar(), _tvar()
+    q, t = var("q"), var("t")
     a, l = lam.arm(i, j), lam.leg(i, j)
     return (1 - q ** a * t ** (l + 1)) / (1 - q ** (a + 1) * t ** l)
 
@@ -222,7 +219,7 @@ def macdonald_Q(lam: Partition) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def b_lambda(lam: Partition) -> FieldElement:
-    _, _, b = hooks(lam, _qvar(), _tvar())
+    _, _, b = hooks(lam, var("q"), var("t"))
     return b
 
 
@@ -230,16 +227,6 @@ def b_lambda(lam: Partition) -> FieldElement:
 def jack_P(lam: Partition) -> SymFunc:
     """Jack P^(1/gamma)_lambda in the m-basis over Q(gamma)."""
     return _family_member(Partition(lam), "gamma")
-
-
-def macdonald_hall_norm(lam: Partition) -> FieldElement:
-    """<P_lambda, P_lambda> for the q,t-Hall scalar product."""
-    lam = Partition(lam)
-    f = macdonald_P(lam).to_basis("p")
-    acc = fe(0)
-    for rho, c in f.coeffs.items():
-        acc = acc + c * c * _hall_norm_qt(rho)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +308,9 @@ def principal_spec_a(lam: Partition, a, q=None, t=None):
     """P_lambda[(1-a)/(1-t)] = t^{n(lam)} (a;q,t)_lam / c_lam(q,t)."""
     lam = Partition(lam)
     if q is None:
-        q = _qvar()
+        q = var("q")
     if t is None:
-        t = _tvar()
+        t = var("t")
     c, _, _ = hooks(lam, q, t)
     return t ** lam.n_stat() * qt_poch(a, q, t, lam) / c
 
@@ -331,7 +318,7 @@ def principal_spec_a(lam: Partition, a, q=None, t=None):
 def principal_spec_n(lam: Partition, n: int, q=None, t=None):
     """P_lambda[(1-t^n)/(1-t)], the principal specialisation."""
     if t is None:
-        t = _tvar()
+        t = var("t")
     return principal_spec_a(lam, t ** n, q=q, t=t)
 
 
@@ -360,43 +347,43 @@ def jack_binomial_spec(lam: Partition, z, g=None, k: int | None = None):
 
 def jack_eval(lam: Partition, xs, g, shift=None):
     """P^(1/gamma)_lam at points xs (plus optional binomial shift), numeric g."""
-    lam = Partition(lam)
-
     def pk(k: int) -> complex:
         v = sum(complex(x) ** k for x in xs)
         if shift is not None:
             v += complex(shift)
         return v
 
-    return plethysm_eval(jack_P(lam), pk, {"gamma": g})
+    return plethysm_eval(jack_P(Partition(lam)), pk, {"gamma": g})
 
 
-def plethysm_eval(f: SymFunc, pk_fn, env: dict) -> complex:
-    """Numeric plethysm: p_k -> pk_fn(k), coefficients evaluated at env."""
-    fp = f.to_basis("p")
-    cache: dict[int, complex] = {}
+def plethysm_eval(f: SymFunc, pk_fn, env: dict):
+    """Numeric plethysm: p_k -> pk_fn(k), coefficients evaluated at env.
 
-    def pk(k):
-        if k not in cache:
-            cache[k] = complex(pk_fn(k))
-        return cache[k]
-
-    total = 0.0 + 0.0j
-    for rho, c in fp.coeffs.items():
-        cv = c.eval(env) if isinstance(c, FieldElement) else c
-        term = complex(cv)
+    The power sums may be numbers or numpy arrays of points; each p_k is
+    computed once.  A coefficient whose value has imaginary part 0 enters
+    as a float, so real coefficients and real power sums give a real
+    result (a real array for array power sums).
+    """
+    pks: dict[int, object] = {}
+    total = 0.0
+    for rho, c in f.to_basis("p").coeffs.items():
+        term = complex(c.eval(env) if isinstance(c, FieldElement) else c)
+        if term.imag == 0:
+            term = term.real
         for part in rho:
-            term *= pk(part)
-        total += term
+            if part not in pks:
+                pks[part] = pk_fn(part)
+            term = term * pks[part]
+        total = total + term
     return total
 
 
 def single_row_xminusy(r: int, x, y, q=None, t=None):
     """P_(r)([x - y];q,t) as the terminating 2phi1 sum (single letters x, y)."""
     if q is None:
-        q = _qvar()
+        q = var("q")
     if t is None:
-        t = _tvar()
+        t = var("t")
     if r < 0:
         raise ValueError("row length must be >= 0")
     # x^r * 2phi1(t^{-1}, q^{-r}; q^{1-r} t^{-1}; q, yq/x), terminating at k=r
@@ -430,7 +417,7 @@ def generalized_evaluation_symmetry_check(lam: Partition, mu: Partition,
     lam, mu = Partition(lam), Partition(mu)
     if len(lam) > n or len(mu) > m:
         raise ValueError("length exceeds padding")
-    a, t = var("a"), _tvar()
+    a, t = var("a"), var("t")
 
     def shifted(spec_part: Partition, npad: int) -> Alphabet:
         pref = a * t ** (-npad)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .macdonald import jack_P
+from .macdonald import b_lambda, jack_P, macdonald_P, plethysm_eval
 from .partitions import Partition
 
 __all__ = [
@@ -100,24 +100,24 @@ class ChainRegion:
     weight: float
 
 
-def _admissible_maps(k_lo: int, k_hi: int):
-    """Nondecreasing M: {1..k_lo} -> {1..?} with M(i) <= i + k_hi - k_lo."""
+def _monotone_maps(bounds):
+    """Nondecreasing M: {1..len(bounds)} -> Z_{>0} with M(i) <= bounds[i-1]."""
     def rec(i, prev):
-        if i > k_lo:
+        if i == len(bounds):
             yield ()
             return
-        hi = i + k_hi - k_lo
-        for v in range(prev, hi + 1):
+        for v in range(prev, bounds[i] + 1):
             for rest in rec(i + 1, v):
                 yield (v,) + rest
-    yield from rec(1, 1)
+    yield from rec(0, 1)
 
 
-def _interleave_order(m1, k1: int, k2: int, upper_slot: bool):
+def _interleave_order(m1, k1: int, k2: int):
     """Total order of level-1 and level-2 variables fixed by the map m1.
 
     m1[i-1] = M(i) places t1_i strictly between t2_{M(i)-1} and t2_{M(i)};
-    with upper_slot, M(i) may equal k2 + 1 (above every level-2 variable).
+    M(i) = k2 + 1 (the companion chain) places it above every level-2
+    variable.
     """
     order = []
     for j in range(1, k2 + 1):
@@ -149,8 +149,8 @@ def enumerate_chain(n: int, ks, gamma_) -> list[ChainRegion]:
         raise NotImplementedError("chain quadrature is implemented for n <= 2")
     k1, k2 = ks
     regions = []
-    for m1 in _admissible_maps(k1, k2):
-        order = _interleave_order(m1, k1, k2, upper_slot=False)
+    for m1 in _monotone_maps([i + k2 - k1 for i in range(1, k1 + 1)]):
+        order = _interleave_order(m1, k1, k2)
         regions.append(ChainRegion(order, _sine_weight(m1, k1, k2, gamma_)))
     return regions
 
@@ -161,8 +161,8 @@ def enumerate_companion_chain(n: int, ks, beta_nm1, gamma_) -> list[ChainRegion]
         raise NotImplementedError("companion chain implemented for n = 2")
     k1, k2 = ks
     regions = []
-    for mp in _companion_maps(k1, k2):
-        order = _interleave_order(mp, k1, k2, upper_slot=True)
+    for mp in _monotone_maps([k2 + 1] * k1):
+        order = _interleave_order(mp, k1, k2)
         w = 1.0
         for i in range(1, k1 + 1):
             num = math.sin(math.pi * (beta_nm1 - (i + k2 - k1 - mp[i - 1] + 1)
@@ -171,17 +171,6 @@ def enumerate_companion_chain(n: int, ks, beta_nm1, gamma_) -> list[ChainRegion]
             w *= num / den
         regions.append(ChainRegion(order, w))
     return regions
-
-
-def _companion_maps(k_lo: int, k_hi: int):
-    def rec(i, prev):
-        if i > k_lo:
-            yield ()
-            return
-        for v in range(prev, k_hi + 2):
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-    yield from rec(1, 1)
 
 
 def region_covering_check(regions, n, ks, rng, samples: int = 500,
@@ -350,34 +339,14 @@ def jack_pair_callback(n, lam: Partition, mu: Partition, beta, gamma_):
 
 
 def _jack_on_grid(lam: Partition, arr, gamma_, shift):
-    """Vectorised Jack evaluation on the last axis of arr."""
-    lam = Partition(lam)
-    if not lam:
-        return 1.0
-    if arr is None:
-        arr_k = 0
-    else:
-        arr_k = arr.shape[-1]
-
-    fp = jack_P(lam).to_basis("p")
-    pk_cache = {}
-
+    """P^(1/gamma)_lam of the points on the last axis of arr (None: no
+    points), plus an optional binomial shift."""
     def pk(k):
-        if k not in pk_cache:
-            val = np.sum(arr ** k, axis=-1) if arr_k else 0.0
-            if shift is not None:
-                val = val + shift
-            pk_cache[k] = val
-        return pk_cache[k]
+        val = np.sum(arr ** k, axis=-1) if arr is not None else 0.0
+        return val + shift if shift is not None else val
 
-    total = 0.0
-    for rho, c in fp.coeffs.items():
-        cv = c.eval({"gamma": complex(gamma_)})
-        term = complex(cv).real if abs(complex(cv).imag) < 1e-13 else complex(cv)
-        for part in rho:
-            term = term * pk(part)
-        total = total + term
-    return total
+    return plethysm_eval(jack_P(Partition(lam)), pk,
+                         {"gamma": complex(gamma_)})
 
 
 def aflt_lhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
@@ -430,34 +399,6 @@ def torus_integral(n: int, f, rho=1.0, npts: int = 256) -> complex:
     return complex(np.sum(vals)) / npts ** n
 
 
-def _mac_eval_on_grid(lam: Partition, zs: list, q, t, shift_ratio=None):
-    """P_lam(z;q,t) (plus an optional (t-b)/(1-t) shift) on flat z arrays."""
-    from .macdonald import macdonald_P
-    lam = Partition(lam)
-    if not lam:
-        return 1.0
-    fp = macdonald_P(lam).to_basis("p")
-    cache = {}
-
-    def pk(k):
-        if k not in cache:
-            val = sum(z ** k for z in zs)
-            if shift_ratio is not None:
-                tv, bv = shift_ratio
-                val = val + (tv ** k - bv ** k) / (1 - tv ** k)
-            cache[k] = val
-        return cache[k]
-
-    total = 0.0
-    for rho, c in fp.coeffs.items():
-        cv = complex(c.eval({"q": complex(q), "t": complex(t)}))
-        term = cv
-        for part in rho:
-            term = term * pk(part)
-        total = total + term
-    return total
-
-
 def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
                  rho: float | None = None, npts: int = 256) -> complex:
     """Torus quadrature of the Macdonald-pair integrand.
@@ -471,6 +412,7 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
     if rho is None:
         rho = (max(abs(b), abs(q)) + 1) / 2
     nt = kernels.trunc_order(abs(q))
+    env = {"q": q, "t": t}
 
     def integrand(*zs):
         num = np.ones_like(zs[0])
@@ -487,8 +429,15 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
                 num = num * kernels.qpoch_inf_arr(1 / r, q, nt)
                 den = den * kernels.qpoch_inf_arr(t * r, q, nt)
                 den = den * kernels.qpoch_inf_arr(t / r, q, nt)
-        pl = _mac_eval_on_grid(lam, list(zs), q, t)
-        pm = _mac_eval_on_grid(mu, list(zs), q, t, shift_ratio=(t, b))
+
+        def pk(k):
+            return sum(z ** k for z in zs)
+
+        def pk_shifted(k):  # p_k[Z + (t - b)/(1 - t)]
+            return pk(k) + (t ** k - b ** k) / (1 - t ** k)
+
+        pl = plethysm_eval(macdonald_P(lam), pk, env)
+        pm = plethysm_eval(macdonald_P(mu), pk_shifted, env)
         return pl * pm * num / den
 
     val = torus_integral(n, integrand, rho, npts)
@@ -498,12 +447,11 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
 def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
                    rho: float = 1.0, npts: int = 128) -> complex:
     """Torus quadrature of <P_lam, Q_mu>'_n."""
-    from .field import fe
-    from .macdonald import b_lambda
     lam, mu = Partition(lam), Partition(mu)
     q, t = complex(q), complex(t)
     nt = kernels.trunc_order(abs(q))
-    bmu = complex(fe(b_lambda(mu)).eval({"q": q, "t": t})) if mu else 1.0
+    env = {"q": q, "t": t}
+    bmu = complex(b_lambda(mu).eval(env)) if mu else 1.0
 
     def integrand(*zs):
         weight = np.ones_like(zs[0])
@@ -514,8 +462,11 @@ def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
                 weight = weight * kernels.qpoch_inf_arr(1 / r, q, nt)
                 weight = weight / kernels.qpoch_inf_arr(t * r, q, nt)
                 weight = weight / kernels.qpoch_inf_arr(t / r, q, nt)
-        pl = _mac_eval_on_grid(lam, list(zs), q, t)
-        pm = _mac_eval_on_grid(mu, [1 / z for z in zs], q, t)
+        inv = [1 / z for z in zs]
+        pl = plethysm_eval(macdonald_P(lam),
+                           lambda k: sum(z ** k for z in zs), env)
+        pm = plethysm_eval(macdonald_P(mu),
+                           lambda k: sum(z ** k for z in inv), env)
         return pl * pm * bmu * weight
 
     return torus_integral(n, integrand, rho, npts) / math.factorial(n)

@@ -32,6 +32,23 @@ def _capped(size, cap, flag, suite):
     return size
 
 
+# Redraws of a case before its pole is left to be reported.
+_REDRAWS = 20
+
+
+def _redraw_off_poles(draw, sides):
+    """draw() until sides(case) raises no PoleError, at most _REDRAWS
+    times; the last draw is kept either way, so a pole left is reported."""
+    for _ in range(_REDRAWS):
+        case = draw()
+        try:
+            sides(case)
+        except PoleError:
+            continue
+        break
+    return case
+
+
 # ---------------------------------------------------------------------------
 # exact algebra suites
 # ---------------------------------------------------------------------------
@@ -374,35 +391,46 @@ def run_beta_schur(params, cfg):
 
 
 def cases_nplusone(cfg):
+    """Cases are drawn only inside the identity's domain, as in
+    `cases_recursion`: a case on which a Pochhammer denominator of either
+    side vanishes is redrawn.  Each denominator factor of the ratio's
+    closed form is a sum of consecutive alphas (with beta when the sum
+    runs to alpha_n) plus an integer; seeds 1182 and 1185 drew an alpha of
+    exactly 2 for np1-ratio-1 and np1-ratio-2."""
     rng = random.Random(cfg.get("seed", 13))
     shapes = [(1, [1]), (2, [1, 2]), (3, [1, 2, 3])]
-    out = []
-    for i, (n, ks) in enumerate(shapes):
-        lams = []
-        for r in range(n):
-            lams.append(rng.choice(list(partitions_up_to(2))).parts)
+    return [_redraw_off_poles(
+                functools.partial(_draw_nplusone_case, rng, kind, i, n, ks),
+                _nplusone_sides)
+            for kind in ("recursion", "ratio")
+            for i, (n, ks) in enumerate(shapes)]
+
+
+def _draw_nplusone_case(rng, kind, i, n, ks):
+    pool = list(partitions_up_to(2))
+    if kind == "recursion":
+        lams = [rng.choice(pool).parts for _ in range(n)]
         zs = [round(rng.uniform(0.5, 2.0), 3) + 0.2j * round(rng.random(), 3)
               for _ in range(ks[0])]
-        out.append({"case_id": f"np1-rec-{i}", "kind": "recursion",
-                    "n": n, "ks": ks, "lams": lams,
-                    "alphas": [round(1.5 + 0.4 * rng.random(), 3)
-                               for _ in range(n)],
-                    "beta": round(0.5 + 0.3 * rng.random(), 3),
-                    "zs": [(z.real, z.imag) for z in zs]})
-    for i, (n, ks) in enumerate(shapes):
-        lams = [rng.choice(list(partitions_up_to(2))).parts
-                for _ in range(n + 1)]
-        if len(_pt(lams[0])) > ks[0]:
-            lams[0] = ()
-        out.append({"case_id": f"np1-ratio-{i}", "kind": "ratio",
-                    "n": n, "ks": ks, "lams": lams,
-                    "alphas": [round(1.6 + 0.4 * rng.random(), 3)
-                               for _ in range(n)],
-                    "beta": round(0.55 + 0.3 * rng.random(), 3)})
-    return out
+        return {"case_id": f"np1-rec-{i}", "kind": kind,
+                "n": n, "ks": ks, "lams": lams,
+                "alphas": [round(1.5 + 0.4 * rng.random(), 3)
+                           for _ in range(n)],
+                "beta": round(0.5 + 0.3 * rng.random(), 3),
+                "zs": [(z.real, z.imag) for z in zs]}
+    lams = [rng.choice(pool).parts for _ in range(n + 1)]
+    if len(_pt(lams[0])) > ks[0]:
+        lams[0] = ()
+    return {"case_id": f"np1-ratio-{i}", "kind": kind,
+            "n": n, "ks": ks, "lams": lams,
+            "alphas": [round(1.6 + 0.4 * rng.random(), 3) for _ in range(n)],
+            "beta": round(0.55 + 0.3 * rng.random(), 3)}
 
 
-def run_nplusone(params, cfg):
+def _nplusone_sides(params):
+    """recursion: the rank-n sector integral by the proof's recursion
+    against its closed form; ratio: the closed form at the staircase over
+    its normalisation against the Schur-product average."""
     from .closedform import nplusone_rhs
     from .complexschur import (
         an_one_staircase, complex_an_aflt_closed, complex_an_aflt_recursive,
@@ -410,19 +438,21 @@ def run_nplusone(params, cfg):
     )
     n, ks = params["n"], params["ks"]
     alphas, beta = params["alphas"], params["beta"]
+    lams = [_pt(x) for x in params["lams"]]
     if params["kind"] == "recursion":
         zs = [complex(a, b) for a, b in params["zs"]]
-        lams = [_pt(x) for x in params["lams"]]
-        lhs = complex_an_aflt_recursive(n, ks, zs, lams, alphas, beta)
-        rhs = complex_an_aflt_closed(n, ks, zs, lams, alphas, beta)
-        return Outcome(lhs, rhs, 1e-8)
-    lams = [_pt(x) for x in params["lams"]]
+        return (complex_an_aflt_recursive(n, ks, zs, lams, alphas, beta),
+                complex_an_aflt_closed(n, ks, zs, lams, alphas, beta))
     # z_i = lam^(1)_i + k_1 - i
     zs = [complex(v) for v in staircase_exponents(lams[0], ks[0])]
     full = complex_an_aflt_closed(n, ks, zs, lams[1:], alphas, beta)
     norm = an_one_staircase(n, ks, alphas, beta)
-    rhs = nplusone_rhs(n, ks, alphas, beta, lams)
-    return Outcome(full / norm, rhs, 1e-8)
+    return full / norm, nplusone_rhs(n, ks, alphas, beta, lams)
+
+
+def run_nplusone(params, cfg):
+    lhs, rhs = _nplusone_sides(params)
+    return Outcome(lhs, rhs, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +655,6 @@ def run_skew_limit(params, cfg):
 # section-7 suites
 # ---------------------------------------------------------------------------
 
-# Redraws of a case before its pole is left to be reported.
-_RECURSION_REDRAWS = 20
-
-
 def cases_recursion(cfg):
     """Cases are drawn only inside the identity's domain.  The excluded set
     is where a Pochhammer denominator of either side vanishes (the
@@ -642,17 +668,10 @@ def cases_recursion(cfg):
     rng = random.Random(cfg.get("seed", 17))
     draws = ([(f"recR-{i:02d}", "recR") for i in range(20)]
              + [(f"recG1-{i}", "gamma1") for i in range(6)])
-    out = []
-    for case_id, kind in draws:
-        for _ in range(_RECURSION_REDRAWS):
-            case = _draw_recursion_case(rng, case_id, kind)
-            try:
-                _recursion_sides(case)
-            except PoleError:
-                continue
-            break
-        out.append(case)
-    return out
+    return [_redraw_off_poles(
+                functools.partial(_draw_recursion_case, rng, case_id, kind),
+                _recursion_sides)
+            for case_id, kind in draws]
 
 
 def _draw_recursion_case(rng, case_id, kind):

@@ -22,14 +22,14 @@ from .field import FieldElement, fe
 from .partitions import Partition, partitions_of
 
 __all__ = [
-    "SymFunc", "sym", "m_sf", "p_sf", "e_sf", "h_sf", "s_sf",
+    "SymFunc", "sym", "m_sf", "p_sf", "h_sf", "s_sf",
     "Alphabet", "Letters", "Binomial", "Ratio", "Sum", "Difference",
-    "Scale", "Product", "letter_scale",
+    "Scale", "Product",
     "pk_of_alphabet", "plethysm", "z_lambda",
     "h_series_of_alphabet", "e_series_of_alphabet", "psi_series",
     "LetterSeries", "expand_in_letters",
     "schur_eval", "schur_spec", "alternant_ratio",
-    "h_series_of_alphabet", "sigma_series", "series_mul", "series_div",
+    "sigma_series", "series_mul", "series_div",
 ]
 
 BASES = ("m", "p", "e", "h", "s")
@@ -237,10 +237,9 @@ def _fraction_inverse(mat):
 class SymFunc:
     """Finite map from partitions to scalars, tagged with a basis."""
 
-    __slots__ = ("basis", "coeffs", "degree_cap")
+    __slots__ = ("basis", "coeffs")
 
-    def __init__(self, basis: str, coeffs: Mapping[Partition, object] | None = None,
-                 degree_cap: int | None = None):
+    def __init__(self, basis: str, coeffs: Mapping[Partition, object] | None = None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
@@ -249,7 +248,6 @@ class SymFunc:
             for lam, c in coeffs.items():
                 if not _scalar_is_zero(c):
                     self.coeffs[Partition(lam)] = c
-        self.degree_cap = degree_cap
 
     def degree(self) -> int:
         return max((lam.size for lam in self.coeffs), default=0)
@@ -263,14 +261,13 @@ class SymFunc:
                 out[lam] = out[lam] + c
             else:
                 out[lam] = c
-        return SymFunc(self.basis, out, _min_cap(self.degree_cap, other.degree_cap))
+        return SymFunc(self.basis, out)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + other.scale(-1)
 
     def scale(self, c) -> "SymFunc":
-        return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()},
-                       self.degree_cap)
+        return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SymFunc):
@@ -283,7 +280,7 @@ class SymFunc:
                 nu = Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
                 c = ca * cb
                 out[nu] = out[nu] + c if nu in out else c
-        return SymFunc("p", out, _min_cap(self.degree_cap, other.degree_cap))
+        return SymFunc("p", out)
 
     __rmul__ = scale
 
@@ -312,7 +309,7 @@ class SymFunc:
             for lam, c in piece.items():
                 if not _scalar_is_zero(c):
                     out[lam] = out[lam] + c if lam in out else c
-        return SymFunc(target, out, self.degree_cap)
+        return SymFunc(target, out)
 
     def coeff(self, lam: Partition):
         return self.coeffs.get(Partition(lam), Fraction(0))
@@ -386,7 +383,6 @@ def sym(basis: str, lam, c=1) -> SymFunc:
 
 def m_sf(lam): return sym("m", lam)
 def p_sf(lam): return sym("p", lam)
-def e_sf(lam): return sym("e", lam)
 def h_sf(lam): return sym("h", lam)
 def s_sf(lam): return sym("s", lam)
 
@@ -446,11 +442,6 @@ class Scale(Alphabet):
 class Product(Alphabet):
     left: Alphabet
     right: Alphabet
-
-
-def letter_scale(c, inner: Alphabet) -> Alphabet:
-    """Cartesian scaling by a single letter: p_k -> c^k p_k."""
-    return Product(Letters([c]), inner)
 
 
 def pk_of_alphabet(k: int, A: Alphabet):
@@ -707,8 +698,8 @@ class LetterSeries:
     __repr__ = __str__
 
 
-def expand_in_letters(f: SymFunc, letters: Sequence[str], cap: int | None = None,
-                      values: Sequence | None = None) -> LetterSeries:
+def expand_in_letters(f: SymFunc, letters: Sequence[str],
+                      cap: int | None = None) -> LetterSeries:
     """Expand a symmetric function as a LetterSeries in the given letters."""
     fm = f.to_basis("m")
     n = len(letters)
@@ -721,8 +712,6 @@ def expand_in_letters(f: SymFunc, letters: Sequence[str], cap: int | None = None
         for exps, _ in monomial_expansion(lam, n):
             v = out.terms.get(exps)
             out.terms[exps] = c if v is None else v + c
-    if values is not None:
-        raise NotImplementedError
     out.terms = {e: c for e, c in out.terms.items() if not _scalar_is_zero(c)}
     return out
 

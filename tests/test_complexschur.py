@@ -4,18 +4,29 @@ import random
 
 import pytest
 
-from selbergkit.closedform import an_one_alt, an_one_rhs, nplusone_rhs
+from selbergkit.closedform import (
+    an_one_alt, an_one_rhs, nplusone_rhs, schur_binomial,
+)
 from selbergkit.complexschur import (
     SectorContour, an_one_staircase, beta_contour_closed,
     beta_schur_exact_sum, beta_schur_rhs, complex_an_aflt_closed,
-    complex_an_aflt_recursive, complex_schur, schur_points, split_expansion,
-    staircase_exponents, thm_schur_closed, thm_schur_residue_oracle,
+    complex_an_aflt_recursive, complex_schur, schur_points,
+    skew_schur_binomial, split_expansion, staircase_exponents,
+    thm_schur_closed, thm_schur_residue_oracle,
 )
 from selbergkit.partitions import P, partitions_up_to
 from selbergkit.quadrature import SectorSpec, sector_integral
 
 
 class TestComplexSchur:
+    def test_skew_at_empty_mu_is_the_product_formula(self):
+        # Jacobi-Trudi in h_m[z] against the factorised gamma = 1 Jack value
+        for lam in partitions_up_to(4):
+            for z in (0.7 + 0.2j, -1.3 + 0.5j, 2.5 - 1.1j, 3.0):
+                ref = schur_binomial(lam, z)
+                val = skew_schur_binomial(lam, P(), z)
+                assert abs(val - ref) <= 1e-12 * abs(ref), (lam, z)
+
     def test_n1_power(self):
         x, z = 0.7 + 0.3j, 1.4 - 0.2j
         assert abs(complex_schur([x], [z]) - x ** z) < 1e-14

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from selbergkit.field import FieldElement, eval_complex, fe, var
@@ -8,7 +9,7 @@ from selbergkit.macdonald import (
     _hall_norm_gamma, _hall_norm_qt, _orthogonal_family, _skew_table, b_lambda,
     evaluation_symmetry_check, generalized_evaluation_symmetry_check,
     jack_P, jack_binomial_spec, jack_eval, macdonald_P, macdonald_Q,
-    principal_spec_a, principal_spec_n, single_row_xminusy, skew_P, skew_Q,
+    plethysm_eval, principal_spec_a, principal_spec_n, single_row_xminusy, skew_P, skew_Q,
 )
 from selbergkit.partitions import P, partitions_of, partitions_up_to, subpartitions
 from selbergkit.symfunc import (
@@ -245,6 +246,26 @@ class TestSpecialisations:
         ref = eval_complex(fe(sym_val),
                            {"x1": 0.3, "x2": 0.7, "z": 1.25, "gamma": 0.5})
         assert abs(val - ref) < 1e-12
+
+    @pytest.mark.parametrize("family, env", [
+        (jack_P, {"gamma": 0.4}), (macdonald_P, {"q": 0.3, "t": 0.6}),
+    ], ids=["jack", "macdonald"])
+    def test_plethysm_eval_on_arrays_is_pointwise(self, family, env):
+        # the quadrature sides pass power sums of whole grids of points
+        rng = np.random.default_rng(9)
+        real = rng.uniform(0.1, 0.9, size=(6, 2))
+        for pts in (real, real * np.exp(2j * rng.uniform(0, 3, size=(6, 2)))):
+            for lam in (P(2, 1), P(3)):
+                vals = plethysm_eval(
+                    family(lam), lambda k: np.sum(pts ** k, axis=-1) + 0.7, env)
+                assert vals.shape == (6,)
+                # real coefficients at real power sums stay real
+                assert np.iscomplexobj(vals) == np.iscomplexobj(pts)
+                for row, val in zip(pts, vals):
+                    one = plethysm_eval(
+                        family(lam), lambda k: sum(x ** k for x in row) + 0.7,
+                        env)
+                    assert abs(val - one) <= 1e-13 * abs(one)
 
 
 class TestSingleRowXminusY:

@@ -93,6 +93,27 @@ def test_recursion_draws_inside_the_domain(seed, pole):
         assert suites.run_case("recursion", params, {}).passed, params
 
 
+@pytest.mark.parametrize("seed, pole", [
+    # alpha_1 = 2 zeroes a Pochhammer denominator of the closed form
+    (1182, {"case_id": "np1-ratio-1", "kind": "ratio", "n": 2, "ks": [1, 2],
+            "lams": [(2,), (1,), (1, 1)], "alphas": [2.0, 1.723],
+            "beta": 0.832}),
+    # so does alpha_2 = 2
+    (1185, {"case_id": "np1-ratio-2", "kind": "ratio", "n": 3,
+            "ks": [1, 2, 3], "lams": [(1,), (1, 1), (1, 1), ()],
+            "alphas": [1.968, 2.0, 1.712], "beta": 0.733}),
+], ids=["ratio1-seed1182", "ratio2-seed1185"])
+def test_nplusone_draws_inside_the_domain(seed, pole):
+    rep = suites.run_case("nplusone", pole, {})
+    assert not rep.passed and rep.lhs == "pole"
+    assert rep.notes.startswith("pole: ")
+    cases = suites.cases_nplusone({"seed": seed})
+    assert pole not in cases and len(cases) == 6
+    assert [c["case_id"] for c in cases].count(pole["case_id"]) == 1
+    for params in cases:
+        assert suites.run_case("nplusone", params, {}).passed, params
+
+
 def _raising(exc):
     def runner(params, cfg):
         raise exc
