@@ -5,8 +5,8 @@ quadrature for q-series integrands, and sector-contour quadrature.
 Chain regions are totally ordered at rank two; each region is mapped to the
 unit cube by the ordered-ratio substitution, endpoint exponents are
 absorbed into per-axis Gauss-Jacobi weights, and the remaining factors are
-evaluated pointwise.  gamma is kept in (0,1) so all exponents are
-integrable.
+evaluated pointwise, in slabs of at most 2^16 nodes along the first axis of
+the tensor rule.  gamma is kept in (0,1) so all exponents are integrable.
 """
 
 from __future__ import annotations
@@ -39,9 +39,13 @@ _GJ_CACHE: dict = {}
 def gauss_jacobi_01(n: int, p: float, q: float):
     """Nodes/weights for integral_0^1 f(t) t^p (1-t)^q dt, p, q > -1.
 
-    The rules are cached and shared between callers, so both arrays are
-    read-only.
+    An exponent <= -1 raises ValueError.  The rules are cached and shared
+    between callers, so both arrays are read-only.
     """
+    for name, e in (("p", p), ("q", q)):
+        if not e > -1:
+            raise ValueError(f"gauss_jacobi_01: exponent {name} = {e} must "
+                             "be > -1 for t^p (1-t)^q to be integrable")
     key = (n, round(float(p), 12), round(float(q), 12))
     hit = _GJ_CACHE.get(key)
     if hit is not None:
@@ -212,6 +216,16 @@ def _pair_exponent(a_key, b_key, gamma_):
     return -gamma_
 
 
+# nodes of the tensor rule evaluated at once; a slab holds whole indices of
+# axis 0, so a region with more nodes per index still takes one index
+_SLAB = 1 << 16
+
+
+def _on_axis(arr, axis: int, m: int):
+    """A 1-D array laid along `axis` of an m-dimensional broadcast grid."""
+    return arr.reshape([-1 if i == axis else 1 for i in range(m)])
+
+
 def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
                      integrand, npts: int) -> float:
     """Integrate the chain density times `integrand` over one region.
@@ -220,6 +234,11 @@ def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
     w_j = prod_{i >= j} v_i.  Per-axis endpoint exponents (monomials and
     consecutive-pair interactions) go into Gauss-Jacobi weights; remaining
     pair factors are evaluated pointwise.
+
+    The npts^m tensor rule is evaluated in slabs along axis 0 of at most
+    _SLAB nodes (at least one index of axis 0); the other axes enter as
+    broadcast 1-D rules.  `integrand` is called once per slab with the
+    level arrays of that slab, so memory does not grow with npts^m.
     """
     order = region.order
     m = len(order)
@@ -248,38 +267,43 @@ def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
             one_minus_exp.append(betas[order[j][0] - 1] - 1)
     rules = [gauss_jacobi_01(npts, v_exp[j], one_minus_exp[j])
              for j in range(m)]
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    wgrid = np.ones_like(grids[0])
-    for r, g in zip(rules, np.meshgrid(*[r[1] for r in rules], indexing="ij")):
-        wgrid = wgrid * g
-    # w_j = prod_{i >= j} v_i
-    ws = [None] * m
-    acc = np.ones_like(grids[0])
-    for j in range(m - 1, -1, -1):
-        acc = acc * grids[j]
-        ws[j] = acc
     # leftover factors: non-consecutive pairs, (1 - w_j)^{beta-1} for j < m
-    rest = np.ones_like(grids[0])
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = _pair_exponent(order[i], order[j], gamma_)
-            if j == i + 1:
-                continue
+    far_pairs = [(i, j, _pair_exponent(order[i], order[j], gamma_))
+                 for i in range(m) for j in range(i + 2, m)]
+    ends = [(j, betas[key[0] - 1] - 1) for j, key in enumerate(order[:-1])
+            if betas[key[0] - 1] != 1]
+    nodes = [_on_axis(t, j, m) for j, (t, _) in enumerate(rules)]
+    weights = [_on_axis(w, j, m) for j, (_, w) in enumerate(rules)]
+    rows = max(1, _SLAB // npts ** (m - 1))
+    total, is_complex = 0.0, False
+    for lo in range(0, npts, rows):
+        cut = slice(lo, lo + rows)
+        weight = 1.0
+        for w in [weights[0][cut]] + weights[1:]:
+            weight = weight * w
+        # w_j = prod_{i >= j} v_i
+        vs = [nodes[0][cut]] + nodes[1:]
+        ws = [None] * m
+        acc = 1.0
+        for j in range(m - 1, -1, -1):
+            acc = acc * vs[j]
+            ws[j] = acc
+        rest = 1.0
+        for i, j, c in far_pairs:
             rest = rest * np.abs(ws[j] - ws[i]) ** c
-    for j in range(m - 1):
-        bexp = betas[order[j][0] - 1] - 1
-        if bexp != 0:
+        for j, bexp in ends:
             rest = rest * (1 - ws[j]) ** bexp
-    levels = {}
-    for pos, key in enumerate(order):
-        levels.setdefault(key[0], []).append(ws[pos])
-    level_arrays = [np.stack(levels.get(r, []), axis=-1)
-                    if levels.get(r) else None
-                    for r in range(1, n + 1)]
-    fvals = integrand(level_arrays)
-    return float(np.sum(wgrid * rest * fvals).real) * region.weight \
-        if not np.iscomplexobj(fvals) else \
-        complex(np.sum(wgrid * rest * fvals)) * region.weight
+        levels = {}
+        for pos, key in enumerate(order):
+            levels.setdefault(key[0], []).append(
+                np.broadcast_to(ws[pos], ws[0].shape))
+        level_arrays = [np.stack(levels[r], axis=-1) if r in levels else None
+                        for r in range(1, n + 1)]
+        fvals = integrand(level_arrays)
+        is_complex = is_complex or np.iscomplexobj(fvals)
+        total = total + np.sum(weight * rest * fvals)
+    return (complex(total) if is_complex else float(np.real(total))) \
+        * region.weight
 
 
 def an_selberg_lhs(n: int, ks, alphas, beta, gamma_, integrand=None,
@@ -384,14 +408,18 @@ def torus_integral(n: int, f, rho=1.0, npts: int = 256) -> complex:
     """(1/(2 pi i)^n) oint f(z) dz_1/z_1 ... dz_n/z_n on |z_i| = rho.
 
     f receives n flat complex arrays (a meshgrid of the torus) and must
-    return the integrand values elementwise.  Nodes are offset by half a
-    step so integrands with removable 0*inf points at z^4 = 1 stay finite.
+    return the integrand values elementwise.  rho is one radius or n of
+    them.  Nodes are offset by half a step so integrands with removable
+    0*inf points at z^4 = 1 stay finite.
     """
     angles = 2 * np.pi * (np.arange(npts) + 0.5) / npts
     if np.ndim(rho) == 0:
         radii = [float(rho)] * n
     else:
         radii = [float(r) for r in rho]
+        if len(radii) != n:
+            raise ValueError(f"torus_integral: {len(radii)} radii for "
+                             f"n = {n} variables")
     circles = [r * np.exp(1j * angles) for r in radii]
     grids = np.meshgrid(*circles, indexing="ij")
     flat = [g.reshape(-1) for g in grids]

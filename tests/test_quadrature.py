@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from selbergkit.coeffs import gamma
 from selbergkit.partitions import P
 from selbergkit.quadrature import (
     QuadratureSpec, aflt_lhs, an_selberg_lhs, enumerate_chain,
-    enumerate_companion_chain, gauss_jacobi_01, jack_pair_callback,
-    mac_aflt_lhs, ortho_norm_lhs, region_covering_check, torus_integral,
+    enumerate_companion_chain, gauss_jacobi_01, integrate_region,
+    jack_pair_callback, mac_aflt_lhs, ortho_norm_lhs, region_covering_check, torus_integral,
 )
 
 
@@ -53,6 +54,12 @@ class TestGaussJacobi:
 
         e4, e8 = err(4), err(8)
         assert e8 < e4 / 10
+
+    @pytest.mark.parametrize("p, q, bad", [(-1.5, 0.2, "p"), (-1.0, 0.2, "p"),
+                                           (0.3, -1.0, "q")])
+    def test_non_integrable_weight_is_rejected(self, p, q, bad):
+        with pytest.raises(ValueError, match=f"exponent {bad} = "):
+            gauss_jacobi_01(8, p, q)
 
 
 class TestChainRegions:
@@ -157,6 +164,99 @@ class TestChainQuadrature:
         assert abs(v - ref) < 1e-4 * abs(ref)
 
 
+def _ones(levels):
+    return np.ones(next(a.shape[:-1] for a in levels if a is not None))
+
+
+def _meshgrid_oracle(region, n, alphas, betas, g, integrand, npts):
+    """The chain rule on full npts^m meshgrids, one array per factor."""
+    order, m = region.order, len(region.order)
+
+    def pair(a, b):
+        return 2 * g if a[0] == b[0] else -g
+
+    adj = [pair(a, b) for a, b in zip(order, order[1:])]
+    mono = [alphas[key[0] - 1] - 1 for key in order]
+    v_exp = [sum(mono[: j + 1]) + j + sum(adj[:j]) for j in range(m)]
+    q_exp = adj + [betas[order[-1][0] - 1] - 1]
+    rules = [gauss_jacobi_01(npts, p, q) for p, q in zip(v_exp, q_exp)]
+    grids = np.meshgrid(*[t for t, _ in rules], indexing="ij")
+    weight = np.prod(np.meshgrid(*[w for _, w in rules], indexing="ij"),
+                     axis=0)
+    ws = [np.prod(grids[j:], axis=0) for j in range(m)]
+    rest = np.ones_like(grids[0])
+    for i in range(m):
+        for j in range(i + 2, m):
+            rest = rest * np.abs(ws[j] - ws[i]) ** pair(order[i], order[j])
+        if i < m - 1:
+            rest = rest * (1 - ws[i]) ** (betas[order[i][0] - 1] - 1)
+    levels = [[w for w, key in zip(ws, order) if key[0] == r]
+              for r in range(1, n + 1)]
+    arrays = [np.stack(lv, axis=-1) if lv else None for lv in levels]
+    return np.sum(weight * rest * integrand(arrays)) * region.weight
+
+
+class TestSlabbedChainRule:
+    G = 0.4
+
+    def _check(self, region, ks, alphas, betas, integrand, npts, slabs):
+        sizes = []
+
+        def counted(levels):
+            sizes.append(next(a.shape[:-1] for a in levels
+                              if a is not None))
+            return integrand(levels)
+
+        got = integrate_region(region, 2, ks, alphas, betas, self.G,
+                               counted, npts)
+        ref = _meshgrid_oracle(region, 2, alphas, betas, self.G, integrand,
+                               npts)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        nodes = [math.prod(shape) for shape in sizes]
+        assert len(nodes) == slabs
+        assert max(nodes) <= 1 << 16
+        assert sum(nodes) == npts ** len(region.order)
+
+    @pytest.mark.parametrize("which", ["jack-pair", "default"])
+    def test_k12_with_a_ragged_last_slab(self, which):
+        # 96 = 13 * 7 + 5: slabs of 7 rows of 96^2 nodes, then 5 rows
+        integrand = jack_pair_callback(2, P(1), P(1), 1.3, self.G) \
+            if which == "jack-pair" else _ones
+        for region in enumerate_chain(2, [1, 2], self.G):
+            self._check(region, [1, 2], [1.1, 1.3], [1.0, 1.3], integrand,
+                        96, slabs=14)
+
+    def test_companion_region(self):
+        b1, b2 = 0.75, 0.65
+        region = enumerate_companion_chain(2, [1, 2], b1, self.G)[-1]
+        cb = jack_pair_callback(2, P(2), P(1), b2, self.G)
+        # 48 = 28 + 20 rows of 48^2 nodes
+        self._check(region, [1, 2], [1.1, 1.3], [b1, b2], cb, 48, slabs=2)
+
+    def test_two_variables_fit_one_slab(self):
+        region = enumerate_chain(2, [1, 1], self.G)[0]
+        cb = jack_pair_callback(2, P(1), P(1), 1.3, self.G)
+        self._check(region, [1, 1], [1.2, 1.4], [1.0, 1.3], cb, 64, slabs=1)
+
+    def test_memory_does_not_grow_with_the_tensor_rule(self):
+        # the full 96^3 tensor rule holds 884,736 nodes per array
+        cb = jack_pair_callback(2, P(1), P(1), 1.3, self.G)
+        spec = QuadratureSpec(points=96, tol=0, max_refine=0)
+
+        def run():
+            return an_selberg_lhs(2, [1, 2], [1.1, 1.3], 1.3, self.G,
+                                  integrand=cb, spec=spec)
+
+        run()  # warms the Gauss-Jacobi rules and the Jack polynomial
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+
 class TestTorus:
     def test_unit(self):
         v = torus_integral(1, lambda z: np.ones_like(z), 1.0, 32)
@@ -186,6 +286,11 @@ class TestTorus:
         assert abs(v - ref) < 1e-9 * abs(ref)
         off = ortho_norm_lhs(2, P(2), P(1, 1), q, t, npts=96)
         assert abs(off) < 1e-10
+
+    @pytest.mark.parametrize("n, rho", [(1, [1.0, 1.0]), (2, [1.0])])
+    def test_radii_must_match_variables(self, n, rho):
+        with pytest.raises(ValueError, match="radii"):
+            torus_integral(n, lambda *zs: np.ones_like(zs[0]), rho, 8)
 
     def test_doubling_stability(self):
         a, b, q, t = 0.45, 0.35, 0.3, 0.4

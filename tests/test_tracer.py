@@ -26,6 +26,17 @@ quadrature.torus_integral(1, lambda z: z * 0 + 1, npts=8)
 for counter in ("quadrature.chain.nodes", "quadrature.chain.refinements",
                 "quadrature.torus.nodes"):
     assert counter in t.counters, counter
+before = t.counters["quadrature.chain.nodes"]
+# the rank-2 chain rule counts npts^3 nodes per region and level, whatever
+# slabs integrate_region evaluates them in
+quadrature.an_selberg_lhs(2, [1, 2], [1.2, 1.4], 1.3, 0.4,
+                          spec=quadrature.QuadratureSpec(points=8, tol=0,
+                                                         max_refine=1))
+regions = len(quadrature.enumerate_chain(2, [1, 2], 0.4))
+assert regions == 2, regions
+got = t.counters["quadrature.chain.nodes"]
+assert before == 8 + 8 + 16, before
+assert got == before + regions * (8 ** 3 + 16 ** 3), got
 """
 
 
