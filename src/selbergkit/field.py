@@ -2,10 +2,18 @@
 
 Rationals are ``int`` or ``fractions.Fraction``; ints are kept where they
 suffice, since their arithmetic is much cheaper.  An ``MPoly`` is a sparse
-map from exponent vectors to rationals; exponent vectors are dense over a
-global registry of indeterminate names but stored with trailing zeros
-stripped, so registering a new indeterminate never invalidates existing
-polynomials.
+map from packed monomials to rationals.  A monomial is one non-negative
+``int`` of ``_W``-bit fields (Monagan and Pearce, J. Symbolic Comput. 46,
+2011): field 0 holds the total degree, and the exponent of the i-th
+registered indeterminate sits at bit ``_W * (i + 1)``.  A monomial product
+is then one ``+``; b divides a when ``((a | G) - b) & G == G``, G being the
+top (guard) bit of every field; and the graded order is ``(e & _M, e)``,
+ties going to the later-registered indeterminates.  No field ever reaches
+its guard bit: the total degree bounds every exponent, and a product whose
+total degree would reach 2**(_W - 1) raises ``OverflowError`` rather than
+carry into the next field.  Registering an indeterminate adds a field above
+the others, so it never invalidates a polynomial.  ``MPoly.monomials``
+gives the exponent tuples.
 ``FieldElement`` is a coprime num/den pair of ``MPoly`` in canonical form.
 
 Reduction policy.  Operands are coprime, so arithmetic follows Henrici
@@ -47,8 +55,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "PoleError",
@@ -67,61 +76,78 @@ POLE_TOLERANCE = 1e-13
 _REGISTRY: list[str] = []
 _INDEX: dict[str, int] = {}
 
+# Packed monomials: _W bits per field, field 0 the total degree.
+_W = 16
+_M = (1 << _W) - 1
+_DEG_GUARD = 1 << (_W - 1)
+# guard bits of field 0 and of every registered indeterminate's field
+_GUARD = _DEG_GUARD
+
 
 class PoleError(ArithmeticError):
     """Raised when a denominator vanishes (exactly or within pole tolerance)."""
 
 
 def _register(name: str) -> int:
+    global _GUARD
     idx = _INDEX.get(name)
     if idx is None:
         idx = len(_REGISTRY)
         _REGISTRY.append(name)
         _INDEX[name] = idx
+        _GUARD |= _DEG_GUARD << (_W * (idx + 1))
     return idx
 
 
-def _trim(exp: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(exp)
-    while n and exp[n - 1] == 0:
-        n -= 1
-    return exp[:n]
+def _unit(i: int) -> int:
+    """The packed monomial of the i-th indeterminate."""
+    return (1 << (_W * (i + 1))) | 1
 
 
-def _add_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
+def _unpack(e: int) -> tuple[int, ...]:
+    """Exponent tuple of a packed monomial, trailing zeros stripped."""
+    out = []
+    e >>= _W
+    while e:
+        out.append(e & _M)
+        e >>= _W
+    return tuple(out)
 
 
-def _sub_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Trimmed exponent a - b, or None if the monomial b does not divide a."""
-    if len(b) > len(a):  # trimmed: b is nonzero past the end of a
-        return None
-    d = tuple(x - y for x, y in zip(a, b))
-    if d and min(d) < 0:
-        return None
-    return _trim(d + a[len(b):])
+def _with_degree(e: int) -> int:
+    """``e`` with field 0 set to the sum of its exponent fields."""
+    s, x = 0, e >> _W
+    while x:
+        s += x & _M
+        x >>= _W
+    return e - (e & _M) + s
 
 
-def _min_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Trimmed componentwise minimum: the exponent of the monomial gcd."""
-    return _trim(tuple(min(x, y) for x, y in zip(a, b)))
+def _ge_mask(a: int, b: int) -> int:
+    """All bits of each field in which a >= b (guard bits of a, b clear)."""
+    return ((((a | _GUARD) - b) & _GUARD) >> (_W - 1)) * _M
 
 
-def _exp_get(e: tuple[int, ...], i: int) -> int:
-    return e[i] if i < len(e) else 0
+def _min_exp(a: int, b: int) -> int:
+    """Fieldwise minimum: the packed monomial gcd."""
+    return _with_degree(a ^ ((a ^ b) & _ge_mask(a, b)))
 
 
-def _heap_key(e: tuple[int, ...], width: int) -> tuple:
-    """Min-heap key reversing the graded order ``(sum(e), e)`` of MPoly._lead_key.
+def _is_monomial(e) -> bool:
+    """Whether ``e`` is a packed monomial in the registered indeterminates."""
+    return (isinstance(e, int) and 0 <= e < 1 << (_W * (len(_REGISTRY) + 1))
+            and not e & _DEG_GUARD and e == _with_degree(e))
 
-    Padding to a common width keeps the lex comparison of the negated
-    exponents equivalent to that of the trimmed (non-negative) ones.
-    """
-    return (-sum(e), tuple(-x for x in e) + (0,) * (width - len(e)))
+
+def _check_degree(d: int) -> None:
+    """Raise rather than let a total degree d reach the guard bit."""
+    if d >= _DEG_GUARD:
+        raise OverflowError(f"total degree {d} exceeds {_DEG_GUARD - 1}")
+
+
+def _graded(e: int):
+    """Key of the graded order: total degree, then the packed int."""
+    return (e & _M, e)
 
 
 def _norm_coeff(c):
@@ -141,37 +167,34 @@ def _coeff_div(a, b):
     return _norm_coeff(Fraction(a) / Fraction(b))
 
 
+def _wrap(terms: dict) -> "MPoly":
+    """An MPoly owning ``terms``, which must hold no zero coefficient."""
+    p = object.__new__(MPoly)
+    p.terms = terms
+    p._hash = None
+    return p
+
+
 class MPoly:
     """Sparse multivariate polynomial with rational (int or Fraction) coefficients.
 
-    Immutable once built: the field memo shares operands and results between
-    callers, and the hash is computed once into ``_hash``.  The one in-place
-    writer of ``terms`` is ``_to_univar``, on a polynomial it is still
-    building and has not hashed or handed out.
+    ``terms`` maps packed monomials (see the module docstring) to nonzero
+    coefficients.  Immutable once built: the field memo shares operands and
+    results between callers, and the hash is computed once into ``_hash``.
+    The one in-place writer of ``terms`` is ``_to_univar``, on a polynomial
+    it is still building and has not hashed or handed out.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, terms: Mapping[int, Fraction] | None = None):
         self._hash = None
-        if terms:
-            clean: dict[tuple[int, ...], Fraction] = {}
-            for e, c in terms.items():
-                if not c:
-                    continue
-                if e and e[-1] == 0:
-                    e = _trim(e)
-                if e in clean:
-                    c = clean[e] + c
-                    if c:
-                        clean[e] = c
-                    else:
-                        del clean[e]
-                else:
-                    clean[e] = c
-            self.terms = clean
-        else:
-            self.terms = {}
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            if not _is_monomial(e):
+                raise ValueError(f"not a packed monomial: {e!r}")
+            if c:
+                self.terms[e] = c
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -180,38 +203,49 @@ class MPoly:
             c = Fraction(c)
             if c.denominator == 1:
                 c = c.numerator
-        return cls({(): c} if c else {})
+        return _wrap({0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
-        i = _register(name)
-        exp = tuple(0 for _ in range(i)) + (1,)
-        return cls({exp: 1})
+        return _wrap({_unit(_register(name)): 1})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return Fraction(self.terms[()])
+        if len(self.terms) == 1 and 0 in self.terms:
+            return Fraction(self.terms[0])
         raise ValueError("not a constant polynomial")
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
+        acc = 0
         for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    out.add(i)
+            acc |= e
+        out: set[int] = set()
+        acc >>= _W
+        i = 0
+        while acc:
+            if acc & _M:
+                out.add(i)
+            acc >>= _W
+            i += 1
         return out
 
     def degree_in(self, i: int) -> int:
-        return max((_exp_get(e, i) for e in self.terms), default=0)
+        sh = _W * (i + 1)
+        return max(((e >> sh) & _M for e in self.terms), default=0)
+
+    def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        """``(exponents, coefficient)`` per term.  The exponent tuple is
+        indexed by registration order, with trailing zeros stripped."""
+        for e, c in self.terms.items():
+            yield _unpack(e), c
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -228,12 +262,12 @@ class MPoly:
                     out[e] = v
                 else:
                     del out[e]
-        return MPoly(out)
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({e: -c for e, c in self.terms.items()})
+        return _wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -248,14 +282,20 @@ class MPoly:
             c = other if isinstance(other, int) else Fraction(other)
             if not c:
                 return MPoly()
-            return MPoly({e: v * c for e, v in self.terms.items()})
+            return _wrap({e: v * c for e, v in self.terms.items()})
         if len(self.terms) > len(other.terms):
             self, other = other, self
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _add_exp(e1, e2)
-                v = out.get(e)
+        if not self.terms:
+            return MPoly()
+        a, b = self.terms, other.terms
+        # the total degree bounds every field, so this check covers them all
+        _check_degree(max(e & _M for e in a) + max(e & _M for e in b))
+        out: dict[int, Fraction] = {}
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                v = get(e)
                 if v is None:
                     out[e] = c1 * c2
                 else:
@@ -264,13 +304,15 @@ class MPoly:
                         out[e] = v
                     else:
                         del out[e]
-        return MPoly(out)
+        return _wrap(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n and self.terms:
+            _check_degree(n * max(e & _M for e in self.terms))
         result = MPoly.const(1)
         base = self
         while n:
@@ -295,33 +337,27 @@ class MPoly:
         return h
 
     # -- structure ----------------------------------------------------------
-    def monomial_content(self) -> tuple[int, ...]:
-        """Componentwise min exponent over all terms (the monomial gcd)."""
+    def monomial_content(self) -> int:
+        """Fieldwise min exponent over all terms (the packed monomial gcd)."""
         it = iter(self.terms)
-        mins = list(next(it, ()))
+        mins = next(it, 0)
         for e in it:
-            # exponents are trimmed, so positions past len(e) are zero
-            if len(e) < len(mins):
-                del mins[len(e):]
-            for i, x in enumerate(mins):
-                if e[i] < x:
-                    mins[i] = e[i]
-            if not any(mins):
-                return ()
-        return _trim(tuple(mins))
+            mins ^= (mins ^ e) & _ge_mask(mins, e)
+            if mins <= _M:  # every exponent field is zero
+                return 0
+        return _with_degree(mins)
 
-    def shift_down(self, exp: tuple[int, ...]) -> "MPoly":
-        """Divide by the monomial with exponent vector ``exp`` (must divide)."""
-        if not any(exp):
+    def shift_down(self, exp: int) -> "MPoly":
+        """Divide by the packed monomial ``exp`` (must divide)."""
+        if not exp:
             return self
-        exp = _trim(exp)
+        G = _GUARD
         out = {}
         for e, c in self.terms.items():
-            ne = _sub_exp(e, exp)
-            if ne is None:
+            if ((e | G) - exp) & G != G:
                 raise ValueError("monomial does not divide")
-            out[ne] = c
-        return MPoly(out)
+            out[e - exp] = c
+        return _wrap(out)
 
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
@@ -335,7 +371,7 @@ class MPoly:
         return Fraction(num_gcd, den_lcm)
 
     def _lead_key(self):
-        return max(self.terms, key=lambda e: (sum(e), e))
+        return max(self.terms, key=_graded)
 
     def lead_coeff(self) -> Fraction:
         return self.terms[self._lead_key()] if self.terms else Fraction(0)
@@ -345,50 +381,53 @@ class MPoly:
 
         Long division in the graded order: each quotient term times ``other``
         is subtracted into one remainder dict, and a heap of the remainder's
-        exponents (stale entries skipped on pop) yields its lead term.
+        monomials, keyed ``(-(e & _M), -e)`` (stale entries skipped on pop),
+        yields its lead term.
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
-            c = other.const_value()
-            return MPoly({e: _coeff_div(v, c) for e, v in self.terms.items()})
+            c = other.terms[0]
+            return _wrap({e: _coeff_div(v, c) for e, v in self.terms.items()})
         if self.is_zero():
             return MPoly()
         rem = dict(self.terms)
-        width = max(len(e) for e in (*self.terms, *other.terms))
-        heap = [(_heap_key(e, width), e) for e in rem]
+        heap = [(-(e & _M), -e) for e in rem]
         heapq.heapify(heap)
         lk = other._lead_key()
         lc = other.terms[lk]
         tail = [(e, c) for e, c in other.terms.items() if e != lk]
-        quot: dict[tuple[int, ...], Fraction] = {}
+        G = _GUARD
+        quot: dict[int, Fraction] = {}
         nsteps = 0
         limit = 16 * (len(self.terms) + 4) * (len(other.terms) + 4)
+        # every monomial below stays within the remainder's degree, which
+        # the lead of self bounds: no field can overflow
         while rem:
-            rk = heapq.heappop(heap)[1]
+            rk = -heapq.heappop(heap)[1]
             if rk not in rem:
                 continue
             nsteps += 1
             if nsteps > limit:
                 return None
-            qe = _sub_exp(rk, lk)
-            if qe is None:
+            if ((rk | G) - lk) & G != G:
                 return None
+            qe = rk - lk
             qc = _coeff_div(rem.pop(rk), lc)
             quot[qe] = qc
             for e, c in tail:
-                k = _add_exp(qe, e)
+                k = qe + e
                 v = rem.get(k)
                 if v is None:
                     rem[k] = -qc * c
-                    heapq.heappush(heap, (_heap_key(k, width), k))
+                    heapq.heappush(heap, (-(k & _M), -k))
                 else:
                     v = v - qc * c
                     if v:
                         rem[k] = v
                     else:
                         del rem[k]
-        return MPoly(quot)
+        return _wrap(quot)
 
     # -- evaluation / substitution -------------------------------------------
     def eval(self, bindings: Mapping[str, complex]):
@@ -403,11 +442,15 @@ class MPoly:
         total = Fraction(0) if exact else 0.0 + 0.0j
         for e, c in self.terms.items():
             term = c if exact else complex(c)
-            for i, p in enumerate(e):
+            x, i = e >> _W, 0
+            while x:
+                p = x & _M
                 if p:
                     if i not in vals:
                         raise KeyError(f"unbound indeterminate {_REGISTRY[i]!r}")
                     term = term * vals[i] ** p
+                x >>= _W
+                i += 1
             total = total + term
         return total
 
@@ -419,19 +462,18 @@ class MPoly:
                 vals[_INDEX[name]] = fe(v)
         total = FieldElement(MPoly(), MPoly.const(1), reduce=False)
         for e, c in self.terms.items():
-            mono_exp = []
+            mono = e
             term = FieldElement(MPoly.const(c), MPoly.const(1), reduce=False)
-            for i, p in enumerate(e):
-                if not p:
-                    mono_exp.append(0)
-                    continue
-                if i in vals:
-                    mono_exp.append(0)
+            x, i = e >> _W, 0
+            while x:
+                p = x & _M
+                if p and i in vals:
+                    mono -= p * _unit(i)
                     term = term * vals[i] ** p
-                else:
-                    mono_exp.append(p)
-            term = term * FieldElement(MPoly({_trim(tuple(mono_exp)): 1}),
-                                       MPoly.const(1), reduce=False)
+                x >>= _W
+                i += 1
+            term = term * FieldElement(_wrap({mono: 1}), MPoly.const(1),
+                                       reduce=False)
             total = total + term
         return total
 
@@ -440,10 +482,10 @@ class MPoly:
         if not self.terms:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        for e in sorted(self.terms, key=_graded, reverse=True):
             c = self.terms[e]
             factors = []
-            for i, p in enumerate(e):
+            for i, p in enumerate(_unpack(e)):
                 if p == 1:
                     factors.append(_REGISTRY[i])
                 elif p:
@@ -469,14 +511,14 @@ class MPoly:
 # --------------------------------------------------------------------------
 
 def _to_univar(f: MPoly, v: int) -> dict[int, MPoly]:
+    sh, unit = _W * (v + 1), _unit(v)
     out: dict[int, MPoly] = {}
     for e, c in f.terms.items():
-        d = _exp_get(e, v)
-        rest = list(e)
-        if v < len(rest):
-            rest[v] = 0
-        key = _trim(tuple(rest))
-        coeff = out.setdefault(d, MPoly())
+        d = (e >> sh) & _M
+        key = e - d * unit
+        coeff = out.get(d)
+        if coeff is None:
+            coeff = out[d] = MPoly()
         val = coeff.terms.get(key)
         if val is None:
             coeff.terms[key] = c
@@ -490,13 +532,14 @@ def _to_univar(f: MPoly, v: int) -> dict[int, MPoly]:
 
 
 def _from_univar(coeffs: dict[int, MPoly], v: int) -> MPoly:
-    out: dict[tuple[int, ...], Fraction] = {}
+    unit = _unit(v)
+    out: dict[int, Fraction] = {}
     for d, p in coeffs.items():
         for e, c in p.terms.items():
-            ne = list(e) + [0] * (max(0, v + 1 - len(e)))
-            ne[v] += d
-            out[_trim(tuple(ne))] = c
-    return MPoly(out)
+            e += d * unit
+            _check_degree(e & _M)
+            out[e] = c
+    return _wrap(out)
 
 
 def _uni_pseudo_rem(u: dict[int, MPoly], w: dict[int, MPoly]) -> dict[int, MPoly]:
@@ -524,7 +567,7 @@ def _uni_pseudo_rem(u: dict[int, MPoly], w: dict[int, MPoly]) -> dict[int, MPoly
                 if ic == 1:
                     break
             if ic > 1:
-                r = {d: MPoly({e: c // ic for e, c in p.terms.items()})
+                r = {d: _wrap({e: c // ic for e, c in p.terms.items()})
                      for d, p in r.items()}
     return r
 
@@ -547,14 +590,18 @@ def _clear_denoms(f: MPoly) -> tuple[MPoly, int]:
             lcm = lcm * d // math.gcd(lcm, d)
     if lcm == 1 and all(isinstance(c, int) for c in f.terms.values()):
         return f, 1
-    return MPoly({e: int(c * lcm) for e, c in f.terms.items()}), lcm
+    return _wrap({e: int(c * lcm) for e, c in f.terms.items()}), lcm
 
 
-def _rescale(f: MPoly, shift: tuple[int, ...], num, den) -> MPoly:
-    """f * x^shift * num / den, with coefficients kept as ints where exact."""
+def _rescale(f: MPoly, shift: int, num, den) -> MPoly:
+    """f * x^shift * num / den, with coefficients kept as ints where exact.
+
+    Every caller shifts a factor of an operand back within that operand's
+    degree, so no field can overflow.
+    """
     if not shift and num == den:
         return f
-    return MPoly({_add_exp(e, shift): _coeff_div(c * num, den)
+    return _wrap({e + shift: _coeff_div(c * num, den)
                   for e, c in f.terms.items()})
 
 
@@ -568,13 +615,11 @@ def _int_content(f: MPoly) -> int:
 
 
 def _eval_var_int(f: MPoly, v: int, xi: int) -> MPoly:
-    out: dict[tuple[int, ...], Fraction] = {}
+    sh, unit = _W * (v + 1), _unit(v)
+    out: dict[int, int] = {}
     for e, c in f.terms.items():
-        d = _exp_get(e, v)
-        rest = list(e)
-        if v < len(rest):
-            rest[v] = 0
-        key = _trim(tuple(rest))
+        d = (e >> sh) & _M
+        key = e - d * unit
         val = c * xi ** d
         prev = out.get(key)
         if prev is None:
@@ -585,21 +630,20 @@ def _eval_var_int(f: MPoly, v: int, xi: int) -> MPoly:
                 out[key] = val
             else:
                 del out[key]
-    return MPoly(out)
+    return _wrap(out)
 
 
 def _heu_digits(g: MPoly, v: int, xi: int, max_digits: int):
     """xi-adic balanced-digit reconstruction of a polynomial in variable v."""
     digits = []
-    cur = g
+    cur = g.terms
     half = xi // 2
-    while not cur.is_zero():
+    while cur:
         if len(digits) > max_digits:
             return None
-        dig: dict[tuple[int, ...], int] = {}
-        nxt: dict[tuple[int, ...], int] = {}
-        for e, c in cur.terms.items():
-            n = c.numerator
+        dig: dict[int, int] = {}
+        nxt: dict[int, int] = {}
+        for e, n in cur.items():
             r = n % xi
             if r > half:
                 r -= xi
@@ -608,16 +652,34 @@ def _heu_digits(g: MPoly, v: int, xi: int, max_digits: int):
             q = (n - r) // xi
             if q:
                 nxt[e] = q
-        digits.append(MPoly(dig))
-        cur = MPoly(nxt)
-    out = MPoly()
+        digits.append(dig)
+        cur = nxt
+    # the digits lack v, so each power of v gives monomials of its own
+    unit = _unit(v)
+    out: dict[int, int] = {}
     for power, dig in enumerate(digits):
-        if dig.is_zero():
-            continue
-        mono = [0] * (v + 1)
-        mono[v] = power
-        out = out + dig * MPoly({_trim(tuple(mono)): 1})
-    return out
+        for e, c in dig.items():
+            e += power * unit
+            _check_degree(e & _M)
+            out[e] = c
+    return _wrap(out)
+
+
+def _least_degree_var(f: MPoly, g: MPoly) -> tuple[int, int]:
+    """(v, d): the variable of least degree d in f and g together, the
+    first such on a tie, among those present."""
+    top = 0  # fieldwise maximum exponents
+    for p in (f, g):
+        for e in p.terms:
+            top ^= (top ^ e) & _ge_mask(e, top)
+    v, dv, i, x = -1, 0, 0, top >> _W
+    while x:
+        d = x & _M
+        if d and (v < 0 or d < dv):
+            v, dv = i, d
+        x >>= _W
+        i += 1
+    return v, dv
 
 
 def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
@@ -639,22 +701,18 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
     # split off monomial and integer content of each input
     mf, mg = f.monomial_content(), g.monomial_content()
     common = _min_exp(mf, mg)
-    if any(mf):
-        f = f.shift_down(mf)
-    if any(mg):
-        g = g.shift_down(mg)
+    f, g = f.shift_down(mf), g.shift_down(mg)
     c1, c2 = _int_content(f), _int_content(g)
     if c1 > 1:
-        f = MPoly({e: c // c1 for e, c in f.terms.items()})
+        f = _wrap({e: c // c1 for e, c in f.terms.items()})
     if c2 > 1:
-        g = MPoly({e: c // c2 for e, c in g.terms.items()})
+        g = _wrap({e: c // c2 for e, c in g.terms.items()})
     gc = math.gcd(c1, c2)
-    base = MPoly({common: gc})
-    variables = sorted(f.variables() | g.variables())
-    if not variables or f.is_const() or g.is_const():
+    base = _wrap({common: gc})
+    if f.is_const() or g.is_const():
         return base, None, None
-    v = min(variables, key=lambda i: max(f.degree_in(i), g.degree_in(i)))
-    max_digits = max(f.degree_in(v), g.degree_in(v)) + 1
+    v, dv = _least_degree_var(f, g)
+    max_digits = dv + 1
     bound = min(max((abs(c.numerator) for c in f.terms.values()), default=1),
                 max((abs(c.numerator) for c in g.terms.values()), default=1))
     xi = 2 * bound + 2
@@ -671,8 +729,8 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
                     if not cofactors:
                         return base * cand, None, None
                     return (base * cand,
-                            _rescale(qf, _sub_exp(mf, common), c1 // gc, 1),
-                            _rescale(qg, _sub_exp(mg, common), c2 // gc, 1))
+                            _rescale(qf, mf - common, c1 // gc, 1),
+                            _rescale(qg, mg - common, c2 // gc, 1))
         xi = xi * 73794 // 27011 + 1
     return None
 
@@ -691,6 +749,7 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
     lf = lg = 1
     if f.is_zero() or g.is_zero():
         raw = g if f.is_zero() else f
+        common = 0
     else:
         # integer coefficients keep Fraction normalisation trivial throughout
         f, lf = _clear_denoms(f)
@@ -723,34 +782,35 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
             if qg is None:
                 raise ArithmeticError("gcd verification failed (PRS fallback)")
         # a quotient of a replaced operand is no cofactor of the input
-        qf = (_rescale(qf, _sub_exp(mf, common), 1, 1)
+        qf = (_rescale(qf, mf - common, 1, 1)
               if qf is not None and f is f1 else None)
-        qg = (_rescale(qg, _sub_exp(mg, common), 1, 1)
+        qg = (_rescale(qg, mg - common, 1, 1)
               if qg is not None and g is g1 else None)
-        raw = _rescale(raw, common, 1, 1)
-    s = raw.rational_content()
+    # raw has int coefficients unless it is an input (a zero operand's
+    # partner); only then may its content be a Fraction
+    if all(isinstance(c, int) for c in raw.terms.values()):
+        s, div = _int_content(raw), operator.floordiv
+    else:
+        s, div = raw.rational_content(), _coeff_div
     if raw.lead_coeff() < 0:
         s = -s
-    h = MPoly({e: _coeff_div(v, s) for e, v in raw.terms.items()})
+    h = _wrap({e + common: div(v, s) for e, v in raw.terms.items()})
     if not cofactors:
         return h
     if h.is_const():
         return h, f0, g0
     # f0 = raw * qf / lf = h * qf * s / lf
     return (h,
-            _rescale(qf, (), s, lf) if qf is not None else f0.divide_exact(h),
-            _rescale(qg, (), s, lg) if qg is not None else g0.divide_exact(h))
+            _rescale(qf, 0, s, lf) if qf is not None else f0.divide_exact(h),
+            _rescale(qg, 0, s, lg) if qg is not None else g0.divide_exact(h))
 
 
 def _prs_gcd(f: MPoly, g: MPoly) -> MPoly:
     """Primitive pseudo-remainder sequence gcd (fallback path)."""
     mf, mg = f.monomial_content(), g.monomial_content()
     common = _min_exp(mf, mg)
-    if any(mf):
-        f = f.shift_down(mf)
-    if any(mg):
-        g = g.shift_down(mg)
-    base = MPoly({common: 1})
+    f, g = f.shift_down(mf), g.shift_down(mg)
+    base = _wrap({common: 1})
     if f.is_const() or g.is_const():
         return base
     shared = f.variables() & g.variables()
@@ -791,7 +851,7 @@ def _cofactors(f: MPoly, g: MPoly):
         return MPoly.const(1), f, g
     if len(f.terms) == 1 or len(g.terms) == 1:
         common = _min_exp(f.monomial_content(), g.monomial_content())
-        return MPoly({common: 1}), f.shift_down(common), g.shift_down(common)
+        return _wrap({common: 1}), f.shift_down(common), g.shift_down(common)
     return mpoly_gcd(f, g, cofactors=True)
 
 
@@ -807,8 +867,8 @@ def _canonical(num: MPoly, den: MPoly):
     if num.is_zero():
         return num, MPoly.const(1)
     if den.is_const():
-        c = den.terms[()]
-        return (MPoly({e: _coeff_div(v, c) for e, v in num.terms.items()}),
+        c = den.terms[0]
+        return (_wrap({e: _coeff_div(v, c) for e, v in num.terms.items()}),
                 MPoly.const(1))
     # num/den = (num * ld) / (den * ln) over integers, then divided by g
     num, ln = _clear_denoms(num)
@@ -816,7 +876,7 @@ def _canonical(num: MPoly, den: MPoly):
     g = math.gcd(_int_content(num) * ld, _int_content(den) * ln)
     if den.lead_coeff() < 0:
         g = -g
-    return _rescale(num, (), ld, g), _rescale(den, (), ln, g)
+    return _rescale(num, 0, ld, g), _rescale(den, 0, ln, g)
 
 
 def _product(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "FieldElement":

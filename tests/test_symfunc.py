@@ -100,7 +100,7 @@ class TestGeneratingSeries:
         # check total * prod_den - prod_num == O(degree cap+1)
         diff = total * prod_den - prod_num
         poly = diff.num
-        min_deg = min((sum(e) for e in poly.terms), default=cap + 1)
+        min_deg = min((sum(e) for e, _ in poly.monomials()), default=cap + 1)
         assert min_deg > cap
 
     def test_ratio_product_form_matches_newton(self):
