@@ -6,7 +6,9 @@ cases pass.  A JSON config file may set any of the VERIFY_KEYS; explicit
 flags win.  Bad input gets one line on stderr and exit code 2: a config
 file that is not a JSON object, an unknown config key, a setting of the
 wrong type, a negative size, fewer than one quadrature point or job, a
-size above a suite's cap, a malformed eval value.
+size above a suite's cap, a malformed eval value, an eval --k or --alpha
+list of the wrong length, a negative eval --k or --n, and a closed form
+that rejects its parameters or meets a pole or a zero division.
 """
 
 from __future__ import annotations
@@ -174,8 +176,65 @@ def cmd_verify(args) -> int:
     return 0 if npass == len(reports) else 1
 
 
-def cmd_eval(args) -> int:
+# formulas of one integral of k variables, and those of a chain of n
+# integrals with one k and one alpha per integral (n = the number of ks)
+_SINGLE = ("selberg", "aflt")
+_CHAIN = ("an-selberg", "an-one", "an-aflt", "nplusone")
+
+
+def _check_sizes(f, args, ks, alphas) -> None:
+    """A ValueError naming the flag when --k, --alpha or --n does not fit
+    formula f."""
+    if args.n < 0:
+        raise ValueError(f"--n {args.n}: the rank must be at least 0")
+    if any(k < 0 for k in ks):
+        raise ValueError(f"--k {args.k!r}: each k must be at least 0")
+    if f in _SINGLE and (len(ks), len(alphas)) != (1, 1):
+        raise ValueError(f"--k {args.k!r} --alpha {args.alpha!r}: {f} "
+                         "takes one k and one alpha")
+    if f in _CHAIN and (not ks or len(alphas) != len(ks)):
+        raise ValueError(f"--k {args.k!r} --alpha {args.alpha!r}: {f} "
+                         "takes at least one k and one alpha per k")
+
+
+def _closed_form(f, args, lam, mu, ks, alphas, ts):
+    """The value of formula f, or None for an unknown formula."""
     from . import closedform as cf
+    if f == "selberg":
+        return cf.selberg_rhs(ks[0], alphas[0], args.beta, args.gamma)
+    if f == "aflt":
+        return cf.aflt_rhs(ks[0], lam, mu, alphas[0], args.beta, args.gamma)
+    if f == "an-selberg":
+        return cf.an_selberg_rhs(len(ks), ks, alphas, args.beta, args.gamma)
+    if f == "an-one":
+        return cf.an_one_rhs(len(ks), ks, alphas, args.beta)
+    if f == "an-aflt":
+        return cf.an_aflt_rhs(len(ks), ks, alphas, args.beta, args.gamma,
+                              lam, mu)
+    if f == "nplusone":
+        lams = [lam] * (len(ks) + 1) if args.lam else [P()] * (len(ks) + 1)
+        return cf.nplusone_rhs(len(ks), ks, alphas, args.beta, lams)
+    if f == "mac-aflt":
+        return cf.mac_aflt_rhs(args.n, lam, mu, args.a, args.b, args.q,
+                               args.t)
+    if f == "ortho":
+        return cf.ortho_norm_rhs(args.n, lam, args.q, args.t)
+    if f == "elliptic-selberg":
+        if len(ts) != 6:
+            raise ValueError("needs --ts with six comma-separated values; "
+                             f"got {len(ts)}")
+        try:
+            return cf.elliptic_selberg_rhs(args.n, ts, args.t, args.p,
+                                           args.q)
+        except ValueError as exc:
+            raise ValueError(
+                f"--ts {args.ts!r} with --n {args.n} --t {args.t} "
+                f"--p {args.p} --q {args.q}: {exc} "
+                "(t^(2n-2) t1...t6 must equal p q)") from None
+    return None
+
+
+def cmd_eval(args) -> int:
     f = args.formula
     try:
         lam = _flag(args, "lam", _parse_partition)
@@ -183,41 +242,12 @@ def cmd_eval(args) -> int:
         ks = _flag(args, "k", _parse_ints)
         alphas = _flag(args, "alpha", _parse_floats)
         ts = _flag(args, "ts", _parse_floats) if args.ts else []
-    except ValueError as exc:
+        _check_sizes(f, args, ks, alphas)
+        val = _closed_form(f, args, lam, mu, ks, alphas, ts)
+    except (ValueError, ArithmeticError) as exc:  # PoleError included
         print(f"eval {f}: {exc}", file=sys.stderr)
         return 2
-    if f == "selberg":
-        val = cf.selberg_rhs(ks[0], alphas[0], args.beta, args.gamma)
-    elif f == "aflt":
-        val = cf.aflt_rhs(ks[0], lam, mu, alphas[0], args.beta, args.gamma)
-    elif f == "an-selberg":
-        val = cf.an_selberg_rhs(len(ks), ks, alphas, args.beta, args.gamma)
-    elif f == "an-one":
-        val = cf.an_one_rhs(len(ks), ks, alphas, args.beta)
-    elif f == "an-aflt":
-        val = cf.an_aflt_rhs(len(ks), ks, alphas, args.beta, args.gamma,
-                             lam, mu)
-    elif f == "nplusone":
-        lams = [lam] * (len(ks) + 1) if args.lam else [P()] * (len(ks) + 1)
-        val = cf.nplusone_rhs(len(ks), ks, alphas, args.beta, lams)
-    elif f == "mac-aflt":
-        val = cf.mac_aflt_rhs(args.n, lam, mu, args.a, args.b, args.q,
-                              args.t)
-    elif f == "ortho":
-        val = cf.ortho_norm_rhs(args.n, lam, args.q, args.t)
-    elif f == "elliptic-selberg":
-        if len(ts) != 6:
-            print("eval elliptic-selberg needs --ts with six comma-separated "
-                  f"values; got {len(ts)}", file=sys.stderr)
-            return 2
-        try:
-            val = cf.elliptic_selberg_rhs(args.n, ts, args.t, args.p, args.q)
-        except ValueError as exc:
-            print(f"eval elliptic-selberg: --ts {args.ts!r} with --n {args.n} "
-                  f"--t {args.t} --p {args.p} --q {args.q}: {exc} "
-                  "(t^(2n-2) t1...t6 must equal p q)", file=sys.stderr)
-            return 2
-    else:
+    if val is None:
         print(f"unknown formula: {f}", file=sys.stderr)
         return 2
     vc = complex(val)

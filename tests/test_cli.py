@@ -125,6 +125,45 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "--ts" in err and "balancing" in err
 
+    @pytest.mark.parametrize("formula, flags, named", [
+        ("selberg", ["--k", ""], "--k"),
+        ("aflt", ["--alpha", ""], "--alpha"),
+        ("selberg", ["--k", "1,2"], "--k"),
+        ("an-selberg", ["--k", "1,2", "--alpha", "1"], "--alpha"),
+        ("an-aflt", ["--k", "", "--alpha", ""], "--k"),
+        ("nplusone", ["--k", "1", "--alpha", "1,2"], "--alpha"),
+        ("selberg", ["--k", "-1"], "--k"),
+    ])
+    def test_eval_list_flag_that_does_not_fit(self, capsys, formula, flags,
+                                              named):
+        assert main(["eval", formula] + flags) == 2
+        out, err = capsys.readouterr()
+        err = err.strip()
+        assert out == "" and err and "\n" not in err and named in err
+
+    def test_eval_chain_with_one_alpha_per_k(self, capsys):
+        from selbergkit.closedform import an_selberg_rhs
+        assert main(["eval", "an-selberg", "--k", "1,2", "--alpha",
+                     "1,1"]) == 0
+        out = capsys.readouterr().out.strip()
+        ref = an_selberg_rhs(2, [1, 2], [1.0, 1.0], 1.0, 1.0)
+        assert abs(complex(out) - ref) < 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("formula, flags, says", [
+        ("mac-aflt", ["--q", "1.0"], "|q| < 1"),            # ValueError
+        ("an-aflt", ["--k", "1", "--alpha", "-1", "--lam", "2"],
+         "vanishing"),                                       # PoleError
+        ("ortho", ["--t", "1.0"], "division by zero"),
+        ("ortho", ["--n", "-1"], "--n"),
+        ("mac-aflt", ["--n", "-2"], "--n"),
+    ])
+    def test_eval_outside_the_domain(self, capsys, formula, flags, says):
+        assert main(["eval", formula] + flags) == 2
+        out, err = capsys.readouterr()
+        err = err.strip()
+        assert out == "" and "\n" not in err
+        assert err.startswith(f"eval {formula}: ") and says in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--n", "2"), ("--k", "1,2"), ("--precision", "extended"),
         ("--rho", "0.5"), ("--theta", "0.1"), ("--radius", "1.0"),

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from selbergkit import kernels
 from selbergkit.coeffs import ell_gamma, qpoch_inf, theta
-from selbergkit.elliptic import contour_pole_scan
+from selbergkit.elliptic import _gamma_weight_factory, contour_pole_scan
 
 
 def _sample_z(n=64, seed=0):
@@ -28,6 +30,20 @@ def _ellgamma_log_sum(z, p, q, n_p, n_q):
             den = den * q
         ppow *= p
     return np.exp(acc)
+
+
+def _ellgamma_rectangle(z, p, q, n_p, n_q):
+    """Reference: the full n_p x n_q rectangle of factors, one p-power at a
+    time, with no factor left out."""
+    qpow = q ** np.arange(n_q, dtype=np.complex128)[:, None]
+    out = np.ones(z.shape, dtype=np.complex128)
+    ppow = 1.0 + 0.0j
+    for _ in range(n_p):
+        block = ppow * qpow
+        out *= (np.prod(1.0 - block * (p * q / z), axis=0)
+                / np.prod(1.0 - block * z, axis=0))
+        ppow *= p
+    return out
 
 
 # the annulus grid of elliptic.contour_pole_scan
@@ -115,3 +131,145 @@ class TestEllgammaAgainstLogSum:
         with np.errstate(divide="ignore", invalid="ignore"):
             assert contour_pole_scan(with_pole) is False
         assert contour_pole_scan(without_pole) is True
+
+    def test_many_chunks_against_log_sum(self):
+        # more points than one block holds, so the call works through
+        # several chunks, each truncated by its own largest |x|
+        p, q = 0.2, 0.25
+        n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
+        z = _sample_z(n=5000, seed=7)
+        got = kernels.ellgamma_arr(z, p, q, n_p, n_q)
+        ref = _ellgamma_log_sum(z, p, q, n_p, n_q)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+    @pytest.mark.parametrize("p,q", [(1e-3, 0.45), (0.2, 0.25)])
+    def test_wide_spread_of_magnitudes(self, p, q):
+        # |z| from 1e-2 to 1e5, smallest first: the kept factors of z and of
+        # pq/z run out at different p-powers, and one chunk's bound must
+        # come from its largest point.  Against the full rectangle: at
+        # |z| ~ 1e4 the log sum itself is off by about 4e-13.
+        n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
+        z = np.logspace(-2, 5, 257) * np.exp(1j * np.linspace(0.3, 6, 257))
+        got = kernels.ellgamma_arr(z, p, q, n_p, n_q)
+        ref = _ellgamma_rectangle(z, p, q, n_p, n_q)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+    def test_non_finite_point_keeps_every_factor(self):
+        p, q = 1e-3, 0.45
+        n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
+        z = np.array([np.nan, 0.9 + 0.1j, 0.5j])
+        with np.errstate(invalid="ignore"):
+            got = kernels.ellgamma_arr(z, p, q, n_p, n_q)
+        assert np.isnan(got[0])
+        ref = _ellgamma_log_sum(z[1:], p, q, n_p, n_q)
+        assert np.max(np.abs(got[1:] - ref) / np.abs(ref)) < 1e-13
+
+    def test_empty_input(self):
+        got = kernels.ellgamma_arr(np.zeros((0, 3), dtype=np.complex128),
+                                   0.2, 0.25, 24, 27)
+        assert got.shape == (0, 3)
+
+
+def _weight_rectangle(ts, p, q):
+    """Reference weight prod_r Gamma(t_r z^pm) / (Gamma(z^2) Gamma(z^-2)),
+    one full-rectangle product per argument."""
+    n_p, n_q = kernels.trunc_order(abs(p)), kernels.trunc_order(abs(q))
+
+    def weight(z):
+        num = np.ones_like(z)
+        for tr in ts:
+            num = num * _ellgamma_rectangle(tr * z, p, q, n_p, n_q)
+            num = num * _ellgamma_rectangle(tr / z, p, q, n_p, n_q)
+        return num / (_ellgamma_rectangle(z ** 2, p, q, n_p, n_q)
+                      * _ellgamma_rectangle(z ** -2, p, q, n_p, n_q))
+
+    return weight
+
+
+def _half_step_nodes(npts):
+    return np.exp(2j * np.pi * (np.arange(npts) + 0.5) / npts)
+
+
+# two balanced draws like the elliptic suites', and p = 0.2, q = 0.25,
+# where the kept q-range shrinks with the p-power
+_WEIGHT_PARAMS = [
+    ([0.4, 0.15, 0.4, 0.35, 0.4, 0.2], 0.4 * 0.15 * 0.4 * 0.35 * 0.4 * 0.2
+     / 0.45, 0.45),
+    ([0.43, 0.13, 0.37, 0.32, 0.39, 0.16], 0.43 * 0.13 * 0.37 * 0.32 * 0.39
+     * 0.16 / 0.47, 0.47),
+    ([0.4, 0.1, 0.4, 0.35, 0.4, 0.1], 0.2, 0.25),
+]
+
+
+class TestGammaWeight:
+    """elliptic._gamma_weight_factory: the stacked, truncated kernel call
+    against the weight built from full-rectangle products."""
+
+    @pytest.mark.parametrize("ts,p,q", _WEIGHT_PARAMS)
+    def test_against_full_rectangle(self, ts, p, q):
+        got = _gamma_weight_factory(ts, p, q)
+        ref = _weight_rectangle(ts, p, q)
+        points = [_ring(rho) for rho in _SCAN_RADII]
+        points += [_half_step_nodes(160), _half_step_nodes(192)]
+        worst = 0.0
+        for z in points:
+            want = ref(z)
+            worst = max(worst, np.max(np.abs(got(z) - want) / np.abs(want)))
+        assert worst <= 1e-13
+
+    def test_keeps_the_shape(self):
+        ts, p, q = _WEIGHT_PARAMS[0]
+        z = _ring(0.9, 600).reshape(20, 30)
+        got = _gamma_weight_factory(ts, p, q)(z)
+        assert got.shape == (20, 30)
+        want = _weight_rectangle(ts, p, q)(z.reshape(-1))
+        assert np.max(np.abs(got.reshape(-1) - want) / np.abs(want)) <= 1e-13
+
+    def test_pole_on_a_scan_ring_fails_the_scan(self):
+        ts, p, q = _WEIGHT_PARAMS[0]
+        rho0 = _SCAN_RADII[4]
+        # Gamma(t_1 z) has a pole at t_1 z = 1: the first point of ring 4
+        with_pole = _gamma_weight_factory([1 / rho0] + ts[1:], p, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert contour_pole_scan(with_pole) is False
+        assert contour_pole_scan(_gamma_weight_factory(ts, p, q)) is True
+
+    def test_peak_memory_does_not_grow_with_the_points(self):
+        ts, p, q = _WEIGHT_PARAMS[0]
+        weight = _gamma_weight_factory(ts, p, q)
+        z = _half_step_nodes(96 * 96)
+        tracemalloc.start()
+        try:
+            weight(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20, peak
+
+
+class TestPoleScanGrid:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"nrad": 0}, "nrad"), ({"nrad": -3}, "nrad"),
+        ({"nang": 0}, "nang"), ({"nrad": 1, "nang": -1}, "nang"),
+    ])
+    def test_empty_grid_is_rejected(self, kwargs, name):
+        seen = []
+
+        def f(z):
+            seen.append(z.size)
+            return np.ones_like(z)
+
+        with pytest.raises(ValueError, match=name):
+            contour_pole_scan(f, **kwargs)
+        assert seen == []
+
+    def test_one_point_grid_looks_at_it(self):
+        seen = []
+
+        def f(z):
+            seen.append(z.size)
+            return 1.0 / (z - 0.82)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert contour_pole_scan(f, nrad=1, nang=1) is False
+        assert seen == [1]

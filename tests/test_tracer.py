@@ -39,11 +39,37 @@ assert before == 8 + 8 + 16, before
 assert got == before + regions * (8 ** 3 + 16 ** 3), got
 """
 
+_TRACED_ELLIPTIC = """
+import tracer
+from selbergkit import elliptic
 
-def test_tracer_installs_and_reads_its_parameters():
+t = tracer.Tracer()
+tracer.install(t)
+ts, q = [0.4, 0.15, 0.4, 0.35, 0.4, 0.2], 0.45
+p = 0.4 * 0.15 * 0.4 * 0.35 * 0.4 * 0.2 / q
+elliptic.elliptic_beta_lhs(ts, 0.4, p, q, npts=160)
+# 17 rings of 64 scan points and 160 torus nodes, each point carrying 14
+# elliptic-gamma arguments, however the weight and the kernel chunk them
+scan = 17 * 64
+assert t.counters["elliptic.pole_scan.points"] == scan, t.counters
+assert t.counters["quadrature.torus.nodes"] == 160, t.counters
+got = t.counters["kernels.ellgamma.points"]
+assert got == 14 * (scan + 160) == 17472, got
+"""
+
+
+def _run_traced(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", _TRACED_RUN],
+    done = subprocess.run([sys.executable, "-c", script],
                           cwd=ROOT / "perfbench", env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_installs_and_reads_its_parameters():
+    _run_traced(_TRACED_RUN)
+
+
+def test_elliptic_gamma_points_are_counted_once():
+    _run_traced(_TRACED_ELLIPTIC)
