@@ -6,9 +6,10 @@ cases pass.  A JSON config file may set any of the VERIFY_KEYS; explicit
 flags win.  Bad input gets one line on stderr and exit code 2: a config
 file that is not a JSON object, an unknown config key, a setting of the
 wrong type, a negative size, fewer than one quadrature point or job, a
-size above a suite's cap, a malformed eval value, an eval --k or --alpha
-list of the wrong length, a negative eval --k or --n, and a closed form
-that rejects its parameters or meets a pole or a zero division.
+size above a suite's cap, an eval flag the formula does not read, a
+malformed eval value, an eval --k or --alpha list of the wrong length, a
+negative eval --k or --n, and a closed form that rejects its parameters or
+meets a pole or a zero division.
 """
 
 from __future__ import annotations
@@ -20,6 +21,23 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .partitions import P
 from .suites import SUITES, run_case
+
+
+# the eval flags with their defaults, and the flags each formula reads
+EVAL_DEFAULTS = {"k": "1", "n": 1, "alpha": "1", "beta": 1.0, "gamma": 1.0,
+                 "lam": "", "mu": "", "a": 0.45, "b": 0.35, "q": 0.3,
+                 "t": 0.4, "p": 0.1, "ts": ""}
+EVAL_READS = {
+    "selberg": ("k", "alpha", "beta", "gamma"),
+    "aflt": ("k", "alpha", "beta", "gamma", "lam", "mu"),
+    "an-selberg": ("k", "alpha", "beta", "gamma"),
+    "an-one": ("k", "alpha", "beta"),
+    "an-aflt": ("k", "alpha", "beta", "gamma", "lam", "mu"),
+    "nplusone": ("k", "alpha", "beta", "lam"),
+    "mac-aflt": ("n", "lam", "mu", "a", "b", "q", "t"),
+    "ortho": ("n", "lam", "q", "t"),
+    "elliptic-selberg": ("n", "ts", "t", "p", "q"),
+}
 
 
 def _build_parser():
@@ -39,22 +57,12 @@ def _build_parser():
                    help="append JSON-lines reports to this path")
 
     e = sub.add_parser("eval", help="evaluate a closed form")
-    e.add_argument("formula", help="selberg|aflt|an-selberg|an-one|an-aflt|"
-                                   "nplusone|mac-aflt|ortho|elliptic-selberg")
-    e.add_argument("--k", type=str, default="1")
-    e.add_argument("--n", type=int, default=1)
-    e.add_argument("--alpha", type=str, default="1")
-    e.add_argument("--beta", type=float, default=1.0)
-    e.add_argument("--gamma", type=float, default=1.0)
-    e.add_argument("--lam", type=str, default="")
-    e.add_argument("--mu", type=str, default="")
-    e.add_argument("--a", type=float, default=0.45)
-    e.add_argument("--b", type=float, default=0.35)
-    e.add_argument("--q", type=float, default=0.3)
-    e.add_argument("--t", type=float, default=0.4)
-    e.add_argument("--p", type=float, default=0.1)
-    e.add_argument("--ts", type=str, default=None,
-                   help="six comma-separated elliptic parameters")
+    e.add_argument("formula", help="|".join(EVAL_READS))
+    # the parsed value is None when the flag is not given; cmd_eval then
+    # puts in the default from EVAL_DEFAULTS
+    for name, default in EVAL_DEFAULTS.items():
+        e.add_argument(f"--{name}", type=type(default), default=None,
+                       help=f"default {default!r}")
 
     sub.add_parser("list", help="list available suites")
     return ap
@@ -234,14 +242,31 @@ def _closed_form(f, args, lam, mu, ks, alphas, ts):
     return None
 
 
+def _read_flags(f, args) -> None:
+    """Fill in the defaults of the eval flags not given; a ValueError names
+    every flag given that formula f does not read.  An unknown formula
+    counts as reading every flag; cmd_eval reports it after the parse."""
+    unread = [name for name in EVAL_DEFAULTS
+              if getattr(args, name) is not None
+              and name not in EVAL_READS.get(f, EVAL_DEFAULTS)]
+    if unread:
+        given = " ".join(f"--{name}" for name in unread)
+        reads = " ".join(f"--{name}" for name in EVAL_READS[f])
+        raise ValueError(f"{given}: not read by {f}, which reads {reads}")
+    for name, default in EVAL_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def cmd_eval(args) -> int:
     f = args.formula
     try:
+        _read_flags(f, args)
         lam = _flag(args, "lam", _parse_partition)
         mu = _flag(args, "mu", _parse_partition)
         ks = _flag(args, "k", _parse_ints)
         alphas = _flag(args, "alpha", _parse_floats)
-        ts = _flag(args, "ts", _parse_floats) if args.ts else []
+        ts = _flag(args, "ts", _parse_floats)
         _check_sizes(f, args, ks, alphas)
         val = _closed_form(f, args, lam, mu, ks, alphas, ts)
     except (ValueError, ArithmeticError) as exc:  # PoleError included

@@ -33,11 +33,18 @@ def trunc_order(m: float, eps: float = 1e-16) -> int:
 
 
 def qpoch_inf_arr(z: np.ndarray, q: complex, nterms: int) -> np.ndarray:
-    """(z;q)_inf = prod_{j<nterms} (1 - z q^j), elementwise."""
+    """(z;q)_inf = prod_{j<nterms} (1 - z q^j), elementwise.
+
+    Each factor is formed in one scratch buffer, so a term allocates
+    nothing.
+    """
     out = np.ones_like(z, dtype=np.complex128)
+    tmp = np.empty_like(out)
     qp = 1.0 + 0.0j
     for _ in range(nterms):
-        out *= 1.0 - z * qp
+        np.multiply(z, qp, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        out *= tmp
         qp *= q
     return out
 

@@ -7,6 +7,11 @@ unit cube by the ordered-ratio substitution, endpoint exponents are
 absorbed into per-axis Gauss-Jacobi weights, and the remaining factors are
 evaluated pointwise, in slabs of at most 2^16 nodes along the first axis of
 the tensor rule.  gamma is kept in (0,1) so all exponents are integrable.
+
+Every tensor rule works on an open grid: an integrand gets broadcastable
+per-axis arrays, each varying only along the axes it depends on, and the
+sum is contracted with the 1-D weights, so no factor is expanded to the
+full grid unless it depends on every axis.
 """
 
 from __future__ import annotations
@@ -236,9 +241,14 @@ def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
     pair factors are evaluated pointwise.
 
     The npts^m tensor rule is evaluated in slabs along axis 0 of at most
-    _SLAB nodes (at least one index of axis 0); the other axes enter as
-    broadcast 1-D rules.  `integrand` is called once per slab with the
-    level arrays of that slab, so memory does not grow with npts^m.
+    _SLAB nodes (at least one index of axis 0).  `integrand` is called once
+    per slab with one entry per level r = 1..n: the list of that level's
+    variables in region order, or None for a level without variables.
+    Each variable is an open-grid array: the one at position j varies only
+    along axes j..m-1 and has length 1 on the others.  The integrand returns
+    values broadcastable to the slab (a scalar for a constant); they are
+    contracted with the 1-D weights, axis m-1 first, so memory does not
+    grow with npts^m.
     """
     order = region.order
     m = len(order)
@@ -273,14 +283,11 @@ def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
     ends = [(j, betas[key[0] - 1] - 1) for j, key in enumerate(order[:-1])
             if betas[key[0] - 1] != 1]
     nodes = [_on_axis(t, j, m) for j, (t, _) in enumerate(rules)]
-    weights = [_on_axis(w, j, m) for j, (_, w) in enumerate(rules)]
+    weights = [w for _, w in rules]
     rows = max(1, _SLAB // npts ** (m - 1))
     total, is_complex = 0.0, False
     for lo in range(0, npts, rows):
         cut = slice(lo, lo + rows)
-        weight = 1.0
-        for w in [weights[0][cut]] + weights[1:]:
-            weight = weight * w
         # w_j = prod_{i >= j} v_i
         vs = [nodes[0][cut]] + nodes[1:]
         ws = [None] * m
@@ -293,15 +300,14 @@ def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
             rest = rest * np.abs(ws[j] - ws[i]) ** c
         for j, bexp in ends:
             rest = rest * (1 - ws[j]) ** bexp
-        levels = {}
-        for pos, key in enumerate(order):
-            levels.setdefault(key[0], []).append(
-                np.broadcast_to(ws[pos], ws[0].shape))
-        level_arrays = [np.stack(levels[r], axis=-1) if r in levels else None
-                        for r in range(1, n + 1)]
-        fvals = integrand(level_arrays)
+        levels = [[w for w, key in zip(ws, order) if key[0] == r] or None
+                  for r in range(1, n + 1)]
+        fvals = integrand(levels)
         is_complex = is_complex or np.iscomplexobj(fvals)
-        total = total + np.sum(weight * rest * fvals)
+        vals = np.broadcast_to(rest * fvals, ws[0].shape)
+        for w in reversed([weights[0][cut]] + weights[1:]):
+            vals = vals @ w
+        total = total + vals
     return (complex(total) if is_complex else float(np.real(total))) \
         * region.weight
 
@@ -311,14 +317,16 @@ def an_selberg_lhs(n: int, ks, alphas, beta, gamma_, integrand=None,
                    companion: tuple | None = None):
     """Chain integral of the rank-n density times a symmetric integrand.
 
-    companion = (beta_{n-1}, beta_n) switches to the companion chain.
-    Returns (value, err_estimate); err is the last refinement delta.
+    `integrand` takes the per-level lists of open-grid arrays described
+    in `integrate_region` and returns values broadcastable to their grid;
+    None integrates 1.  companion = (beta_{n-1}, beta_n) switches to the
+    companion chain.  Returns (value, err_estimate); err is the last
+    refinement delta.
     """
     spec = spec or QuadratureSpec()
     if integrand is None:
         def integrand(levels):
-            shape = next(a.shape[:-1] for a in levels if a is not None)
-            return np.ones(shape)
+            return 1.0
     if companion is None:
         betas = [1.0] * (n - 1) + [beta]
         regions = enumerate_chain(n, ks, gamma_)
@@ -350,23 +358,21 @@ def jack_pair_callback(n, lam: Partition, mu: Partition, beta, gamma_):
     shift = beta / gamma_ - 1
 
     def callback(levels):
-        first = levels[0]
-        last = levels[n - 1]
-        base = next(a for a in levels if a is not None)
-        shape = base.shape[:-1]
-        out = np.ones(shape, dtype=float)
-        out = out * _jack_on_grid(lam, first, gamma_, None)
-        out = out * _jack_on_grid(mu, last, gamma_, shift)
-        return out
+        return _jack_on_grid(lam, levels[0], gamma_, None) \
+            * _jack_on_grid(mu, levels[n - 1], gamma_, shift)
 
     return callback
 
 
-def _jack_on_grid(lam: Partition, arr, gamma_, shift):
-    """P^(1/gamma)_lam of the points on the last axis of arr (None: no
-    points), plus an optional binomial shift."""
+def _jack_on_grid(lam: Partition, arrs, gamma_, shift):
+    """P^(1/gamma)_lam of the letters arrs, plus an optional binomial shift.
+
+    arrs is a list of open-grid arrays, one per letter, that broadcast
+    against each other (None: no letters); the value broadcasts like them,
+    or is a scalar when lam is empty.
+    """
     def pk(k):
-        val = np.sum(arr ** k, axis=-1) if arr is not None else 0.0
+        val = sum(a ** k for a in arrs) if arrs is not None else 0.0
         return val + shift if shift is not None else val
 
     return plethysm_eval(jack_P(Partition(lam)), pk,
@@ -380,23 +386,20 @@ def aflt_lhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
     shift = beta / gamma_ - 1
     if k == 1:
         t, w = gauss_jacobi_01(npts, alpha - 1, beta - 1)
-        arr = t[:, None]
-        vals = _jack_on_grid(lam, arr, gamma_, None) \
-            * _jack_on_grid(mu, arr, gamma_, shift)
-        return float(np.sum(w * vals))
+        vals = _jack_on_grid(lam, [t], gamma_, None) \
+            * _jack_on_grid(mu, [t], gamma_, shift)
+        return float(w @ np.broadcast_to(vals, t.shape))
     if k == 2:
-        # ordered simplex t1 = s v < t2 = v, doubled by symmetry
+        # ordered simplex t1 = s v < t2 = v, doubled by symmetry, on the
+        # open grid s along axis 0 and v along axis 1
         s, ws = gauss_jacobi_01(npts, alpha - 1, 2 * gamma_)
         v, wv = gauss_jacobi_01(npts, 2 * alpha + 2 * gamma_ - 1, beta - 1)
-        S, V = np.meshgrid(s, v, indexing="ij")
-        W = np.outer(ws, wv)
-        t1 = S * V
-        t2 = V
-        arr = np.stack([t1, t2], axis=-1)
-        vals = _jack_on_grid(lam, arr, gamma_, None) \
-            * _jack_on_grid(mu, arr, gamma_, shift)
+        t2 = v[None, :]
+        t1 = s[:, None] * t2
+        vals = _jack_on_grid(lam, [t1, t2], gamma_, None) \
+            * _jack_on_grid(mu, [t1, t2], gamma_, shift)
         rest = (1 - t1) ** (beta - 1)
-        return 2.0 * float(np.sum(W * rest * vals))
+        return 2.0 * float(ws @ np.broadcast_to(rest * vals, t1.shape) @ wv)
     raise NotImplementedError("direct simplex rule implemented for k <= 2")
 
 
@@ -407,8 +410,11 @@ def aflt_lhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
 def torus_integral(n: int, f, rho=1.0, npts: int = 256) -> complex:
     """(1/(2 pi i)^n) oint f(z) dz_1/z_1 ... dz_n/z_n on |z_i| = rho.
 
-    f receives n flat complex arrays (a meshgrid of the torus) and must
-    return the integrand values elementwise.  rho is one radius or n of
+    f receives the n variables as an open grid (a sparse meshgrid): the
+    array of z_i has the npts nodes of circle i along axis i and length 1
+    on the other axes.  It returns values broadcastable to the npts^n
+    grid; every node counts, so a factor that leaves out a variable is
+    summed over that variable's nodes too.  rho is one radius or n of
     them.  Nodes are offset by half a step so integrands with removable
     0*inf points at z^4 = 1 stay finite.
     """
@@ -421,10 +427,8 @@ def torus_integral(n: int, f, rho=1.0, npts: int = 256) -> complex:
             raise ValueError(f"torus_integral: {len(radii)} radii for "
                              f"n = {n} variables")
     circles = [r * np.exp(1j * angles) for r in radii]
-    grids = np.meshgrid(*circles, indexing="ij")
-    flat = [g.reshape(-1) for g in grids]
-    vals = f(*flat)
-    return complex(np.sum(vals)) / npts ** n
+    vals = f(*np.meshgrid(*circles, indexing="ij", sparse=True))
+    return complex(np.sum(np.broadcast_to(vals, (npts,) * n))) / npts ** n
 
 
 def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
@@ -443,8 +447,7 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
     env = {"q": q, "t": t}
 
     def integrand(*zs):
-        num = np.ones_like(zs[0])
-        den = np.ones_like(zs[0])
+        num = den = 1.0
         for z in zs:
             num = num * kernels.qpoch_inf_arr(a / z, q, nt)
             num = num * kernels.qpoch_inf_arr(q * z / a, q, nt)
@@ -482,7 +485,7 @@ def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
     bmu = complex(b_lambda(mu).eval(env)) if mu else 1.0
 
     def integrand(*zs):
-        weight = np.ones_like(zs[0])
+        weight = 1.0
         for i in range(n):
             for j in range(i + 1, n):
                 r = zs[i] / zs[j]

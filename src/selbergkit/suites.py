@@ -740,10 +740,10 @@ def run_guess(params, cfg):
     def cb(levels):
         t1, t2 = levels
         # P_(1)[t^(2) - t^(1)] = sum t^(2) - sum t^(1)
-        import numpy as np
-        return (np.sum(t2, axis=-1) - np.sum(t1, axis=-1))
+        return sum(t2) - sum(t1)
 
-    lhs = _chain_ratio([1, 1], alphas, beta, g, cb, 32, tol=1e-9)
+    lhs = _chain_ratio([1, 1], alphas, beta, g, cb,
+                       cfg.get("quad_points", 32), tol=1e-9)
     rhs = r_function(2, [1, 1], alphas, beta, g, lams).real
     return Outcome(lhs, rhs, 1e-2, "must_differ")
 
@@ -763,6 +763,7 @@ def cases_hyper(cfg):
 
 def run_hyper(params, cfg):
     from .closedform import seven_one_rhs, seven_two_gamma_one, seven_two_rhs
+    points = cfg.get("quad_points", 32)
     if params["kind"] == "3f2":
         g = 0.5
         us = [1, 1]
@@ -772,16 +773,14 @@ def run_hyper(params, cfg):
         shift = beta / g - 1
 
         def cb(levels):
-            t1, t2 = levels
-            x = t1[..., 0]
-            y = t2[..., 0]
+            (x,), (y,) = levels
             # P_(u1)[t1] P_(u2)[t2 - t1] P_mu[t2 + beta/g - 1] at gamma
             p2 = _jack_row_diff(us[1], y, x, g)
             pmu = y + shift
             return x ** us[0] * p2 * pmu
 
         lhs = _chain_ratio([1, 1], [alphas[0] - us[0], alphas[1] - us[1]],
-                           beta, g, cb, 32, tol=1e-9)
+                           beta, g, cb, points, tol=1e-9)
         rhs = seven_one_rhs(2, alphas, beta, g, us, mu)
         return Outcome(lhs, rhs, 1e-4)
     alphas = [1.7, 1.9]
@@ -803,12 +802,10 @@ def run_hyper(params, cfg):
     u2 = 1
 
     def cb(levels):
-        t1, t2 = levels
-        x = t1[..., 0]
-        y = t2[..., 0]
+        (x,), (y,) = levels
         return x ** u1 * _jack_row_diff(u2, y, x, g) * y ** u3
 
-    lhs = _chain_ratio([1, 1], alphas, None, g, cb, 32, tol=1e-9,
+    lhs = _chain_ratio([1, 1], alphas, None, g, cb, points, tol=1e-9,
                        companion=(b1, b2))
     rhs = seven_two_rhs(alphas[0], alphas[1], b1, b2, g, u1, u2, u3)
     return Outcome(lhs, rhs, 1e-4)

@@ -164,6 +164,20 @@ class TestCli:
         assert out == "" and "\n" not in err
         assert err.startswith(f"eval {formula}: ") and says in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["ortho", "--k", "9", "--alpha", "3"], "--k --alpha"),
+        (["selberg", "--k", "2", "--lam", "3,1", "--q", "7", "--n", "4",
+          "--ts", "1,2"], "--n --lam --q --ts"),
+        (["mac-aflt", "--beta", "1.0"], "--beta"),
+        (["elliptic-selberg", "--mu", ""], "--mu"),
+    ])
+    def test_eval_flag_the_formula_does_not_read(self, capsys, argv, named):
+        assert main(["eval"] + argv) == 2
+        out, err = capsys.readouterr()
+        err = err.strip()
+        assert out == "" and "\n" not in err
+        assert err.startswith(f"eval {argv[0]}: {named}: not read by ")
+
     @pytest.mark.parametrize("flag, value", [
         ("--n", "2"), ("--k", "1,2"), ("--precision", "extended"),
         ("--rho", "0.5"), ("--theta", "0.1"), ("--radius", "1.0"),

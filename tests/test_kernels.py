@@ -63,6 +63,23 @@ class TestAgainstScalarReferences:
         ref = np.array([qpoch_inf(zz, q) for zz in z])
         assert np.max(np.abs(got - ref)) < 1e-12
 
+    @pytest.mark.parametrize("z", [
+        _sample_z().reshape(8, 8), _sample_z()[:, None],
+        np.linspace(-1.5, 1.5, 21), np.array([0.5, np.nan, np.inf]),
+    ], ids=["complex-2d", "column", "real", "non-finite"])
+    def test_qpoch_inf_in_place_is_the_per_term_product(self, z):
+        q = 0.35 - 0.2j
+        n = kernels.trunc_order(abs(q))
+        ref = np.ones_like(z, dtype=np.complex128)
+        qp = 1.0 + 0.0j
+        with np.errstate(invalid="ignore"):
+            for _ in range(n):
+                ref = ref * (1.0 - z * qp)
+                qp *= q
+            got = kernels.qpoch_inf_arr(z, q, n)
+        assert got.shape == z.shape
+        assert np.array_equal(got, ref, equal_nan=True)
+
     def test_theta(self):
         z = _sample_z(seed=1)
         p = 0.25

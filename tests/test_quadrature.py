@@ -9,6 +9,7 @@ from selbergkit.closedform import (
     aflt_rhs, an_aflt_rhs, an_alt_avg_rhs, an_alt_norm_rhs, an_selberg_rhs,
     mac_aflt_rhs, ortho_norm_rhs, selberg_rhs,
 )
+from selbergkit import quadrature
 from selbergkit.coeffs import gamma
 from selbergkit.partitions import P
 from selbergkit.quadrature import (
@@ -164,8 +165,12 @@ class TestChainQuadrature:
         assert abs(v - ref) < 1e-4 * abs(ref)
 
 
+def _grid_shape(levels):
+    return np.broadcast_shapes(*[a.shape for lv in levels if lv for a in lv])
+
+
 def _ones(levels):
-    return np.ones(next(a.shape[:-1] for a in levels if a is not None))
+    return np.ones(_grid_shape(levels))
 
 
 def _meshgrid_oracle(region, n, alphas, betas, g, integrand, npts):
@@ -192,7 +197,7 @@ def _meshgrid_oracle(region, n, alphas, betas, g, integrand, npts):
             rest = rest * (1 - ws[i]) ** (betas[order[i][0] - 1] - 1)
     levels = [[w for w, key in zip(ws, order) if key[0] == r]
               for r in range(1, n + 1)]
-    arrays = [np.stack(lv, axis=-1) if lv else None for lv in levels]
+    arrays = [lv or None for lv in levels]
     return np.sum(weight * rest * integrand(arrays)) * region.weight
 
 
@@ -203,8 +208,7 @@ class TestSlabbedChainRule:
         sizes = []
 
         def counted(levels):
-            sizes.append(next(a.shape[:-1] for a in levels
-                              if a is not None))
+            sizes.append(_grid_shape(levels))
             return integrand(levels)
 
         got = integrate_region(region, 2, ks, alphas, betas, self.G,
@@ -255,6 +259,85 @@ class TestSlabbedChainRule:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
+
+    def test_open_grid_memory(self):
+        # the integrand sees per-axis arrays and the weights are contracted
+        # axis by axis, so no slab-sized array is stacked or weighted whole
+        cb = jack_pair_callback(2, P(1), P(1), 1.3, self.G)
+        spec = QuadratureSpec(points=96, tol=0, max_refine=0)
+        assert _traced_peak(lambda: an_selberg_lhs(
+            2, [1, 2], [1.1, 1.3], 1.3, self.G, integrand=cb,
+            spec=spec)) <= 4.5e6
+
+    def test_levels_are_open_grid_arrays(self):
+        region = enumerate_chain(2, [1, 2], self.G)[0]
+        seen = []
+
+        def record(levels):
+            seen.append([[a.shape for a in lv] if lv else None
+                         for lv in levels])
+            return 1.0
+
+        integrate_region(region, 2, [1, 2], [1.1, 1.3], [1.0, 1.3], self.G,
+                         record, 8)
+        # the variable at position j of the order varies along axes j..2
+        shapes = {key: shape for key, shape in zip(
+            region.order, [(8, 8, 8), (1, 8, 8), (1, 1, 8)])}
+        assert seen == [[[shapes[(1, 1)]], [shapes[(2, 1)], shapes[(2, 2)]]]]
+
+
+def _traced_peak(run):
+    """Peak traced allocation of run(), after one warming call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _full_torus(n, f, rho=1.0, npts=256):
+    """The torus rule on flat arrays of the full npts^n meshgrid."""
+    angles = 2 * np.pi * (np.arange(npts) + 0.5) / npts
+    radii = [float(rho)] * n if np.ndim(rho) == 0 else list(rho)
+    circles = [r * np.exp(1j * angles) for r in radii]
+    flat = [g.reshape(-1) for g in np.meshgrid(*circles, indexing="ij")]
+    return complex(np.sum(f(*flat))) / npts ** n
+
+
+class TestOpenGrid:
+    def test_simplex_memory(self):
+        assert _traced_peak(lambda: aflt_lhs(
+            2, P(1, 1), P(2), 2.0, 2.0, 0.5, npts=256)) <= 4.5e6
+
+    def test_simplex_against_full_grid(self):
+        s, ws = gauss_jacobi_01(32, 1.0, 1.0)
+        v, wv = gauss_jacobi_01(32, 4.0, 1.0)
+        S, V = np.meshgrid(s, v, indexing="ij")
+        t1, t2 = S * V, V
+        e1, e2 = t1 + t2, t1 * t2
+        # P_(1,1) = e_2 at any gamma; the shift beta/gamma - 1 is 3, and
+        # P_(1)[t + 3] = e_1 + 3
+        ref = 2 * np.sum(np.outer(ws, wv) * (1 - t1) * e2 * (e1 + 3))
+        got = aflt_lhs(2, P(1, 1), P(1), 2.0, 2.0, 0.5, npts=32)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("lhs", [
+        lambda: mac_aflt_lhs(2, P(1), P(2), 0.45, 0.35, 0.3, 0.4, npts=64),
+        lambda: ortho_norm_lhs(2, P(1), P(1), 0.3, 0.4, npts=64),
+        lambda: ortho_norm_lhs(2, P(2), P(2), 0.3, 0.4, npts=64),
+    ], ids=["mac-aflt", "ortho-(1)", "ortho-(2)"])
+    def test_torus_against_full_meshgrid(self, monkeypatch, lhs):
+        got = lhs()
+        monkeypatch.setattr(quadrature, "torus_integral", _full_torus)
+        ref = lhs()
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_torus_counts_a_variable_the_integrand_ignores(self):
+        assert torus_integral(2, lambda z1, z2: np.ones_like(z1),
+                              1.0, 16) == 1
+        assert torus_integral(3, lambda *zs: 2.0, 0.9, 8) == 2
 
 
 class TestTorus:

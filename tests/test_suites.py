@@ -166,3 +166,22 @@ def test_guess_reports_its_true_deviation():
     assert rep.passed and float(rep.rhs) == 0.0
     assert rep.rel_err == rep.abs_err == pytest.approx(float(rep.lhs))
     assert rep.rel_err > 0.1
+
+
+@pytest.mark.parametrize("suite, calls", [("guess", 2), ("hyper", 6)])
+def test_quad_points_reach_the_chain_rule(monkeypatch, suite, calls):
+    # every chain integral of the suite starts at the --quad-points rule
+    points = []
+    real = quadrature.an_selberg_lhs
+
+    def recording(*args, **kwargs):
+        points.append(kwargs["spec"].points)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "an_selberg_lhs", recording)
+    suites._chain_norm.cache_clear()
+    cfg = {"seed": 7, "quad_points": 12}
+    gen, run = suites.SUITES[suite]
+    for params in gen(cfg):
+        run(params, cfg)
+    assert points == [12] * calls
