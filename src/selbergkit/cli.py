@@ -237,8 +237,7 @@ def _closed_form(f, args, lam, mu, ks, alphas, ts):
         except ValueError as exc:
             raise ValueError(
                 f"--ts {args.ts!r} with --n {args.n} --t {args.t} "
-                f"--p {args.p} --q {args.q}: {exc} "
-                "(t^(2n-2) t1...t6 must equal p q)") from None
+                f"--p {args.p} --q {args.q}: {exc}") from None
     return None
 
 

@@ -517,7 +517,8 @@ def _check_balancing(n, ts, t, p, q, tol=1e-10):
     for x in ts:
         prod *= complex(x)
     if abs(prod - complex(p) * complex(q)) > tol * max(1.0, abs(p * q)):
-        raise ValueError("elliptic balancing condition violated")
+        raise ValueError("elliptic balancing condition violated "
+                         "(t^(2n-2) t1...t6 must equal p q)")
 
 
 def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p, q,

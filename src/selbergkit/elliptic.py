@@ -251,25 +251,27 @@ def contour_pole_scan(f, lo: float = 0.82, hi: float = 1.22,
                       nrad: int = 17, nang: int = 64,
                       spike: float = 1e6) -> bool:
     """Crude pole scan: integrand magnitudes on an annulus grid of nrad
-    radii and nang angles, each at least 1."""
+    radii and nang angles, each at least 1.
+
+    f is called once, on the whole (nrad, nang) grid of points (row i on
+    the ring of the i-th radius), and the scan passes iff every value is
+    finite and at most spike."""
     for name, size in (("nrad", nrad), ("nang", nang)):
         if size < 1:
             raise ValueError(f"contour_pole_scan: {name} = {size}; the scan "
                              "needs at least one point on each axis")
-    for rho in np.linspace(lo, hi, nrad):
-        zs = rho * np.exp(2j * np.pi * np.arange(nang) / nang)
-        vals = np.abs(f(zs))
-        if not np.all(np.isfinite(vals)) or np.max(vals) > spike:
-            return False
-    return True
+    zs = (np.linspace(lo, hi, nrad)[:, None]
+          * np.exp(2j * np.pi * np.arange(nang) / nang))
+    vals = np.abs(f(zs))
+    return bool(np.all(np.isfinite(vals)) and np.max(vals) <= spike)
 
 
-# points per ellgamma_arr call of the weight: one call covers a pole-scan
-# ring, and no call stacks more than 14 x 64 arguments, whatever the number
-# of points.  Larger calls need larger kernel buffers, and in a process
-# that evaluates the weight many times glibc then keeps more freed memory:
-# at 256 points per call the elliptic benchmark's peak RSS was 0.5 MB
-# higher, for no gain in time.
+# points per ellgamma_arr call of the weight: no call stacks more than
+# 14 x 64 arguments, whatever the number of points, so the pole scan's
+# 17 x 64 grid is 17 calls.  Larger calls need larger kernel buffers, and
+# in a process that evaluates the weight many times glibc then keeps more
+# freed memory: at 256 points per call the elliptic benchmark's peak RSS
+# was 0.5 MB higher, for no gain in time.
 _WEIGHT_CHUNK = 64
 
 

@@ -32,7 +32,8 @@ class VerificationReport:
         return cls(**json.loads(line))
 
 
-RULES = ("rel_tol", "must_differ", "converges", "exact", "raised")
+RULES = ("rel_tol", "must_differ", "converges", "extrapolates", "exact",
+         "raised")
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,11 @@ class Outcome:
     must_differ  as rel_tol, but pass iff the deviation > tol.
     converges    lhs is a sequence of approximations of rhs; pass iff their
                  deviations strictly decrease and the last is <= tol.
+    extrapolates lhs is a sequence of (s, approximation) pairs, s falling
+                 towards 0; pass iff the approximations' deviations
+                 strictly decrease and the value at s = 0 of the
+                 polynomial through the pairs is within tol of rhs.  That
+                 value is reported as lhs.
     exact        pass iff lhs == rhs, compared exactly (a field comparison
                  already made is passed as its verdict against True).
     raised       the runner raised; lhs and rhs name what ("pole" or
@@ -73,6 +79,17 @@ def _deviation(lhs, rhs):
     return abs_err, abs_err / abs(rv) if abs(rv) > 1e-30 else abs_err
 
 
+def _value_at_zero(pairs):
+    """The value at s = 0 of the polynomial through the (s, v) pairs, by
+    Neville's scheme."""
+    s = [float(a) for a, _ in pairs]
+    v = [complex(b) for _, b in pairs]
+    for k in range(1, len(s)):
+        for i in range(len(s) - k):
+            v[i] = (s[i + k] * v[i] - s[i] * v[i + 1]) / (s[i + k] - s[i])
+    return v[0]
+
+
 def make_report(suite, case_id, params, outcome: Outcome,
                 runtime_ms) -> VerificationReport:
     """Apply the outcome's rule and build the report."""
@@ -82,9 +99,12 @@ def make_report(suite, case_id, params, outcome: Outcome,
         abs_err = rel_err = 0.0 if passed else float("nan")
         if rule == "exact":
             lhs = rhs = "equal" if passed else "unequal"
-    elif rule == "converges":
-        devs = [_deviation(v, rhs)[1] for v in lhs]
-        lhs = lhs[-1]
+    elif rule in ("converges", "extrapolates"):
+        if rule == "converges":
+            vals, lhs = lhs, lhs[-1]
+        else:
+            vals, lhs = [v for _, v in lhs], _value_at_zero(lhs)
+        devs = [_deviation(v, rhs)[1] for v in vals]
         abs_err, rel_err = _deviation(lhs, rhs)
         passed = (all(a > b for a, b in zip(devs, devs[1:]))
                   and rel_err <= tol)

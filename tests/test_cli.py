@@ -42,6 +42,16 @@ class TestReports:
         (Outcome([1.1, 1.1, 1.1], 1.0, 0.5, "converges"), False, 0.1),
         (Outcome(True, True, rule="exact"), True, 0.0),
         (Outcome(False, True, rule="exact"), False, float("nan")),
+        # v = 1 + s + s^2 through three points: the value at s = 0 is 1
+        (Outcome([(0.4, 1.56), (0.2, 1.24), (0.1, 1.11)], 1.0, 1e-12,
+                 "extrapolates"), True, 0.0),
+        # v = 1 + s - 10 s^2: the value at s = 0 is 1, but the deviations
+        # 0.2, 0, 0.025 do not decrease
+        (Outcome([(0.2, 0.8), (0.1, 1.0), (0.05, 1.025)], 1.0, 0.5,
+                 "extrapolates"), False, 0.0),
+        # decreasing deviations, extrapolated outside tol
+        (Outcome([(0.2, 1.2), (0.1, 1.1)], 0.99, 1e-3, "extrapolates"),
+         False, 0.01 / 0.99),
     ])
     def test_rule(self, outcome, passed, rel_err):
         rep = make_report("demo", "c", {}, outcome, 0.0)
@@ -156,6 +166,19 @@ class TestCli:
         ("ortho", ["--t", "1.0"], "division by zero"),
         ("ortho", ["--n", "-1"], "--n"),
         ("mac-aflt", ["--n", "-2"], "--n"),
+        # a nome on or outside the unit circle, with balanced --ts
+        ("elliptic-selberg", ["--n", "1", "--t", "0.5", "--p", "0.1",
+                              "--q", "1.5", "--ts", "0.5,0.5,0.5,0.5,0.6,4"],
+         "modulus 1.5"),
+        ("elliptic-selberg", ["--n", "1", "--t", "0.5", "--p", "0.1",
+                              "--q", "-1.2", "--ts",
+                              "0.5,0.5,0.5,0.5,0.6,-3.2"], "modulus 1.2"),
+        ("elliptic-selberg", ["--n", "1", "--t", "0.5", "--p", "1.5",
+                              "--q", "0.1", "--ts", "0.5,0.5,0.5,0.5,0.6,4"],
+         "modulus 1.5"),
+        ("elliptic-selberg", ["--n", "1", "--t", "0.5", "--p", "0.1",
+                              "--q", "1.0", "--ts", "0.5,0.5,0.5,0.5,0.4,4"],
+         "modulus 1.0"),
     ])
     def test_eval_outside_the_domain(self, capsys, formula, flags, says):
         assert main(["eval", formula] + flags) == 2

@@ -133,6 +133,15 @@ class TestEllgammaAgainstLogSum:
         assert not np.isfinite(got[1])
         assert np.isfinite(got[2])
 
+    @pytest.mark.parametrize("p,q", [(1e-3, 0.45), (0.2, 0.25)])
+    def test_zero_at_pq(self, p, q):
+        # 1 - pq/z is the first numerator factor
+        z = np.array([p * q, 0.9 + 0.1j], dtype=np.complex128)
+        got = kernels.ellgamma_arr(z, p, q, kernels.trunc_order(p),
+                                   kernels.trunc_order(q))
+        assert got[0] == 0
+        assert got[1] != 0 and np.isfinite(got[1])
+
     def test_pole_scan_rejects_a_pole_on_its_grid(self):
         p, q = 1e-3, 0.45
         n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
@@ -185,6 +194,74 @@ class TestEllgammaAgainstLogSum:
         got = kernels.ellgamma_arr(np.zeros((0, 3), dtype=np.complex128),
                                    0.2, 0.25, 24, 27)
         assert got.shape == (0, 3)
+
+
+def _spy_series(monkeypatch):
+    """Count the chunks that take ellgamma_arr's series route."""
+    calls = []
+    series = kernels._log_series
+
+    def counted(u, v, p, q, r):
+        calls.append(u.size)
+        return series(u, v, p, q, r)
+
+    monkeypatch.setattr(kernels, "_log_series", counted)
+    return calls
+
+
+def _scan_arguments(t):
+    """The arguments t z, t/z, z^2 and z^-2 of the torus weights, over
+    the 17 rings of the pole scan, one ring per array."""
+    for rho in _SCAN_RADII:
+        z = _ring(rho)
+        yield from (t * z, t / z, z ** 2, z ** -2)
+
+
+class TestEllgammaSeriesRoute:
+    """On the pole-scan annulus ellgamma_arr sums the p-direction as a
+    series and multiplies out only (z; q)_inf; the references multiply out
+    every factor."""
+
+    @pytest.mark.parametrize("p,q,t", [
+        (1e-3, 0.45, 0.4),
+        (1e-3 * np.exp(0.7j), 0.45 * np.exp(-0.4j), 0.4 * np.exp(0.3j)),
+        (0.45, 1e-3, 0.4),          # |p| > |q|: the call swaps them
+        (0.0, 0.45, 0.4),
+        (0.05, 0.3, 0.35),
+    ], ids=["real", "complex", "swapped", "p-zero", "larger-p"])
+    def test_scan_rings_against_both_references(self, monkeypatch, p, q, t):
+        n_p, n_q = kernels.trunc_order(abs(p)), kernels.trunc_order(abs(q))
+        calls = _spy_series(monkeypatch)
+        worst = 0.0
+        for arg in _scan_arguments(t):
+            got = kernels.ellgamma_arr(arg, p, q, n_p, n_q)
+            for ref in (_ellgamma_log_sum(arg, p, q, n_p, n_q),
+                        _ellgamma_rectangle(arg, p, q, n_p, n_q)):
+                worst = max(worst, np.max(np.abs(got - ref) / np.abs(ref)))
+        assert worst < 1e-13
+        assert len(calls) == 4 * len(_SCAN_RADII)
+
+    def test_far_points_send_their_chunk_to_the_product(self, monkeypatch):
+        # ring points and points of modulus about 1e3 in one chunk: there
+        # r = |p| max|z| is about 1, outside the annulus
+        p, q = 1e-3, 0.45
+        n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
+        z = np.concatenate([_ring(0.9), 1e3 * _ring(1.02, 16)])
+        calls = _spy_series(monkeypatch)
+        got = kernels.ellgamma_arr(z, p, q, n_p, n_q)
+        assert calls == []
+        ref = _ellgamma_rectangle(z, p, q, n_p, n_q)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+        # the ring points alone take the series route, to the same values
+        ring = kernels.ellgamma_arr(z[:64], p, q, n_p, n_q)
+        assert calls == [64]
+        assert np.max(np.abs(ring - got[:64]) / np.abs(ref[:64])) < 1e-13
+
+
+@pytest.mark.parametrize("m", [1.0, 1.5, float("nan")])
+def test_trunc_order_rejects_a_modulus_outside_the_disc(m):
+    with pytest.raises(ValueError, match=f"modulus {m}"):
+        kernels.trunc_order(m)
 
 
 def _weight_rectangle(ts, p, q):
@@ -279,6 +356,23 @@ class TestPoleScanGrid:
         with pytest.raises(ValueError, match=name):
             contour_pole_scan(f, **kwargs)
         assert seen == []
+
+    def test_one_call_on_the_whole_grid(self):
+        shapes = []
+
+        def f(z):
+            shapes.append(z.shape)
+            return np.ones_like(z)
+
+        assert contour_pole_scan(f) is True
+        assert shapes == [(17, 64)]
+
+    @pytest.mark.parametrize("value", [np.inf, 1e7])
+    def test_the_last_ring_alone_fails_the_scan(self, value):
+        def f(z):
+            return np.where(np.abs(z) > 1.2, value, 1.0)
+
+        assert contour_pole_scan(f) is False
 
     def test_one_point_grid_looks_at_it(self):
         seen = []
