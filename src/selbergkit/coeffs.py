@@ -3,12 +3,13 @@
 Most functions are generic over the scalar ring: they accept FieldElements
 (for exact identities in q, t, a, ...) or complex numbers interchangeably,
 as long as only +, -, *, /, integer powers are used.  Infinite products
-(q-Pochhammer at infinity, theta, elliptic gamma) are numeric only.  The
-theta family (theta, theta_poch, ell_qt_poch, delta0) also takes numpy
-arrays of points in its first argument; theta then runs kernels.theta_arr
-once for the whole array.  numpy is not imported here: the exact suites
-use this module without it, and a caller that holds an array has imported
-it already.
+(q-Pochhammer at infinity, theta, elliptic gamma) are numeric only, each
+truncated where its terms fall below 1e-16.  The theta family (theta,
+theta_poch, ell_qt_poch, delta0) also takes numpy arrays of points in its
+first argument; theta then runs kernels.theta_arr once for the whole
+array.  ell_gamma is kernels.ellgamma_arr at one point, so the elliptic
+gamma has one implementation.  numpy is imported only by those numeric
+routes: the exact suites use this module without it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,8 @@ __all__ = [
     "poch", "qpoch", "qpoch_ext", "QPochExt", "qt_poch", "gamma_poch",
     "hooks", "gamma", "lgamma", "gamma_ratio", "gamma_q",
     "theta", "theta_poch", "ell_gamma", "ell_qt_poch", "delta0",
-    "delta0_bipartite", "c_minus", "c_plus", "EllipticParams",
-    "ELL_TRUNC_EPS",
+    "delta0_bipartite", "c_minus", "c_plus",
 ]
-
-ELL_TRUNC_EPS = 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +118,9 @@ def qpoch_ext(b, q, n: int) -> QPochExt:
     return QPochExt(1 / den, False)
 
 
-def qpoch_inf(b, q, eps: float = ELL_TRUNC_EPS) -> complex:
-    """(b;q)_infty by truncated product, |q| < 1."""
+def qpoch_inf(b, q) -> complex:
+    """(b;q)_infty by the product of its factors down to |b q^j| <= 1e-16,
+    |q| < 1."""
     q = complex(q)
     if abs(q) >= 1:
         raise ValueError("(b;q)_infty needs |q| < 1")
@@ -129,7 +128,7 @@ def qpoch_inf(b, q, eps: float = ELL_TRUNC_EPS) -> complex:
     term = complex(b)
     aq = abs(q)
     bound = abs(term)
-    while bound > eps:
+    while bound > 1e-16:
         out *= 1 - term
         term *= q
         bound *= aq
@@ -308,17 +307,6 @@ def gamma_q(z, q) -> complex:
 # theta and elliptic gamma
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EllipticParams:
-    p: complex
-    q: complex
-    trunc_eps: float = ELL_TRUNC_EPS
-
-    def __post_init__(self):
-        if abs(self.p) >= 1 or abs(self.q) >= 1:
-            raise ValueError("elliptic parameters need |p|, |q| < 1")
-
-
 def _is_array(x) -> bool:
     np = sys.modules.get("numpy")
     return np is not None and isinstance(x, np.ndarray)
@@ -329,70 +317,59 @@ def _point(x):
     return x if _is_array(x) else complex(x)
 
 
-def theta(z, p, eps: float = ELL_TRUNC_EPS) -> complex:
+def theta(z, p) -> complex:
     """Modified theta theta(z;p) = (z;p)_inf (p/z;p)_inf, z != 0, |p| < 1.
 
     On an array z the product is truncated at kernels.trunc_order(|p|).
     """
     if _is_array(z):
         from . import kernels
-        return kernels.theta_arr(z, complex(p),
-                                 kernels.trunc_order(abs(p), eps))
+        return kernels.theta_arr(z, complex(p), kernels.trunc_order(abs(p)))
     z = complex(z)
     if z == 0:
         raise ZeroDivisionError("theta(0; p) undefined")
-    return qpoch_inf(z, p, eps) * qpoch_inf(complex(p) / z, p, eps)
+    return qpoch_inf(z, p) * qpoch_inf(complex(p) / z, p)
 
 
-def theta_poch(b, q, p, n: int, eps: float = ELL_TRUNC_EPS) -> complex:
+def theta_poch(b, q, p, n: int) -> complex:
     """Elliptic shifted factorial (b;q,p)_n = prod theta(b q^i;p), n in Z."""
     b = _point(b)
     if n >= 0:
         out = 1.0 + 0.0j
         for i in range(n):
-            out *= theta(b * complex(q) ** i, p, eps)
+            out *= theta(b * complex(q) ** i, p)
         return out
     out = 1.0 + 0.0j
     for i in range(1, -n + 1):
-        out *= theta(b * complex(q) ** (-i), p, eps)
+        out *= theta(b * complex(q) ** (-i), p)
     return 1 / out
 
 
-def ell_gamma(z, p, q, eps: float = ELL_TRUNC_EPS) -> complex:
-    """Elliptic gamma by the truncated double product, accumulated in log space."""
-    from .kernels import trunc_order
-    z = complex(z)
-    p = complex(p)
-    q = complex(q)
+def ell_gamma(z, p, q) -> complex:
+    """Elliptic gamma Gamma(z; p, q): kernels.ellgamma_arr at the one point
+    z, with the kernels.trunc_order caps.  Gamma is 0 at z = p^(j+1)
+    q^(k+1); a pole (z = p^-j q^-k) is a PoleError."""
+    import numpy as np
+
+    from . import kernels
+    z, p, q = complex(z), complex(p), complex(q)
     if z == 0:
         raise ZeroDivisionError("elliptic gamma undefined at z = 0")
-    mp, mq = abs(p), abs(q)
-    np_ = trunc_order(mp, eps)
-    nq = trunc_order(mq, eps)
-    acc = 0.0 + 0.0j
-    pq_over_z = p * q / z
-    pi_ = 1.0 + 0.0j
-    for i in range(np_):
-        qj_num = pq_over_z * pi_
-        qj_den = z * pi_
-        for j in range(nq):
-            num = 1 - qj_num
-            den = 1 - qj_den
-            if den == 0:
-                raise PoleError(f"elliptic gamma pole at z={z}")
-            acc += cmath.log(num) - cmath.log(den)
-            qj_num *= q
-            qj_den *= q
-        pi_ *= p
-    return cmath.exp(acc)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = complex(kernels.ellgamma_arr(
+            np.array([z]), p, q, kernels.trunc_order(abs(p)),
+            kernels.trunc_order(abs(q)))[0])
+    if not cmath.isfinite(out):
+        raise PoleError(f"elliptic gamma pole at z={z}")
+    return out
 
 
-def ell_qt_poch(b, q, t, p, lam: Partition, eps: float = ELL_TRUNC_EPS) -> complex:
+def ell_qt_poch(b, q, t, p, lam: Partition) -> complex:
     """(b;q,t;p)_lambda = prod_i (b t^{1-i};q,p)_{lambda_i}."""
     lam = Partition(lam)
     out = 1.0 + 0.0j
     for i, part in enumerate(lam.parts, start=1):
-        out *= theta_poch(_point(b) * complex(t) ** (1 - i), q, p, part, eps)
+        out *= theta_poch(_point(b) * complex(t) ** (1 - i), q, p, part)
     return out
 
 

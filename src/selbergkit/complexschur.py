@@ -10,36 +10,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .coeffs import gamma, gamma_ratio, poch
 from .partitions import P, Partition, subpartitions
 from .symfunc import _complex_det, _perm_sign, alternant_ratio, schur_eval
 
 __all__ = [
-    "SectorContour", "complex_schur", "split_expansion",
+    "complex_schur", "split_expansion",
     "thm_schur_residue_oracle", "thm_schur_closed", "schur_points",
     "staircase_exponents", "beta_contour_closed", "skew_schur_binomial",
     "beta_schur_exact_sum", "beta_schur_rhs",
     "complex_an_aflt_recursive", "complex_an_aflt_closed",
     "an_one_staircase",
 ]
-
-
-@dataclass
-class SectorContour:
-    """Border of the angular sector |x| <= r, |arg x| <= theta."""
-    theta: float = 2.4
-    radius: float = 1.6
-    n_ray: int = 160
-    n_arc: int = 160
-    eps0: float = 1e-6
-
-    def __post_init__(self):
-        if not (0 < self.theta < math.pi):
-            raise ValueError("theta must lie in (0, pi)")
-        if self.radius <= 0 or self.eps0 <= 0:
-            raise ValueError("radius and eps0 must be positive")
 
 
 def complex_schur(xs, zs) -> complex:

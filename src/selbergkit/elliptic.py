@@ -8,6 +8,11 @@ is pinned by that formula); everything downstream is verified against
 independent finite identities.  All suites restrict partition components to
 single rows: longer components would need higher-rank interpolation theory
 and are rejected with a scope error.
+
+The three torus integrals (elliptic beta, interpolation pair, skew pair)
+share one side, _torus_lhs: the elliptic-gamma weight times the
+integrand's own factor, the pole scan, the normalisation kappa_1 and the
+torus rule.  The rank-n integrals will replace that one function.
 """
 
 from __future__ import annotations
@@ -241,29 +246,21 @@ def connection_check(blam: Bipartition, x, a, a2, b, t, p, q):
 # torus integrals at one integration variable
 # ---------------------------------------------------------------------------
 
-def _kappa1(t, p, q) -> complex:
-    from .coeffs import qpoch_inf
-    # kappa_n for n = 1 without the 1/(2 pi i) (absorbed by torus rule)
-    return (qpoch_inf(p, p) * qpoch_inf(q, q) * ell_gamma(t, p, q)) / 2.0
+_SCAN_LO, _SCAN_HI, _SCAN_NRAD, _SCAN_NANG = 0.82, 1.22, 17, 64
+_SCAN_SPIKE = 1e6
 
 
-def contour_pole_scan(f, lo: float = 0.82, hi: float = 1.22,
-                      nrad: int = 17, nang: int = 64,
-                      spike: float = 1e6) -> bool:
-    """Crude pole scan: integrand magnitudes on an annulus grid of nrad
-    radii and nang angles, each at least 1.
+def contour_pole_scan(f) -> bool:
+    """Crude pole scan: integrand magnitudes on an annulus grid of 17 radii
+    from 0.82 to 1.22 and 64 angles.
 
-    f is called once, on the whole (nrad, nang) grid of points (row i on
-    the ring of the i-th radius), and the scan passes iff every value is
-    finite and at most spike."""
-    for name, size in (("nrad", nrad), ("nang", nang)):
-        if size < 1:
-            raise ValueError(f"contour_pole_scan: {name} = {size}; the scan "
-                             "needs at least one point on each axis")
-    zs = (np.linspace(lo, hi, nrad)[:, None]
-          * np.exp(2j * np.pi * np.arange(nang) / nang))
+    f is called once, on the whole (17, 64) grid of points (row i on the
+    ring of the i-th radius), and the scan passes iff every value is
+    finite and at most 1e6."""
+    zs = (np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_NRAD)[:, None]
+          * np.exp(2j * np.pi * np.arange(_SCAN_NANG) / _SCAN_NANG))
     vals = np.abs(f(zs))
-    return bool(np.all(np.isfinite(vals)) and np.max(vals) <= spike)
+    return bool(np.all(np.isfinite(vals)) and np.max(vals) <= _SCAN_SPIKE)
 
 
 # points per ellgamma_arr call of the weight: no call stacks more than
@@ -302,13 +299,29 @@ def _gamma_weight_factory(ts, p, q):
     return weight
 
 
-def elliptic_beta_lhs(ts, t, p, q, npts: int = 256) -> complex:
-    """Torus quadrature of the one-variable elliptic beta integrand."""
+def _torus_lhs(ts, t, p, q, factor, npts: int) -> complex:
+    """kappa_1 times the torus quadrature of the Gamma weight of ts times
+    factor(z).
+
+    The integrand must pass the pole scan first.  kappa_1 =
+    (p;p)_inf (q;q)_inf Gamma(t; p, q) / 2 leaves out the 1/(2 pi i) that
+    the torus rule absorbs."""
+    from .coeffs import qpoch_inf
     from .quadrature import torus_integral
     weight = _gamma_weight_factory(ts, p, q)
-    if not contour_pole_scan(weight):
+
+    def f(z):
+        return weight(z) * factor(z)
+
+    if not contour_pole_scan(f):
         raise ValueError("pole scan failed near the unit torus")
-    return _kappa1(t, p, q) * torus_integral(1, weight, 1.0, npts)
+    kappa = (qpoch_inf(p, p) * qpoch_inf(q, q) * ell_gamma(t, p, q)) / 2.0
+    return kappa * torus_integral(1, f, 1.0, npts)
+
+
+def elliptic_beta_lhs(ts, t, p, q, npts: int = 256) -> complex:
+    """Torus quadrature of the one-variable elliptic beta integrand."""
+    return _torus_lhs(ts, t, p, q, lambda z: 1.0, npts)
 
 
 def thm92_rhs_n1(blam: Bipartition, bmu: Bipartition, ts, t, p, q) -> complex:
@@ -338,50 +351,37 @@ def thm92_rhs_n1(blam: Bipartition, bmu: Bipartition, ts, t, p, q) -> complex:
 def thm92_lhs_n1(blam: Bipartition, bmu: Bipartition, ts, t, p, q,
                  npts: int = 256) -> complex:
     """Torus quadrature of the interpolation-pair integrand at n = 1."""
-    from .quadrature import torus_integral
-    t = complex(t)
     t1, t2, t3, t6 = complex(ts[0]), complex(ts[1]), complex(ts[2]), complex(ts[5])
-    weight = _gamma_weight_factory(ts, p, q)
     l1, l2 = _single_row(blam.first), _single_row(blam.second)
     m1, m2 = _single_row(bmu.first), _single_row(bmu.second)
 
-    def f(z):
+    def pair(z):
         rl = bc1_interp(l1, z, t1, t2, q, p) * bc1_interp(l2, z, t1, t2, p, q)
         rm = bc1_interp(m1, z, t3, t6, q, p) * bc1_interp(m2, z, t3, t6, p, q)
-        return weight(z) * rl * rm
+        return rl * rm
 
-    if not contour_pole_scan(f):
-        raise ValueError("pole scan failed near the unit torus")
-    return _kappa1(t, p, q) * torus_integral(1, f, 1.0, npts)
+    return _torus_lhs(ts, t, p, q, pair, npts)
 
 
 def eaflt_lhs_n1(blam: Bipartition, bmu: Bipartition, t, ts, p, q,
                  npts: int = 256) -> complex:
     """Torus quadrature of the skew-interpolation-pair integrand, n = 1."""
-    from .quadrature import torus_integral
     t = complex(t)
     t1, t2, t3, t4, t5, t6 = (complex(x) for x in ts)
     rt = cmath.sqrt(t)
-    weight = _gamma_weight_factory(ts, p, q)
     rl = _bipartite_pm_factor(blam, rt, 1, [], rt * t1, rt * t2, t, p, q)
     rm = _bipartite_pm_factor(bmu, rt, 1, [t4 / rt, t5 / rt],
                               t3 * t4 * t5 / rt, rt * t6, t, p, q)
-
-    def f(z):
-        return weight(z) * rl([z]) * rm([z])
-
-    if not contour_pole_scan(f):
-        raise ValueError("pole scan failed near the unit torus")
-    return _kappa1(t, p, q) * torus_integral(1, f, 1.0, npts)
+    return _torus_lhs(ts, t, p, q, lambda z: rl([z]) * rm([z]), npts)
 
 
 # ---------------------------------------------------------------------------
 # the p -> 0 degeneration of the skew interpolation function
 # ---------------------------------------------------------------------------
 
-def skew_limit_value(lam: Partition, xs, c, d, a, b, q, t, p,
-                     alpha: float = 0.25, beta_exp: float = 0.5) -> complex:
-    """p^{alpha |lam|} R*_{lam/0}([t^{1/2}(p^-alpha x)^pm, ...]; a, p^beta b).
+def skew_limit_value(lam: Partition, xs, c, d, a, b, q, t, p) -> complex:
+    """p^{|lam|/4} R*_{lam/0}([t^{1/2}(p^{-1/4} x)^pm, ...,
+    c p^{-1/4} t^{-1/2}, p^{1/4} t^{1/2} / d]; a, p^{1/2} b).
 
     Converges, as p -> 0, to the Macdonald-side value
     (-a t^{-1/2})^{|lam|} q^{n(lam')} t^{-2n(lam)} c_lam P_lam[X + (d-c)/(1-t)].
@@ -389,14 +389,14 @@ def skew_limit_value(lam: Partition, xs, c, d, a, b, q, t, p,
     lam = Partition(lam)
     m = _single_row(lam)
     p = complex(p)
-    scale = p ** (-alpha)
+    scale = p ** -0.25
     rt = cmath.sqrt(complex(t))
     vs = []
     for x in xs:
         vs += [rt * scale * x, rt / (scale * x)]
-    vs += [complex(c) * p ** (-alpha) / rt, p ** alpha * rt / complex(d)]
-    val = skew_interp(lam, P(), vs, a, complex(b) * p ** beta_exp, q, t, p)
-    return p ** (alpha * m) * val
+    vs += [complex(c) * p ** -0.25 / rt, p ** 0.25 * rt / complex(d)]
+    val = skew_interp(lam, P(), vs, a, complex(b) * p ** 0.5, q, t, p)
+    return p ** (0.25 * m) * val
 
 
 def mac_side_limit(lam: Partition, xs, c, d, a, q, t) -> complex:

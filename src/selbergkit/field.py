@@ -1020,14 +1020,14 @@ class FieldElement:
         return not self.is_zero()
 
     # -- evaluation --------------------------------------------------------------
-    def eval(self, bindings: Mapping[str, complex], pole_tol: float = POLE_TOLERANCE):
+    def eval(self, bindings: Mapping[str, complex]):
         nv = self.num.eval(bindings)
         dv = self.den.eval(bindings)
         if isinstance(nv, Fraction) and isinstance(dv, Fraction):
             if dv == 0:
                 raise PoleError("denominator vanishes at rational point")
             return nv / dv
-        if abs(dv) <= pole_tol:
+        if abs(dv) <= POLE_TOLERANCE:
             raise PoleError(f"denominator within pole tolerance: |den|={abs(dv):.3e}")
         return nv / dv
 
@@ -1082,9 +1082,8 @@ def substitute(f: FieldElement, bindings: Mapping[str, FieldElement]) -> FieldEl
     return fe(f).subs({k: fe(v) for k, v in bindings.items()})
 
 
-def eval_complex(f: FieldElement, bindings: Mapping[str, complex],
-                 pole_tol: float = POLE_TOLERANCE) -> complex:
-    out = fe(f).eval(bindings, pole_tol=pole_tol)
+def eval_complex(f: FieldElement, bindings: Mapping[str, complex]) -> complex:
+    out = fe(f).eval(bindings)
     if isinstance(out, Fraction):
         return complex(out)
     return out

@@ -2,6 +2,9 @@
 
 Each kernel takes a whole array of points and runs in numpy: q-Pochhammer
 symbols at infinity, theta functions and the elliptic gamma function.
+ellgamma_arr is the package's only elliptic gamma: the torus weights call
+it on arrays, and coeffs.ell_gamma (the closed forms and the torus
+normalisation) at one point.
 
 The elliptic gamma function is a double product over p^j q^k, symmetric in
 p and q; the kernel takes |p| <= |q|.  A call works through its points in
@@ -35,9 +38,9 @@ __all__ = ["HAS_NUMBA", "qpoch_inf_arr", "theta_arr", "ellgamma_arr",
            "trunc_order"]
 
 
-def trunc_order(m: float, eps: float = 1e-16) -> int:
+def trunc_order(m: float) -> int:
     """Terms of a product over the powers of a nome of modulus m that keep
-    it within eps of the infinite product.  The products converge only
+    it within 1e-16 of the infinite product.  The products converge only
     inside the unit disc, so a modulus of 1 or more (or NaN) is a
     ValueError."""
     if not m < 1:
@@ -45,7 +48,7 @@ def trunc_order(m: float, eps: float = 1e-16) -> int:
                          "the products need modulus below 1")
     if m <= 0:
         return 1
-    return max(2, int(math.log(eps) / math.log(m)) + 2)
+    return max(2, int(math.log(1e-16) / math.log(m)) + 2)
 
 
 def qpoch_inf_arr(z: np.ndarray, q: complex, nterms: int) -> np.ndarray:

@@ -182,12 +182,16 @@ def enumerate_companion_chain(n: int, ks, beta_nm1, gamma_) -> list[ChainRegion]
     return regions
 
 
-def region_covering_check(regions, n, ks, rng, samples: int = 500,
+_COVERING_SAMPLES = 500
+
+
+def region_covering_check(regions, n, ks, rng,
                           companion: bool = False) -> bool:
-    """Uniform samples of the constrained domain land in exactly one region."""
+    """500 uniform samples of the constrained domain each land in exactly
+    one region."""
     k1, k2 = (ks[0], ks[1]) if n == 2 else (ks[0], 0)
     done = 0
-    while done < samples:
+    while done < _COVERING_SAMPLES:
         t1 = sorted(rng.random() for _ in range(k1))
         t2 = sorted(rng.random() for _ in range(k2)) if n == 2 else []
         if n == 2 and not companion:
@@ -505,11 +509,19 @@ def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
 
 @dataclass
 class SectorSpec:
+    """Border of the angular sector |x| <= radius, |arg x| <= theta, cut off
+    at |x| = eps0, with n_ray nodes per ray and n_arc on the arc."""
     theta: float = 2.4
     radius: float = 1.6
     n_ray: int = 200
     n_arc: int = 200
     eps0: float = 1e-7
+
+    def __post_init__(self):
+        if not (0 < self.theta < math.pi):
+            raise ValueError("theta must lie in (0, pi)")
+        if self.radius <= 0 or self.eps0 <= 0:
+            raise ValueError("radius and eps0 must be positive")
 
 
 def sector_integral(f, spec: SectorSpec | None = None) -> complex:

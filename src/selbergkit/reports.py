@@ -32,8 +32,7 @@ class VerificationReport:
         return cls(**json.loads(line))
 
 
-RULES = ("rel_tol", "must_differ", "converges", "extrapolates", "exact",
-         "raised")
+RULES = ("rel_tol", "must_differ", "extrapolates", "exact", "raised")
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,6 @@ class Outcome:
 
     rel_tol      lhs and rhs are numbers; pass iff the deviation <= tol.
     must_differ  as rel_tol, but pass iff the deviation > tol.
-    converges    lhs is a sequence of approximations of rhs; pass iff their
-                 deviations strictly decrease and the last is <= tol.
     extrapolates lhs is a sequence of (s, approximation) pairs, s falling
                  towards 0; pass iff the approximations' deviations
                  strictly decrease and the value at s = 0 of the
@@ -99,11 +96,8 @@ def make_report(suite, case_id, params, outcome: Outcome,
         abs_err = rel_err = 0.0 if passed else float("nan")
         if rule == "exact":
             lhs = rhs = "equal" if passed else "unequal"
-    elif rule in ("converges", "extrapolates"):
-        if rule == "converges":
-            vals, lhs = lhs, lhs[-1]
-        else:
-            vals, lhs = [v for _, v in lhs], _value_at_zero(lhs)
+    elif rule == "extrapolates":
+        vals, lhs = [v for _, v in lhs], _value_at_zero(lhs)
         devs = [_deviation(v, rhs)[1] for v in vals]
         abs_err, rel_err = _deviation(lhs, rhs)
         passed = (all(a > b for a, b in zip(devs, devs[1:]))

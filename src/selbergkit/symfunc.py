@@ -732,12 +732,15 @@ def _pow_dd_entry(x, w, r: int):
     return _falling(w, r) / math.factorial(r) * x ** (w - r)
 
 
-def alternant_ratio(xs: Sequence[complex], ws: Sequence[complex],
-                    coincidence_tol: float = 1e-8) -> complex:
+_COINCIDENCE_TOL = 1e-8
+
+
+def alternant_ratio(xs: Sequence[complex], ws: Sequence[complex]) -> complex:
     """det(x_i^{w_j}) / Delta(x) with a divided-difference confluent fallback.
 
     Delta(x) = prod_{i<j} (x_i - x_j).  Powers use the principal branch for
     non-integer exponents, so complex x must avoid the negative real axis.
+    Points within 1e-8 max|x| of each other are taken as coincident.
     """
     n = len(xs)
     if n == 0:
@@ -750,7 +753,7 @@ def alternant_ratio(xs: Sequence[complex], ws: Sequence[complex],
     # sorting needs no sign correction
     order = sorted(range(n), key=lambda i: (xs[i].real, xs[i].imag))
     xs_s = [xs[i] for i in order]
-    tol = coincidence_tol * scale
+    tol = _COINCIDENCE_TOL * scale
     # dd[r][s] = f_j[x_s, ..., x_{s+r}] built per column
     table = [[0.0 + 0.0j] * n for _ in range(n)]
     for j, w in enumerate(ws):

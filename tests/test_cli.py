@@ -34,12 +34,18 @@ class TestReports:
         (Outcome(1.001, 1.0, 1e-6), False, 1e-3),
         (Outcome(0.173, 0.0, 1e-2, "must_differ"), True, 0.173),
         (Outcome(1.0, 1.0 + 1e-9, 1e-2, "must_differ"), False, 1e-9),
-        (Outcome([1.5, 1.1, 1.01], 1.0, 0.05, "converges"), True, 0.01),
-        # decreasing, but the last deviation is outside tol
-        (Outcome([1.5, 1.1, 1.01], 1.0, 1e-3, "converges"), False, 0.01),
-        # inside tol, but not decreasing
-        (Outcome([1.01, 1.02, 1.03], 1.0, 0.5, "converges"), False, 0.03),
-        (Outcome([1.1, 1.1, 1.1], 1.0, 0.5, "converges"), False, 0.1),
+        # v = 1.01 + s + s^2: decreasing deviations, extrapolated to 1.01
+        (Outcome([(0.4, 1.57), (0.2, 1.25), (0.1, 1.12)], 1.0, 0.05,
+                 "extrapolates"), True, 0.01),
+        # the same, outside tol
+        (Outcome([(0.4, 1.57), (0.2, 1.25), (0.1, 1.12)], 1.0, 1e-3,
+                 "extrapolates"), False, 0.01),
+        # extrapolated inside tol (to 1.03), but the deviations rise
+        (Outcome([(0.2, 1.01), (0.1, 1.02)], 1.0, 0.5, "extrapolates"),
+         False, 0.03),
+        # equal deviations do not strictly decrease
+        (Outcome([(0.2, 1.1), (0.1, 1.1)], 1.0, 0.5, "extrapolates"),
+         False, 0.1),
         (Outcome(True, True, rule="exact"), True, 0.0),
         (Outcome(False, True, rule="exact"), False, float("nan")),
         # v = 1 + s + s^2 through three points: the value at s = 0 is 1
@@ -57,12 +63,6 @@ class TestReports:
         rep = make_report("demo", "c", {}, outcome, 0.0)
         assert rep.passed is passed
         assert rep.rel_err == pytest.approx(rel_err, rel=1e-6, nan_ok=True)
-
-    def test_converges_reports_last_value_against_target(self):
-        rep = make_report("demo", "c", {},
-                          Outcome([2.0, 1.5, 1.25], 1.0, 0.5, "converges"),
-                          0.0)
-        assert (rep.lhs, rep.rhs, rep.abs_err) == ("1.25", "1.0", 0.25)
 
     def test_exact_reports_verdict(self):
         ok = make_report("demo", "c", {}, Outcome(True, True, rule="exact"),
@@ -325,3 +325,15 @@ class TestCli:
     def test_tol_replaces_every_numeric_rule(self, capsys, suite, rc):
         # guess must miss by more than tol; skew-limit must come within it
         assert main(["verify", suite, "--tol", "1e-9"]) == rc
+
+    def test_exact_suite_does_not_import_numpy(self):
+        # the exact engine and coeffs import numpy only on numeric routes
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        script = ("import sys\n"
+                  "from selbergkit.cli import main\n"
+                  "assert main(['verify', 'cauchy', '--max-degree', '2']) == 0\n"
+                  "assert 'numpy' not in sys.modules\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from selbergkit.coeffs import (
-    EllipticParams, c_minus, c_plus, delta0, ell_gamma, ell_qt_poch, gamma,
+    c_minus, c_plus, delta0, ell_gamma, ell_qt_poch, gamma,
     gamma_poch, gamma_q, gamma_ratio, hooks, hooks_row_form, poch, qpoch,
     qpoch_ext, qpoch_inf, qt_poch, qt_poch_cells, theta, theta_poch,
 )
@@ -171,18 +171,19 @@ class TestThetaEllGamma:
         rhs = theta(z, qq) * ell_gamma(z, p, qq)
         assert abs(lhs - rhs) < 1e-11 * abs(rhs)
 
-    def test_truncation_stability(self):
-        z, p, qq = 0.7 + 0.3j, 0.4, 0.35
-        a1 = ell_gamma(z, p, qq, eps=1e-16)
-        a2 = ell_gamma(z, p, qq, eps=1e-24)
-        assert abs(a1 - a2) < 1e-12
-        t1 = theta(z, p, eps=1e-16)
-        t2 = theta(z, p, eps=1e-24)
-        assert abs(t1 - t2) < 1e-12
+    @pytest.mark.parametrize("p,qq", [(0.2, 0.25), (1e-3, 0.45)])
+    def test_ell_gamma_vanishes_at_pq(self, p, qq):
+        # 1 - pq/z is the first numerator factor
+        assert ell_gamma(p * qq, p, qq) == 0
 
-    def test_elliptic_params_validation(self):
-        with pytest.raises(ValueError):
-            EllipticParams(1.2, 0.3)
+    @pytest.mark.parametrize("p,qq", [(0.25, 0.375), (0.5, 0.25)])
+    def test_ell_gamma_poles_and_origin(self, p, qq):
+        # poles at z = p^-j q^-k; p is a power of 2, so p (1/p) is exactly 1
+        for z in (1.0, 1 / p):
+            with pytest.raises(PoleError):
+                ell_gamma(z, p, qq)
+        with pytest.raises(ZeroDivisionError):
+            ell_gamma(0, p, qq)
 
 
 class TestEllipticFactorials:

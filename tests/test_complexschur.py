@@ -8,7 +8,7 @@ from selbergkit.closedform import (
     an_one_alt, an_one_rhs, nplusone_rhs, schur_binomial,
 )
 from selbergkit.complexschur import (
-    SectorContour, an_one_staircase, beta_contour_closed,
+    an_one_staircase, beta_contour_closed,
     beta_schur_exact_sum, beta_schur_rhs, complex_an_aflt_closed,
     complex_an_aflt_recursive, complex_schur, schur_points,
     skew_schur_binomial, split_expansion, staircase_exponents,
@@ -225,5 +225,7 @@ class TestSectorSmoke:
         assert abs(v - oracle) < 1e-6 * max(1.0, abs(oracle))
 
     def test_sector_contour_validation(self):
-        with pytest.raises(ValueError):
-            SectorContour(theta=3.5)
+        for bad in ({"theta": 3.5}, {"theta": 0.0}, {"radius": 0.0},
+                    {"eps0": -1e-7}):
+            with pytest.raises(ValueError):
+                SectorSpec(**bad)

@@ -49,12 +49,13 @@ ts, q = [0.4, 0.15, 0.4, 0.35, 0.4, 0.2], 0.45
 p = 0.4 * 0.15 * 0.4 * 0.35 * 0.4 * 0.2 / q
 elliptic.elliptic_beta_lhs(ts, 0.4, p, q, npts=160)
 # 17 rings of 64 scan points and 160 torus nodes, each point carrying 14
-# elliptic-gamma arguments, however the weight and the kernel chunk them
+# elliptic-gamma arguments, however the weight and the kernel chunk them,
+# and the one point Gamma(t) of the normalisation kappa_1
 scan = 17 * 64
 assert t.counters["elliptic.pole_scan.points"] == scan, t.counters
 assert t.counters["quadrature.torus.nodes"] == 160, t.counters
 got = t.counters["kernels.ellgamma.points"]
-assert got == 14 * (scan + 160) == 17472, got
+assert got == 14 * (scan + 160) + 1 == 17473, got
 """
 
 
