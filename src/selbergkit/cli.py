@@ -8,8 +8,9 @@ file that is not a JSON object, an unknown config key, a setting of the
 wrong type, a negative size, fewer than one quadrature point or job, a
 size above a suite's cap, an eval flag the formula does not read, a
 malformed eval value, an eval --k or --alpha list of the wrong length, a
-negative eval --k or --n, and a closed form that rejects its parameters or
-meets a pole or a zero division.
+negative eval --k or --n, a closed form that rejects its parameters or
+meets a pole or a zero division, and a --report file that cannot be
+opened for appending.
 """
 
 from __future__ import annotations
@@ -159,27 +160,35 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"verify {args.suite}: {exc}", file=sys.stderr)
         return 2
-    jobs = cfg.get("jobs", 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_one, tasks))
-    else:
-        reports = [_run_one(t) for t in tasks]
-    reports.sort(key=lambda r: (r.suite, r.case_id))
-    sink = open(args.report, "a") if args.report else None
-    npass = 0
-    for rep in reports:
-        line = rep.to_json()
+    # the report file is opened before the first case runs, and closed
+    # however the run ends
+    try:
+        sink = open(args.report, "a") if args.report else None
+    except OSError as exc:
+        print(f"verify {args.suite}: --report {args.report}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    try:
+        jobs = cfg.get("jobs", 1)
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                reports = list(pool.map(_run_one, tasks))
+        else:
+            reports = [_run_one(t) for t in tasks]
+        reports.sort(key=lambda r: (r.suite, r.case_id))
+        npass = 0
+        for rep in reports:
+            if sink:
+                sink.write(rep.to_json() + "\n")
+            status = "PASS" if rep.passed else "FAIL"
+            extra = f" rel_err={rep.rel_err:.2e}" \
+                if rep.rel_err == rep.rel_err else ""
+            print(f"[{status}] {rep.suite}/{rep.case_id}{extra} "
+                  f"({rep.runtime_ms:.0f} ms) {rep.notes}")
+            npass += rep.passed
+    finally:
         if sink:
-            sink.write(line + "\n")
-        status = "PASS" if rep.passed else "FAIL"
-        extra = f" rel_err={rep.rel_err:.2e}" if rep.rel_err == rep.rel_err \
-            else ""
-        print(f"[{status}] {rep.suite}/{rep.case_id}{extra} "
-              f"({rep.runtime_ms:.0f} ms) {rep.notes}")
-        npass += rep.passed
-    if sink:
-        sink.close()
+            sink.close()
     print(f"{npass}/{len(reports)} cases passed")
     return 0 if npass == len(reports) else 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .coeffs import gamma_poch, gamma_ratio, poch, qpoch, qpoch_inf, qt_poch
-from .field import PoleError, fe
+from .field import PoleError
 from .macdonald import jack_binomial_spec, principal_spec_a
 from .partitions import Bipartition, Partition, bipartite_spectral_vector
 
@@ -20,7 +20,7 @@ __all__ = [
     "selberg_rhs", "aflt_rhs", "an_selberg_rhs", "an_one_rhs", "an_one_alt",
     "an_aflt_rhs", "an_alt_avg_rhs", "an_alt_norm_rhs", "nplusone_rhs",
     "gamma_one_rhs", "r_function", "r_function_params_ok",
-    "mac_aflt_rhs", "mac_corollary_rhs", "ortho_norm_rhs", "eaflt_rhs",
+    "mac_aflt_rhs", "ortho_norm_rhs", "eaflt_rhs",
     "elliptic_selberg_rhs", "hyper_pfq", "hyper_qphi", "schur_binomial",
     "jack_spec", "seven_one_rhs", "seven_two_rhs", "seven_two_gamma_one",
 ]
@@ -455,35 +455,6 @@ def mac_aflt_rhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
     return out
 
 
-def mac_corollary_rhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
-                      m: int | None = None) -> complex:
-    """The equivalent scalar-product form of the Macdonald-pair integral."""
-    from .macdonald import b_lambda
-    lam, mu = Partition(lam), Partition(mu)
-    if len(lam) > n:
-        return 0.0
-    if m is None:
-        m = max(len(mu), 1)
-    a, b, q, t = complex(a), complex(b), complex(q), complex(t)
-    b_mu = complex(fe(b_lambda(mu)).eval({"q": q, "t": t}))
-    out = (t ** ((1 - n) * mu.size)
-           * complex(principal_spec_a(lam, t ** n, q=q, t=t))
-           * b_mu * complex(principal_spec_a(mu, b * t ** (n - 1), q=q, t=t)))
-    out *= complex(qt_poch(q * t ** m / a, q, t, lam))
-    out /= complex(qt_poch(b * q * t ** (n - 1) / a, q, t, lam))
-    for i in range(1, n + 1):
-        out *= (qpoch_inf(t, q) * qpoch_inf(a * t ** (i - 1), q)
-                * qpoch_inf(q * t ** (i - 1) * b / a, q))
-        out /= (qpoch_inf(q, q) * qpoch_inf(t ** i, q)
-                * qpoch_inf(b * t ** (i - 1), q))
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            d = lam.part(i) - mu.part(j)
-            out *= (qpoch(q * t ** (j - i) / a, q, d)
-                    / qpoch(q * t ** (j - i + 1) / a, q, d))
-    return out
-
-
 def ortho_norm_rhs(n: int, lam: Partition, q, t) -> complex:
     """Torus scalar-product norm <P_lam, Q_lam>'_n."""
     lam = Partition(lam)
@@ -512,23 +483,24 @@ def elliptic_selberg_rhs(n: int, ts, t, p, q) -> complex:
     return out
 
 
-def _check_balancing(n, ts, t, p, q, tol=1e-10):
+def _check_balancing(n, ts, t, p, q):
     prod = complex(t) ** (2 * n - 2)
     for x in ts:
         prod *= complex(x)
-    if abs(prod - complex(p) * complex(q)) > tol * max(1.0, abs(p * q)):
+    if abs(prod - complex(p) * complex(q)) > 1e-10 * max(1.0, abs(p * q)):
         raise ValueError("elliptic balancing condition violated "
                          "(t^(2n-2) t1...t6 must equal p q)")
 
 
-def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p, q,
-              display_form: bool = False) -> complex:
+def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p,
+              q) -> complex:
     """Elliptic interpolation-pair integral, closed form.
 
     The last factor is the ratio of two Delta0's with spectral-vector
     arguments sharing the same well-poising parameter, as produced by the
-    derivation; display_form switches to the printed variant (kept for the
-    record, see the ledger).
+    derivation.  The printed variant, whose denominator Delta0 is
+    well-poised at t^(n-2) t2 t3 t4 / t5, fails against quadrature for a
+    nonempty mu.
     """
     from .coeffs import delta0_bipartite
     _check_balancing(n, ts, t, p, q)
@@ -547,16 +519,10 @@ def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p, q,
           for x in bipartite_spectral_vector(blam, n)]
     num_args = [t ** (n - 2) * t1 * t3 * t4 * t5 * v for v in sv]
     den_args = [t ** (n - 1) * t1 * t3 * t4 * t5 * v for v in sv]
-    if display_form:
-        out *= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, num_args,
-                                t, p, q, bmu)
-        out /= delta0_bipartite(t ** (n - 2) * t2 * t3 * t4 / t5, den_args,
-                                t, p, q, bmu)
-    else:
-        out *= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, num_args,
-                                t, p, q, bmu)
-        out /= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, den_args,
-                                t, p, q, bmu)
+    out *= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, num_args,
+                            t, p, q, bmu)
+    out /= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, den_args,
+                            t, p, q, bmu)
     return out
 
 

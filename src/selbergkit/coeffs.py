@@ -17,14 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 from .field import PoleError
 from .partitions import Partition
 
 __all__ = [
-    "poch", "qpoch", "qpoch_ext", "QPochExt", "qt_poch", "gamma_poch",
-    "hooks", "gamma", "lgamma", "gamma_ratio", "gamma_q",
+    "poch", "qpoch", "qt_poch", "gamma_poch",
+    "hooks", "gamma", "lgamma", "gamma_ratio",
     "theta", "theta_poch", "ell_gamma", "ell_qt_poch", "delta0",
     "delta0_bipartite", "c_minus", "c_plus",
 ]
@@ -67,8 +66,8 @@ def qpoch(b, q, n: int):
     """q-shifted factorial (b;q)_n for integer n.
 
     Negative index uses (b;q)_{-n} = 1/(b q^{-n};q)_n and raises PoleError
-    on a vanishing factor (e.g. (q;q)_{-n}); use qpoch_ext to observe the
-    reciprocal-zero convention instead.
+    on a vanishing factor (e.g. (q;q)_{-n}); inv_qpoch gives the
+    reciprocal, which is then exactly zero.
     """
     if n >= 0:
         out = 1
@@ -97,27 +96,6 @@ def _is_exact_zero(x) -> bool:
     return x == 0
 
 
-@dataclass
-class QPochExt:
-    """(b;q)_n with n in Z and the reciprocal-zero convention flagged."""
-    value: object
-    pole: bool
-
-    def reciprocal(self):
-        if self.pole:
-            return QPochExt(0, False)
-        return QPochExt(1 / self.value, False)
-
-
-def qpoch_ext(b, q, n: int) -> QPochExt:
-    if n >= 0:
-        return QPochExt(qpoch(b, q, n), False)
-    den = inv_qpoch(b, q, n)
-    if _is_exact_zero(den):
-        return QPochExt(None, True)
-    return QPochExt(1 / den, False)
-
-
 def qpoch_inf(b, q) -> complex:
     """(b;q)_infty by the product of its factors down to |b q^j| <= 1e-16,
     |q| < 1."""
@@ -135,27 +113,12 @@ def qpoch_inf(b, q) -> complex:
     return out
 
 
-def qpoch_z(b, q, z) -> complex:
-    """(b;q)_z = (b;q)_infty / (b q^z;q)_infty for complex z, 0 < |q| < 1."""
-    q = complex(q)
-    return qpoch_inf(b, q) / qpoch_inf(b * q ** z, q)
-
-
 def qt_poch(b, q, t, lam: Partition):
-    """(b;q,t)_lambda, row-product form; cell form available for checks."""
+    """(b;q,t)_lambda = prod_i (b t^{1-i};q)_{lambda_i}."""
     lam = Partition(lam)
     out = 1
     for i, part in enumerate(lam.parts, start=1):
         out = out * qpoch(b * t ** (1 - i), q, part)
-    return out
-
-
-def qt_poch_cells(b, q, t, lam: Partition):
-    """(b;q,t)_lambda as the product over cells of (1 - b q^{a'} t^{-l'})."""
-    lam = Partition(lam)
-    out = 1
-    for (i, j) in lam.cells():
-        out = out * (1 - b * q ** (j - 1) * t ** (1 - i))
     return out
 
 
@@ -185,24 +148,6 @@ def hooks(lam: Partition, q, t):
     return c, cp, c * _recip(cp)
 
 
-def hooks_row_form(lam: Partition, q, t, n: int):
-    """Row-product forms of (c_lambda, c'_lambda) for any padding n >= l(lambda)."""
-    lam = Partition(lam)
-    if n < len(lam):
-        raise ValueError("padding too short")
-    c = 1
-    cp = 1
-    for i in range(1, n + 1):
-        c = c * qpoch(t ** (n - i + 1), q, lam.part(i))
-        cp = cp * qpoch(q * t ** (n - i), q, lam.part(i))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            d = lam.part(i) - lam.part(j)
-            c = c * qpoch(t ** (j - i), q, d) / qpoch(t ** (j - i + 1), q, d)
-            cp = cp * qpoch(q * t ** (j - i - 1), q, d) / qpoch(q * t ** (j - i), q, d)
-    return c, cp
-
-
 # ---------------------------------------------------------------------------
 # gamma functions
 # ---------------------------------------------------------------------------
@@ -221,10 +166,10 @@ _LANCZOS = (
 )
 
 
-def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
+def _is_nonpositive_int(z: complex) -> bool:
     z = complex(z)
-    return (abs(z.imag) < tol and z.real < 0.5
-            and abs(z.real - round(z.real)) < tol)
+    return (abs(z.imag) < 1e-12 and z.real < 0.5
+            and abs(z.real - round(z.real)) < 1e-12)
 
 
 def gamma(z) -> complex:
@@ -292,15 +237,6 @@ def gamma_ratio(nums, dens) -> complex:
         if not _is_nonpositive_int(z):
             acc -= lgamma(z)
     return extra * cmath.exp(acc)
-
-
-def gamma_q(z, q) -> complex:
-    """q-gamma function for 0 < q < 1."""
-    q = complex(q)
-    if not (0 < q.real < 1 and abs(q.imag) < 1e-15):
-        raise ValueError("Gamma_q needs 0 < q < 1")
-    z = complex(z)
-    return (qpoch_inf(q, q) / qpoch_inf(q ** z, q)) * (1 - q) ** (1 - z)
 
 
 # ---------------------------------------------------------------------------

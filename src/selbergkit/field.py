@@ -12,8 +12,7 @@ ties going to the later-registered indeterminates.  No field ever reaches
 its guard bit: the total degree bounds every exponent, and a product whose
 total degree would reach 2**(_W - 1) raises ``OverflowError`` rather than
 carry into the next field.  Registering an indeterminate adds a field above
-the others, so it never invalidates a polynomial.  ``MPoly.monomials``
-gives the exponent tuples.
+the others, so it never invalidates a polynomial.
 ``FieldElement`` is a coprime num/den pair of ``MPoly`` in canonical form.
 
 Reduction policy.  Operands are coprime, so arithmetic follows Henrici
@@ -55,9 +54,8 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "PoleError",
@@ -66,8 +64,6 @@ __all__ = [
     "fe",
     "var",
     "mpoly_gcd",
-    "substitute",
-    "eval_complex",
     "POLE_TOLERANCE",
 ]
 
@@ -237,16 +233,6 @@ class MPoly:
             i += 1
         return out
 
-    def degree_in(self, i: int) -> int:
-        sh = _W * (i + 1)
-        return max(((e >> sh) & _M for e in self.terms), default=0)
-
-    def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """``(exponents, coefficient)`` per term.  The exponent tuple is
-        indexed by registration order, with trailing zeros stripped."""
-        for e, c in self.terms.items():
-            yield _unpack(e), c
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, MPoly):
@@ -273,9 +259,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             other = MPoly.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return MPoly.const(other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
@@ -358,17 +341,6 @@ class MPoly:
                 raise ValueError("monomial does not divide")
             out[e - exp] = c
         return _wrap(out)
-
-    def rational_content(self) -> Fraction:
-        """Positive rational c with self/c having coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
 
     def _lead_key(self):
         return max(self.terms, key=_graded)
@@ -787,14 +759,12 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
         qg = (_rescale(qg, mg - common, 1, 1)
               if qg is not None and g is g1 else None)
     # raw has int coefficients unless it is an input (a zero operand's
-    # partner); only then may its content be a Fraction
-    if all(isinstance(c, int) for c in raw.terms.values()):
-        s, div = _int_content(raw), operator.floordiv
-    else:
-        s, div = raw.rational_content(), _coeff_div
+    # partner); clearing its denominators leaves the same primitive h
+    raw = _clear_denoms(raw)[0]
+    s = _int_content(raw)
     if raw.lead_coeff() < 0:
         s = -s
-    h = _wrap({e + common: div(v, s) for e, v in raw.terms.items()})
+    h = _wrap({e + common: v // s for e, v in raw.terms.items()})
     if not cofactors:
         return h
     if h.is_const():
@@ -816,7 +786,9 @@ def _prs_gcd(f: MPoly, g: MPoly) -> MPoly:
     shared = f.variables() & g.variables()
     if not shared:
         return base
-    v = min(shared, key=lambda i: min(f.degree_in(i), g.degree_in(i)))
+    # the shared variable of least degree in either operand
+    v = min(shared, key=lambda i: min(
+        max((e >> _W * (i + 1)) & _M for e in p.terms) for p in (f, g)))
     uf, ug = _to_univar(f, v), _to_univar(g, v)
     cf, cg = _content_gcd(uf.values()), _content_gcd(ug.values())
     ppf = {d: p.divide_exact(cf) for d, p in uf.items()}
@@ -1077,13 +1049,3 @@ def fe(x) -> FieldElement:
 def var(name: str) -> FieldElement:
     return FieldElement(MPoly.variable(name), reduce=False)
 
-
-def substitute(f: FieldElement, bindings: Mapping[str, FieldElement]) -> FieldElement:
-    return fe(f).subs({k: fe(v) for k, v in bindings.items()})
-
-
-def eval_complex(f: FieldElement, bindings: Mapping[str, complex]) -> complex:
-    out = fe(f).eval(bindings)
-    if isinstance(out, Fraction):
-        return complex(out)
-    return out

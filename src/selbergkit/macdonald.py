@@ -6,25 +6,20 @@ P_lambda and the Jack polynomials are built basis-free (an m-basis
 coefficient map) by the branching rule over horizontal strips (Macdonald,
 *Symmetric Functions and Hall Polynomials*, 2nd ed., ch. VI §7): the q,t
 cells give P_lambda(q,t), the gamma cells the Jack P^(1/gamma) over
-Q(gamma), built independently and not as a limit.  The Gram-Schmidt solve
-of the orthogonality system (`_orthogonal_family`) is only the oracle the
-tests compare the branching construction with.  `plethysm_eval` is the one
-numeric plethysm: every Jack or Macdonald evaluation at numbers or at
-arrays of points goes through it.
+Q(gamma), built independently and not as a limit.  The tests compare both
+with the Gram-Schmidt solve of the orthogonality system.  `plethysm_eval`
+is the one numeric plethysm: every Jack or Macdonald evaluation at numbers
+or at arrays of points goes through it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .coeffs import hooks, poch, qpoch, qt_poch
 from .field import FieldElement, fe, var
 from .partitions import Partition, partitions_of, spectral_vector, subpartitions
-from .symfunc import (
-    Alphabet, Letters, Ratio, Sum, SymFunc,
-    plethysm, z_lambda,
-)
+from .symfunc import Alphabet, Letters, Ratio, Sum, SymFunc, plethysm
 
 __all__ = [
     "macdonald_P", "macdonald_Q", "skew_P", "skew_Q", "jack_P",
@@ -33,88 +28,6 @@ __all__ = [
     "single_row_xminusy", "evaluation_symmetry_check",
     "generalized_evaluation_symmetry_check", "jack_eval", "plethysm_eval",
 ]
-
-
-# ---------------------------------------------------------------------------
-# scalar products in the p-basis
-# ---------------------------------------------------------------------------
-
-def _hall_norm_qt(rho: Partition) -> FieldElement:
-    q, t = var("q"), var("t")
-    out = fe(z_lambda(rho))
-    for part in rho:
-        out = out * (1 - q ** part) / (1 - t ** part)
-    return out
-
-
-def _hall_norm_gamma(rho: Partition) -> FieldElement:
-    g = var("gamma")
-    return fe(z_lambda(rho)) * g ** (-len(rho))
-
-
-@lru_cache(maxsize=None)
-def _m_in_p(d: int) -> dict[Partition, dict[Partition, Fraction]]:
-    from .symfunc import _m_to_basis
-    return _m_to_basis("p", d)
-
-
-def _gram_matrix(d: int, norm) -> dict[tuple[Partition, Partition], FieldElement]:
-    """<m_lam, m_mu> for all lam, mu of degree d under the given p-norm."""
-    lams = list(partitions_of(d)) if d else [Partition()]
-    minp = _m_in_p(d)
-    norms = {rho: norm(rho) for rho in lams}
-    out = {}
-    for i, lam in enumerate(lams):
-        for mu in lams[i:]:
-            acc = fe(0)
-            for rho, a in minp[lam].items():
-                b = minp[mu].get(rho)
-                if b is not None:
-                    acc = acc + fe(a * b) * norms[rho]
-            out[(lam, mu)] = acc
-            out[(mu, lam)] = acc
-    return out
-
-
-def _orthogonal_family(d: int, norm) -> dict[Partition, SymFunc]:
-    """Monic dominance-unitriangular family orthogonal for the given norm."""
-    lams = list(partitions_of(d)) if d else [Partition()]
-    gram = _gram_matrix(d, norm)
-    family: dict[Partition, SymFunc] = {}
-    # lams is in decreasing lexicographic order (refines dominance downward);
-    # process from the smallest up so each solve sees only smaller partitions
-    for pos in range(len(lams) - 1, -1, -1):
-        lam = lams[pos]
-        smaller = lams[pos + 1:]
-        if not smaller:
-            family[lam] = SymFunc("m", {lam: fe(1)})
-            continue
-        k = len(smaller)
-        # solve sum_mu u_mu <m_mu, m_nu> = -<m_lam, m_nu> for nu smaller
-        mat = [[gram[(nu, mu)] for mu in smaller] for nu in smaller]
-        rhs = [fe(-1) * gram[(nu, lam)] for nu in smaller]
-        sol = _solve_field(mat, rhs)
-        coeffs = {lam: fe(1)}
-        for mu, u in zip(smaller, sol):
-            if not u.is_zero():
-                coeffs[mu] = u
-        family[lam] = SymFunc("m", coeffs)
-    return family
-
-
-def _solve_field(mat, rhs):
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not a[r][col].is_zero())
-        a[col], a[piv] = a[piv], a[col]
-        inv = fe(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,6 @@ class Partition:
         return len(self.parts)
 
     @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
     def size(self) -> int:
         return sum(self.parts)
 
@@ -67,9 +63,6 @@ class Partition:
 
     def __hash__(self):
         return self._hash
-
-    def __lt__(self, other):  # lexicographic; refines dominance
-        return self.parts < Partition(other).parts
 
     def __bool__(self):
         return bool(self.parts)
@@ -100,10 +93,6 @@ class Partition:
 
     def leg(self, i: int, j: int) -> int:
         return self.conjugate().part(j) - i
-
-    def arm_leg(self, i: int, j: int) -> tuple[int, int, int, int]:
-        """(arm, leg, arm-colength, leg-colength) of cell (i, j), generalised."""
-        return (self.arm(i, j), self.leg(i, j), j - 1, i - 1)
 
     def n_stat(self) -> int:
         """sum (i-1) lambda_i; asserted against the conjugate-binomial form."""
@@ -146,16 +135,6 @@ def P(*parts) -> Partition:
 class Bipartition(NamedTuple):
     first: Partition
     second: Partition
-
-    @property
-    def size(self) -> int:
-        return self.first.size + self.second.size
-
-    def contains(self, other: "Bipartition") -> bool:
-        return self.first.contains(other.first) and self.second.contains(other.second)
-
-    def __str__(self):
-        return f"[{self.first},{self.second}]"
 
 
 @lru_cache(maxsize=None)

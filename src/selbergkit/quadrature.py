@@ -480,8 +480,8 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
 
 
 def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
-                   rho: float = 1.0, npts: int = 128) -> complex:
-    """Torus quadrature of <P_lam, Q_mu>'_n."""
+                   npts: int = 128) -> complex:
+    """Torus quadrature of <P_lam, Q_mu>'_n on the unit torus."""
     lam, mu = Partition(lam), Partition(mu)
     q, t = complex(q), complex(t)
     nt = kernels.trunc_order(abs(q))
@@ -504,7 +504,7 @@ def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
                            lambda k: sum(z ** k for z in inv), env)
         return pl * pm * bmu * weight
 
-    return torus_integral(n, integrand, rho, npts) / math.factorial(n)
+    return torus_integral(n, integrand, npts=npts) / math.factorial(n)
 
 
 @dataclass

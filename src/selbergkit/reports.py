@@ -27,10 +27,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line: str) -> "VerificationReport":
-        return cls(**json.loads(line))
-
 
 RULES = ("rel_tol", "must_differ", "extrapolates", "exact", "raised")
 

@@ -825,67 +825,163 @@ def _jack_row_diff(u, x, y, g):
 
 
 # ---------------------------------------------------------------------------
+# equivalent forms: declared cases, case id -> function of cfg -> Outcome
+# ---------------------------------------------------------------------------
+
+def _compare(lhs, rhs, tol):
+    """A table entry: two zero-argument sides, judged by rel_tol at tol, or
+    compared in the field for tol "exact"."""
+    if tol == "exact":
+        return lambda cfg: Outcome(fe(lhs()) == fe(rhs()), True, rule="exact")
+    return lambda cfg: Outcome(lhs(), rhs(), tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _forms():
+    """The paper's equivalent forms of its theorems, each against the form
+    the other suites use or against a direct computation."""
+    from .closedform import an_alt_norm_rhs, an_one_alt, an_one_rhs, hyper_qphi
+    from .complexschur import (
+        beta_contour_closed, complex_schur, split_expansion,
+    )
+    from .macdonald import macdonald_P, principal_spec_n, single_row_xminusy
+    from .quadrature import SectorSpec, sector_integral
+    from .symfunc import Difference, Letters, Ratio, plethysm
+    bind = functools.partial
+    t = var("t")
+    table = {}
+    # the gamma = 1 normalisation in the k_{n+1} := 1 - beta convention
+    for n, ks in ((1, [1]), (2, [1, 2]), (3, [1, 2, 2])):
+        args = (n, ks, [1.8 - 0.1 * r for r in range(n)], 0.6)
+        table[f"an-one-alt-n{n}"] = _compare(
+            bind(an_one_alt, *args), bind(an_one_rhs, *args), 1e-12)
+    # the companion-chain normalisation's two final products
+    for ks in ([1, 1], [1, 2]):
+        args = (2, ks, [1.2, 1.4], 0.75, 0.75, 0.5)
+        table[f"an-alt-norm-k{ks[0]}{ks[1]}"] = _compare(
+            bind(an_alt_norm_rhs, *args),
+            bind(an_alt_norm_rhs, *args, alt_final_product=True), 1e-12)
+    # P_(r)[x - y] as a terminating 2phi1
+    x_minus_y = Difference(Letters([var("x")]), Letters([var("y")]))
+    x, y, q, tt = 0.8, 0.3, 0.23, 0.41
+    for r in range(1, 5):
+        table[f"single-row-{r}-plethysm"] = _compare(
+            bind(single_row_xminusy, r, var("x"), var("y")),
+            lambda r=r: plethysm(macdonald_P(P(r)), x_minus_y), "exact")
+        table[f"single-row-{r}-qphi"] = _compare(
+            bind(single_row_xminusy, r, x, y, q, tt),
+            lambda r=r: x ** r * hyper_qphi(
+                [1 / tt, q ** -r], [q ** (1 - r) / tt], q, y * q / x),
+            1e-11)
+    # the principal specialisation P_lam[(1 - t^n)/(1 - t)]
+    for n in (2, 3):
+        for lam in partitions_up_to(3):
+            table[f"principal-spec-{lam}-n{n}"] = _compare(
+                bind(principal_spec_n, lam, n),
+                lambda lam=lam, n=n: plethysm(macdonald_P(lam),
+                                              Ratio(fe(1), t ** n, t)),
+                "exact")
+    # the sector beta integral by quadrature on the sector border
+    spec = SectorSpec(n_ray=400, n_arc=400, eps0=1e-9)
+    for i, (a, b) in enumerate(((1.7, 0.4 + 0.2j), (2.2, 0.3 - 0.1j))):
+        table[f"sector-beta-{i}"] = _compare(
+            lambda a=a, b=b: sector_integral(
+                lambda z: z ** (a - 1) * (z - 1) ** (b - 1), spec),
+            bind(beta_contour_closed, a, b), 1e-8)
+    # S(x; z) expanded over the m-subsets of the points
+    xs = [0.9 + 0.1j, 0.45 + 0.05j, 1.3 + 0.15j]
+    zs = [1.2 + 0.1j, 0.3 + 0.25j, 1.7]
+    for m in range(4):
+        table[f"split-expansion-m{m}"] = _compare(
+            bind(split_expansion, xs, zs, m), bind(complex_schur, xs, zs),
+            1e-10)
+    return table
+
+
+def cases_forms(cfg):
+    return [{"case_id": cid} for cid in _forms()]
+
+
+def run_forms(params, cfg):
+    return _forms()[params["case_id"]](cfg)
+
+
+# ---------------------------------------------------------------------------
 # property rollup suite
 # ---------------------------------------------------------------------------
 
+def _props_padding(cfg):
+    from .closedform import aflt_rhs, r_function
+    v1 = aflt_rhs(2, P(2), P(1), 1.7, 2.2, 0.6, m=1)
+    v2 = aflt_rhs(2, P(2), P(1), 1.7, 2.2, 0.6, m=3)
+    d1 = abs(v1 - v2) / abs(v1)
+    v3 = r_function(2, [1, 2], [1.9, 1.4], 0.7, 0.55,
+                    [P(1), P(1), P(2)], ells=[1, 1, 2])
+    v4 = r_function(2, [1, 2], [1.9, 1.4], 0.7, 0.55,
+                    [P(1), P(1), P(2)], ells=[1, 2, 3])
+    d2 = abs(v3 - v4) / abs(v3)
+    return Outcome(complex(max(d1, d2)), complex(0.0), 1e-9)
+
+
+def _props_transpose(cfg):
+    from .identities import f_function
+    t, a, q = var("t"), var("a"), var("q")
+    ok = True
+    for lam in partitions_up_to(3):
+        for mu in partitions_up_to(2):
+            k = max(len(lam), 1) + 1
+            l = max(len(mu), 1)
+            lhs = f_function(lam, mu, k, l)
+            rhs = f_function(mu, lam, l, k, t / (a * q))
+            ok = ok and fe(lhs) == fe(rhs)
+    return Outcome(ok, True, rule="exact")
+
+
+def _props_guards(cfg):
+    from .coeffs import ell_gamma, theta
+    z, p, q = 0.4 + 0.2j, 0.3, 0.2
+    r1 = abs(ell_gamma(z, p, q) * ell_gamma(p * q / z, p, q) - 1)
+    r2 = abs(ell_gamma(p * z, p, q) - theta(z, q) * ell_gamma(z, p, q)) \
+        / abs(ell_gamma(p * z, p, q))
+    return Outcome(complex(max(r1, r2)), complex(0.0), 1e-9)
+
+
+def _props_chain_cover(cfg):
+    from .quadrature import (
+        enumerate_chain, enumerate_companion_chain, region_covering_check,
+    )
+    rng = random.Random(cfg.get("seed", 7))
+    ok = region_covering_check(enumerate_chain(2, [1, 2], 0.4),
+                               2, [1, 2], rng)
+    ok = ok and region_covering_check(
+        enumerate_companion_chain(2, [1, 1], 0.75, 0.5), 2, [1, 1], rng,
+        companion=True)
+    return Outcome(ok, True, rule="exact")
+
+
+def _props_torus_radius(cfg):
+    from .quadrature import mac_aflt_lhs
+    a, b, q, t = 0.45, 0.35, 0.3, 0.4
+    v1 = mac_aflt_lhs(1, P(1), P(1), a, b, q, t, rho=(1 + b) / 2, npts=256)
+    v2 = mac_aflt_lhs(1, P(1), P(1), a, b, q, t, rho=(3 + b) / 4, npts=256)
+    return Outcome(v1, v2, 1e-9)
+
+
+_PROPERTIES = {
+    "props-padding": _props_padding,
+    "props-transpose": _props_transpose,
+    "props-guards": _props_guards,
+    "props-chain-cover": _props_chain_cover,
+    "props-torus-radius": _props_torus_radius,
+}
+
+
 def cases_properties(cfg):
-    return [{"case_id": "props-padding"}, {"case_id": "props-transpose"},
-            {"case_id": "props-guards"}, {"case_id": "props-chain-cover"},
-            {"case_id": "props-torus-radius"}]
+    return [{"case_id": cid} for cid in _PROPERTIES]
 
 
 def run_properties(params, cfg):
-    cid = params["case_id"]
-    if cid == "props-padding":
-        from .closedform import aflt_rhs, r_function
-        v1 = aflt_rhs(2, P(2), P(1), 1.7, 2.2, 0.6, m=1)
-        v2 = aflt_rhs(2, P(2), P(1), 1.7, 2.2, 0.6, m=3)
-        d1 = abs(v1 - v2) / abs(v1)
-        v3 = r_function(2, [1, 2], [1.9, 1.4], 0.7, 0.55,
-                        [P(1), P(1), P(2)], ells=[1, 1, 2])
-        v4 = r_function(2, [1, 2], [1.9, 1.4], 0.7, 0.55,
-                        [P(1), P(1), P(2)], ells=[1, 2, 3])
-        d2 = abs(v3 - v4) / abs(v3)
-        return Outcome(complex(max(d1, d2)), complex(0.0), 1e-9)
-    if cid == "props-transpose":
-        from .identities import f_function
-        t, a, q = var("t"), var("a"), var("q")
-        ok = True
-        for lam in partitions_up_to(3):
-            for mu in partitions_up_to(2):
-                k = max(len(lam), 1) + 1
-                l = max(len(mu), 1)
-                lhs = f_function(lam, mu, k, l)
-                rhs = f_function(mu, lam, l, k, t / (a * q))
-                ok = ok and fe(lhs) == fe(rhs)
-        return Outcome(ok, True, rule="exact")
-    if cid == "props-guards":
-        from .coeffs import ell_gamma, theta
-        z, p, q = 0.4 + 0.2j, 0.3, 0.2
-        r1 = abs(ell_gamma(z, p, q) * ell_gamma(p * q / z, p, q) - 1)
-        r2 = abs(ell_gamma(p * z, p, q) - theta(z, q) * ell_gamma(z, p, q)) \
-            / abs(ell_gamma(p * z, p, q))
-        return Outcome(complex(max(r1, r2)), complex(0.0), 1e-9)
-    if cid == "props-chain-cover":
-        from .quadrature import (
-            enumerate_chain, enumerate_companion_chain, region_covering_check,
-        )
-        rng = random.Random(cfg.get("seed", 7))
-        ok = region_covering_check(enumerate_chain(2, [1, 2], 0.4),
-                                   2, [1, 2], rng)
-        ok = ok and region_covering_check(
-            enumerate_companion_chain(2, [1, 1], 0.75, 0.5), 2, [1, 1], rng,
-            companion=True)
-        return Outcome(ok, True, rule="exact")
-    if cid == "props-torus-radius":
-        from .quadrature import mac_aflt_lhs
-        a, b, q, t = 0.45, 0.35, 0.3, 0.4
-        v1 = mac_aflt_lhs(1, P(1), P(1), a, b, q, t, rho=(1 + b) / 2,
-                          npts=256)
-        v2 = mac_aflt_lhs(1, P(1), P(1), a, b, q, t, rho=(3 + b) / 4,
-                          npts=256)
-        return Outcome(v1, v2, 1e-9)
-    raise ValueError(cid)
+    return _PROPERTIES[params["case_id"]](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +1012,7 @@ SUITES = {
     "recursion": (cases_recursion, run_recursion),
     "guess": (cases_guess, run_guess),
     "hyper": (cases_hyper, run_hyper),
+    "forms": (cases_forms, run_forms),
     "properties": (cases_properties, run_properties),
 }
 

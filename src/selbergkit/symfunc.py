@@ -22,28 +22,16 @@ from .field import FieldElement, fe
 from .partitions import Partition, partitions_of
 
 __all__ = [
-    "SymFunc", "sym", "m_sf", "p_sf", "h_sf", "s_sf",
+    "SymFunc", "sym", "s_sf",
     "Alphabet", "Letters", "Binomial", "Ratio", "Sum", "Difference",
     "Scale", "Product",
-    "pk_of_alphabet", "plethysm", "z_lambda",
-    "h_series_of_alphabet", "e_series_of_alphabet", "psi_series",
+    "pk_of_alphabet", "plethysm",
+    "h_series_of_alphabet", "e_series_of_alphabet",
     "LetterSeries", "expand_in_letters",
-    "schur_eval", "schur_spec", "alternant_ratio",
-    "sigma_series", "series_mul", "series_div",
+    "schur_eval", "alternant_ratio",
 ]
 
 BASES = ("m", "p", "e", "h", "s")
-
-
-def z_lambda(lam: Partition) -> int:
-    lam = Partition(lam)
-    out = 1
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        out *= part ** m * math.factorial(m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +237,6 @@ class SymFunc:
                 if not _scalar_is_zero(c):
                     self.coeffs[Partition(lam)] = c
 
-    def degree(self) -> int:
-        return max((lam.size for lam in self.coeffs), default=0)
-
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if self.basis != other.basis:
-            other = other.to_basis(self.basis)
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            if lam in out:
-                out[lam] = out[lam] + c
-            else:
-                out[lam] = c
-        return SymFunc(self.basis, out)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "SymFunc":
         return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
 
@@ -340,16 +311,6 @@ class SymFunc:
         keys = set(a.coeffs) | set(b.coeffs)
         return all(_scalar_eq(a.coeff(k), b.coeff(k)) for k in keys)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for lam in sorted(self.coeffs, key=lambda x: (x.size, x.parts)):
-            bits.append(f"({self.coeffs[lam]})*{self.basis}{lam}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
 
 def _scalar_is_zero(c) -> bool:
     if isinstance(c, FieldElement):
@@ -381,10 +342,8 @@ def sym(basis: str, lam, c=1) -> SymFunc:
     return SymFunc(basis, {Partition(lam): Fraction(c) if isinstance(c, int) else c})
 
 
-def m_sf(lam): return sym("m", lam)
-def p_sf(lam): return sym("p", lam)
-def h_sf(lam): return sym("h", lam)
-def s_sf(lam): return sym("s", lam)
+def s_sf(lam):
+    return sym("s", lam)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +359,6 @@ class Letters(Alphabet):
 
     def __init__(self, values):
         self.values = tuple(values)
-
-    def __repr__(self):
-        return f"Letters({list(self.values)})"
 
 
 @dataclass
@@ -534,43 +490,6 @@ def e_series_of_alphabet(A: Alphabet, cap: int) -> list:
     return es
 
 
-def sigma_series(A: Alphabet, cap: int) -> list:
-    """Coefficients of sigma_z[A] = sum z^k h_k[A] up to degree cap."""
-    return h_series_of_alphabet(A, cap)
-
-
-def psi_series(A: Alphabet, cap: int) -> list:
-    """Coefficients of psi_z[A] = sum_{k>=1} z^k p_k[A]/k (index 0 is 0)."""
-    out = [Fraction(0)]
-    for k in range(1, cap + 1):
-        out.append(pk_of_alphabet(k, A) * Fraction(1, k))
-    return out
-
-
-def series_mul(a: Sequence, b: Sequence) -> list:
-    cap = min(len(a), len(b)) - 1
-    out = []
-    for k in range(cap + 1):
-        acc = 0
-        for i in range(k + 1):
-            acc = acc + a[i] * b[k - i]
-        out.append(acc)
-    return out
-
-
-def series_div(a: Sequence, b: Sequence) -> list:
-    """a/b as truncated series; b[0] must be invertible."""
-    cap = min(len(a), len(b)) - 1
-    inv0 = 1 / fe(b[0]) if isinstance(b[0], FieldElement) else 1 / b[0]
-    out = []
-    for k in range(cap + 1):
-        acc = a[k]
-        for i in range(1, k + 1):
-            acc = acc - b[i] * out[k - i]
-        out.append(acc * inv0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # letter series (truncated polynomials in named letters)
 # ---------------------------------------------------------------------------
@@ -672,30 +591,6 @@ class LetterSeries:
 
     def coeff(self, exps: tuple[int, ...]):
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, LetterSeries):
-            return NotImplemented
-        self._check(other)
-        keys = set(self.terms) | set(other.terms)
-        return all(_scalar_eq(self.coeff(k), other.coeff(k)) for k in keys)
-
-    def max_total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            mono = "*".join(
-                f"{n}^{p}" if p > 1 else n
-                for n, p in zip(self.letters, e) if p)
-            c = self.terms[e]
-            bits.append(f"({c})*{mono}" if mono else f"({c})")
-        return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 def expand_in_letters(f: SymFunc, letters: Sequence[str],
@@ -813,23 +708,3 @@ def schur_eval(lam: Partition, xs: Sequence) -> object:
         return s_sf(lam).eval_points(list(xs))
     ws = [lam.part(j + 1) + n - (j + 1) for j in range(n)]
     return alternant_ratio([complex(x) for x in xs], ws)
-
-
-def schur_spec(lam: Partition, n, k: int | None = None):
-    """s_lambda(1^n) by the factorised specialisation; padding k >= l(lambda).
-
-    n may be symbolic (a binomial element); the product form is used as is.
-    """
-    lam = Partition(lam)
-    if k is None:
-        k = max(len(lam), 1)
-    if k < len(lam):
-        raise ValueError("padding too short")
-    from .coeffs import poch
-    out = Fraction(1) if isinstance(n, (int, Fraction)) else 1
-    for i in range(1, k + 1):
-        out = out * poch(n - i + 1, lam.part(i)) / poch(k - i + 1, lam.part(i))
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            out = out * Fraction(lam.part(i) - lam.part(j) + j - i, j - i)
-    return out

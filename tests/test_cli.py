@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from selbergkit import cli
 from selbergkit.cli import main
 from selbergkit.reports import Outcome, VerificationReport, make_report
 
@@ -16,7 +17,7 @@ class TestReports:
         rep = make_report("demo", "case-1", {"k": 2, "z": 0.5 + 0.25j},
                           Outcome(1.0 + 0j, 1.0 + 1e-12j, 1e-6, notes="n"),
                           12.5)
-        back = VerificationReport.from_json(rep.to_json())
+        back = VerificationReport(**json.loads(rep.to_json()))
         assert back == rep
 
     def test_pass_semantics(self):
@@ -253,9 +254,39 @@ class TestCli:
         rc = main(["verify", "jackson", "--report", str(path)])
         assert rc == 0
         lines = path.read_text().strip().split("\n")
-        reports = [VerificationReport.from_json(x) for x in lines]
+        reports = [VerificationReport(**json.loads(x)) for x in lines]
         assert all(r.passed for r in reports)
         assert len(reports) >= 3
+
+    def test_report_path_that_cannot_be_opened(self, tmp_path, capsys,
+                                               monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_case", lambda *task: ran.append(task))
+        path = tmp_path / "no-such-dir" / "r.jsonl"
+        assert main(["verify", "skew-limit", "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"verify skew-limit: --report {path}: "
+                                "No such file or directory\n")
+        assert captured.out == "" and ran == []
+
+    def test_report_file_is_closed_when_a_case_raises(self, tmp_path,
+                                                      monkeypatch):
+        # a benchmark worker stops a run by raising from inside _run_one
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def stop(task):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        monkeypatch.setattr(cli, "_run_one", stop)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "skew-limit", "--report",
+                  str(tmp_path / "r.jsonl")])
+        assert len(opened) == 1 and opened[0].closed
 
     def test_determinism(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -168,16 +168,6 @@ class TestEllipticIntegrals:
             rhs = eaflt_rhs(1, bl, bm, T0, ts, p, q)
             assert abs(lhs - rhs) < 1e-7 * abs(rhs), (bl, bm)
 
-    def test_display_form_disagrees_for_skew_mu(self):
-        # the printed final ratio differs from the derivation; the
-        # quadrature arbitrates in favour of the derivation form
-        ts, p, q = balanced_params()
-        bl = Bipartition(P(1), P())
-        bm = Bipartition(P(1), P())
-        lhs = eaflt_lhs_n1(bl, bm, T0, ts, p, q, npts=160)
-        display = eaflt_rhs(1, bl, bm, T0, ts, p, q, display_form=True)
-        assert abs(lhs - display) > 1e-3 * abs(display)
-
 
 class TestSkewLimit:
     def test_degeneration_trend(self):

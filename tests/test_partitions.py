@@ -23,9 +23,10 @@ def test_conjugate_involution():
 
 def test_arm_leg():
     lam = P(6, 4, 3, 1, 1)
-    assert lam.arm_leg(1, 1) == (5, 4, 0, 0)
-    assert P(2, 1).arm_leg(2, 2) == (-1, -1, 1, 1)
-    assert P(3, 1).arm_leg(1, 2) == (1, 0, 1, 0)
+    assert (lam.arm(1, 1), lam.leg(1, 1)) == (5, 4)
+    # generalised to cells outside the diagram
+    assert (P(2, 1).arm(2, 2), P(2, 1).leg(2, 2)) == (-1, -1)
+    assert (P(3, 1).arm(1, 2), P(3, 1).leg(1, 2)) == (1, 0)
 
 
 def test_n_stat():

@@ -185,3 +185,15 @@ def test_quad_points_reach_the_chain_rule(monkeypatch, suite, calls):
     for params in gen(cfg):
         run(params, cfg)
     assert points == [12] * calls
+
+
+def test_forms_pass_and_no_numeric_case_compares_zeros():
+    # a numeric case with both sides 0 would pass whatever the forms said
+    gen, _ = suites.SUITES["forms"]
+    cases = gen({})
+    assert len(cases) == len({c["case_id"] for c in cases}) == 33
+    for params in cases:
+        rep = suites.run_case("forms", params, {})
+        assert rep.passed, rep
+        if rep.lhs != "equal":
+            assert complex(rep.lhs) != 0 and complex(rep.rhs) != 0, rep
