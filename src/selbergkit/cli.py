@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .partitions import P
 from .suites import SUITES, run_case
@@ -171,6 +170,8 @@ def cmd_verify(args) -> int:
     try:
         jobs = cfg.get("jobs", 1)
         if jobs > 1:
+            # imported here, so that a serial run does not pay for it
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 reports = list(pool.map(_run_one, tasks))
         else:

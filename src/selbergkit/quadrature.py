@@ -3,15 +3,21 @@ domains with sine-weight decomposition (plus the companion chain), torus
 quadrature for q-series integrands, and sector-contour quadrature.
 
 Chain regions are totally ordered at rank two; each region is mapped to the
-unit cube by the ordered-ratio substitution, endpoint exponents are
-absorbed into per-axis Gauss-Jacobi weights, and the remaining factors are
-evaluated pointwise, in slabs of at most 2^16 nodes along the first axis of
-the tensor rule.  gamma is kept in (0,1) so all exponents are integrable.
+unit cube by the ordered-ratio substitution, and every monomial part of the
+density (endpoint exponents and the w-part of each pair factor) is absorbed
+into per-axis tanh-sinh weights.  The rest, powers of 1 - prod v over runs
+of axes, is evaluated pointwise from the nodes' complements 1 - v, which the
+rule computes directly, so the corner singularities keep full relative
+accuracy.  It is evaluated in slabs of at most 2^16 nodes along the first
+axis of the tensor rule.  gamma is kept in (0,1) so all exponents are
+integrable.
 
 Every tensor rule works on an open grid: an integrand gets broadcastable
 per-axis arrays, each varying only along the axes it depends on, and the
 sum is contracted with the 1-D weights, so no factor is expanded to the
-full grid unless it depends on every axis.
+full grid unless it depends on every axis.  On the equal-radius torus the
+pair factors z_i/z_j take only npts values, so they are evaluated there
+once and gathered.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from .macdonald import b_lambda, jack_P, macdonald_P, plethysm_eval
 from .partitions import Partition
 
 __all__ = [
-    "gauss_jacobi_01", "QuadratureSpec", "ChainRegion", "enumerate_chain",
-    "enumerate_companion_chain", "region_covering_check", "an_selberg_lhs",
-    "aflt_lhs", "jack_pair_callback", "torus_integral", "sector_integral",
-    "SectorSpec", "mac_aflt_lhs", "ortho_norm_lhs",
+    "gauss_jacobi_01", "tanh_sinh_01", "QuadratureSpec", "ChainRegion",
+    "enumerate_chain", "enumerate_companion_chain", "region_covering_check",
+    "an_selberg_lhs", "aflt_lhs", "jack_pair_callback", "torus_integral",
+    "sector_integral", "SectorSpec", "mac_aflt_lhs", "ortho_norm_lhs",
 ]
 
 
@@ -84,6 +90,55 @@ def gauss_jacobi_01(n: int, p: float, q: float):
     w.flags.writeable = False
     _GJ_CACHE[key] = (t, w)
     return t, w
+
+
+# ---------------------------------------------------------------------------
+# tanh-sinh rules (Takahasi-Mori)
+# ---------------------------------------------------------------------------
+
+_TS_CACHE: dict = {}
+
+# the dropped tail of a tanh-sinh rule is at most this much of the weight
+_TS_TAIL = 1e-17
+
+
+def tanh_sinh_01(n: int, p: float, q: float, worst: float):
+    """Tanh-sinh rule for integral_0^1 f(v) v^p (1-v)^q dv, p, q > -1.
+
+    Returns (v, 1 - v, w): the nodes, their complements computed directly
+    as 1/(1 + e^{2u}) rather than as 1 - v, and weights that include
+    v^p (1-v)^q.  The nodes are v = 1/(1 + e^{-2u}), u = (pi/2) sinh s,
+    at the midpoints s of n equal cells of [-s_max, s_max] (Takahasi and
+    Mori, Publ. RIMS 9, 1974), so they crowd both endpoints doubly
+    exponentially.  s_max is the least for which the dropped tail
+    (e^{-pi sinh s_max})^{1 + worst} is at most 1e-17, where worst is the
+    most negative exponent of the region the rule serves, so at most
+    min(p, q).  An exponent <= -1 raises ValueError.  The rules are cached
+    and shared between callers, so the arrays are read-only.
+    """
+    for name, e in (("p", p), ("q", q), ("worst", worst)):
+        if not e > -1:
+            raise ValueError(f"tanh_sinh_01: exponent {name} = {e} must "
+                             "be > -1 for v^p (1-v)^q to be integrable")
+    key = (n, round(float(p), 12), round(float(q), 12),
+           round(float(worst), 12))
+    hit = _TS_CACHE.get(key)
+    if hit is not None:
+        return hit
+    s_max = math.asinh(-math.log(_TS_TAIL) / (math.pi * (1 + worst)))
+    h = 2 * s_max / n
+    s = (np.arange(n) - (n - 1) / 2) * h
+    two_u = math.pi * np.sinh(s)
+    # log v and log(1 - v), free of overflow and cancellation
+    log_v = -np.logaddexp(0.0, -two_u)
+    log_c = -np.logaddexp(0.0, two_u)
+    w = h * math.pi * np.cosh(s) \
+        * np.exp((1 + p) * log_v + (1 + q) * log_c)
+    rule = (np.exp(log_v), np.exp(log_c), w)
+    for arr in rule:
+        arr.flags.writeable = False
+    _TS_CACHE[key] = rule
+    return rule
 
 
 @dataclass
@@ -235,14 +290,28 @@ def _on_axis(arr, axis: int, m: int):
     return arr.reshape([-1 if i == axis else 1 for i in range(m)])
 
 
+def _one_minus_prod(vs, us):
+    """1 - prod(vs) from the complements us = 1 - vs, as the telescoping
+    sum u_0 + v_0 u_1 + v_0 v_1 u_2 + ..., which has no cancellation."""
+    total, prod = 0.0, 1.0
+    for v, u in zip(vs, us):
+        total = total + prod * u
+        prod = prod * v
+    return total
+
+
 def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
                      integrand, npts: int) -> float:
     """Integrate the chain density times `integrand` over one region.
 
     Substitution: with the region order w_1 < ... < w_m < 1 set
-    w_j = prod_{i >= j} v_i.  Per-axis endpoint exponents (monomials and
-    consecutive-pair interactions) go into Gauss-Jacobi weights; remaining
-    pair factors are evaluated pointwise.
+    w_j = prod_{i >= j} v_i.  A pair factor is
+    |w_j - w_i|^c = w_j^c (1 - prod_{l=i}^{j-1} v_l)^c; its w-part, the
+    monomials, the Jacobian and the (1 - v_i)^c of consecutive pairs go
+    into per-axis tanh-sinh weights.  The remaining factors, the far pairs'
+    (1 - prod v)^c and (1 - w_j)^{beta - 1} for j < m, are evaluated from
+    the complements 1 - v.  The rules' truncation follows the region's
+    most negative exponent, and an exponent <= -1 raises ValueError.
 
     The npts^m tensor rule is evaluated in slabs along axis 0 of at most
     _SLAB nodes (at least one index of axis 0).  `integrand` is called once
@@ -256,54 +325,43 @@ def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
     """
     order = region.order
     m = len(order)
-    # per-variable monomial exponent alpha_r - 1 and (1 - w)^{beta_r - 1}
+    pair = [[_pair_exponent(a, b, gamma_) for b in order] for a in order]
     mono = [alphas[key[0] - 1] - 1 for key in order]
-    # axis j of v corresponds to position j in the order (0-based);
-    # v_j exponent: sum of monomial exponents of w_1..w_{j+1}, plus
-    # consecutive-pair contributions, plus the Jacobian power j
-    v_exp = []
-    for j in range(m):
-        e = sum(mono[: j + 1]) + j
-        # consecutive pairs (i, i+1) with i <= j-1 contribute exponents on
-        # (1 - v_i) only; pair exponent on w-difference contributes
-        # |w_{i+1} - w_i|^c = w_{i+1}^c (1 - v_i)^c, the w-part adds c to
-        # every v_l with l >= i+1
-        for i in range(j):
-            c = _pair_exponent(order[i], order[i + 1], gamma_)
-            e += c
-        v_exp.append(e)
-    one_minus_exp = []
-    for j in range(m):
-        if j < m - 1:
-            c = _pair_exponent(order[j], order[j + 1], gamma_)
-            one_minus_exp.append(c)
-        else:
-            one_minus_exp.append(betas[order[j][0] - 1] - 1)
-    rules = [gauss_jacobi_01(npts, v_exp[j], one_minus_exp[j])
+    # axis j of v is position j of the order (0-based).  Its exponent sums
+    # the monomials of w_0..w_j, the Jacobian power j and the w-part c of
+    # every pair (i, l) with l <= j
+    v_exp = [sum(mono[: j + 1]) + j
+             + sum(pair[i][l] for l in range(1, j + 1) for i in range(l))
              for j in range(m)]
-    # leftover factors: non-consecutive pairs, (1 - w_j)^{beta-1} for j < m
-    far_pairs = [(i, j, _pair_exponent(order[i], order[j], gamma_))
-                 for i in range(m) for j in range(i + 2, m)]
-    ends = [(j, betas[key[0] - 1] - 1) for j, key in enumerate(order[:-1])
-            if betas[key[0] - 1] != 1]
-    nodes = [_on_axis(t, j, m) for j, (t, _) in enumerate(rules)]
-    weights = [w for _, w in rules]
+    one_minus_exp = [pair[j][j + 1] for j in range(m - 1)] \
+        + [betas[order[-1][0] - 1] - 1]
+    worst = min(v_exp + one_minus_exp)
+    rules = [tanh_sinh_01(npts, p, q, worst)
+             for p, q in zip(v_exp, one_minus_exp)]
+    # pointwise factors (1 - prod_{l=a}^{b} v_l)^c: far pairs, and
+    # (1 - w_j)^{beta - 1} for j < m
+    factors = [(i, j - 1, pair[i][j]) for i in range(m)
+               for j in range(i + 2, m)]
+    factors += [(j, m - 1, betas[key[0] - 1] - 1)
+                for j, key in enumerate(order[:-1]) if betas[key[0] - 1] != 1]
+    nodes = [_on_axis(v, j, m) for j, (v, _, _) in enumerate(rules)]
+    comps = [_on_axis(u, j, m) for j, (_, u, _) in enumerate(rules)]
+    weights = [w for _, _, w in rules]
     rows = max(1, _SLAB // npts ** (m - 1))
     total, is_complex = 0.0, False
     for lo in range(0, npts, rows):
         cut = slice(lo, lo + rows)
-        # w_j = prod_{i >= j} v_i
         vs = [nodes[0][cut]] + nodes[1:]
+        us = [comps[0][cut]] + comps[1:]
+        # w_j = prod_{i >= j} v_i
         ws = [None] * m
         acc = 1.0
         for j in range(m - 1, -1, -1):
             acc = acc * vs[j]
             ws[j] = acc
         rest = 1.0
-        for i, j, c in far_pairs:
-            rest = rest * np.abs(ws[j] - ws[i]) ** c
-        for j, bexp in ends:
-            rest = rest * (1 - ws[j]) ** bexp
+        for i, j, c in factors:
+            rest = rest * _one_minus_prod(vs[i:j + 1], us[i:j + 1]) ** c
         levels = [[w for w, key in zip(ws, order) if key[0] == r] or None
                   for r in range(1, n + 1)]
         fvals = integrand(levels)
@@ -435,20 +493,57 @@ def torus_integral(n: int, f, rho=1.0, npts: int = 256) -> complex:
     return complex(np.sum(np.broadcast_to(vals, (npts,) * n))) / npts ** n
 
 
+def _torus_pair_weight(n, q, t, npts):
+    """prod_{i<j} (r;q)(1/r;q) / ((t r;q)(t/r;q)), r = z_i/z_j, as a
+    function of the n torus variables of an equal-radius npts-point rule.
+
+    There r = exp(2 pi i d / npts) with d = (a_i - a_j) mod npts, a the
+    node index, so the factor is evaluated once on those npts values and
+    gathered by d.  The index is read from the angle of each z, so any
+    array layout of the nodes (open grid or flat) works.
+    """
+    if n < 2:
+        return lambda zs: 1.0
+    q, t = complex(q), complex(t)
+    nt = kernels.trunc_order(abs(q))
+    r = np.exp(2j * np.pi * np.arange(npts) / npts)
+    table = kernels.qpoch_inf_arr(r, q, nt) \
+        * kernels.qpoch_inf_arr(1 / r, q, nt) \
+        / (kernels.qpoch_inf_arr(t * r, q, nt)
+           * kernels.qpoch_inf_arr(t / r, q, nt))
+
+    def weight(zs):
+        idx = [np.rint(np.angle(z) * npts / (2 * np.pi) - 0.5).astype(int)
+               for z in zs]
+        out = 1.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                out = out * table[(idx[i] - idx[j]) % npts]
+        return out
+
+    return weight
+
+
 def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
                  rho: float | None = None, npts: int = 256) -> complex:
     """Torus quadrature of the Macdonald-pair integrand.
 
     The stated contour is the torus, but (z_i;q)_inf in the denominator
     puts poles at z = q^{-j} (including 1); integrating on |z| = rho with
-    max(|b|,|q|) < rho < 1 keeps the pole ladders separated.
+    max(|b|,|q|) < rho < 1 keeps the pole ladders separated.  rho is one
+    radius, since the pair factors are gathered on an equal-radius torus;
+    a sequence of radii raises ValueError.
     """
+    if np.ndim(rho) != 0:
+        raise ValueError("mac_aflt_lhs: rho must be one radius, the pair "
+                         "factors assume an equal-radius torus")
     lam, mu = Partition(lam), Partition(mu)
     a, b, q, t = complex(a), complex(b), complex(q), complex(t)
     if rho is None:
         rho = (max(abs(b), abs(q)) + 1) / 2
     nt = kernels.trunc_order(abs(q))
     env = {"q": q, "t": t}
+    pairs = _torus_pair_weight(n, q, t, npts)
 
     def integrand(*zs):
         num = den = 1.0
@@ -457,13 +552,6 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
             num = num * kernels.qpoch_inf_arr(q * z / a, q, nt)
             den = den * kernels.qpoch_inf_arr(b / z, q, nt)
             den = den * kernels.qpoch_inf_arr(z, q, nt)
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = zs[i] / zs[j]
-                num = num * kernels.qpoch_inf_arr(r, q, nt)
-                num = num * kernels.qpoch_inf_arr(1 / r, q, nt)
-                den = den * kernels.qpoch_inf_arr(t * r, q, nt)
-                den = den * kernels.qpoch_inf_arr(t / r, q, nt)
 
         def pk(k):
             return sum(z ** k for z in zs)
@@ -473,7 +561,7 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
 
         pl = plethysm_eval(macdonald_P(lam), pk, env)
         pm = plethysm_eval(macdonald_P(mu), pk_shifted, env)
-        return pl * pm * num / den
+        return pl * pm * num / den * pairs(zs)
 
     val = torus_integral(n, integrand, rho, npts)
     return val / math.factorial(n)
@@ -484,25 +572,17 @@ def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
     """Torus quadrature of <P_lam, Q_mu>'_n on the unit torus."""
     lam, mu = Partition(lam), Partition(mu)
     q, t = complex(q), complex(t)
-    nt = kernels.trunc_order(abs(q))
     env = {"q": q, "t": t}
     bmu = complex(b_lambda(mu).eval(env)) if mu else 1.0
+    pairs = _torus_pair_weight(n, q, t, npts)
 
     def integrand(*zs):
-        weight = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = zs[i] / zs[j]
-                weight = weight * kernels.qpoch_inf_arr(r, q, nt)
-                weight = weight * kernels.qpoch_inf_arr(1 / r, q, nt)
-                weight = weight / kernels.qpoch_inf_arr(t * r, q, nt)
-                weight = weight / kernels.qpoch_inf_arr(t / r, q, nt)
         inv = [1 / z for z in zs]
         pl = plethysm_eval(macdonald_P(lam),
                            lambda k: sum(z ** k for z in zs), env)
         pm = plethysm_eval(macdonald_P(mu),
                            lambda k: sum(z ** k for z in inv), env)
-        return pl * pm * bmu * weight
+        return pl * pm * bmu * pairs(zs)
 
     return torus_integral(n, integrand, npts=npts) / math.factorial(n)
 

@@ -250,10 +250,10 @@ def run_an_selberg(params, cfg):
     from .closedform import an_selberg_rhs
     lhs = _chain_norm(tuple(params["ks"]), tuple(params["alphas"]),
                       params["beta"], params["gamma"], None,
-                      cfg.get("quad_points", 24))
+                      cfg.get("quad_points", 16))
     rhs = an_selberg_rhs(2, params["ks"], params["alphas"],
                          params["beta"], params["gamma"]).real
-    return Outcome(lhs, rhs, 1e-4)
+    return Outcome(lhs, rhs, 1e-8)
 
 
 def cases_an_aflt(cfg):
@@ -298,9 +298,9 @@ def run_an_aflt(params, cfg):
     lam, mu = _pt(params["lam"]), _pt(params["mu"])
     alphas, beta = [1.2, 1.4], 1.3
     cb = jack_pair_callback(2, lam, mu, beta, g)
-    lhs = _chain_ratio(ks, alphas, beta, g, cb, cfg.get("quad_points", 24))
+    lhs = _chain_ratio(ks, alphas, beta, g, cb, cfg.get("quad_points", 16))
     rhs = an_aflt_rhs(2, ks, alphas, beta, g, lam, mu).real
-    return Outcome(lhs, rhs, 1e-4)
+    return Outcome(lhs, rhs, 1e-8)
 
 
 def cases_an_alt(cfg):
@@ -327,7 +327,7 @@ def run_an_alt(params, cfg):
     lhs = _chain_ratio(ks, alphas, None, g, cb, cfg.get("quad_points", 32),
                        companion=(b1, b2))
     rhs = an_alt_avg_rhs(2, ks, alphas, b1, b2, g, lam, mu).real
-    return Outcome(lhs, rhs, 1e-4)
+    return Outcome(lhs, rhs, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +784,7 @@ def run_hyper(params, cfg):
         lhs = _chain_ratio([1, 1], [alphas[0] - us[0], alphas[1] - us[1]],
                            beta, g, cb, points, tol=1e-9)
         rhs = seven_one_rhs(2, alphas, beta, g, us, mu)
-        return Outcome(lhs, rhs, 1e-4)
+        return Outcome(lhs, rhs, 1e-8)
     alphas = [1.7, 1.9]
     u1, u3 = 1, 1
     if params["kind"] == "4f3-g1":
@@ -810,7 +810,7 @@ def run_hyper(params, cfg):
     lhs = _chain_ratio([1, 1], alphas, None, g, cb, points, tol=1e-9,
                        companion=(b1, b2))
     rhs = seven_two_rhs(alphas[0], alphas[1], b1, b2, g, u1, u2, u3)
-    return Outcome(lhs, rhs, 1e-4)
+    return Outcome(lhs, rhs, 1e-8)
 
 
 def _jack_row_diff(u, x, y, g):

@@ -368,3 +368,27 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+    def test_serial_run_does_not_import_the_process_pool(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        script = ("import sys\n"
+                  "from selbergkit import cli\n"
+                  "assert 'concurrent.futures' not in sys.modules\n"
+                  "assert cli.main(['verify', 'cauchy', '--max-degree', '2',"
+                  " '--jobs', '1']) == 0\n"
+                  "assert 'concurrent.futures' not in sys.modules\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_jobs_two_in_a_fresh_process(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "selbergkit", "verify",
+                               "connection", "--jobs", "2"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        last = done.stdout.strip().split("\n")[-1]
+        passed, total = last.split()[0].split("/")
+        assert passed == total and int(total) > 0

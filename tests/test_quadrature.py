@@ -15,8 +15,10 @@ from selbergkit.partitions import P
 from selbergkit.quadrature import (
     QuadratureSpec, aflt_lhs, an_selberg_lhs, enumerate_chain,
     enumerate_companion_chain, gauss_jacobi_01, integrate_region,
-    jack_pair_callback, mac_aflt_lhs, ortho_norm_lhs, region_covering_check, torus_integral,
+    jack_pair_callback, mac_aflt_lhs, ortho_norm_lhs, region_covering_check,
+    tanh_sinh_01, torus_integral,
 )
+from selbergkit import kernels
 
 
 class TestGaussJacobi:
@@ -61,6 +63,52 @@ class TestGaussJacobi:
     def test_non_integrable_weight_is_rejected(self, p, q, bad):
         with pytest.raises(ValueError, match=f"exponent {bad} = "):
             gauss_jacobi_01(8, p, q)
+
+
+class TestTanhSinh:
+    @pytest.mark.parametrize("p, q", [(0.3, 0.4), (-0.9, 0.2), (2.5, -0.4),
+                                      (0.0, 0.0)])
+    def test_beta_mass(self, p, q):
+        ref = math.gamma(1 + p) * math.gamma(1 + q) / math.gamma(2 + p + q)
+        _, _, w = tanh_sinh_01(64, p, q, min(p, q))
+        assert abs(w.sum() - ref) <= 1e-14 * ref
+
+    def test_complements_are_accurate_where_nodes_round_to_one(self):
+        v, u, _ = tanh_sinh_01(64, 0.2, -0.9, -0.9)
+        assert np.all(v + u == pytest.approx(1.0, abs=1e-15))
+        # below 1e-17 the complement carries digits that 1 - v has lost
+        tiny = u < 1e-17
+        assert tiny.any() and np.all(u[tiny] > 0) and np.all(v[tiny] == 1)
+
+    @pytest.mark.parametrize("p", [-0.9, -0.99])
+    def test_tail_left_out_is_negligible(self, p):
+        # the truncation drops (e^{-pi sinh s_max})^{1 + p} <= 1e-17 of the
+        # mass; 512 nodes leave only that and rounding
+        ref = math.gamma(1 + p) / math.gamma(3 + p)
+        _, _, w = tanh_sinh_01(512, p, 1.0, p)
+        assert abs(w.sum() - ref) <= 1e-15 * ref
+
+    def test_truncation_follows_the_worst_exponent(self):
+        # a region's most negative exponent widens the rule of every axis
+        reach = [tanh_sinh_01(32, 1.0, 1.0, worst)[0].min()
+                 for worst in (1.0, 0.0, -0.4, -0.9)]
+        assert reach == sorted(reach, reverse=True)
+        assert reach[-1] < 1e-100
+
+    def test_cached_rule_is_read_only(self):
+        rule = tanh_sinh_01(12, 0.25, 0.5, 0.25)
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        again = tanh_sinh_01(12, 0.25, 0.5, 0.25)
+        assert all(a is b for a, b in zip(again, rule))
+
+    @pytest.mark.parametrize("p, q, worst, bad", [
+        (-1.0, 0.2, -1.0, "p"), (0.3, -1.5, -1.5, "q"),
+        (0.3, 0.2, -1.0, "worst")])
+    def test_non_integrable_weight_is_rejected(self, p, q, worst, bad):
+        with pytest.raises(ValueError, match=f"exponent {bad} = "):
+            tanh_sinh_01(8, p, q, worst)
 
 
 class TestChainRegions:
@@ -142,7 +190,7 @@ class TestChainQuadrature:
         spec = QuadratureSpec(points=24, tol=1e-8, max_refine=2)
         v, _ = an_selberg_lhs(2, [1, 2], [1.1, 1.3], 1.2, g, spec=spec)
         ref = an_selberg_rhs(2, [1, 2], [1.1, 1.3], 1.2, g).real
-        assert abs(v - ref) < 1e-6 * abs(ref)
+        assert abs(v - ref) < 1e-12 * abs(ref)
 
     def test_n2_aflt_average(self):
         g = 0.5
@@ -162,7 +210,16 @@ class TestChainQuadrature:
         v, _ = an_selberg_lhs(2, [1, 1], [1.2, 1.4], None, g,
                               companion=(b1, b2), spec=spec)
         ref = an_alt_norm_rhs(2, [1, 1], [1.2, 1.4], b1, b2, g).real
-        assert abs(v - ref) < 1e-4 * abs(ref)
+        assert abs(v - ref) < 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("alphas, g", [([0.0, 1.3], 0.4),
+                                           ([1.1, 1.3], 1.0)])
+    def test_non_integrable_chain_exponent_is_rejected(self, alphas, g):
+        # alpha_1 = 0 puts t^{-1} on the smallest variable; gamma = 1 puts
+        # |t1 - t2|^{-1} on a cross pair
+        spec = QuadratureSpec(points=8, tol=0, max_refine=0)
+        with pytest.raises(ValueError, match="must be > -1"):
+            an_selberg_lhs(2, [1, 1], alphas, 1.2, g, spec=spec)
 
 
 def _grid_shape(levels):
@@ -174,27 +231,38 @@ def _ones(levels):
 
 
 def _meshgrid_oracle(region, n, alphas, betas, g, integrand, npts):
-    """The chain rule on full npts^m meshgrids, one array per factor."""
+    """The chain rule on full npts^m meshgrids, one array per factor.
+
+    Each pointwise 1 - prod v is -expm1(sum log v), with log v taken from
+    the complement 1 - v where v is near 1, not as a telescoping sum.
+    """
     order, m = region.order, len(region.order)
-
-    def pair(a, b):
-        return 2 * g if a[0] == b[0] else -g
-
-    adj = [pair(a, b) for a, b in zip(order, order[1:])]
+    c = [[2 * g if a[0] == b[0] else -g for b in order] for a in order]
     mono = [alphas[key[0] - 1] - 1 for key in order]
-    v_exp = [sum(mono[: j + 1]) + j + sum(adj[:j]) for j in range(m)]
-    q_exp = adj + [betas[order[-1][0] - 1] - 1]
-    rules = [gauss_jacobi_01(npts, p, q) for p, q in zip(v_exp, q_exp)]
-    grids = np.meshgrid(*[t for t, _ in rules], indexing="ij")
-    weight = np.prod(np.meshgrid(*[w for _, w in rules], indexing="ij"),
+    v_exp = [sum(mono[: j + 1]) + j
+             + sum(c[i][l] for l in range(1, j + 1) for i in range(l))
+             for j in range(m)]
+    q_exp = [c[j][j + 1] for j in range(m - 1)] \
+        + [betas[order[-1][0] - 1] - 1]
+    worst = min(v_exp + q_exp)
+    rules = [tanh_sinh_01(npts, p, q, worst) for p, q in zip(v_exp, q_exp)]
+    grids = np.meshgrid(*[v for v, _, _ in rules], indexing="ij")
+    logs = np.meshgrid(*[np.where(v < 0.5, np.log(v),
+                                  np.log1p(-np.minimum(u, 0.5)))
+                         for v, u, _ in rules], indexing="ij")
+    weight = np.prod(np.meshgrid(*[w for _, _, w in rules], indexing="ij"),
                      axis=0)
     ws = [np.prod(grids[j:], axis=0) for j in range(m)]
+
+    def one_minus(a, b):  # 1 - prod_{l=a}^{b} v_l
+        return -np.expm1(np.sum(logs[a:b + 1], axis=0))
+
     rest = np.ones_like(grids[0])
     for i in range(m):
         for j in range(i + 2, m):
-            rest = rest * np.abs(ws[j] - ws[i]) ** pair(order[i], order[j])
+            rest = rest * one_minus(i, j - 1) ** c[i][j]
         if i < m - 1:
-            rest = rest * (1 - ws[i]) ** (betas[order[i][0] - 1] - 1)
+            rest = rest * one_minus(i, m - 1) ** (betas[order[i][0] - 1] - 1)
     levels = [[w for w, key in zip(ws, order) if key[0] == r]
               for r in range(1, n + 1)]
     arrays = [lv or None for lv in levels]
@@ -374,6 +442,32 @@ class TestTorus:
     def test_radii_must_match_variables(self, n, rho):
         with pytest.raises(ValueError, match="radii"):
             torus_integral(n, lambda *zs: np.ones_like(zs[0]), rho, 8)
+
+    def test_gathered_pair_factors_at_n3(self):
+        # no suite runs n = 3: the pair factors gathered by node offset
+        # against a direct evaluation at every node of a 16-point torus
+        q, t, npts = 0.3, 0.4, 16
+        nt = kernels.trunc_order(q)
+        angles = 2 * np.pi * (np.arange(npts) + 0.5) / npts
+        zs = np.meshgrid(*[0.8 * np.exp(1j * angles)] * 3, indexing="ij",
+                         sparse=True)
+        direct = 1.0
+        for i in range(3):
+            for j in range(i + 1, 3):
+                r = zs[i] / zs[j]
+                direct = direct * kernels.qpoch_inf_arr(r, q, nt) \
+                    * kernels.qpoch_inf_arr(1 / r, q, nt) \
+                    / kernels.qpoch_inf_arr(t * r, q, nt) \
+                    / kernels.qpoch_inf_arr(t / r, q, nt)
+        got = quadrature._torus_pair_weight(3, q, t, npts)(zs)
+        assert got.shape == direct.shape == (npts,) * 3
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+        assert np.all(got[np.arange(npts), np.arange(npts), :] == 0)
+
+    def test_unequal_radii_are_rejected(self):
+        with pytest.raises(ValueError, match="one radius"):
+            mac_aflt_lhs(2, P(1), P(1), 0.45, 0.35, 0.3, 0.4,
+                         rho=[0.7, 0.8], npts=16)
 
     def test_doubling_stability(self):
         a, b, q, t = 0.45, 0.35, 0.3, 0.4

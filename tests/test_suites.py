@@ -30,6 +30,39 @@ def test_chain_norm_computed_once_per_shape(monkeypatch, suite, calls):
     assert len(seen) == calls
 
 
+def _run_recording(monkeypatch, name, suite, case_id):
+    """Run one suite case with the chain caches cold, recording every call
+    of quadrature.`name`."""
+    seen = []
+    real = getattr(quadrature, name)
+
+    def recording(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, name, recording)
+    suites._chain_norm.cache_clear()
+    cfg = {"seed": 7}
+    gen, _ = suites.SUITES[suite]
+    params = next(c for c in gen(cfg) if c["case_id"] == case_id)
+    return suites.run_case(suite, params, cfg), seen
+
+
+def test_ansel_k12_converges_by_64_points(monkeypatch):
+    rep, seen = _run_recording(monkeypatch, "integrate_region",
+                               "an-selberg", "ansel-k12")
+    assert rep.passed and rep.rel_err <= 1e-12
+    assert max(args[-1] for args in seen) <= 64
+
+
+def test_hyper_4f3_g09_meets_its_tolerance(monkeypatch):
+    # the cross exponent -gamma = -0.9 sets the truncation of its rules
+    rep, seen = _run_recording(monkeypatch, "tanh_sinh_01", "hyper",
+                               "hyper-4f3-g09")
+    assert rep.passed and rep.rel_err <= 1e-10
+    assert min(args[3] for args in seen) == pytest.approx(-0.9)
+
+
 def test_size_at_cap_is_used_as_given():
     gen, _ = suites.SUITES["skew-sum"]
     ids = {c["case_id"] for c in gen({"max_size": 2})}
