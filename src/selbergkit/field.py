@@ -877,14 +877,17 @@ def _power(a: MPoly, b: MPoly, n: int) -> "FieldElement":
     return FieldElement(*_canonical(a ** n, b ** n), reduce=False)
 
 
-# Entries of the field memo, set against peak RSS.  The four exact-algebra
-# suites in one process (cauchy, skew-sum --max-size 2, eval-sym, an-cauchy;
-# 2-vCPU Xeon VM, Python 3.11.7) make 68,370 products, sums and powers on
-# 4,279 distinct operand tuples.  CPU seconds and peak RSS by size: no memo
-# 6.4 s, 23.1 MB; 128 entries 3.8-4.3 s; 256 entries 3.4-3.5 s, 22.8 MB;
-# 512 entries 2.9-3.0 s, 23.4 MB; 1,024 entries 2.8 s, 24.2 MB; unbounded
-# 2.5 s, 27.7 MB.  In one perfbench exact-algebra round 256 entries add
-# 1.2% to peak_rss_mb and 512 add 2.9%, against a bound of 5%.
+# Entries of the field memo, set against peak RSS.  With the structural
+# caches of `macdonald` and `identities` in place, the four exact-algebra
+# suites in one process (cauchy, skew-sum --max-size 2, eval-sym,
+# an-cauchy; 2-vCPU Xeon VM, Python 3.11.7) make 40,349 products, sums and
+# powers on 4,230 distinct operand tuples.  Median CPU seconds and peak RSS
+# of five cold runs by size: no memo 2.44 s, 21.5 MB; 128 entries 1.59 s,
+# 20.7 MB; 256 entries 1.47 s, 20.8 MB; 512 entries 1.30 s, 21.2 MB; 1,024
+# entries 1.22 s, 21.9 MB; unbounded 1.15 s, 25.5 MB.  The runs of one
+# size spread by up to 0.35 s.  256 is kept: 512 would save about a tenth
+# of the time for 2% more peak RSS, on a workload whose peak_rss_mb bound
+# is 5%.
 _MEMO_SIZE = 256
 
 
@@ -987,6 +990,14 @@ class FieldElement:
         except (TypeError, ValueError):
             return NotImplemented
         return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        # in keeping with __eq__: equal elements share one canonical
+        # (num, den), and a constant, which equals its int or Fraction,
+        # hashes like it
+        if self.num.is_const() and self.den.is_const():
+            return hash(self.const_value())
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeffs import inv_qpoch, qpoch
 from .field import FieldElement, fe, var
 from .macdonald import (
-    b_lambda, macdonald_P, macdonald_Q, principal_spec_a, skew_P, skew_Q,
+    _pleth_P, _pleth_Q, b_lambda, macdonald_P, macdonald_Q, principal_spec_a,
+    skew_Q,
 )
 from .partitions import Bipartition, P, Partition, partitions_up_to, subpartitions
 from .symfunc import (
@@ -102,13 +104,18 @@ def f_function_limit(lam: Partition, mu: Partition, k: int, l: int):
     """f^{k,l}_{lam,mu}(t^{k-l};q,t) as the b -> 1 limit, exact in Q(q,t).
 
     Uses the reduced form of the t-free factor block; returns 0 exactly
-    when the interleaving condition fails.
+    when the interleaving condition fails.  Cached on (lam, mu, k, l).
     """
     lam, mu = Partition(lam), Partition(mu)
     if k > l:
         raise ValueError("the limit needs k <= l")
     if k < len(lam) or l < len(mu):
         raise ValueError("padding preconditions violated")
+    return _f_limit(lam, mu, k, l)
+
+
+@lru_cache(maxsize=None)
+def _f_limit(lam: Partition, mu: Partition, k: int, l: int):
     q, t = var("q"), var("t")
     out = t ** (-k * mu.size)
     # t-dependent factors survive the b -> 1 limit directly
@@ -166,8 +173,8 @@ def verify_skew_sum(lam: Partition, mu: Partition, k: int, l: int,
     for nu in subpartitions(mu):
         if not lam.contains(nu):
             continue
-        p_part = plethysm(skew_P(mu, nu), Ratio(fe(1), 1 / a, t))
-        q_part = plethysm(skew_Q(lam, nu), Ratio(fe(1), a * q / t, t))
+        p_part = _pleth_P(mu, nu, Ratio(fe(1), 1 / a, t))
+        q_part = _pleth_Q(lam, nu, Ratio(fe(1), a * q / t, t))
         lhs = lhs + t ** (-nu.size) * p_part * q_part
     rhs = (principal_spec_a(mu, t ** k / a)
            * b_lambda(lam) * principal_spec_a(lam, a * q * t ** (l - 1))
@@ -186,8 +193,8 @@ def verify_skew_sum_limit(lam: Partition, mu: Partition, k: int,
     for nu in subpartitions(mu):
         if not lam.contains(nu):
             continue
-        p_part = plethysm(skew_P(mu, nu), Ratio(fe(1), t ** (l - k), t))
-        q_part = plethysm(skew_Q(lam, nu), Ratio(fe(1), q * t ** (k - l - 1), t))
+        p_part = _pleth_P(mu, nu, Ratio(fe(1), t ** (l - k), t))
+        q_part = _pleth_Q(lam, nu, Ratio(fe(1), q * t ** (k - l - 1), t))
         lhs = lhs + t ** (-nu.size) * p_part * q_part
     rhs = (principal_spec_a(mu, t ** l)
            * b_lambda(lam) * principal_spec_a(lam, q * t ** (k - 1))

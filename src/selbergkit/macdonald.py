@@ -10,6 +10,11 @@ Q(gamma), built independently and not as a limit.  The tests compare both
 with the Gram-Schmidt solve of the orthogonality system.  `plethysm_eval`
 is the one numeric plethysm: every Jack or Macdonald evaluation at numbers
 or at arrays of points goes through it.
+
+Values that depend only on partitions and an exact alphabet are cached on
+those keys: the skew tables, the plethysms P_{lam/mu}[A] (a Q-type one is
+the P-type value times b_lam/b_mu), and `principal_spec_a` at the
+indeterminates q and t.
 """
 
 from __future__ import annotations
@@ -210,7 +215,29 @@ def skew_Q(lam: Partition, mu: Partition) -> SymFunc:
     lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
         return SymFunc("m", {})
-    return skew_P(lam, mu).scale(b_lambda(lam) / b_lambda(mu))
+    return skew_P(lam, mu).scale(_b_ratio(lam, mu))
+
+
+@lru_cache(maxsize=None)
+def _b_ratio(lam: Partition, mu: Partition) -> FieldElement:
+    """b_lam / b_mu, the factor that turns P_{lam/mu} into Q_{lam/mu}."""
+    return b_lambda(lam) / b_lambda(mu)
+
+
+# The plethysms of the Macdonald family depend only on (lam, mu, A), and the
+# exact suites ask for the same ones across many cases, so they are cached
+# on those keys.  A is an alphabet of exact scalars, hashed by value; an
+# alphabet holding a LetterSeries cannot be hashed and goes to `plethysm`.
+
+@lru_cache(maxsize=None)
+def _pleth_P(lam: Partition, mu: Partition, A: Alphabet):
+    """P_{lam/mu}[A]; P_lam[A] when mu is empty."""
+    return plethysm(skew_P(lam, mu) if mu else macdonald_P(lam), A)
+
+
+def _pleth_Q(lam: Partition, mu: Partition, A: Alphabet):
+    """Q_{lam/mu}[A] = (b_lam / b_mu) P_{lam/mu}[A]: one product."""
+    return _pleth_P(lam, mu, A) * _b_ratio(lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +245,26 @@ def skew_Q(lam: Partition, mu: Partition) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 def principal_spec_a(lam: Partition, a, q=None, t=None):
-    """P_lambda[(1-a)/(1-t)] = t^{n(lam)} (a;q,t)_lam / c_lam(q,t)."""
+    """P_lambda[(1-a)/(1-t)] = t^{n(lam)} (a;q,t)_lam / c_lam(q,t).
+
+    At the indeterminates q and t (both left out) the value is cached on
+    (lam, a); numeric q and t are computed afresh.
+    """
     lam = Partition(lam)
-    if q is None:
-        q = var("q")
-    if t is None:
-        t = var("t")
+    if q is None and t is None:
+        return _principal_spec_qt(lam, a)
+    return _principal_spec(lam, a, var("q") if q is None else q,
+                           var("t") if t is None else t)
+
+
+def _principal_spec(lam: Partition, a, q, t):
     c, _, _ = hooks(lam, q, t)
     return t ** lam.n_stat() * qt_poch(a, q, t, lam) / c
+
+
+@lru_cache(maxsize=None)
+def _principal_spec_qt(lam: Partition, a):
+    return _principal_spec(lam, a, var("q"), var("t"))
 
 
 def principal_spec_n(lam: Partition, n: int, q=None, t=None):
@@ -317,10 +356,13 @@ def evaluation_symmetry_check(lam: Partition, mu: Partition, n: int) -> bool:
     lam, mu = Partition(lam), Partition(mu)
     if len(lam) > n or len(mu) > n:
         raise ValueError("length exceeds n")
-    lhs = (plethysm(macdonald_P(mu), Letters(spectral_vector(Partition(), n)))
-           * plethysm(macdonald_P(lam), Letters(spectral_vector(mu, n))))
-    rhs = (plethysm(macdonald_P(lam), Letters(spectral_vector(Partition(), n)))
-           * plethysm(macdonald_P(mu), Letters(spectral_vector(lam, n))))
+    empty = Partition()
+
+    def at(f: Partition, spec: Partition):
+        return _pleth_P(f, empty, Letters(spectral_vector(spec, n)))
+
+    lhs = at(mu, empty) * at(lam, mu)
+    rhs = at(lam, empty) * at(mu, lam)
     return fe(lhs) == fe(rhs)
 
 
@@ -337,8 +379,9 @@ def generalized_evaluation_symmetry_check(lam: Partition, mu: Partition,
         return Sum(Letters([pref * v for v in spectral_vector(spec_part, npad)]),
                    Ratio(fe(1), pref, t))
 
-    lhs = (plethysm(macdonald_P(mu), Ratio(fe(1), a, t))
-           * plethysm(macdonald_P(lam), shifted(mu, m)))
-    rhs = (plethysm(macdonald_P(lam), Ratio(fe(1), a, t))
-           * plethysm(macdonald_P(mu), shifted(lam, n)))
+    empty = Partition()
+    lhs = (_pleth_P(mu, empty, Ratio(fe(1), a, t))
+           * _pleth_P(lam, empty, shifted(mu, m)))
+    rhs = (_pleth_P(lam, empty, Ratio(fe(1), a, t))
+           * _pleth_P(mu, empty, shifted(lam, n)))
     return fe(lhs) == fe(rhs)

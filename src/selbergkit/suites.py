@@ -56,14 +56,22 @@ def _redraw_off_poles(draw, sides):
 def cases_cauchy(cfg):
     # every coefficient in the compared window has x-degree between |mu|
     # and cap, so a larger mu would pass with nothing compared
-    cap = _capped(cfg.get("max_degree", 6), 7, "--max-degree", "cauchy")
+    cap = _capped(cfg.get("max_degree", 6), 8, "--max-degree", "cauchy")
     return [{"case_id": f"cauchy-mu{mu}", "mu": mu.parts, "cap": cap}
             for mu in (P(), P(1), P(2, 1)) if mu.size <= cap]
 
 
 def run_cauchy(params, cfg):
+    """sum_lam P_lam(x) Q_{lam/mu}(y) = P_mu(x) prod_{i,j} (t x_i y_j; q)_inf
+    / (x_i y_j; q)_inf in x = (x1, x2), y = (y1, y2).
+
+    Both sides are symmetric in x and in y, so they are compared only at
+    x^a y^b with a and b non-increasing.  There the left side's coefficient
+    is the m-coefficient of P_lam at a times that of Q_{lam/mu} =
+    (b_lam / b_mu) P_{lam/mu} at b, summed over lam.
+    """
     from .identities import _embed
-    from .macdonald import macdonald_P, skew_Q
+    from .macdonald import _b_ratio, macdonald_P, skew_P
     from .symfunc import LetterSeries, Ratio, expand_in_letters, h_series_of_alphabet
     from fractions import Fraction
     mu = _pt(params["mu"])
@@ -71,37 +79,45 @@ def run_cauchy(params, cfg):
     q, t = var("q"), var("t")
     letters = ("x1", "x2", "y1", "y2")
     T = 2 * cap
-    lhs = LetterSeries(letters, cap=T)
+
+    def two_part(sf):
+        return [((nu.part(1), nu.part(2)), c)
+                for nu, c in sf.coeffs.items() if len(nu) <= 2]
+
+    lhs = {}
     for lam in partitions_up_to(cap, 2):
         if not lam.contains(mu):
             continue
-        px = expand_in_letters(macdonald_P(lam), letters[:2])
-        qy = expand_in_letters(skew_Q(lam, mu), letters[2:])
-        for e1, c1 in px.terms.items():
-            for e2, c2 in qy.terms.items():
+        px = two_part(macdonald_P(lam))
+        qy = two_part(skew_P(lam, mu))
+        b = _b_ratio(lam, mu)
+        qy = [(e, c * b) for e, c in qy]
+        for e1, c1 in px:
+            for e2, c2 in qy:
                 key = e1 + e2
                 v = c1 * c2
-                prev = lhs.terms.get(key)
-                lhs.terms[key] = v if prev is None else prev + v
+                prev = lhs.get(key)
+                lhs[key] = v if prev is None else prev + v
     rhs = expand_in_letters(macdonald_P(mu), letters[:2])
     rhs = _embed(rhs, letters, 0, T)
+    hs = h_series_of_alphabet(Ratio(fe(1), t, q), cap)
     for i in range(2):
         for j in range(2):
-            hs = h_series_of_alphabet(Ratio(fe(1), t, q), cap)
             ker = LetterSeries(letters, cap=T)
             for m in range(cap + 1):
                 e = [0, 0, 0, 0]
                 e[i], e[2 + j] = m, m
                 ker = ker + LetterSeries(letters, {tuple(e): Fraction(1)}, T) * hs[m]
             rhs = rhs * ker
-    ok = all(fe(lhs.terms.get(e, fe(0))) == fe(rhs.terms.get(e, fe(0)))
-             for e in set(lhs.terms) | set(rhs.terms)
-             if e[0] + e[1] <= cap and sum(e) <= 2 * cap - mu.size)
+    ok = all(fe(lhs.get(e, 0)) == fe(rhs.terms.get(e, 0))
+             for e in set(lhs) | set(rhs.terms)
+             if e[0] >= e[1] and e[2] >= e[3]
+             and e[0] + e[1] <= cap and sum(e) <= 2 * cap - mu.size)
     return Outcome(ok, True, rule="exact")
 
 
 def cases_skew_sum(cfg):
-    size = _capped(cfg.get("max_size", 3), 4, "--max-size", "skew-sum")
+    size = _capped(cfg.get("max_size", 3), 5, "--max-size", "skew-sum")
     out = []
     pool = list(partitions_up_to(size))
     for limit, name in ((False, "skew"), (True, "skewlim")):
@@ -124,7 +140,7 @@ def run_skew_sum(params, cfg):
 
 
 def cases_eval_sym(cfg):
-    size = _capped(cfg.get("max_size", 3), 4, "--max-size", "eval-sym")
+    size = _capped(cfg.get("max_size", 3), 5, "--max-size", "eval-sym")
     out = []
     pool = list(partitions_up_to(size))
     for lam in pool:

@@ -4,7 +4,8 @@ Symmetric functions are stored as coefficient maps over partitions with a
 basis tag ('m', 'p', 'e', 'h', 's').  Basis conversions go through exact
 per-degree transition matrices built by expanding in d variables; matrices
 are cached.  Plethysm is the p-basis homomorphism over alphabet expression
-trees.  LetterSeries provides truncated polynomial arithmetic in named
+trees; an alphabet of exact scalars is hashable by value, so it can key a
+cache.  LetterSeries provides truncated polynomial arithmetic in named
 letters with exact scalar coefficients, used by the series-identity suites.
 """
 
@@ -360,14 +361,22 @@ class Letters(Alphabet):
     def __init__(self, values):
         self.values = tuple(values)
 
+    def __eq__(self, other):
+        if not isinstance(other, Letters):
+            return NotImplemented
+        return self.values == other.values
 
-@dataclass
+    def __hash__(self):
+        return hash(self.values)
+
+
+@dataclass(frozen=True)
 class Binomial(Alphabet):
     """Binomial element z: p_k[z] = z for all k."""
     z: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ratio(Alphabet):
     """(a - b)/(1 - t): p_k = (a^k - b^k)/(1 - t^k)."""
     a: object
@@ -375,26 +384,26 @@ class Ratio(Alphabet):
     t: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sum(Alphabet):
     left: Alphabet
     right: Alphabet
 
 
-@dataclass
+@dataclass(frozen=True)
 class Difference(Alphabet):
     left: Alphabet
     right: Alphabet
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scale(Alphabet):
     """F-linear scaling: p_k[z X] = z p_k[X] (z a binomial-type scalar)."""
     z: object
     inner: Alphabet
 
 
-@dataclass
+@dataclass(frozen=True)
 class Product(Alphabet):
     left: Alphabet
     right: Alphabet
@@ -502,6 +511,10 @@ class LetterSeries:
     """
 
     __slots__ = ("letters", "terms", "cap")
+
+    # built in place and compared by identity, so never a key: an alphabet
+    # that holds a LetterSeries cannot be hashed, and no cache can take it
+    __hash__ = None
 
     def __init__(self, letters: Sequence[str], terms=None, cap: int | None = None):
         self.letters = tuple(letters)

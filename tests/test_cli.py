@@ -214,9 +214,9 @@ class TestCli:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite, flag, value, cap", [
-        ("skew-sum", "--max-size", "5", 4),
-        ("eval-sym", "--max-size", "9", 4),
-        ("cauchy", "--max-degree", "8", 7),
+        ("skew-sum", "--max-size", "6", 5),
+        ("eval-sym", "--max-size", "9", 5),
+        ("cauchy", "--max-degree", "9", 8),
         ("an-cauchy", "--max-degree", "5", 4),
     ])
     def test_verify_size_above_cap(self, capsys, suite, flag, value, cap):
@@ -226,7 +226,7 @@ class TestCli:
         assert flag in err and suite in err and f"cap of {cap}" in err
 
     @pytest.mark.parametrize("argv, code", [
-        (["list"], 0), (["verify", "skew-sum", "--max-size", "5"], 2),
+        (["list"], 0), (["verify", "skew-sum", "--max-size", "6"], 2),
     ], ids=["list", "above-cap"])
     def test_python_dash_m(self, argv, code):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -238,13 +238,13 @@ class TestCli:
         if code == 0:
             assert "skew-sum" in done.stdout.split()
         else:
-            assert done.stderr.strip() == ("verify skew-sum: --max-size 5 "
-                                           "is above the skew-sum cap of 4")
+            assert done.stderr.strip() == ("verify skew-sum: --max-size 6 "
+                                           "is above the skew-sum cap of 5")
 
     def test_verify_all_size_above_cap(self, capsys):
-        assert main(["verify", "all", "--max-size", "5"]) == 2
+        assert main(["verify", "all", "--max-size", "6"]) == 2
         captured = capsys.readouterr()
-        assert "--max-size 5" in captured.err and captured.out == ""
+        assert "--max-size 6" in captured.err and captured.out == ""
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 2

@@ -382,6 +382,22 @@ def test_equality_compares_canonical_pairs(monkeypatch):
     assert y != x and y != fe(Fraction(3, 2))
 
 
+def test_hash_is_in_keeping_with_equality():
+    # equal elements built by different routes hash equal
+    assert (q * t) / t == q and hash((q * t) / t) == hash(q)
+    x = (1 - q ** 2) / (1 - q)
+    assert x == 1 + q and hash(x) == hash(1 + q)
+    y = FieldElement((6 - 6 * q * t).num, (4 - 4 * t ** 2).num)
+    assert hash(y) == hash(3 * (1 - q * t) / (2 * (1 - t) * (1 + t)))
+    assert len({x, 1 + q, (1 + q) * t / t, q}) == 2
+    # a constant equals its int or Fraction, so it hashes like it
+    assert fe(2) == 2 and hash(fe(2)) == hash(2)
+    assert hash(q / q) == hash(1) and hash(q - q) == hash(0)
+    half = (2 * q) / (4 * q)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert hash(fe(Fraction(6, 3))) == hash(2)
+
+
 def _memo_operands(rng, count):
     """Operand pairs from _random_fe triples.  Next to each x stand x + 1,
     with x's denominator, and x/(1 + x), with x's numerator, so that pairs

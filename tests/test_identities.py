@@ -2,14 +2,20 @@ import random
 
 import pytest
 
+from selbergkit import (
+    cli, coeffs, field, identities, macdonald, partitions, suites, symfunc,
+)
 from selbergkit.coeffs import qt_poch
 from selbergkit.field import fe, var
 from selbergkit.identities import (
     an_cauchy_check, f_function, f_function_limit, interleaves,
     verify_skew_sum, verify_skew_sum_limit, verify_Z_Selb, zbifund,
 )
-from selbergkit.macdonald import b_lambda, principal_spec_a
-from selbergkit.partitions import Bipartition, P, Partition, partitions_up_to
+from selbergkit.macdonald import b_lambda, principal_spec_a, skew_Q
+from selbergkit.partitions import (
+    Bipartition, P, Partition, partitions_up_to, spectral_vector, subpartitions,
+)
+from selbergkit.symfunc import Letters, Ratio, plethysm
 
 q, t, a = var("q"), var("t"), var("a")
 
@@ -97,6 +103,76 @@ class TestSkewSum:
     def test_limit_corollary(self):
         assert verify_skew_sum_limit(P(2), P(2, 1), 2, 3).equal
         assert verify_skew_sum_limit(P(1, 1), P(1), 2, 2).equal
+
+
+def _clear_every_cache():
+    for mod in (field, partitions, symfunc, coeffs, macdonald, identities):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _skew_sum_keys(cases):
+    """The distinct keys a skew-sum run asks of each structural cache."""
+    pleth, ratio, spec, limit = set(), set(), set(), set()
+    for c in cases:
+        lam, mu, k, l = P(*c["lam"]), P(*c["mu"]), c["k"], c["l"]
+        if c["limit"]:
+            ap, aq = t ** (l - k), q * t ** (k - l - 1)
+            spec |= {(mu, t ** l), (lam, q * t ** (k - 1))}
+            limit.add((lam, mu, k, l))
+        else:
+            ap, aq = 1 / a, a * q / t
+            spec |= {(mu, t ** k / a), (lam, a * q * t ** (l - 1))}
+        for nu in subpartitions(mu):
+            if lam.contains(nu):
+                pleth |= {(mu, nu, Ratio(fe(1), ap, t)),
+                          (lam, nu, Ratio(fe(1), aq, t))}
+                ratio.add((lam, nu))
+    return pleth, ratio, spec, limit
+
+
+class TestStructuralCaches:
+    def test_hit_equals_fresh_result(self):
+        cached = [
+            (macdonald._pleth_P, (P(2, 1), P(1), Ratio(fe(1), 1 / a, t))),
+            (macdonald._pleth_P, (P(2, 1), P(), Letters(spectral_vector(P(1), 2)))),
+            (macdonald._b_ratio, (P(2, 1), P(1))),
+            (macdonald._principal_spec_qt, (P(2, 1), a * q / t)),
+            (identities._f_limit, (P(2, 1), P(1), 2, 3)),
+        ]
+        for fn, args in cached:
+            fn(*args)
+            hits = fn.cache_info().hits
+            warm = fn(*args)
+            assert fn.cache_info().hits == hits + 1
+            _clear_every_cache()
+            fresh = fn(*args)
+            assert fn.cache_info().hits == 0
+            assert (warm.num, warm.den) == (fresh.num, fresh.den), fn
+
+    def test_public_entries_read_the_caches(self):
+        lam, mu = P(2, 1), P(1)
+        assert fe(principal_spec_a(lam, a)) == macdonald._principal_spec_qt(lam, a)
+        assert f_function_limit(lam, mu, 2, 3) == identities._f_limit(lam, mu, 2, 3)
+        Q = plethysm(skew_Q(lam, mu), Ratio(fe(1), a, t))
+        assert macdonald._pleth_Q(lam, mu, Ratio(fe(1), a, t)) == Q
+        # numeric q and t take the uncached path
+        size = macdonald._principal_spec_qt.cache_info().currsize
+        assert principal_spec_a(lam, 0.3, q=0.5, t=0.4) == pytest.approx(
+            principal_spec_a(lam, a).eval({"a": 0.3, "q": 0.5, "t": 0.4}))
+        assert macdonald._principal_spec_qt.cache_info().currsize == size
+
+    def test_one_entry_per_structural_key(self):
+        _clear_every_cache()
+        assert cli.main(["verify", "skew-sum", "--max-size", "2"]) == 0
+        gen, _ = suites.SUITES["skew-sum"]
+        keys = _skew_sum_keys(gen({"max_size": 2}))
+        caches = (macdonald._pleth_P, macdonald._b_ratio,
+                  macdonald._principal_spec_qt, identities._f_limit)
+        sizes = [fn.cache_info().currsize for fn in caches]
+        assert sizes == [len(k) for k in keys]
+        assert sizes == [68, 9, 46, 81]
 
 
 class TestAnCauchy:

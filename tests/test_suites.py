@@ -68,8 +68,8 @@ def test_size_at_cap_is_used_as_given():
     ids = {c["case_id"] for c in gen({"max_size": 2})}
     assert "skew-(2)-(1,1)-2-2" in ids
     assert not any("(3)" in i or "(2,1)" in i for i in ids)
-    with pytest.raises(ValueError, match="--max-size 5"):
-        gen({"max_size": 5})
+    with pytest.raises(ValueError, match="--max-size 6"):
+        gen({"max_size": 6})
 
 
 def test_every_verify_setting_is_read():
@@ -94,15 +94,30 @@ def test_cauchy_cases_compare_something(cap, ids):
 
 
 def test_size_four_sample_holds_exactly():
-    # a fixed sample of the cases that the raised --max-size cap of 4 adds
+    # fixed samples of the cases that the raised --max-size caps of 4 and 5
+    # add
     rng = random.Random(804)
-    for suite, count in (("skew-sum", 24), ("eval-sym", 12)):
+    for size, suite, count in ((4, "skew-sum", 24), (4, "eval-sym", 12),
+                               (5, "skew-sum", 4), (5, "eval-sym", 2)):
         gen, _ = suites.SUITES[suite]
-        known = {c["case_id"] for c in gen({"max_size": 3})}
-        new = [c for c in gen({"max_size": 4}) if c["case_id"] not in known]
+        known = {c["case_id"] for c in gen({"max_size": size - 1})}
+        new = [c for c in gen({"max_size": size}) if c["case_id"] not in known]
         for params in rng.sample(new, count):
             rep = suites.run_case(suite, params, {})
             assert rep.passed and rep.lhs == rep.rhs == "equal", rep
+
+
+def test_cauchy_window_sees_p_in_place_of_q(monkeypatch):
+    # with b_lam / b_mu taken as 1 the left side sums P_lam(x) P_{lam/mu}(y),
+    # which is not the Cauchy kernel: the dominant-monomial window must see it
+    from selbergkit import macdonald
+    from selbergkit.field import fe
+    gen, _ = suites.SUITES["cauchy"]
+    params = next(c for c in gen({}) if c["case_id"] == "cauchy-mu(1)")
+    assert suites.run_case("cauchy", params, {}).passed
+    monkeypatch.setattr(macdonald, "_b_ratio", lambda lam, mu: fe(1))
+    rep = suites.run_case("cauchy", params, {})
+    assert not rep.passed and rep.lhs == "unequal"
 
 
 @pytest.mark.parametrize("seed, pole", [

@@ -203,6 +203,42 @@ class TestSchur:
         assert abs(v1 - v2) < 1e-12 * abs(v1)
 
 
+class TestAlphabetKeys:
+    def test_equal_alphabets_hash_equal(self):
+        x, y = var("x"), var("y")
+        pairs = [
+            (Letters([q, t]), Letters((q, t * t / t))),
+            (Binomial(fe(3)), Binomial(3)),
+            (Ratio(fe(1), a * q / t, t), Ratio(1, q * a / t, t)),
+            (Sum(Letters([x]), Ratio(fe(1), a, t)),
+             Sum(Letters([x * y / y]), Ratio(1, a, t))),
+            (Difference(Letters([x]), Letters([y])),
+             Difference(Letters([x]), Letters([y]))),
+            (Scale(fe(2), Letters([x])), Scale(2, Letters([x]))),
+            (Product(Letters([x]), Binomial(z)), Product(Letters([x]), Binomial(z))),
+        ]
+        for u, v in pairs:
+            assert u is not v and u == v and hash(u) == hash(v), u
+        assert len({u for pair in pairs for u in pair}) == len(pairs)
+        assert Letters([q]) != Letters([t]) and Letters([q]) != Binomial(q)
+        assert Ratio(1, a, t) != Ratio(1, t, a)
+
+    def test_letter_series_alphabet_is_no_key_but_evaluates(self):
+        letters = ("c", "d")
+        c_ls = LetterSeries.letter(letters, "c", 4)
+        d_ls = LetterSeries.letter(letters, "d", 4)
+        A = Ratio(c_ls, d_ls, t)
+        with pytest.raises(TypeError):
+            hash(A)
+        with pytest.raises(TypeError):
+            hash(Letters([c_ls]))
+        # p_2[(c - d)/(1 - t)] = (c^2 - d^2)/(1 - t^2)
+        val = plethysm(sym("p", P(2)), A)
+        assert fe(val.coeff((2, 0))) == 1 / (1 - t ** 2)
+        assert fe(val.coeff((0, 2))) == -1 / (1 - t ** 2)
+        assert set(val.terms) == {(2, 0), (0, 2)}
+
+
 class TestLetterSeries:
     def test_mul_truncation(self):
         ls = LetterSeries(("x", "y"), cap=3)
