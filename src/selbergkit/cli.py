@@ -6,17 +6,19 @@ cases pass.  A JSON config file may set any of the VERIFY_KEYS; explicit
 flags win.  Bad input gets one line on stderr and exit code 2: a config
 file that is not a JSON object, an unknown config key, a setting of the
 wrong type, a negative size, fewer than one quadrature point or job, a
-size above a suite's cap, an eval flag the formula does not read, a
-malformed eval value, an eval --k or --alpha list of the wrong length, a
-negative eval --k or --n, a closed form that rejects its parameters or
-meets a pole or a zero division, and a --report file that cannot be
-opened for appending.
+--tol that is negative or not finite, a size above a suite's cap, an eval
+flag the formula does not read, a malformed eval value, a nan or inf in
+an eval flag or list entry, an eval --k or --alpha list of the wrong
+length, a negative eval --k or --n, a closed form that rejects its
+parameters, meets a pole or a zero division or has a value that is not
+finite, and a --report file that cannot be opened for appending.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .partitions import P
@@ -73,7 +75,10 @@ def _parse_ints(s):
 
 
 def _parse_floats(s):
-    return [float(x) for x in s.split(",") if x != ""]
+    out = [float(x) for x in s.split(",") if x != ""]
+    if not all(map(math.isfinite, out)):
+        raise ValueError("each value must be finite")
+    return out
 
 
 def _parse_partition(s):
@@ -90,19 +95,21 @@ def _flag(args, name, parse):
 
 
 # the verify settings, each the dest of a flag and a key a --config may set,
-# with its type and least value
+# with its type and least value; a float setting must also be finite
 VERIFY_KEYS = {"max_degree": (int, 0), "max_size": (int, 0),
-               "seed": (int, None), "tol": ((int, float), None),
+               "seed": (int, None), "tol": ((int, float), 0),
                "quad_points": (int, 1), "jobs": (int, 1)}
 
 
 def _checked(where, key, val):
-    """``val`` for setting ``key``; a wrong type or a value below the
-    setting's least one is a ValueError naming ``where``."""
+    """``val`` for setting ``key``; a wrong type, a nan or inf, or a value
+    below the setting's least one is a ValueError naming ``where``."""
     kind, least = VERIFY_KEYS[key]
     if isinstance(val, bool) or not isinstance(val, kind):
         want = "an integer" if kind is int else "a number"
         raise ValueError(f"{where}: expected {want}, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ValueError(f"{where}: {val} is not finite")
     if least is not None and val < least:
         raise ValueError(f"{where}: {val} is below the least value {least}")
     return val
@@ -253,8 +260,9 @@ def _closed_form(f, args, lam, mu, ks, alphas, ts):
 
 def _read_flags(f, args) -> None:
     """Fill in the defaults of the eval flags not given; a ValueError names
-    every flag given that formula f does not read.  An unknown formula
-    counts as reading every flag; cmd_eval reports it after the parse."""
+    every flag given that formula f does not read, or a float flag that is
+    not finite.  An unknown formula counts as reading every flag; cmd_eval
+    reports it after the parse."""
     unread = [name for name in EVAL_DEFAULTS
               if getattr(args, name) is not None
               and name not in EVAL_READS.get(f, EVAL_DEFAULTS)]
@@ -265,6 +273,9 @@ def _read_flags(f, args) -> None:
     for name, default in EVAL_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+        val = getattr(args, name)
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ValueError(f"--{name} {val}: must be finite")
 
 
 def cmd_eval(args) -> int:
@@ -285,6 +296,9 @@ def cmd_eval(args) -> int:
         print(f"unknown formula: {f}", file=sys.stderr)
         return 2
     vc = complex(val)
+    if not (math.isfinite(vc.real) and math.isfinite(vc.imag)):
+        print(f"eval {f}: the value {vc} is not finite", file=sys.stderr)
+        return 2
     if abs(vc.imag) < 1e-14 * max(1.0, abs(vc.real)):
         print(f"{vc.real:.12g}")
     else:

@@ -1,8 +1,7 @@
-"""Exact scalar arithmetic: multivariate polynomials over Q and their fraction field.
+"""Exact scalar arithmetic: polynomials over Z and their fraction field Q(q, t, ...).
 
-Rationals are ``int`` or ``fractions.Fraction``; ints are kept where they
-suffice, since their arithmetic is much cheaper.  An ``MPoly`` is a sparse
-map from packed monomials to rationals.  A monomial is one non-negative
+Z is the one coefficient ring.  An ``MPoly`` is a sparse map from packed
+monomials to nonzero ``int`` coefficients.  A monomial is one non-negative
 ``int`` of ``_W``-bit fields (Monagan and Pearce, J. Symbolic Comput. 46,
 2011): field 0 holds the total degree, and the exponent of the i-th
 registered indeterminate sits at bit ``_W * (i + 1)``.  A monomial product
@@ -13,7 +12,10 @@ its guard bit: the total degree bounds every exponent, and a product whose
 total degree would reach 2**(_W - 1) raises ``OverflowError`` rather than
 carry into the next field.  Registering an indeterminate adds a field above
 the others, so it never invalidates a polynomial.
-``FieldElement`` is a coprime num/den pair of ``MPoly`` in canonical form.
+``FieldElement`` is a coprime num/den pair of ``MPoly`` in canonical form,
+so a rational constant lives in the pair: q/2 is stored as (q, 2).  A
+``Fraction`` is split into numerator and denominator where it enters the
+field, and one is built again only where a constant or a value leaves it.
 
 Reduction policy.  Operands are coprime, so arithmetic follows Henrici
 (JACM 3, 1956; Knuth, TAOCP 2, 4.5.1) and never reduces a product it did
@@ -27,16 +29,18 @@ and otherwise takes ``mpoly_gcd`` with its cofactors.  ``mpoly_gcd``
 splits off the monomial contents, replaces an operand by its content in
 any variable the other lacks, then tries the heuristic gcd GCDHEU (Char,
 Geddes and Gonnet, 1989) and, only if that fails, a primitive
-pseudo-remainder sequence (PRS).  A non-constant GCDHEU candidate is
-verified by exact division, whose quotients are the cofactors.  A
-constant one needs no division, which holds only while every integer
+pseudo-remainder sequence (PRS).  Both work over Z, so no denominator is
+ever cleared.  A non-constant candidate of either is made primitive and
+verified by exact division in Z[x], whose quotients are the cofactors: by
+Gauss's lemma a primitive divisor over Q is one over Z.  A constant
+GCDHEU candidate needs no division, which holds only while every integer
 image is nonzero: a zero image is an unlucky point, and the next is tried.
 
 Every result passes through one canonicaliser, ``_canonical``: zero is
-0/1, a constant denominator is divided in, and otherwise num and den are
-scaled jointly to coprime integer contents with a positive leading
-denominator coefficient, as plain ints.  A coprime pair has exactly one
-such form, so equality compares the pairs.
+0/1, and otherwise num and den are divided by the gcd of their integer
+contents, with the sign that makes the leading denominator coefficient
+positive.  A coprime pair has exactly one such form, so equality compares
+the pairs.
 
 Memo.  The same few thousand products, sums and powers recur tens of
 thousands of times across the Macdonald suites, so ``FieldElement``'s
@@ -146,21 +150,11 @@ def _graded(e: int):
     return (e & _M, e)
 
 
-def _norm_coeff(c):
-    """Prefer plain ints over Fractions with denominator 1."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
+def _int_coeff(c) -> int:
+    """``c`` itself: an MPoly holds no coefficient but an int."""
+    if not isinstance(c, int):
+        raise TypeError(f"not an int coefficient: {c!r}")
     return c
-
-
-def _coeff_div(a, b):
-    """Exact rational division of coefficients (never float)."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r == 0:
-            return q
-        return Fraction(a, b)
-    return _norm_coeff(Fraction(a) / Fraction(b))
 
 
 def _wrap(terms: dict) -> "MPoly":
@@ -172,34 +166,32 @@ def _wrap(terms: dict) -> "MPoly":
 
 
 class MPoly:
-    """Sparse multivariate polynomial with rational (int or Fraction) coefficients.
+    """Sparse multivariate polynomial over Z.
 
     ``terms`` maps packed monomials (see the module docstring) to nonzero
-    coefficients.  Immutable once built: the field memo shares operands and
-    results between callers, and the hash is computed once into ``_hash``.
+    ``int`` coefficients; the constructor, ``const`` and scalar ``*`` raise
+    ``TypeError`` on any other coefficient.  Immutable once built: the field
+    memo shares operands and results between callers, and the hash is
+    computed once into ``_hash``.
     The one in-place writer of ``terms`` is ``_to_univar``, on a polynomial
     it is still building and has not hashed or handed out.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[int, Fraction] | None = None):
+    def __init__(self, terms: Mapping[int, int] | None = None):
         self._hash = None
         self.terms = {}
         for e, c in (terms or {}).items():
             if not _is_monomial(e):
                 raise ValueError(f"not a packed monomial: {e!r}")
-            if c:
+            if _int_coeff(c):
                 self.terms[e] = c
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def const(cls, c) -> "MPoly":
-        if not isinstance(c, int):
-            c = Fraction(c)
-            if c.denominator == 1:
-                c = c.numerator
-        return _wrap({0: c} if c else {})
+    def const(cls, c: int) -> "MPoly":
+        return _wrap({0: c} if _int_coeff(c) else {})
 
     @classmethod
     def variable(cls, name: str) -> "MPoly":
@@ -212,11 +204,11 @@ class MPoly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and 0 in self.terms:
-            return Fraction(self.terms[0])
+            return self.terms[0]
         raise ValueError("not a constant polynomial")
 
     def variables(self) -> set[int]:
@@ -262,10 +254,9 @@ class MPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
-            c = other if isinstance(other, int) else Fraction(other)
-            if not c:
+            if not _int_coeff(other):
                 return MPoly()
-            return _wrap({e: v * c for e, v in self.terms.items()})
+            return _wrap({e: v * other for e, v in self.terms.items()})
         if len(self.terms) > len(other.terms):
             self, other = other, self
         if not self.terms:
@@ -273,7 +264,7 @@ class MPoly:
         a, b = self.terms, other.terms
         # the total degree bounds every field, so this check covers them all
         _check_degree(max(e & _M for e in a) + max(e & _M for e in b))
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -308,12 +299,11 @@ class MPoly:
     def __eq__(self, other):
         if isinstance(other, MPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == MPoly.const(other).terms
+        if isinstance(other, int):
+            return self.terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
-        # equal coefficients hash equal, an int and a Fraction(n, 1) included
         h = self._hash
         if h is None:
             h = self._hash = hash(frozenset(self.terms.items()))
@@ -345,12 +335,14 @@ class MPoly:
     def _lead_key(self):
         return max(self.terms, key=_graded)
 
-    def lead_coeff(self) -> Fraction:
-        return self.terms[self._lead_key()] if self.terms else Fraction(0)
+    def lead_coeff(self) -> int:
+        return self.terms[self._lead_key()] if self.terms else 0
 
     def divide_exact(self, other: "MPoly"):
-        """Return self/other if the division is exact, else None.
+        """Return self/other if it lies in Z[x], else None.
 
+        Every caller divides by a primitive polynomial or a monomial, where
+        division over Q is exact only if it is exact over Z (Gauss's lemma).
         Long division in the graded order: each quotient term times ``other``
         is subtracted into one remainder dict, and a heap of the remainder's
         monomials, keyed ``(-(e & _M), -e)`` (stale entries skipped on pop),
@@ -359,8 +351,12 @@ class MPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_const():
-            c = other.terms[0]
-            return _wrap({e: _coeff_div(v, c) for e, v in self.terms.items()})
+            c, out = other.terms[0], {}
+            for e, v in self.terms.items():
+                out[e], r = divmod(v, c)
+                if r:
+                    return None
+            return _wrap(out)
         if self.is_zero():
             return MPoly()
         rem = dict(self.terms)
@@ -370,7 +366,7 @@ class MPoly:
         lc = other.terms[lk]
         tail = [(e, c) for e, c in other.terms.items() if e != lk]
         G = _GUARD
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, int] = {}
         nsteps = 0
         limit = 16 * (len(self.terms) + 4) * (len(other.terms) + 4)
         # every monomial below stays within the remainder's degree, which
@@ -385,7 +381,9 @@ class MPoly:
             if ((rk | G) - lk) & G != G:
                 return None
             qe = rk - lk
-            qc = _coeff_div(rem.pop(rk), lc)
+            qc, r = divmod(rem.pop(rk), lc)
+            if r:
+                return None
             quot[qe] = qc
             for e, c in tail:
                 k = qe + e
@@ -402,16 +400,12 @@ class MPoly:
         return _wrap(quot)
 
     # -- evaluation / substitution -------------------------------------------
-    def eval(self, bindings: Mapping[str, complex]):
-        """Numeric (or Fraction) evaluation; every present variable must be bound."""
-        vals: dict[int, complex] = {}
-        exact = True
-        for name, v in bindings.items():
-            if name in _INDEX:
-                vals[_INDEX[name]] = v
-                if not isinstance(v, (int, Fraction)):
-                    exact = False
-        total = Fraction(0) if exact else 0.0 + 0.0j
+    def eval(self, bindings: Mapping[str, complex], exact: bool):
+        """Value at ``bindings``, in which every present variable must be
+        bound: exact if ``exact``, else complex."""
+        vals = {_INDEX[name]: v for name, v in bindings.items()
+                if name in _INDEX}
+        total = 0 if exact else 0.0 + 0.0j
         for e, c in self.terms.items():
             term = c if exact else complex(c)
             x, i = e >> _W, 0
@@ -505,7 +499,7 @@ def _to_univar(f: MPoly, v: int) -> dict[int, MPoly]:
 
 def _from_univar(coeffs: dict[int, MPoly], v: int) -> MPoly:
     unit = _unit(v)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for d, p in coeffs.items():
         for e, c in p.terms.items():
             e += d * unit
@@ -531,16 +525,13 @@ def _uni_pseudo_rem(u: dict[int, MPoly], w: dict[int, MPoly]) -> dict[int, MPoly
             nr[dd] = nr.get(dd, MPoly()) - sub
         r = {d: p for d, p in nr.items() if not p.is_zero()}
         # strip integer content each step to slow coefficient growth
-        if r and all(isinstance(c, int)
-                     for p in r.values() for c in p.terms.values()):
-            ic = 0
-            for p in r.values():
-                ic = math.gcd(ic, _int_content(p))
-                if ic == 1:
-                    break
-            if ic > 1:
-                r = {d: _wrap({e: c // ic for e, c in p.terms.items()})
-                     for d, p in r.items()}
+        ic = 0
+        for p in r.values():
+            ic = math.gcd(ic, _int_content(p))
+            if ic == 1:
+                break
+        if ic > 1:
+            r = {d: _rescale(p, 0, 1, ic) for d, p in r.items()}
     return r
 
 
@@ -553,34 +544,21 @@ def _content_gcd(coeffs: Iterable[MPoly]) -> MPoly:
     return g
 
 
-def _clear_denoms(f: MPoly) -> tuple[MPoly, int]:
-    """(lcm * f, lcm), lcm the least common denominator of f's coefficients."""
-    lcm = 1
-    for c in f.terms.values():
-        d = c.denominator
-        if d != 1:
-            lcm = lcm * d // math.gcd(lcm, d)
-    if lcm == 1 and all(isinstance(c, int) for c in f.terms.values()):
-        return f, 1
-    return _wrap({e: int(c * lcm) for e, c in f.terms.items()}), lcm
-
-
-def _rescale(f: MPoly, shift: int, num, den) -> MPoly:
-    """f * x^shift * num / den, with coefficients kept as ints where exact.
+def _rescale(f: MPoly, shift: int, num: int, den: int) -> MPoly:
+    """f * x^shift * num / den, den dividing every coefficient times num.
 
     Every caller shifts a factor of an operand back within that operand's
     degree, so no field can overflow.
     """
     if not shift and num == den:
         return f
-    return _wrap({e + shift: _coeff_div(c * num, den)
-                  for e, c in f.terms.items()})
+    return _wrap({e + shift: c * num // den for e, c in f.terms.items()})
 
 
 def _int_content(f: MPoly) -> int:
     g = 0
     for c in f.terms.values():
-        g = math.gcd(g, abs(c.numerator))
+        g = math.gcd(g, c)
         if g == 1:
             break
     return g or 1
@@ -659,7 +637,8 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
 
     Contents are split off exactly (gcd = gcd(contents) * gcd(primitive
     parts) over Z[x..]), which keeps systematic factors out of the integer
-    evaluation images.  A non-constant candidate is verified by exact
+    evaluation images.  A candidate is made primitive, as the gcd of the
+    primitive parts is, and a non-constant one is verified by exact
     division of both primitive parts.  With ``cofactors`` the quotients of
     that verification, rescaled for the split-off contents, are returned as
     the cofactors; otherwise (and for a constant h) they are None.  A
@@ -675,24 +654,22 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
     common = _min_exp(mf, mg)
     f, g = f.shift_down(mf), g.shift_down(mg)
     c1, c2 = _int_content(f), _int_content(g)
-    if c1 > 1:
-        f = _wrap({e: c // c1 for e, c in f.terms.items()})
-    if c2 > 1:
-        g = _wrap({e: c // c2 for e, c in g.terms.items()})
+    f, g = _rescale(f, 0, 1, c1), _rescale(g, 0, 1, c2)
     gc = math.gcd(c1, c2)
     base = _wrap({common: gc})
     if f.is_const() or g.is_const():
         return base, None, None
     v, dv = _least_degree_var(f, g)
     max_digits = dv + 1
-    bound = min(max((abs(c.numerator) for c in f.terms.values()), default=1),
-                max((abs(c.numerator) for c in g.terms.values()), default=1))
+    bound = min(max((abs(c) for c in f.terms.values()), default=1),
+                max((abs(c) for c in g.terms.values()), default=1))
     xi = 2 * bound + 2
     for _ in range(8):
         gam = _gcdheu(_eval_var_int(f, v, xi), _eval_var_int(g, v, xi), depth + 1)
         if gam is not None:
             cand = _heu_digits(gam[0], v, xi, max_digits)
             if cand is not None and not cand.is_zero():
+                cand = _rescale(cand, 0, 1, _int_content(cand))
                 if cand.is_const():
                     return base * cand, None, None
                 qf = f.divide_exact(cand)
@@ -710,22 +687,18 @@ def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
 def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
     """Primitive gcd h over Z (positive leading coefficient, content 1).
 
-    With ``cofactors`` the result is ``(h, f/h, g/h)``, exact for any
-    rational input.  A cofactor is GCDHEU's (or the PRS check's)
+    With ``cofactors`` the result is ``(h, f/h, g/h)``, whose quotients lie
+    in Z[x] by Gauss's lemma.  A cofactor is GCDHEU's (or the PRS check's)
     verification quotient where the operand reached it unchanged; where the
     one-sided-variable step replaced the operand it is an exact division.
     For h = 1 the cofactors are f and g themselves.
     """
     f0, g0 = f, g
     qf = qg = None
-    lf = lg = 1
     if f.is_zero() or g.is_zero():
         raw = g if f.is_zero() else f
         common = 0
     else:
-        # integer coefficients keep Fraction normalisation trivial throughout
-        f, lf = _clear_denoms(f)
-        g, lg = _clear_denoms(g)
         # the gcd's monomial part is the smaller of the monomial contents
         mf, mg = f.monomial_content(), g.monomial_content()
         common = _min_exp(mf, mg)
@@ -749,6 +722,9 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
             raw, qf, qg = heu
         else:
             raw = _prs_gcd(f, g)
+            # PRS keeps the operands' integer contents, and only the
+            # primitive gcd divides both over Z
+            raw = _rescale(raw, 0, 1, _int_content(raw))
             qf = f.divide_exact(raw)
             qg = g.divide_exact(raw) if qf is not None else None
             if qg is None:
@@ -758,21 +734,18 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
               if qf is not None and f is f1 else None)
         qg = (_rescale(qg, mg - common, 1, 1)
               if qg is not None and g is g1 else None)
-    # raw has int coefficients unless it is an input (a zero operand's
-    # partner); clearing its denominators leaves the same primitive h
-    raw = _clear_denoms(raw)[0]
     s = _int_content(raw)
     if raw.lead_coeff() < 0:
         s = -s
-    h = _wrap({e + common: v // s for e, v in raw.terms.items()})
+    h = _rescale(raw, common, 1, s)
     if not cofactors:
         return h
     if h.is_const():
         return h, f0, g0
-    # f0 = raw * qf / lf = h * qf * s / lf
+    # f0 = raw * qf = h * qf * s
     return (h,
-            _rescale(qf, 0, s, lf) if qf is not None else f0.divide_exact(h),
-            _rescale(qg, 0, s, lg) if qg is not None else g0.divide_exact(h))
+            _rescale(qf, 0, s, 1) if qf is not None else f0.divide_exact(h),
+            _rescale(qg, 0, s, 1) if qg is not None else g0.divide_exact(h))
 
 
 def _prs_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -830,25 +803,17 @@ def _cofactors(f: MPoly, g: MPoly):
 def _canonical(num: MPoly, den: MPoly):
     """The one representative of the coprime pair num/den.
 
-    Zero is 0/1 and a constant denominator is divided into the numerator.
-    Otherwise num and den are scaled jointly to coprime integer contents
-    with a positive leading denominator coefficient, as plain ints: a
-    ``Fraction`` with denominator 1 would send later products through
-    ``Fraction``.
+    Zero is 0/1.  Every other pair is divided by the gcd of the integer
+    contents of num and den, with the sign that makes the leading
+    denominator coefficient positive; a constant denominator stays in
+    ``den`` as a positive int.
     """
     if num.is_zero():
         return num, MPoly.const(1)
-    if den.is_const():
-        c = den.terms[0]
-        return (_wrap({e: _coeff_div(v, c) for e, v in num.terms.items()}),
-                MPoly.const(1))
-    # num/den = (num * ld) / (den * ln) over integers, then divided by g
-    num, ln = _clear_denoms(num)
-    den, ld = _clear_denoms(den)
-    g = math.gcd(_int_content(num) * ld, _int_content(den) * ln)
+    g = math.gcd(_int_content(num), _int_content(den))
     if den.lead_coeff() < 0:
         g = -g
-    return _rescale(num, 0, ld, g), _rescale(den, 0, ln, g)
+    return _rescale(num, 0, 1, g), _rescale(den, 0, 1, g)
 
 
 def _product(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "FieldElement":
@@ -904,12 +869,15 @@ class FieldElement:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce: bool = True):
+    def __init__(self, num, den=1, reduce: bool = True):
+        # a Fraction enters the field as its numerator over its denominator
+        if isinstance(num, Fraction):
+            num, den = num.numerator, den * num.denominator
+        if isinstance(den, Fraction):
+            num, den = num * den.denominator, den.numerator
         if not isinstance(num, MPoly):
             num = MPoly.const(num)
-        if den is None:
-            den = MPoly.const(1)
-        elif not isinstance(den, MPoly):
+        if not isinstance(den, MPoly):
             den = MPoly.const(den)
         if den.is_zero():
             raise PoleError("division by zero field element")
@@ -927,7 +895,7 @@ class FieldElement:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.const_value(), self.den.const_value())
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other):
@@ -1004,12 +972,16 @@ class FieldElement:
 
     # -- evaluation --------------------------------------------------------------
     def eval(self, bindings: Mapping[str, complex]):
-        nv = self.num.eval(bindings)
-        dv = self.den.eval(bindings)
-        if isinstance(nv, Fraction) and isinstance(dv, Fraction):
+        """A Fraction if every bound value is an int or a Fraction, else a
+        complex number."""
+        exact = all(isinstance(v, (int, Fraction))
+                    for name, v in bindings.items() if name in _INDEX)
+        nv = self.num.eval(bindings, exact)
+        dv = self.den.eval(bindings, exact)
+        if exact:
             if dv == 0:
                 raise PoleError("denominator vanishes at rational point")
-            return nv / dv
+            return Fraction(nv, dv)
         if abs(dv) <= POLE_TOLERANCE:
             raise PoleError(f"denominator within pole tolerance: |den|={abs(dv):.3e}")
         return nv / dv
@@ -1023,7 +995,7 @@ class FieldElement:
 
     # -- formatting -----------------------------------------------------------------
     def __str__(self):
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.den == 1:
             return str(self.num)
         ns = str(self.num)
         if len(self.num.terms) > 1:
@@ -1041,7 +1013,7 @@ def _coerce(x):
     if isinstance(x, FieldElement):
         return x
     if isinstance(x, (int, Fraction)):
-        return FieldElement(MPoly.const(x), reduce=False)
+        return FieldElement(x, reduce=False)
     if isinstance(x, MPoly):
         return FieldElement(x, reduce=False)
     return NotImplemented

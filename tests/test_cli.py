@@ -188,6 +188,24 @@ class TestCli:
         assert out == "" and "\n" not in err
         assert err.startswith(f"eval {formula}: ") and says in err
 
+    @pytest.mark.parametrize("formula, flags, named", [
+        ("selberg", ["--alpha", "inf"], "--alpha"),
+        ("selberg", ["--gamma", "nan"], "--gamma"),
+        ("selberg", ["--beta=-inf"], "--beta"),
+        ("mac-aflt", ["--a", "nan"], "--a"),
+        ("an-selberg", ["--k", "1,1", "--alpha", "1,nan"], "--alpha"),
+        ("elliptic-selberg", ["--ts", "0.4,inf,0.4,0.35,0.4,0.2"], "--ts"),
+        ("elliptic-selberg", ["--p", "nan"], "--p"),
+        # finite flags, a value that overflows
+        ("selberg", ["--alpha", "1e308", "--beta", "1e308"], "not finite"),
+    ])
+    def test_eval_not_finite(self, capsys, formula, flags, named):
+        assert main(["eval", formula] + flags) == 2
+        out, err = capsys.readouterr()
+        err = err.strip()
+        assert out == "" and "\n" not in err
+        assert err.startswith(f"eval {formula}: ") and named in err
+
     @pytest.mark.parametrize("argv, named", [
         (["ortho", "--k", "9", "--alpha", "3"], "--k --alpha"),
         (["selberg", "--k", "2", "--lam", "3,1", "--q", "7", "--n", "4",
@@ -340,6 +358,12 @@ class TestCli:
         ([], {"seed": 1.5}, "'seed'"),
         ([], {"max_degree": -1}, "'max_degree'"),
         ([], {"quad_points": None}, "'quad_points'"),
+        (["--tol", "nan"], None, "--tol"),
+        (["--tol", "inf"], None, "--tol"),
+        (["--tol=-1"], None, "--tol"),
+        ([], {"tol": float("nan")}, "'tol'"),
+        ([], {"tol": float("-inf")}, "'tol'"),
+        ([], {"tol": -1e-9}, "'tol'"),
     ])
     def test_verify_rejected_setting(self, tmp_path, capsys, flags, config,
                                      setting):
