@@ -74,11 +74,15 @@ def _parse_ints(s):
     return [int(x) for x in s.split(",") if x != ""]
 
 
+def _finite(x):
+    """``x``, or a ValueError if it is a nan or an inf."""
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
 def _parse_floats(s):
-    out = [float(x) for x in s.split(",") if x != ""]
-    if not all(map(math.isfinite, out)):
-        raise ValueError("each value must be finite")
-    return out
+    return [_finite(float(x)) for x in s.split(",") if x != ""]
 
 
 def _parse_partition(s):
@@ -273,9 +277,8 @@ def _read_flags(f, args) -> None:
     for name, default in EVAL_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-        val = getattr(args, name)
-        if isinstance(val, float) and not math.isfinite(val):
-            raise ValueError(f"--{name} {val}: must be finite")
+        if isinstance(getattr(args, name), float):
+            _flag(args, name, _finite)
 
 
 def cmd_eval(args) -> int:

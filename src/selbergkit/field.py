@@ -400,11 +400,17 @@ class MPoly:
         return _wrap(quot)
 
     # -- evaluation / substitution -------------------------------------------
-    def eval(self, bindings: Mapping[str, complex], exact: bool):
+    def eval(self, bindings: Mapping[str, complex]):
         """Value at ``bindings``, in which every present variable must be
-        bound: exact if ``exact``, else complex."""
-        vals = {_INDEX[name]: v for name, v in bindings.items()
-                if name in _INDEX}
+        bound: an int or a Fraction if every bound value is one, else a
+        complex number."""
+        vals: dict[int, complex] = {}
+        exact = True
+        for name, v in bindings.items():
+            if name in _INDEX:
+                vals[_INDEX[name]] = v
+                if not isinstance(v, (int, Fraction)):
+                    exact = False
         total = 0 if exact else 0.0 + 0.0j
         for e, c in self.terms.items():
             term = c if exact else complex(c)
@@ -974,11 +980,9 @@ class FieldElement:
     def eval(self, bindings: Mapping[str, complex]):
         """A Fraction if every bound value is an int or a Fraction, else a
         complex number."""
-        exact = all(isinstance(v, (int, Fraction))
-                    for name, v in bindings.items() if name in _INDEX)
-        nv = self.num.eval(bindings, exact)
-        dv = self.den.eval(bindings, exact)
-        if exact:
+        nv = self.num.eval(bindings)
+        dv = self.den.eval(bindings)
+        if isinstance(dv, (int, Fraction)):
             if dv == 0:
                 raise PoleError("denominator vanishes at rational point")
             return Fraction(nv, dv)

@@ -547,6 +547,11 @@ def test_a_fraction_enters_as_a_pair():
     assert (y.num, y.den) == ((3 * q).num, MPoly.const(2))
     assert (q / 2).eval({"q": 1}) == Fraction(1, 2)
     assert (q / 2).eval({"q": 1.0}) == 0.5
+    # an MPoly's value is exact when every bound value is, else complex
+    n = (q * t - 3).num
+    assert n.eval({"q": 2, "t": 5}) == 7 and type(n.eval({"q": 2, "t": 5})) is int
+    assert n.eval({"q": Fraction(1, 2), "t": 4}) == Fraction(-1)
+    assert type(n.eval({"q": 2, "t": 0.5})) is complex
 
 
 def test_polynomial_built_before_a_new_variable():
