@@ -98,12 +98,15 @@ def _is_exact_zero(x) -> bool:
 
 def qpoch_inf(b, q) -> complex:
     """(b;q)_infty by the product of its factors down to |b q^j| <= 1e-16,
-    |q| < 1."""
-    q = complex(q)
+    |q| < 1; a non-finite b or q raises ValueError, as the loop would never
+    end (b = inf) or not start (nan)."""
+    q, b = complex(q), complex(b)
+    if not (cmath.isfinite(q) and cmath.isfinite(b)):
+        raise ValueError(f"(b;q)_infty needs finite b and q, not {b}, {q}")
     if abs(q) >= 1:
         raise ValueError("(b;q)_infty needs |q| < 1")
     out = 1.0 + 0.0j
-    term = complex(b)
+    term = b
     aq = abs(q)
     bound = abs(term)
     while bound > 1e-16:

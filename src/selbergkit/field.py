@@ -24,17 +24,38 @@ the product with d/c, and a power needs no gcd; a/b + c/d with
 g = gcd(b, d) forms t = a(d/g) + c(b/g) and cancels only gcd(t, g); the
 constructor cancels gcd(num, den).
 
-Every gcd goes through ``_cofactors``, which skips a zero or monomial side
-and otherwise takes ``mpoly_gcd`` with its cofactors.  ``mpoly_gcd``
-splits off the monomial contents, replaces an operand by its content in
-any variable the other lacks, then tries the heuristic gcd GCDHEU (Char,
-Geddes and Gonnet, 1989) and, only if that fails, a primitive
-pseudo-remainder sequence (PRS).  Both work over Z, so no denominator is
-ever cleared.  A non-constant candidate of either is made primitive and
-verified by exact division in Z[x], whose quotients are the cofactors: by
-Gauss's lemma a primitive divisor over Q is one over Z.  A constant
-GCDHEU candidate needs no division, which holds only while every integer
-image is nonzero: a zero image is an unlucky point, and the next is tried.
+Factored denominators.  In the Macdonald identities every denominator is
+a product of binomials 1 - q^a t^b (Macdonald, Symmetric Functions and
+Hall Polynomials, ch. VI), so an ``MPoly`` may carry its factorization: an
+integer content, a monomial and a multiset of irreducible "line" factors,
+passed on by products, powers and negation.  ``_split`` gives one to a
+polynomial of one or two terms.  With its monomial gcd split off, two
+terms are c1 Y^n + c2 Z^n, Y and Z monomials of disjoint support and n the
+gcd of their exponents.  A monomial change of variables of the Laurent
+ring makes (Y/Z)^(1/n) a variable X, so a factor irreducible in X is
+irreducible in Z[x] once homogenised by a power of Z.  Hence c1 Y + c2 Z
+with coprime c1, c2 is irreducible, and Y^n -+ Z^n splits into the
+cyclotomic factors of X^n -+ 1.  Every other polynomial carries none.
+
+Every gcd goes through ``_cofactors``, by one of three routes.  If both
+sides carry a factorization, the gcd is the intersection of their
+multisets of factors: since each factor is irreducible and primitive with
+a positive leading coefficient, two factors are associates only if equal,
+and no division is needed.  If one side carries one, the other side is
+trial-divided by each of its factors, up to the factor's multiplicity.
+Only if neither does is it ``mpoly_gcd``, which splits off the monomial
+contents, replaces an operand by its content in any variable the other
+lacks, then tries the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
+1989) and, only if that fails, a primitive pseudo-remainder sequence
+(PRS).  Both work over Z, so no denominator is ever cleared.  A
+non-constant candidate of either is made primitive and verified by exact
+division in Z[x], whose quotients are the cofactors: by Gauss's lemma a
+primitive divisor over Q is one over Z.  A constant GCDHEU candidate needs
+no division, which holds only while every integer image is nonzero: a
+zero image is an unlucky point, and the next is tried.  A factorization is
+a cache of facts about a polynomial, not part of its value: equality, the
+hash and the memo keys ignore it, so every route gives the same canonical
+pair.
 
 Every result passes through one canonicaliser, ``_canonical``: zero is
 0/1, and otherwise num and den are divided by the gcd of their integer
@@ -162,6 +183,7 @@ def _wrap(terms: dict) -> "MPoly":
     p = object.__new__(MPoly)
     p.terms = terms
     p._hash = None
+    p._fac = None
     return p
 
 
@@ -172,15 +194,20 @@ class MPoly:
     ``int`` coefficients; the constructor, ``const`` and scalar ``*`` raise
     ``TypeError`` on any other coefficient.  Immutable once built: the field
     memo shares operands and results between callers, and the hash is
-    computed once into ``_hash``.
+    computed once into ``_hash``.  ``_fac`` caches a known factorization,
+    the flat tuple ``(content, monomial, *factors)`` of an int, a packed
+    monomial and irreducible line factors (see ``_split``), or is None;
+    a product of two polynomials, ``**``, unary ``-`` and ``_rescale``
+    carry it through.  It takes no part in ``==`` or the hash.
     The one in-place writer of ``terms`` is ``_to_univar``, on a polynomial
     it is still building and has not hashed or handed out.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_fac")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         self._hash = None
+        self._fac = None
         self.terms = {}
         for e, c in (terms or {}).items():
             if not _is_monomial(e):
@@ -245,7 +272,10 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({e: -c for e, c in self.terms.items()})
+        out = _wrap({e: -c for e, c in self.terms.items()})
+        if self._fac is not None:
+            out._fac = (-self._fac[0],) + self._fac[1:]
+        return out
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -278,7 +308,11 @@ class MPoly:
                         out[e] = v
                     else:
                         del out[e]
-        return _wrap(out)
+        out = _wrap(out)
+        if self._fac is not None and other._fac is not None:
+            f1, f2 = self._fac, other._fac
+            out._fac = (f1[0] * f2[0], f1[1] + f2[1], *f1[2:], *f2[2:])
+        return out
 
     __rmul__ = __mul__
 
@@ -288,12 +322,15 @@ class MPoly:
         if n and self.terms:
             _check_degree(n * max(e & _M for e in self.terms))
         result = MPoly.const(1)
-        base = self
+        base, n0 = self, n
         while n:
             if n & 1:
                 result = result * base
             base = base * base if n > 1 else base
             n >>= 1
+        if self._fac is not None:
+            f = self._fac
+            result._fac = (f[0] ** n0, f[1] * n0) + f[2:] * n0
         return result
 
     def __eq__(self, other):
@@ -558,7 +595,10 @@ def _rescale(f: MPoly, shift: int, num: int, den: int) -> MPoly:
     """
     if not shift and num == den:
         return f
-    return _wrap({e + shift: c * num // den for e, c in f.terms.items()})
+    out = _wrap({e + shift: c * num // den for e, c in f.terms.items()})
+    if f._fac is not None:
+        out._fac = (f._fac[0] * num // den, f._fac[1] + shift) + f._fac[2:]
+    return out
 
 
 def _int_content(f: MPoly) -> int:
@@ -790,20 +830,170 @@ def _prs_gcd(f: MPoly, g: MPoly) -> MPoly:
 
 
 # --------------------------------------------------------------------------
+# line factors: known factorizations of binomials
+# --------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Coefficients of the cyclotomic polynomial Phi_d, constant term first:
+    X^d - 1 divided by every Phi_e, e a proper divisor of d."""
+    c = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            phi = _cyclotomic(e)
+            k = len(phi) - 1
+            quot = [0] * (len(c) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = c[i + k]  # every Phi_e is monic
+                for j, a in enumerate(phi):
+                    c[i + j] -= quot[i] * a
+            c = quot
+    return tuple(c)
+
+
+@functools.lru_cache(maxsize=None)
+def _line_factor(d: int, y: int, z: int) -> tuple[MPoly, int]:
+    """``(phi, s)``: s * phi = z^k Phi_d(y/z), k = deg Phi_d, for packed
+    monomials y, z of disjoint support; phi has a positive leading
+    coefficient."""
+    c = _cyclotomic(d)
+    k = len(c) - 1
+    phi = _wrap({i * y + (k - i) * z: a for i, a in enumerate(c) if a})
+    if phi.lead_coeff() < 0:
+        return -phi, -1
+    return phi, 1
+
+
+# Largest n for which Y^n -+ Z^n is split.  Its factors are small, but
+# Phi_d costs O(d^2) to build once, which would dwarf the gcds it saves at
+# n in the thousands; the Macdonald suites reach n = 6.
+_MAX_LINE_POWER = 64
+
+
+def _split(p: MPoly):
+    """The factorization of a polynomial of one or two terms, by the line
+    rule of the module docstring, or None where that rule proves none: a
+    form c1 Y^n + c2 Z^n with n > 1 and c1 != +-c2, such as 4 X^2 - 1, or
+    with n above ``_MAX_LINE_POWER``."""
+    if len(p.terms) == 1:
+        (e, c), = p.terms.items()
+        return c, e
+    (e1, c1), (e2, c2) = p.terms.items()
+    m = _min_exp(e1, e2)
+    y, z = e1 - m, e2 - m
+    n, x = 0, (y | z) >> _W  # y and z share no field
+    while x:
+        n = math.gcd(n, x & _M)
+        x >>= _W
+    g = math.gcd(c1, c2)
+    c1, c2 = c1 // g, c2 // g
+    if n == 1:
+        phi = _wrap({y: c1, z: c2})
+        if phi.lead_coeff() < 0:
+            phi, g = -phi, -g
+        return g, m, phi
+    if abs(c1) != 1 or abs(c2) != 1 or n > _MAX_LINE_POWER:
+        return None
+    y, z = _scale_down(y, n), _scale_down(z, n)
+    # p = g c1 x^m (Y^n + (c2/c1) Z^n); Y^n + Z^n = (Y^2n - Z^2n)/(Y^n - Z^n)
+    ds = ([d for d in range(1, n + 1) if n % d == 0] if c2 == -c1 else
+          [d for d in range(1, 2 * n + 1) if (2 * n) % d == 0 and n % d])
+    content, fs = g * c1, []
+    for d in ds:
+        phi, sign = _line_factor(d, y, z)
+        content *= sign
+        fs.append(phi)
+    return content, m, *fs
+
+
+def _scale_down(e: int, n: int) -> int:
+    """The packed monomial whose exponents are those of e divided by n."""
+    out, sh, x = 0, _W, e >> _W
+    while x:
+        out |= (x & _M) // n << sh
+        x >>= _W
+        sh += _W
+    return _with_degree(out)
+
+
+def _factored(p: MPoly):
+    """p's factorization: the cached one, or that of a polynomial of at
+    most two terms, which ``_split`` finds and caches."""
+    if p._fac is None and 0 < len(p.terms) <= 2:
+        p._fac = _split(p)
+    return p._fac
+
+
+def _expand(fac: tuple) -> MPoly:
+    """c x^m times the product of the factors of ``fac``, carrying it."""
+    out = _wrap({fac[1]: fac[0]})
+    for phi in fac[2:]:
+        out = out * phi
+    out._fac = fac
+    return out
+
+
+# --------------------------------------------------------------------------
 # fraction field
 # --------------------------------------------------------------------------
 
 def _cofactors(f: MPoly, g: MPoly):
-    """``(h, f/h, g/h)`` for h = gcd(f, g); a monomial side needs no gcd.
+    """``(h, f/h, g/h)`` for a primitive h = gcd(f, g), by one of three routes.
 
-    For a zero side h is 1, which the canonical 0/1 makes harmless.
+    If both sides carry a factorization, h is the intersection of the
+    multisets of factors and the smaller monomial.  If one side does, the
+    other is trial-divided by each of its factors up to its multiplicity.
+    Only if neither does is it ``mpoly_gcd``.  For a zero side h is 1,
+    which the canonical 0/1 makes harmless.
     """
     if f.is_zero() or g.is_zero():
         return MPoly.const(1), f, g
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        common = _min_exp(f.monomial_content(), g.monomial_content())
-        return _wrap({common: 1}), f.shift_down(common), g.shift_down(common)
-    return mpoly_gcd(f, g, cofactors=True)
+    ff, gf = _factored(f), _factored(g)
+    if ff is None and gf is None:
+        return mpoly_gcd(f, g, cofactors=True)
+    if ff is None:
+        h, cg, cf = _trial(g, f)
+        return h, cf, cg
+    if gf is None:
+        return _trial(f, g)
+    left = {}
+    for p in ff[2:]:
+        left[p] = left.get(p, 0) + 1
+    h = [1, _min_exp(ff[1], gf[1])]
+    for p in gf[2:]:
+        if left.get(p):
+            left[p] -= 1
+            h.append(p)
+    h = tuple(h)
+    return _expand(h), _remove(f, h), _remove(g, h)
+
+
+def _trial(f: MPoly, g: MPoly):
+    """``(h, f/h, g/h)`` for f factored and g not: g is divided by each
+    factor of f as often as it divides, up to its multiplicity in f."""
+    m = _min_exp(f._fac[1], g.monomial_content())
+    g = g.shift_down(m)
+    h, failed = [1, m], set()
+    for p in f._fac[2:]:
+        if p not in failed:
+            r = g.divide_exact(p)
+            if r is None:
+                failed.add(p)
+            else:
+                g = r
+                h.append(p)
+    h = tuple(h)
+    return _expand(h), _remove(f, h), g
+
+
+def _remove(p: MPoly, h: tuple) -> MPoly:
+    """p / h for the factorization h of a divisor of p."""
+    if len(h) == 2 and not h[1]:
+        return p
+    rest = list(p._fac[2:])
+    for q in h[2:]:
+        rest.remove(q)
+    return _expand((p._fac[0], p._fac[1] - h[1], *rest))
 
 
 def _canonical(num: MPoly, den: MPoly):
@@ -832,10 +1022,7 @@ def _product(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "FieldElement":
 def _sum(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "FieldElement":
     """a/b + c/d of coprime pairs: only gcd(a(d/g) + c(b/g), g) can cancel,
     g = gcd(b, d)."""
-    if b == d:
-        g, b, d = b, MPoly.const(1), MPoly.const(1)
-    else:
-        g, b, d = _cofactors(b, d)
+    g, b, d = _cofactors(b, d)
     # a prime of b/g divides c*(b/g) but neither a nor d/g, so it cannot
     # divide the numerator; likewise for d/g: only gcd(num, g) is left
     _, num, g = _cofactors(a * d + c * b, g)
@@ -848,17 +1035,16 @@ def _power(a: MPoly, b: MPoly, n: int) -> "FieldElement":
     return FieldElement(*_canonical(a ** n, b ** n), reduce=False)
 
 
-# Entries of the field memo, set against peak RSS.  With the structural
-# caches of `macdonald` and `identities` in place, the four exact-algebra
-# suites in one process (cauchy, skew-sum --max-size 2, eval-sym,
-# an-cauchy; 2-vCPU Xeon VM, Python 3.11.7) make 40,349 products, sums and
-# powers on 4,230 distinct operand tuples.  Median CPU seconds and peak RSS
-# of five cold runs by size: no memo 2.44 s, 21.5 MB; 128 entries 1.59 s,
-# 20.7 MB; 256 entries 1.47 s, 20.8 MB; 512 entries 1.30 s, 21.2 MB; 1,024
-# entries 1.22 s, 21.9 MB; unbounded 1.15 s, 25.5 MB.  The runs of one
-# size spread by up to 0.35 s.  256 is kept: 512 would save about a tenth
-# of the time for 2% more peak RSS, on a workload whose peak_rss_mb bound
-# is 5%.
+# Entries of the field memo, set against peak RSS.  With factored
+# denominators, the four exact-algebra suites in one process (cauchy,
+# skew-sum --max-size 2, eval-sym, an-cauchy; 2-vCPU Xeon VM, Python
+# 3.11.7) make 40,277 products, sums and powers on 4,230 distinct operand
+# tuples.  Median CPU seconds and peak RSS of five cold runs by size: no
+# memo 1.29 s, 22.1 MB; 128 entries 0.75 s, 21.0 MB; 256 entries 0.71 s,
+# 21.0 MB; 512 entries 0.73 s, 21.4 MB; 1,024 entries 0.68 s, 22.3 MB;
+# unbounded 0.58 s, 26.6 MB.  The runs of one size spread by up to 0.44 s.
+# 256 is kept: no size between 128 and 1,024 is measurably faster, and
+# 512 costs 2% more peak RSS, on a workload whose peak_rss_mb bound is 5%.
 _MEMO_SIZE = 256
 
 

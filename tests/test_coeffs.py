@@ -65,6 +65,19 @@ class TestQPoch:
         assert abs(val - euler) < 1e-14
         assert abs(val - 0.2887880951) < 1e-9
 
+    @pytest.mark.parametrize("b_, q_", [(math.nan, 0.3), (math.inf, 0.3),
+                                        (0.5, math.nan)])
+    def test_infinite_product_rejects_a_non_finite_argument(self, b_, q_):
+        # the loop runs while |b q^j| > 1e-16: forever for an infinite b,
+        # and never for a nan, which would give 1
+        with pytest.raises(ValueError):
+            qpoch_inf(b_, q_)
+
+    def test_closed_form_rejects_a_nan_parameter(self):
+        from selbergkit.closedform import mac_aflt_rhs
+        with pytest.raises(ValueError):
+            mac_aflt_rhs(1, P(), P(), math.nan, 0.35, 0.3, 0.4)
+
 
 class TestPartitionFactorials:
     def test_qt_poch_examples(self):

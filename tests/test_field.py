@@ -621,3 +621,110 @@ def test_kernel_against_sympy_fuzzed(monkeypatch, path):
         assert field._int_content(h) == 1 and h.lead_coeff() > 0
         assert all(isinstance(c, int) for c in h.terms.values())
         assert h * cf == f and h * cg == g
+
+
+def _carried(p):
+    """p's carried factorization multiplies back to p."""
+    if p._fac is not None:
+        assert field._expand(p._fac) == p, p
+
+
+@pytest.mark.parametrize("binomial, want", [
+    (1 - q * t, [1 - q * t]),
+    (1 - q ** 2 * t ** 2, [1 - q * t, 1 + q * t]),
+    (1 - q ** 6, [1 - q, 1 + q, 1 + q + q ** 2, 1 - q + q ** 2]),
+    (1 + q ** 3, [1 + q, 1 - q + q ** 2]),
+    (2 - 2 * q ** 4 * t ** 2, [1 - q ** 2 * t, 1 + q ** 2 * t]),
+    (q ** 2 - t, [q ** 2 - t]),
+    (2 * a + 3, [2 * a + 3]),
+    (t ** 3 * (q - a ** 2), [q - a ** 2]),
+    (6 * q ** 3 * t, []),
+])
+def test_split_finds_the_irreducible_line_factors(binomial, want):
+    p = MPoly(dict(binomial.num.terms))
+    fac = field._split(p)
+    fs = fac[2:]
+    assert field._expand(fac) == p
+    # each factor is primitive with a positive leading coefficient
+    assert sorted(map(str, fs)) == sorted(
+        str(x.num if x.num.lead_coeff() > 0 else -x.num) for x in want)
+    sympy = pytest.importorskip("sympy")
+    for phi in fs:
+        _, factors = _to_sympy(sympy, phi).factor_list()
+        assert len(factors) == 1 and factors[0][1] == 1, phi
+
+
+@pytest.mark.parametrize("poly", [4 * q ** 2 - 1, 2 * q ** 2 + 3, 1 + 2 * q + q * t,
+                                  1 - q ** 65])
+def test_split_leaves_what_it_cannot_prove(poly):
+    # 4q^2 - 1 factors but is no cyclotomic binomial; 2q^2 + 3 is
+    # irreducible, which the two-term rule cannot show at n = 2; three
+    # terms are never split; n = 65 is past the cap on the line power
+    p = MPoly(dict(poly.num.terms))
+    assert field._factored(p) is None and p._fac is None
+
+
+def test_factored_route_matches_the_gcd_route(monkeypatch):
+    # every operation through carried factorizations gives the canonical
+    # pair that operands with none give, whose gcds go through mpoly_gcd
+    monkeypatch.setattr(field, "_memo", field._memo.__wrapped__)
+    g = var("gamma")
+    line = [1 - q, 1 - t, 1 - q * t, 1 - q ** 2 * t ** 2, 1 - q ** 6, q ** 2 - t,
+            2 * g + 3, 1 + q ** 3, t - q * a, 2 - 2 * q * t ** 2, q, t]
+    odd = 1 + 2 * q + q * t  # no line factor: a side holding it falls back
+    rng = random.Random(20261019)
+
+    def element():
+        x = fe(rng.choice([1, 2, -3, Fraction(1, 2)]))
+        for _ in range(rng.randint(1, 4)):
+            y = rng.choice(line) ** rng.randint(1, 2)
+            x = x * y if rng.random() < 0.5 else x / y
+        if rng.random() < 0.3:
+            x = x * odd if rng.random() < 0.5 else x / odd
+        return x
+
+    def bare(x):
+        return FieldElement(MPoly(dict(x.num.terms)), MPoly(dict(x.den.terms)),
+                            reduce=False)
+
+    gcds = []
+    real_gcd = field.mpoly_gcd
+
+    def counted(*args, **kwargs):
+        gcds.append(1)
+        return real_gcd(*args, **kwargs)
+
+    ops = [lambda u, v: u * v, lambda u, v: u / v, lambda u, v: u + v,
+           lambda u, v: u - v, lambda u, v: u ** 3 * v ** 2]
+    for _ in range(150):
+        u, v = element(), element()
+        op = rng.choice(ops)
+        fast = op(u, v)
+        monkeypatch.setattr(field, "mpoly_gcd", counted)
+        slow = op(bare(u), bare(v))
+        monkeypatch.setattr(field, "mpoly_gcd", real_gcd)
+        assert (fast.num, fast.den) == (slow.num, slow.den), (u, v)
+        for x in (u, v, fast, slow):
+            _carried(x.num)
+            _carried(x.den)
+    assert gcds
+
+
+def test_factored_denominators_need_no_gcd(monkeypatch):
+    from selbergkit import macdonald
+    from selbergkit.coeffs import qt_poch
+    from selbergkit.macdonald import principal_spec_a
+    from selbergkit.partitions import P
+
+    cases = [(P(3, 1), a), (P(2, 2, 1), t ** 3), (P(4, 2), q * a)]
+    want = [(principal_spec_a(lam, b), qt_poch(b, q, t, lam)) for lam, b in cases]
+
+    def no_gcd(*args, **kwargs):
+        raise AssertionError("a gcd left the factored route")
+
+    monkeypatch.setattr(field, "mpoly_gcd", no_gcd)
+    monkeypatch.setattr(field, "_memo", field._memo.__wrapped__)
+    monkeypatch.setattr(macdonald, "_principal_spec_qt",
+                        macdonald._principal_spec_qt.__wrapped__)
+    got = [(principal_spec_a(lam, b), qt_poch(b, q, t, lam)) for lam, b in cases]
+    assert got == want
