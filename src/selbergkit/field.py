@@ -42,7 +42,8 @@ sides carry a factorization, the gcd is the intersection of their
 multisets of factors: since each factor is irreducible and primitive with
 a positive leading coefficient, two factors are associates only if equal,
 and no division is needed.  If one side carries one, the other side is
-trial-divided by each of its factors, up to the factor's multiplicity.
+trial-divided by each of its factors, up to the factor's multiplicity,
+with no step limit, so a division that fails proves the factor absent.
 Only if neither does is it ``mpoly_gcd``, which splits off the monomial
 contents, replaces an operand by its content in any variable the other
 lacks, then tries the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
@@ -375,7 +376,7 @@ class MPoly:
     def lead_coeff(self) -> int:
         return self.terms[self._lead_key()] if self.terms else 0
 
-    def divide_exact(self, other: "MPoly"):
+    def divide_exact(self, other: "MPoly", bounded: bool = True):
         """Return self/other if it lies in Z[x], else None.
 
         Every caller divides by a primitive polynomial or a monomial, where
@@ -383,7 +384,13 @@ class MPoly:
         Long division in the graded order: each quotient term times ``other``
         is subtracted into one remainder dict, and a heap of the remainder's
         monomials, keyed ``(-(e & _M), -e)`` (stale entries skipped on pop),
-        yields its lead term.
+        yields its lead term.  With ``bounded`` it also gives up, returning
+        None, after 16 (len(self) + 4) (len(other) + 4) steps, which caps
+        the cost of checking a wrong gcd candidate but also rejects an
+        exact quotient of more terms, such as (q^350 - 1)^2 / (q - 1).
+        Unbounded, None proves that other does not divide self; the division
+        still ends, as the graded order is a well-order and each step
+        lowers the remainder's lead.
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -413,7 +420,7 @@ class MPoly:
             if rk not in rem:
                 continue
             nsteps += 1
-            if nsteps > limit:
+            if nsteps > limit and bounded:
                 return None
             if ((rk | G) - lk) & G != G:
                 return None
@@ -851,7 +858,13 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded like the field memo.  Splits of equal binomials then share their
+# factor objects: in one cold process of the four exact-algebra suites it
+# holds 52 entries and answers 208 of 260 calls, and over eight interleaved
+# pairs of such processes (2-vCPU Xeon VM, Python 3.11.7) it lowered peak
+# RSS in every pair, median 21.21 to 20.89 MB, with median CPU time 0.453
+# to 0.447 s, within noise.
+@functools.lru_cache(maxsize=256)
 def _line_factor(d: int, y: int, z: int) -> tuple[MPoly, int]:
     """``(phi, s)``: s * phi = z^k Phi_d(y/z), k = deg Phi_d, for packed
     monomials y, z of disjoint support; phi has a positive leading
@@ -970,13 +983,14 @@ def _cofactors(f: MPoly, g: MPoly):
 
 def _trial(f: MPoly, g: MPoly):
     """``(h, f/h, g/h)`` for f factored and g not: g is divided by each
-    factor of f as often as it divides, up to its multiplicity in f."""
+    factor of f as often as it divides, up to its multiplicity in f.  The
+    divisions are unbounded, so a failed one proves the factor absent."""
     m = _min_exp(f._fac[1], g.monomial_content())
     g = g.shift_down(m)
     h, failed = [1, m], set()
     for p in f._fac[2:]:
         if p not in failed:
-            r = g.divide_exact(p)
+            r = g.divide_exact(p, bounded=False)
             if r is None:
                 failed.add(p)
             else:

@@ -194,6 +194,9 @@ def test_divide_exact_not_exact():
     assert (1 + q ** 2).num.divide_exact((1 + q).num) is None
     assert (q * t + 1).num.divide_exact((q + t).num) is None
     assert q.num.divide_exact((q * t).num) is None
+    for f, g in [(1 + q ** 2, 1 + q), ((q ** 40 - 1) * (1 + q * t), 1 + t),
+                 (q ** 40 - 1, 2 * q - 1)]:
+        assert f.num.divide_exact(g.num, bounded=False) is None
     with pytest.raises(ZeroDivisionError):
         q.num.divide_exact(MPoly())
 
@@ -728,3 +731,16 @@ def test_factored_denominators_need_no_gcd(monkeypatch):
                         macdonald._principal_spec_qt.__wrapped__)
     got = [(principal_spec_a(lam, b), qt_poch(b, q, t, lam)) for lam, b in cases]
     assert got == want
+
+
+def test_trial_division_is_not_cut_by_the_step_limit(monkeypatch):
+    # (q^350 - 1)^2 has 3 terms and no factorization (350 is past the line
+    # power cap), so the numerator is trial-divided by q - 1, whose exact
+    # quotient has 700 terms: more than a bounded division allows
+    num = (q ** 350 - 1).num ** 2
+    assert num.divide_exact((q - 1).num) is None
+    assert num.divide_exact((q - 1).num, bounded=False) is not None
+    monkeypatch.setattr(field, "_memo", field._memo.__wrapped__)
+    x = (q ** 350 - 1) ** 2 / (q - 1) ** 2
+    assert x == sum(q ** i for i in range(350)) ** 2
+    assert x.den == MPoly.const(1)
