@@ -5,8 +5,12 @@ degree-truncated), and the combinatorial partition-function bridge.
 The Cauchy-type checks compare both sides as truncated series in named
 letters over Q(q,t[,a]).  The grading is exact: the z_r-degree of a term
 pins |lambda^(r)| and the y(,c,d)-degree pins |lambda^(n)| - |mu|, so
-summing all tuples with total size <= cap + |mu| reproduces every compared
-coefficient exactly.
+summing all tuples with total size <= cap + |mu| reproduces every
+coefficient of y, z, c, d-degree <= cap exactly.  Those are the compared
+ones, and every product is truncated on that grading (a weighted cap of
+weight 1 on y, z, c and d), beside the total-degree cap 2 cap + |mu| that
+bounds the x-degree: exponents are non-negative, so a dropped term feeds
+only terms above the cap.
 """
 
 from __future__ import annotations
@@ -206,21 +210,28 @@ def verify_skew_sum_limit(lam: Partition, mu: Partition, k: int,
 # rank-n Cauchy-type identities
 # ---------------------------------------------------------------------------
 
-def _mono(letters, name_powers: dict, cap) -> LetterSeries:
+def _mono(letters, name_powers: dict, cap, wcap) -> LetterSeries:
     e = [0] * len(letters)
     for name, p in name_powers.items():
         e[letters.index(name)] = p
-    return LetterSeries(letters, {tuple(e): Fraction(1)}, cap)
+    return LetterSeries(letters, {tuple(e): Fraction(1)}, cap, wcap)
 
 
-def _kernel_series(alpha, beta, U: LetterSeries, q, cap: int) -> LetterSeries:
-    """(alpha*U;q)_inf / (beta*U;q)_inf as a series in the monomial U."""
+def _kernel_series(alpha, beta, U: LetterSeries, q, cap: int,
+                   wcap) -> LetterSeries:
+    """(alpha*U;q)_inf / (beta*U;q)_inf as a series in the monomial U, up to
+    the power of U that either cap admits."""
     (ue, uc), = U.terms.items()
     udeg = sum(ue)
     mmax = cap // udeg if udeg else 0
+    if wcap is not None:
+        weights, bound = wcap
+        wdeg = sum(w * x for w, x in zip(weights, ue))
+        if wdeg:
+            mmax = min(mmax, bound // wdeg)
     hs = h_series_of_alphabet(Ratio(beta, alpha, q), mmax)
-    out = LetterSeries(U.letters, cap=cap)
-    upow = LetterSeries.const(U.letters, Fraction(1), cap)
+    out = LetterSeries(U.letters, cap=cap, wcap=wcap)
+    upow = LetterSeries.const(U.letters, Fraction(1), cap, wcap)
     for m in range(mmax + 1):
         out = out + upow * hs[m]
         upow = upow * U
@@ -261,6 +272,8 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
     cd_names = ("c", "d") if variant == "II-pleth" else ()
     letters = x_names + y_names + z_names + cd_names
     T = 2 * cap + mu_n.size  # safe total-degree cap (see module docstring)
+    # the compared grading: weight 1 on every y, z, c and d letter
+    wcap = ((0,) * len(x_names) + (1,) * (len(letters) - len(x_names)), cap)
 
     a_sym = var("a") if variant in ("I", "I-inf") else None
 
@@ -269,20 +282,18 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
             return a_sym
         return t ** (ks[r - 1] - ks[r]) if ks[r] is not None else None
 
-    xs = [var(nm) for nm in x_names]
-
     # ---------------- left-hand side ----------------
-    lhs = LetterSeries(letters, cap=T)
+    lhs = LetterSeries(letters, cap=T, wcap=wcap)
     size_cap = cap + mu_n.size
     tuples = _partition_tuples(n, size_cap, ks)
     for lams in tuples:
         term = _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, T,
-                            x_names, y_names, z_names, cd_names)
+                            wcap, x_names, y_names, z_names, cd_names)
         if term is not None:
             lhs = lhs + term
 
     # ---------------- right-hand side ----------------
-    rhs = LetterSeries.const(letters, Fraction(1), T)
+    rhs = LetterSeries.const(letters, Fraction(1), T, wcap)
 
     def zprod(lo, hi):  # z_lo * ... * z_hi as monomial powers
         return {f"z{r}": 1 for r in range(lo, hi + 1)}
@@ -290,54 +301,52 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
     # P_{mu_n}[W]
     if mu_n:
         W: Alphabet = Letters(
-            [_mono(letters, {**zprod(1, n - 1), f"x{i}": 1}, T)
+            [_mono(letters, {**zprod(1, n - 1), f"x{i}": 1}, T, wcap)
              for i in range(1, k1 + 1)])
         for r in range(1, n):
             ar = a_r(r)
             W = Sum(W, Product(
-                Letters([_mono(letters, zprod(r + 1, n - 1), T)]),
+                Letters([_mono(letters, zprod(r + 1, n - 1), T, wcap)]),
                 Ratio(fe(1), 1 / ar, t)))
-        rhs = rhs * _pleth_letterseries(macdonald_P(mu_n), W, letters, T)
+        rhs = rhs * _pleth_letterseries(macdonald_P(mu_n), W, letters, T, wcap)
 
     for r in range(1, n):
         ar = a_r(r)
         for i in range(1, k1 + 1):
-            U = _mono(letters, {**zprod(1, r), f"x{i}": 1}, T)
-            rhs = rhs * _kernel_series(ar * q, t, U, q, T)
+            U = _mono(letters, {**zprod(1, r), f"x{i}": 1}, T, wcap)
+            rhs = rhs * _kernel_series(ar * q, t, U, q, T, wcap)
         for j in range(1, ny + 1):
-            U = _mono(letters, {**zprod(r + 1, n - 1), f"y{j}": 1}, T)
-            rhs = rhs * _kernel_series(1 / ar, fe(1), U, q, T)
+            U = _mono(letters, {**zprod(r + 1, n - 1), f"y{j}": 1}, T, wcap)
+            rhs = rhs * _kernel_series(1 / ar, fe(1), U, q, T, wcap)
     for i in range(1, k1 + 1):
         for j in range(1, ny + 1):
-            U = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, f"y{j}": 1}, T)
-            rhs = rhs * _kernel_series(t, fe(1), U, q, T)
+            U = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, f"y{j}": 1}, T, wcap)
+            rhs = rhs * _kernel_series(t, fe(1), U, q, T, wcap)
     for r in range(1, n - 1):
         for s in range(r + 1, n):
             asym = a_r(s)
             for i in range(1, ks[r] - ks[r - 1] + 1):
-                U = _mono(letters, zprod(r + 1, s), T)
-                rhs = rhs * _kernel_series(asym * q * t ** (i - 1), t ** i, U, q, T)
+                U = _mono(letters, zprod(r + 1, s), T, wcap)
+                rhs = rhs * _kernel_series(asym * q * t ** (i - 1), t ** i, U, q,
+                                           T, wcap)
     if variant == "II-pleth":
         for i in range(1, k1 + 1):
-            Ud = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "d": 1}, T)
-            Uc = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "c": 1}, T)
-            rhs = rhs * _kernel_series(fe(1), fe(0), Ud, q, T)
-            rhs = rhs * _kernel_series(fe(0), fe(1), Uc, q, T)
+            Ud = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "d": 1}, T, wcap)
+            Uc = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "c": 1}, T, wcap)
+            rhs = rhs * _kernel_series(fe(1), fe(0), Ud, q, T, wcap)
+            rhs = rhs * _kernel_series(fe(0), fe(1), Uc, q, T, wcap)
         for r in range(1, n):
             for i in range(1, ks[r] - ks[r - 1] + 1):
-                Ud = _mono(letters, {**zprod(r + 1, n - 1), "d": 1}, T)
-                Uc = _mono(letters, {**zprod(r + 1, n - 1), "c": 1}, T)
-                rhs = rhs * _kernel_series(t ** (i - 1), fe(0), Ud, q, T)
-                rhs = rhs * _kernel_series(fe(0), t ** (i - 1), Uc, q, T)
+                Ud = _mono(letters, {**zprod(r + 1, n - 1), "d": 1}, T, wcap)
+                Uc = _mono(letters, {**zprod(r + 1, n - 1), "c": 1}, T, wcap)
+                rhs = rhs * _kernel_series(t ** (i - 1), fe(0), Ud, q, T, wcap)
+                rhs = rhs * _kernel_series(fe(0), t ** (i - 1), Uc, q, T, wcap)
 
-    # compare on the exactly-resolved monomials
-    zycd = [letters.index(nm) for nm in y_names + z_names + cd_names]
-    keys = set(lhs.terms) | set(rhs.terms)
+    # both sides are products under wcap, so every monomial they hold is
+    # exactly resolved and compared
     equal = True
     witness = ""
-    for e in keys:
-        if sum(e[i] for i in zycd) > cap:
-            continue
+    for e in set(lhs.terms) | set(rhs.terms):
         if not _fe_eq(lhs.coeff(e), rhs.coeff(e)):
             equal = False
             witness = str(e)
@@ -371,14 +380,14 @@ def _partition_tuples(n, size_cap, ks):
     return out
 
 
-def _pleth_letterseries(f, A, letters, cap) -> LetterSeries:
+def _pleth_letterseries(f, A, letters, cap, wcap) -> LetterSeries:
     val = plethysm(f, A)
     if isinstance(val, LetterSeries):
         return val
-    return LetterSeries.const(letters, val, cap)
+    return LetterSeries.const(letters, val, cap, wcap)
 
 
-def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, T,
+def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, T, wcap,
                  x_names, y_names, z_names, cd_names):
     q, t = var("q"), var("t")
     k1 = ks[0]
@@ -416,36 +425,38 @@ def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, T,
     lam1 = lams[0]
     if len(lam1) > k1:
         return None
-    term = _embed(expand_in_letters(macdonald_P(lam1), x_names), letters, 0, T)
+    term = _embed(expand_in_letters(macdonald_P(lam1), x_names), letters, 0,
+                  T, wcap)
     # z_r powers track |lam^(r)|
     zshift = [0] * len(letters)
     for r in range(1, n):
         zshift[letters.index(f"z{r}")] = lams[r - 1].size
-    term = term * LetterSeries(letters, {tuple(zshift): Fraction(1)}, T)
+    term = term * LetterSeries(letters, {tuple(zshift): Fraction(1)}, T, wcap)
     # skew Q at the y letters (+ plethystic shift for the c,d variant)
     lam_n = lams[n - 1]
     y_off = len(x_names)
     if variant == "II-pleth":
-        yterm = LetterSeries(letters, cap=T)
-        c_ls = LetterSeries.letter(letters, "c", T)
-        d_ls = LetterSeries.letter(letters, "d", T)
+        yterm = LetterSeries(letters, cap=T, wcap=wcap)
+        c_ls = LetterSeries.letter(letters, "c", T, wcap)
+        d_ls = LetterSeries.letter(letters, "d", T, wcap)
         for nu in subpartitions(lam_n):
             qfull = _embed(expand_in_letters(skew_Q(lam_n, nu), y_names, cap=T),
-                           letters, y_off, T)
+                           letters, y_off, T, wcap)
             if not qfull.terms:
                 continue
             shift_val = _pleth_letterseries(
-                macdonald_Q(nu), Ratio(c_ls, d_ls, t), letters, T)
+                macdonald_Q(nu), Ratio(c_ls, d_ls, t), letters, T, wcap)
             yterm = yterm + qfull * shift_val
     else:
         yterm = _embed(expand_in_letters(skew_Q(lam_n, mu_n), y_names, cap=T),
-                       letters, y_off, T)
+                       letters, y_off, T, wcap)
     return term * yterm * scalar
 
 
-def _embed(sub: LetterSeries, letters, offset: int, cap) -> LetterSeries:
+def _embed(sub: LetterSeries, letters, offset: int, cap,
+           wcap=None) -> LetterSeries:
     """Reinterpret a series on a letter block inside the full universe."""
-    out = LetterSeries(letters, cap=cap)
+    out = LetterSeries(letters, cap=cap, wcap=wcap)
     for e, c in sub.terms.items():
         full = [0] * len(letters)
         for i, p in enumerate(e):

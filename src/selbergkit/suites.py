@@ -56,7 +56,7 @@ def _redraw_off_poles(draw, sides):
 def cases_cauchy(cfg):
     # every coefficient in the compared window has x-degree between |mu|
     # and cap, so a larger mu would pass with nothing compared
-    cap = _capped(cfg.get("max_degree", 6), 8, "--max-degree", "cauchy")
+    cap = _capped(cfg.get("max_degree", 6), 10, "--max-degree", "cauchy")
     return [{"case_id": f"cauchy-mu{mu}", "mu": mu.parts, "cap": cap}
             for mu in (P(), P(1), P(2, 1)) if mu.size <= cap]
 
@@ -117,7 +117,7 @@ def run_cauchy(params, cfg):
 
 
 def cases_skew_sum(cfg):
-    size = _capped(cfg.get("max_size", 3), 5, "--max-size", "skew-sum")
+    size = _capped(cfg.get("max_size", 3), 6, "--max-size", "skew-sum")
     out = []
     pool = list(partitions_up_to(size))
     for limit, name in ((False, "skew"), (True, "skewlim")):
@@ -140,7 +140,7 @@ def run_skew_sum(params, cfg):
 
 
 def cases_eval_sym(cfg):
-    size = _capped(cfg.get("max_size", 3), 5, "--max-size", "eval-sym")
+    size = _capped(cfg.get("max_size", 3), 6, "--max-size", "eval-sym")
     out = []
     pool = list(partitions_up_to(size))
     for lam in pool:
@@ -171,7 +171,7 @@ def run_eval_sym(params, cfg):
 
 
 def cases_an_cauchy(cfg):
-    cap = _capped(cfg.get("max_degree", 3), 4, "--max-degree",
+    cap = _capped(cfg.get("max_degree", 3), 7, "--max-degree",
                   "an-cauchy")
     shapes = [(1, [2], "I"), (1, [2], "II"),
               (2, [1, 1], "I"), (2, [1, 1], "II"),

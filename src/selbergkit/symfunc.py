@@ -506,17 +506,24 @@ def e_series_of_alphabet(A: Alphabet, cap: int) -> list:
 class LetterSeries:
     """Polynomial in named letters with exact scalar coefficients.
 
-    cap is a total-degree cutoff applied on multiplication; None means no
-    truncation.  Coefficients may be Fractions or FieldElements.
+    cap is a total-degree cutoff and wcap an optional weighted one, a pair
+    (weights, bound) that drops a term whose sum of weight times exponent
+    exceeds bound.  Both are applied on multiplication, to each pair of
+    terms; None means no truncation.  Weights and exponents are
+    non-negative, so a dropped term leads only to terms above the bound and
+    every coefficient within it is exact.  Series with different wcaps do
+    not mix; a series without one takes the other's.  Coefficients may be
+    Fractions or FieldElements.
     """
 
-    __slots__ = ("letters", "terms", "cap")
+    __slots__ = ("letters", "terms", "cap", "wcap")
 
     # built in place and compared by identity, so never a key: an alphabet
     # that holds a LetterSeries cannot be hashed, and no cache can take it
     __hash__ = None
 
-    def __init__(self, letters: Sequence[str], terms=None, cap: int | None = None):
+    def __init__(self, letters: Sequence[str], terms=None, cap: int | None = None,
+                 wcap: tuple[tuple[int, ...], int] | None = None):
         self.letters = tuple(letters)
         self.terms: dict[tuple[int, ...], object] = {}
         if terms:
@@ -524,25 +531,35 @@ class LetterSeries:
                 if not _scalar_is_zero(c):
                     self.terms[tuple(e)] = c
         self.cap = cap
+        self.wcap = wcap
 
     @classmethod
-    def const(cls, letters, c, cap=None):
-        return cls(letters, {(0,) * len(letters): c}, cap)
+    def const(cls, letters, c, cap=None, wcap=None):
+        return cls(letters, {(0,) * len(letters): c}, cap, wcap)
 
     @classmethod
-    def letter(cls, letters, name, cap=None):
+    def letter(cls, letters, name, cap=None, wcap=None):
         e = [0] * len(letters)
         e[list(letters).index(name)] = 1
-        return cls(letters, {tuple(e): Fraction(1)}, cap)
+        return cls(letters, {tuple(e): Fraction(1)}, cap, wcap)
 
     def _check(self, other: "LetterSeries"):
+        """The weighted cap that self and other share."""
         if self.letters != other.letters:
             raise ValueError("letter universes differ")
+        if self.wcap is None:
+            return other.wcap
+        if other.wcap is not None and other.wcap != self.wcap:
+            raise ValueError("weighted caps differ")
+        return self.wcap
+
+    def _scalar(self, c):
+        return LetterSeries.const(self.letters, c, self.cap, self.wcap)
 
     def __add__(self, other):
         if not isinstance(other, LetterSeries):
-            other = LetterSeries.const(self.letters, other, self.cap)
-        self._check(other)
+            other = self._scalar(other)
+        wcap = self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             if e in out:
@@ -553,31 +570,38 @@ class LetterSeries:
                     out[e] = v
             else:
                 out[e] = c
-        return LetterSeries(self.letters, out, _min_cap(self.cap, other.cap))
+        return LetterSeries(self.letters, out, _min_cap(self.cap, other.cap), wcap)
 
     __radd__ = __add__
 
     def __neg__(self):
         return LetterSeries(self.letters, {e: -c for e, c in self.terms.items()},
-                            self.cap)
+                            self.cap, self.wcap)
 
     def __sub__(self, other):
         if not isinstance(other, LetterSeries):
-            other = LetterSeries.const(self.letters, other, self.cap)
+            other = self._scalar(other)
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, LetterSeries):
             return LetterSeries(self.letters,
                                 {e: c * other for e, c in self.terms.items()},
-                                self.cap)
-        self._check(other)
+                                self.cap, self.wcap)
+        wcap = self._check(other)
         cap = _min_cap(self.cap, other.cap)
+        top = math.inf if cap is None else cap
+        weights, bound = wcap or ((), math.inf)
+
+        def graded(ls):  # (exponents, coefficient, degree, weighted degree)
+            return [(e, c, sum(e), sum(w * x for w, x in zip(weights, e)))
+                    for e, c in ls.terms.items()]
+
+        right = graded(other)
         out: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if cap is not None and d1 + sum(e2) > cap:
+        for e1, c1, d1, w1 in graded(self):
+            for e2, c2, d2, w2 in right:
+                if d1 + d2 > top or w1 + w2 > bound:
                     continue
                 e = tuple(x + y for x, y in zip(e1, e2))
                 v = c1 * c2
@@ -587,12 +611,12 @@ class LetterSeries:
                         del out[e]
                         continue
                 out[e] = v
-        return LetterSeries(self.letters, out, cap)
+        return LetterSeries(self.letters, out, cap, wcap)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = LetterSeries.const(self.letters, Fraction(1), self.cap)
+        out = self._scalar(Fraction(1))
         base = self
         while n:
             if n & 1:

@@ -232,10 +232,10 @@ class TestCli:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite, flag, value, cap", [
-        ("skew-sum", "--max-size", "6", 5),
-        ("eval-sym", "--max-size", "9", 5),
-        ("cauchy", "--max-degree", "9", 8),
-        ("an-cauchy", "--max-degree", "5", 4),
+        ("skew-sum", "--max-size", "7", 6),
+        ("eval-sym", "--max-size", "9", 6),
+        ("cauchy", "--max-degree", "11", 10),
+        ("an-cauchy", "--max-degree", "8", 7),
     ])
     def test_verify_size_above_cap(self, capsys, suite, flag, value, cap):
         assert main(["verify", suite, flag, value]) == 2
@@ -244,7 +244,7 @@ class TestCli:
         assert flag in err and suite in err and f"cap of {cap}" in err
 
     @pytest.mark.parametrize("argv, code", [
-        (["list"], 0), (["verify", "skew-sum", "--max-size", "6"], 2),
+        (["list"], 0), (["verify", "skew-sum", "--max-size", "7"], 2),
     ], ids=["list", "above-cap"])
     def test_python_dash_m(self, argv, code):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -256,13 +256,13 @@ class TestCli:
         if code == 0:
             assert "skew-sum" in done.stdout.split()
         else:
-            assert done.stderr.strip() == ("verify skew-sum: --max-size 6 "
-                                           "is above the skew-sum cap of 5")
+            assert done.stderr.strip() == ("verify skew-sum: --max-size 7 "
+                                           "is above the skew-sum cap of 6")
 
     def test_verify_all_size_above_cap(self, capsys):
-        assert main(["verify", "all", "--max-size", "6"]) == 2
+        assert main(["verify", "all", "--max-size", "7"]) == 2
         captured = capsys.readouterr()
-        assert "--max-size 6" in captured.err and captured.out == ""
+        assert "--max-size 7" in captured.err and captured.out == ""
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nope"]) == 2

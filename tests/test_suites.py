@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -68,8 +69,8 @@ def test_size_at_cap_is_used_as_given():
     ids = {c["case_id"] for c in gen({"max_size": 2})}
     assert "skew-(2)-(1,1)-2-2" in ids
     assert not any("(3)" in i or "(2,1)" in i for i in ids)
-    with pytest.raises(ValueError, match="--max-size 6"):
-        gen({"max_size": 6})
+    with pytest.raises(ValueError, match="--max-size 7"):
+        gen({"max_size": 7})
 
 
 def test_every_verify_setting_is_read():
@@ -94,11 +95,12 @@ def test_cauchy_cases_compare_something(cap, ids):
 
 
 def test_size_four_sample_holds_exactly():
-    # fixed samples of the cases that the raised --max-size caps of 4 and 5
-    # add
+    # fixed samples of the cases that the raised --max-size caps of 4, 5
+    # and 6 add
     rng = random.Random(804)
     for size, suite, count in ((4, "skew-sum", 24), (4, "eval-sym", 12),
-                               (5, "skew-sum", 4), (5, "eval-sym", 2)):
+                               (5, "skew-sum", 4), (5, "eval-sym", 2),
+                               (6, "skew-sum", 2), (6, "eval-sym", 1)):
         gen, _ = suites.SUITES[suite]
         known = {c["case_id"] for c in gen({"max_size": size - 1})}
         new = [c for c in gen({"max_size": size}) if c["case_id"] not in known]
@@ -118,6 +120,46 @@ def test_cauchy_window_sees_p_in_place_of_q(monkeypatch):
     monkeypatch.setattr(macdonald, "_b_ratio", lambda lam, mu: fe(1))
     rep = suites.run_case("cauchy", params, {})
     assert not rep.passed and rep.lhs == "unequal"
+
+
+@pytest.mark.parametrize("cap", [3, 7])
+def test_an_cauchy_sees_a_corrupted_kernel_factor(monkeypatch, cap):
+    # with t^2 in place of t in the x-y factor (t x z y; q)_inf / (x z y; q)_inf
+    # the right side differs at x z y, inside the compared grading: a
+    # truncation that left nothing to compare would still pass
+    from selbergkit import identities
+    from selbergkit.field import var
+    t = var("t")
+    gen, _ = suites.SUITES["an-cauchy"]
+    params = next(c for c in gen({"max_degree": cap})
+                  if c["case_id"] == "ancauchy-n2-k1.1-II")
+    assert suites.run_case("an-cauchy", params, {}).passed
+    kernel = identities._kernel_series
+
+    def corrupted(alpha, beta, U, q, cap, wcap):
+        if alpha == t and beta == 1:
+            alpha = t ** 2
+        return kernel(alpha, beta, U, q, cap, wcap)
+
+    monkeypatch.setattr(identities, "_kernel_series", corrupted)
+    rep = suites.run_case("an-cauchy", params, {})
+    assert not rep.passed and rep.lhs == "unequal"
+
+
+def test_an_cauchy_degree_five_is_small():
+    # truncating on the compared grading keeps the plethystic case at
+    # degree 5 to a few MB; truncating on total degree alone took 99 MB
+    gen, _ = suites.SUITES["an-cauchy"]
+    params = next(c for c in gen({"max_degree": 5})
+                  if c["case_id"] == "ancauchy-n2-k1.2-II-pleth")
+    tracemalloc.start()
+    try:
+        rep = suites.run_case("an-cauchy", params, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.lhs == rep.rhs == "equal", rep
+    assert peak <= 30 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("seed, pole", [

@@ -247,6 +247,68 @@ class TestLetterSeries:
         f = (x + y) ** 5
         assert max((sum(e) for e in f.terms), default=0) <= 3
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_weighted_cap_is_exact_within_its_bound(self, seed):
+        # under a weighted cap, products, sums, scalar multiples, powers and
+        # embeddings equal the uncapped ones on every monomial within the
+        # bound, and hold no monomial above it after a product
+        from selbergkit.identities import _embed
+        rng = random.Random(seed)
+        letters = ("x", "y", "z", "w")
+        weights = tuple(rng.randint(0, 2) for _ in letters)
+        weights = weights if any(weights) else (0, 1, 1, 1)
+        wcap = (weights, rng.randint(2, 5))
+
+        def wdeg(e):
+            return sum(w * x for w, x in zip(weights, e))
+
+        def draw(nletters=4):
+            terms = {(0,) * nletters: Fraction(rng.randint(1, 4))}
+            for _ in range(6):
+                e = tuple(rng.choice((0, 0, 1, 2)) for _ in range(nletters))
+                terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) \
+                    * q ** rng.randint(0, 2)
+            return (LetterSeries(letters[:nletters], terms, 12, wcap),
+                    LetterSeries(letters[:nletters], terms, 12))
+
+        (A, a_), (B, b_), (C, c_) = draw(), draw(), draw()
+        (S, s_) = draw(2)
+        pairs = [
+            (A * B, a_ * b_),
+            ((A * B) * C, (a_ * b_) * c_),
+            ((A + B) * C, (a_ + b_) * c_),
+            ((A - 3) * (C * t), (a_ - 3) * (c_ * t)),
+            (A ** 3, a_ ** 3),
+            (_embed(S, letters, 1, 12, wcap) * A, _embed(s_, letters, 1, 12) * a_),
+            # a series without a weighted cap takes its partner's
+            (b_ * A * c_, b_ * a_ * c_),
+        ]
+        for carried in (A + B, A - 3, 3 + A, -A, C * t,
+                        _embed(S, letters, 1, 12, wcap)):
+            assert carried.wcap == wcap
+        dropped = False
+        for capped, full in pairs:
+            dropped |= any(wdeg(e) > wcap[1] for e in full.terms)
+            assert capped.wcap == wcap
+            assert all(wdeg(e) <= wcap[1] for e in capped.terms)
+            within = [e for e in set(full.terms) | set(capped.terms)
+                      if wdeg(e) <= wcap[1]]
+            assert within
+            for e in within:
+                assert fe(capped.coeff(e)) == fe(full.coeff(e)), e
+        assert dropped
+
+    def test_different_weighted_caps_do_not_mix(self):
+        letters = ("x", "y")
+        u = LetterSeries.letter(letters, "x", wcap=((1, 0), 2))
+        v = LetterSeries.letter(letters, "y", wcap=((0, 1), 2))
+        w = LetterSeries.letter(letters, "y", wcap=((1, 0), 3))
+        for other in (v, w):
+            with pytest.raises(ValueError, match="weighted caps differ"):
+                u * other
+            with pytest.raises(ValueError, match="weighted caps differ"):
+                u + other
+
     def test_expand_symfunc(self):
         f = s_sf(P(2))
         ls = expand_in_letters(f, ("x", "y"))
