@@ -236,6 +236,11 @@ class TestCli:
         ("eval-sym", "--max-size", "9", 6),
         ("cauchy", "--max-degree", "11", 10),
         ("an-cauchy", "--max-degree", "8", 7),
+    ], ids=[
+        # Case names fixed from when the exact caps were lower, so each
+        # case keeps its name as the caps move.
+        "skew-sum---max-size-6-5", "eval-sym---max-size-9-5",
+        "cauchy---max-degree-9-8", "an-cauchy---max-degree-5-4",
     ])
     def test_verify_size_above_cap(self, capsys, suite, flag, value, cap):
         assert main(["verify", suite, flag, value]) == 2
