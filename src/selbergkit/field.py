@@ -22,7 +22,9 @@ Reduction policy.  Operands are coprime, so arithmetic follows Henrici
 not need: (a/b)(c/d) cancels only gcd(a, d) and gcd(c, b), a quotient is
 the product with d/c, and a power needs no gcd; a/b + c/d with
 g = gcd(b, d) forms t = a(d/g) + c(b/g) and cancels only gcd(t, g); the
-constructor cancels gcd(num, den).
+constructor cancels gcd(num, den).  A rational constant n/d cancels only
+integers: gcd(n, cont b) and gcd(d, cont a) from (a/b)(n/d), and the
+integer contents of (da + nb)/(db), a pair coprime as polynomials.
 
 Factored denominators.  In the Macdonald identities every denominator is
 a product of binomials 1 - q^a t^b (Macdonald, Symmetric Functions and
@@ -58,21 +60,22 @@ a cache of facts about a polynomial, not part of its value: equality, the
 hash and the memo keys ignore it, so every route gives the same canonical
 pair.
 
-Every result passes through one canonicaliser, ``_canonical``: zero is
-0/1, and otherwise num and den are divided by the gcd of their integer
-contents, with the sign that makes the leading denominator coefficient
-positive.  A coprime pair has exactly one such form, so equality compares
-the pairs.
+Every result has one canonical form: zero is 0/1, and otherwise num and
+den are divided by the gcd of their integer contents, with the sign that
+makes the leading denominator coefficient positive.  ``_canonical`` makes
+it; a product with a constant is built in it.  A coprime pair has exactly
+one such form, so equality compares the pairs.
 
 Memo.  The same few thousand products, sums and powers recur tens of
 thousands of times across the Macdonald suites, so ``FieldElement``'s
-+ - * / and ** go through ``_memo`` (Michie, Nature 218, 1968): one LRU of
-``_MEMO_SIZE`` entries shared by ``_product``, ``_sum`` and ``_power``,
-keyed on the operation and its operand ``MPoly``s (and the exponent of a
-power).  A key matches on the cached hash and then ``MPoly.__eq__``, so a
-hit is exact.  Cached operands and results are shared between callers,
-which is sound because ``MPoly`` and ``FieldElement`` are immutable once
-built.
++ - * / and ** go through ``_memo`` (Michie, Nature 218, 1968), bar the
+routes of a rational constant, which cost less than a memo key; x**-n
+looks up (1/x)**n.  The memo is one LRU of ``_MEMO_SIZE`` entries shared
+by ``_product``, ``_sum`` and ``_power``, keyed on the operation and its
+operand ``MPoly``s (and the exponent of a power).  A key matches on the
+cached hash and then ``MPoly.__eq__``, so a hit is exact.  Cached operands
+and results are shared between callers, which is sound because ``MPoly``
+and ``FieldElement`` are immutable once built.
 """
 
 from __future__ import annotations
@@ -293,22 +296,29 @@ class MPoly:
         if not self.terms:
             return MPoly()
         a, b = self.terms, other.terms
-        # the total degree bounds every field, so this check covers them all
-        _check_degree(max(e & _M for e in a) + max(e & _M for e in b))
-        out: dict[int, int] = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                v = get(e)
-                if v is None:
-                    out[e] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v:
-                        out[e] = v
+        if len(a) == 1:
+            # a monomial times a polynomial: no two products collide
+            (m, k), = a.items()
+            if m:
+                _check_degree((m & _M) + max(map(_M.__and__, b)))
+            out = {e + m: c * k for e, c in b.items()}
+        else:
+            # the total degree bounds every field, so this check covers them all
+            _check_degree(max(e & _M for e in a) + max(e & _M for e in b))
+            out = {}
+            get = out.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    v = get(e)
+                    if v is None:
+                        out[e] = c1 * c2
                     else:
-                        del out[e]
+                        v = v + c1 * c2
+                        if v:
+                            out[e] = v
+                        else:
+                            del out[e]
         out = _wrap(out)
         if self._fac is not None and other._fac is not None:
             f1, f2 = self._fac, other._fac
@@ -955,9 +965,10 @@ def _cofactors(f: MPoly, g: MPoly):
 
     If both sides carry a factorization, h is the intersection of the
     multisets of factors and the smaller monomial.  If one side does, the
-    other is trial-divided by each of its factors up to its multiplicity.
-    Only if neither does is it ``mpoly_gcd``.  For a zero side h is 1,
-    which the canonical 0/1 makes harmless.
+    other is trial-divided by each of its factors up to its multiplicity;
+    h is then a factor tuple, which only ``_sum`` expands.  Only if neither
+    does is it ``mpoly_gcd``, whose h is an ``MPoly``.  For a zero side h
+    is 1, which the canonical 0/1 makes harmless.
     """
     if f.is_zero() or g.is_zero():
         return MPoly.const(1), f, g
@@ -978,7 +989,7 @@ def _cofactors(f: MPoly, g: MPoly):
             left[p] -= 1
             h.append(p)
     h = tuple(h)
-    return _expand(h), _remove(f, h), _remove(g, h)
+    return h, _remove(f, h), _remove(g, h)
 
 
 def _trial(f: MPoly, g: MPoly):
@@ -997,12 +1008,15 @@ def _trial(f: MPoly, g: MPoly):
                 g = r
                 h.append(p)
     h = tuple(h)
-    return _expand(h), _remove(f, h), g
+    return h, _remove(f, h), g
 
 
 def _remove(p: MPoly, h: tuple) -> MPoly:
     """p / h for the factorization h of a divisor of p."""
-    if len(h) == 2 and not h[1]:
+    if len(h) == 2:  # a monomial: p keeps its factors
+        if h[1]:
+            p, fac = p.shift_down(h[1]), p._fac
+            p._fac = (fac[0], fac[1] - h[1]) + fac[2:]
         return p
     rest = list(p._fac[2:])
     for q in h[2:]:
@@ -1037,6 +1051,7 @@ def _sum(a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "FieldElement":
     """a/b + c/d of coprime pairs: only gcd(a(d/g) + c(b/g), g) can cancel,
     g = gcd(b, d)."""
     g, b, d = _cofactors(b, d)
+    g = _expand(g) if isinstance(g, tuple) else g
     # a prime of b/g divides c*(b/g) but neither a nor d/g, so it cannot
     # divide the numerator; likewise for d/g: only gcd(num, g) is left
     _, num, g = _cofactors(a * d + c * b, g)
@@ -1049,16 +1064,52 @@ def _power(a: MPoly, b: MPoly, n: int) -> "FieldElement":
     return FieldElement(*_canonical(a ** n, b ** n), reduce=False)
 
 
-# Entries of the field memo, set against peak RSS.  With factored
-# denominators, the four exact-algebra suites in one process (cauchy,
-# skew-sum --max-size 2, eval-sym, an-cauchy; 2-vCPU Xeon VM, Python
-# 3.11.7) make 40,277 products, sums and powers on 4,230 distinct operand
-# tuples.  Median CPU seconds and peak RSS of five cold runs by size: no
-# memo 1.29 s, 22.1 MB; 128 entries 0.75 s, 21.0 MB; 256 entries 0.71 s,
-# 21.0 MB; 512 entries 0.73 s, 21.4 MB; 1,024 entries 0.68 s, 22.3 MB;
-# unbounded 0.58 s, 26.6 MB.  The runs of one size spread by up to 0.44 s.
-# 256 is kept: no size between 128 and 1,024 is measurably faster, and
-# 512 costs 2% more peak RSS, on a workload whose peak_rss_mb bound is 5%.
+def _rational(x):
+    """x as (n, d) in lowest terms, d > 0, if x is a rational constant."""
+    if isinstance(x, FieldElement):
+        n, d = x.num.terms, x.den.terms
+        if len(d) == 1 and 0 in d and (not n or len(n) == 1 and 0 in n):
+            return n.get(0, 0), d[0]
+    elif isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    return None
+
+
+def _scaled(x: "FieldElement", n: int, d: int) -> "FieldElement":
+    """x n/d, n/d as from ``_rational``, canonical as built: only the
+    integers gcd(n, cont den) and gcd(d, cont num) cancel."""
+    a, b = x.num, x.den
+    if n == d or not a.terms:
+        return x
+    if not n:
+        return FieldElement(0, reduce=False)
+    g1, g2 = math.gcd(n, _int_content(b)), math.gcd(d, _int_content(a))
+    return FieldElement(_rescale(a, 0, n // g1, g2),
+                        _rescale(b, 0, d // g2, g1), reduce=False)
+
+
+def _shifted(x: "FieldElement", n: int, d: int, const_first: bool = False):
+    """x + n/d, n/d nonzero as from ``_rational``: only integer contents
+    cancel.  The left operand's terms come first, as in ``_sum``."""
+    da, nb = _rescale(x.num, 0, d, 1), _rescale(x.den, 0, n, 1)
+    num = nb + da if const_first else da + nb
+    return FieldElement(*_canonical(num, _rescale(x.den, 0, d, 1)), reduce=False)
+
+
+def _reciprocal(x: "FieldElement") -> "FieldElement":
+    """1/x: the pair swapped and made canonical; a PoleError for zero."""
+    return FieldElement(*_canonical(x.den, x.num), reduce=False)
+
+
+# Entries of the field memo, set against peak RSS.  The four exact-algebra
+# suites in one process (cauchy, skew-sum --max-size 2, eval-sym,
+# an-cauchy; 2-vCPU Xeon VM, Python 3.11.7) make 20,580 memo lookups on
+# 2,748 distinct keys; an operation with a rational constant makes none.
+# Median CPU seconds and peak RSS of seven cold runs by size: no memo
+# 0.52 s, 20.7 MB; 128 0.35 s, 20.6 MB; 256 0.33 s, 20.8 MB (3,270
+# misses); 512 0.32 s, 21.4 MB; 1,024 0.32 s, 22.1 MB; unbounded 0.31 s,
+# 24.4 MB.  256 is kept: a larger memo saves at most 6% of the time for 3
+# to 17% more peak RSS, on a workload whose peak_rss_mb bound is 5%.
 _MEMO_SIZE = 256
 
 
@@ -1105,14 +1156,16 @@ class FieldElement:
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
-        return _memo(_sum, self.num, self.den, other.num, other.den)
+        r = _rational(other)
+        if r is None:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            r = _rational(self)
+            if r is None:
+                return _memo(_sum, self.num, self.den, other.num, other.den)
+            return _shifted(other, *r, const_first=True) if r[0] else other
+        return _shifted(self, *r) if r[0] else self
 
     __radd__ = __add__
 
@@ -1132,10 +1185,16 @@ class FieldElement:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _memo(_product, self.num, self.den, other.num, other.den)
+        r = _rational(other)
+        if r is None:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            r = _rational(self)
+            if r is None:
+                return _memo(_product, self.num, self.den, other.num, other.den)
+            return _scaled(other, *r)
+        return _scaled(self, *r)
 
     __rmul__ = __mul__
 
@@ -1145,7 +1204,9 @@ class FieldElement:
             return NotImplemented
         if other.num.is_zero():
             raise PoleError("division by zero field element")
-        return _memo(_product, self.num, self.den, other.den, other.num)
+        if _rational(other) is None and _rational(self) is None:
+            return _memo(_product, self.num, self.den, other.den, other.num)
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -1155,13 +1216,12 @@ class FieldElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            return (FieldElement(1) / self) ** (-n)
+            return _reciprocal(self) ** -n
         return _memo(_power, self.num, self.den, n)
 
     def __eq__(self, other):
-        try:
-            other = fe(other)
-        except (TypeError, ValueError):
+        other = _coerce(other)  # not fe: a string must register nothing
+        if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -1216,9 +1276,7 @@ class FieldElement:
 def _coerce(x):
     if isinstance(x, FieldElement):
         return x
-    if isinstance(x, (int, Fraction)):
-        return FieldElement(x, reduce=False)
-    if isinstance(x, MPoly):
+    if isinstance(x, (int, Fraction, MPoly)):
         return FieldElement(x, reduce=False)
     return NotImplemented
 

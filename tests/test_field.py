@@ -321,16 +321,24 @@ def test_gcd_cofactors_prs_fallback(monkeypatch):
 
 def test_reduced_elements_hold_int_coefficients(monkeypatch):
     seen = []
-    canonical = field._canonical
+    canonical, scaled = field._canonical, field._scaled
 
     def checked(num, den):
-        num, den = canonical(num, den)
         seen.append(1)
         for p in (num, den):
             assert all(type(c) is int for c in p.terms.values()), (num, den)
         return num, den
 
-    monkeypatch.setattr(field, "_canonical", checked)
+    def scaled_checked(x, n, d):
+        r = scaled(x, n, d)
+        checked(r.num, r.den)
+        return r
+
+    # every build: the canonicaliser, and the route by a constant factor,
+    # which builds its canonical pair without it
+    monkeypatch.setattr(field, "_canonical",
+                        lambda num, den: checked(*canonical(num, den)))
+    monkeypatch.setattr(field, "_scaled", scaled_checked)
     # a memo hit returns an element canonicalised when it was first built;
     # bypass the memo so that every operation builds its result here
     monkeypatch.setattr(field, "_memo", field._memo.__wrapped__)
@@ -343,6 +351,96 @@ def test_reduced_elements_hold_int_coefficients(monkeypatch):
     from oracles import hall_norm_qt, orthogonal_family
     orthogonal_family(3, hall_norm_qt)
     assert len(seen) > 100
+
+
+def _pair(x):
+    """num and den of x as term lists, in dict order."""
+    return list(x.num.terms.items()), list(x.den.terms.items())
+
+
+def test_constant_routes_match_the_general_route(monkeypatch):
+    # a rational constant skips the memo and the gcds, yet gives the pair
+    # that _product and _sum give, with its terms in the same order: the
+    # float suites evaluate coefficients term by term
+    monkeypatch.setattr(field, "_memo", field._memo.__wrapped__)
+    rng = random.Random(20261020)
+    consts = [0, 1, -1, -4, 6, Fraction(3, 2), Fraction(-5, 6), Fraction(-2, 9)]
+    xs = [FieldElement((4 * q + 6).num, (2 + 2 * t).num),
+          FieldElement((4 * q + 6).num, (3 - 3 * q * t).num),
+          FieldElement((6 - 6 * q * a).num, (4 - 4 * t ** 2).num), fe(0), fe(5)]
+    for _ in range(40):
+        x = _random_fe(rng, nvars=3)
+        xs += [x, x * rng.choice([2, 6, Fraction(4, 9), Fraction(-3, 10)])]
+    P, S = field._product, field._sum
+    checked = 0
+    for x in xs:
+        a_, b_ = x.num, x.den
+        for c in consts:
+            # an int or a Fraction on the left reaches x's reflected method,
+            # so x stays the left operand; a constant element does not
+            k = fe(c)
+            n, d = k.num, k.den
+            cases = [(c * x, P(a_, b_, n, d)), (k * x, P(n, d, a_, b_)),
+                     (c + x, S(a_, b_, n, d)), (k + x, S(n, d, a_, b_)),
+                     (c - x, S(n, d, -a_, b_)), (k - x, S(n, d, -a_, b_))]
+            for y in (c, k):
+                cases += [(x * y, P(a_, b_, n, d)), (x + y, S(a_, b_, n, d)),
+                          (x - y, S(a_, b_, -n, d))]
+                if c:
+                    cases.append((x / y, P(a_, b_, d, n)))
+            if x:
+                cases += [(c / x, P(n, d, b_, a_)), (k / x, P(n, d, b_, a_))]
+            for got, want in cases:
+                assert _pair(got) == _pair(want), (x, c)
+                checked += 1
+        if x:
+            inverse = P(MPoly.const(1), MPoly.const(1), b_, a_)
+            for m in (1, 2, 3):
+                want = field._power(inverse.num, inverse.den, m)
+                assert _pair(x ** -m) == _pair(want), (x, m)
+    assert checked > 1000
+
+
+def test_constant_operands_skip_the_polynomial_machinery(monkeypatch):
+    x = (4 * q + 6) / (3 - 3 * q * t)
+    u, v = q ** 2 / (1 - t), (1 + q * t) / (q * (1 - q))
+    want = [(4 * q + 6) / (1 - q * t), (8 * q + 12) / (9 - 9 * q * t),
+            (9 + 4 * q - 3 * q * t) / (3 - 3 * q * t),
+            (-3 - 4 * q - 3 * q * t) / (3 - 3 * q * t),
+            (3 - 3 * q * t) ** 2 / (4 * q + 6) ** 2,
+            q * (1 + q * t) / ((1 - q) * (1 - t))]
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    mul = counted("mul", MPoly.__mul__)
+    monkeypatch.setattr(MPoly, "__mul__", mul)
+    monkeypatch.setattr(MPoly, "__rmul__", mul)
+    monkeypatch.setattr(field, "_memo", counted("memo", field._memo.__wrapped__))
+    monkeypatch.setattr(field, "_expand", counted("expand", field._expand))
+    monkeypatch.setattr(field, "_product", counted("product", field._product))
+    got = [x * 3, x / Fraction(3, 2), x + 1, 1 - x]
+    assert counts == {}
+    got.append(x ** -2)
+    assert "product" not in counts
+    # gcd(q^2, q - q^2) = q is a monomial: the cofactors are shifted down,
+    # and neither that gcd nor gcd(1 + qt, 1 - t) = 1 is expanded
+    counts.clear()
+    got.append(u * v)
+    assert "expand" not in counts and counts["mul"] == 2
+    assert got == want
+
+
+def test_comparison_with_a_string_registers_nothing():
+    before = list(field._REGISTRY), field._GUARD
+    assert fe(1) != "zzz" and not fe(1) == "zzz"
+    assert q != "q"
+    assert (list(field._REGISTRY), field._GUARD) == before
+    assert "zzz" not in field._INDEX
 
 
 def test_gcd_zero_image_is_unlucky():
