@@ -48,15 +48,13 @@ trial-divided by each of its factors, up to the factor's multiplicity,
 with no step limit, so a division that fails proves the factor absent.
 Only if neither does is it ``mpoly_gcd``, which splits off the monomial
 contents, replaces an operand by its content in any variable the other
-lacks, then tries the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
-1989) and, only if that fails, a primitive pseudo-remainder sequence
-(PRS).  Both work over Z, so no denominator is ever cleared.  A
-non-constant candidate of either is made primitive and verified by exact
-division in Z[x], whose quotients are the cofactors: by Gauss's lemma a
-primitive divisor over Q is one over Z.  A constant GCDHEU candidate needs
-no division, which holds only while every integer image is nonzero: a
-zero image is an unlucky point, and the next is tried.  A factorization is
-a cache of facts about a polynomial, not part of its value: equality, the
+lacks, then runs a primitive pseudo-remainder sequence (PRS; Brown, JACM
+18, 1971).  It works over Z, so no denominator is ever cleared.  Its
+result, made primitive, is the gcd itself, so the cofactors are exact
+quotients in Z[x]: by Gauss's lemma a primitive divisor over Q is one
+over Z.  No suite reaches this route; it serves ``subs``, which drops
+carried factorizations, and the test oracles.  A factorization is a
+cache of facts about a polynomial, not part of its value: equality, the
 hash and the memo keys ignore it, so every route gives the same canonical
 pair.
 
@@ -69,9 +67,10 @@ one such form, so equality compares the pairs.
 Memo.  The same few thousand products, sums and powers recur tens of
 thousands of times across the Macdonald suites, so ``FieldElement``'s
 + - * / and ** go through ``_memo`` (Michie, Nature 218, 1968), bar the
-routes of a rational constant, which cost less than a memo key; x**-n
-looks up (1/x)**n.  The memo is one LRU of ``_MEMO_SIZE`` entries shared
-by ``_product``, ``_sum`` and ``_power``, keyed on the operation and its
+routes of a rational constant, which cost less than a memo key, and of
+x**0, x**1 and x**-1, which need no polynomial power; x**-n looks up
+(1/x)**n.  The memo is one LRU of ``_MEMO_SIZE`` entries shared by
+``_product``, ``_sum`` and ``_power``, keyed on the operation and its
 operand ``MPoly``s (and the exponent of a power).  A key matches on the
 cached hash and then ``MPoly.__eq__``, so a hit is exact.  Cached operands
 and results are shared between callers, which is sound because ``MPoly``
@@ -386,7 +385,7 @@ class MPoly:
     def lead_coeff(self) -> int:
         return self.terms[self._lead_key()] if self.terms else 0
 
-    def divide_exact(self, other: "MPoly", bounded: bool = True):
+    def divide_exact(self, other: "MPoly"):
         """Return self/other if it lies in Z[x], else None.
 
         Every caller divides by a primitive polynomial or a monomial, where
@@ -394,13 +393,9 @@ class MPoly:
         Long division in the graded order: each quotient term times ``other``
         is subtracted into one remainder dict, and a heap of the remainder's
         monomials, keyed ``(-(e & _M), -e)`` (stale entries skipped on pop),
-        yields its lead term.  With ``bounded`` it also gives up, returning
-        None, after 16 (len(self) + 4) (len(other) + 4) steps, which caps
-        the cost of checking a wrong gcd candidate but also rejects an
-        exact quotient of more terms, such as (q^350 - 1)^2 / (q - 1).
-        Unbounded, None proves that other does not divide self; the division
-        still ends, as the graded order is a well-order and each step
-        lowers the remainder's lead.
+        yields its lead term.  None proves that other does not divide self;
+        the division ends, as the graded order is a well-order and each
+        step lowers the remainder's lead.
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -421,17 +416,12 @@ class MPoly:
         tail = [(e, c) for e, c in other.terms.items() if e != lk]
         G = _GUARD
         quot: dict[int, int] = {}
-        nsteps = 0
-        limit = 16 * (len(self.terms) + 4) * (len(other.terms) + 4)
         # every monomial below stays within the remainder's degree, which
         # the lead of self bounds: no field can overflow
         while rem:
             rk = -heapq.heappop(heap)[1]
             if rk not in rem:
                 continue
-            nsteps += 1
-            if nsteps > limit and bounded:
-                return None
             if ((rk | G) - lk) & G != G:
                 return None
             qe = rk - lk
@@ -627,137 +617,15 @@ def _int_content(f: MPoly) -> int:
     return g or 1
 
 
-def _eval_var_int(f: MPoly, v: int, xi: int) -> MPoly:
-    sh, unit = _W * (v + 1), _unit(v)
-    out: dict[int, int] = {}
-    for e, c in f.terms.items():
-        d = (e >> sh) & _M
-        key = e - d * unit
-        val = c * xi ** d
-        prev = out.get(key)
-        if prev is None:
-            out[key] = val
-        else:
-            val = prev + val
-            if val:
-                out[key] = val
-            else:
-                del out[key]
-    return _wrap(out)
-
-
-def _heu_digits(g: MPoly, v: int, xi: int, max_digits: int):
-    """xi-adic balanced-digit reconstruction of a polynomial in variable v."""
-    digits = []
-    cur = g.terms
-    half = xi // 2
-    while cur:
-        if len(digits) > max_digits:
-            return None
-        dig: dict[int, int] = {}
-        nxt: dict[int, int] = {}
-        for e, n in cur.items():
-            r = n % xi
-            if r > half:
-                r -= xi
-            if r:
-                dig[e] = r
-            q = (n - r) // xi
-            if q:
-                nxt[e] = q
-        digits.append(dig)
-        cur = nxt
-    # the digits lack v, so each power of v gives monomials of its own
-    unit = _unit(v)
-    out: dict[int, int] = {}
-    for power, dig in enumerate(digits):
-        for e, c in dig.items():
-            e += power * unit
-            _check_degree(e & _M)
-            out[e] = c
-    return _wrap(out)
-
-
-def _least_degree_var(f: MPoly, g: MPoly) -> tuple[int, int]:
-    """(v, d): the variable of least degree d in f and g together, the
-    first such on a tie, among those present."""
-    top = 0  # fieldwise maximum exponents
-    for p in (f, g):
-        for e in p.terms:
-            top ^= (top ^ e) & _ge_mask(e, top)
-    v, dv, i, x = -1, 0, 0, top >> _W
-    while x:
-        d = x & _M
-        if d and (v < 0 or d < dv):
-            v, dv = i, d
-        x >>= _W
-        i += 1
-    return v, dv
-
-
-def _gcdheu(f: MPoly, g: MPoly, depth: int = 0, cofactors: bool = False):
-    """Heuristic gcd on integer-coefficient polys: ``(h, f/h, g/h)``, or None.
-
-    Contents are split off exactly (gcd = gcd(contents) * gcd(primitive
-    parts) over Z[x..]), which keeps systematic factors out of the integer
-    evaluation images.  A candidate is made primitive, as the gcd of the
-    primitive parts is, and a non-constant one is verified by exact
-    division of both primitive parts.  With ``cofactors`` the quotients of
-    that verification, rescaled for the split-off contents, are returned as
-    the cofactors; otherwise (and for a constant h) they are None.  A
-    constant candidate is accepted without a division, which is exact only
-    because a zero image is refused.
-    """
-    if depth > 12 or f.is_zero() or g.is_zero():
-        # a zero integer image is an unlucky evaluation point: its gcd
-        # with the other image is that image, not the content 1
-        return None
-    # split off monomial and integer content of each input
-    mf, mg = f.monomial_content(), g.monomial_content()
-    common = _min_exp(mf, mg)
-    f, g = f.shift_down(mf), g.shift_down(mg)
-    c1, c2 = _int_content(f), _int_content(g)
-    f, g = _rescale(f, 0, 1, c1), _rescale(g, 0, 1, c2)
-    gc = math.gcd(c1, c2)
-    base = _wrap({common: gc})
-    if f.is_const() or g.is_const():
-        return base, None, None
-    v, dv = _least_degree_var(f, g)
-    max_digits = dv + 1
-    bound = min(max((abs(c) for c in f.terms.values()), default=1),
-                max((abs(c) for c in g.terms.values()), default=1))
-    xi = 2 * bound + 2
-    for _ in range(8):
-        gam = _gcdheu(_eval_var_int(f, v, xi), _eval_var_int(g, v, xi), depth + 1)
-        if gam is not None:
-            cand = _heu_digits(gam[0], v, xi, max_digits)
-            if cand is not None and not cand.is_zero():
-                cand = _rescale(cand, 0, 1, _int_content(cand))
-                if cand.is_const():
-                    return base * cand, None, None
-                qf = f.divide_exact(cand)
-                qg = g.divide_exact(cand) if qf is not None else None
-                if qg is not None:
-                    if not cofactors:
-                        return base * cand, None, None
-                    return (base * cand,
-                            _rescale(qf, mf - common, c1 // gc, 1),
-                            _rescale(qg, mg - common, c2 // gc, 1))
-        xi = xi * 73794 // 27011 + 1
-    return None
-
-
 def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
     """Primitive gcd h over Z (positive leading coefficient, content 1).
 
     With ``cofactors`` the result is ``(h, f/h, g/h)``, whose quotients lie
-    in Z[x] by Gauss's lemma.  A cofactor is GCDHEU's (or the PRS check's)
-    verification quotient where the operand reached it unchanged; where the
-    one-sided-variable step replaced the operand it is an exact division.
-    For h = 1 the cofactors are f and g themselves.
+    in Z[x] by Gauss's lemma; h, made primitive from the PRS result, is a
+    true divisor, so both divisions are exact.  For h = 1 the cofactors are
+    f and g themselves.
     """
     f0, g0 = f, g
-    qf = qg = None
     if f.is_zero() or g.is_zero():
         raw = g if f.is_zero() else f
         common = 0
@@ -766,11 +634,11 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
         mf, mg = f.monomial_content(), g.monomial_content()
         common = _min_exp(mf, mg)
         f, g = f.shift_down(mf), g.shift_down(mg)
-        f1, g1 = f, g
         # A variable present in one operand only cannot divide the gcd, so
         # that operand may be replaced by its content in the variable.  This
-        # keeps GCDHEU from evaluating a variable the other side lacks, which
-        # puts a spurious common factor into every integer image.  It runs
+        # keeps such a variable out of the coefficients of the PRS, where
+        # pseudo-remainders swell in it: without this step the gcds of the
+        # factored-route fuzz test take minutes instead of seconds.  It runs
         # after the monomial split, so a variable held by one operand only
         # as a monomial factor counts as lacking there.
         vf, vg = f.variables(), g.variables()
@@ -780,23 +648,7 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
             for v in vg - vf:
                 g = _content_gcd(_to_univar(g, v).values())
             vf, vg = f.variables(), g.variables()
-        heu = _gcdheu(f, g, cofactors=cofactors)
-        if heu is not None:
-            raw, qf, qg = heu
-        else:
-            raw = _prs_gcd(f, g)
-            # PRS keeps the operands' integer contents, and only the
-            # primitive gcd divides both over Z
-            raw = _rescale(raw, 0, 1, _int_content(raw))
-            qf = f.divide_exact(raw)
-            qg = g.divide_exact(raw) if qf is not None else None
-            if qg is None:
-                raise ArithmeticError("gcd verification failed (PRS fallback)")
-        # a quotient of a replaced operand is no cofactor of the input
-        qf = (_rescale(qf, mf - common, 1, 1)
-              if qf is not None and f is f1 else None)
-        qg = (_rescale(qg, mg - common, 1, 1)
-              if qg is not None and g is g1 else None)
+        raw = _prs_gcd(f, g)
     s = _int_content(raw)
     if raw.lead_coeff() < 0:
         s = -s
@@ -805,14 +657,14 @@ def mpoly_gcd(f: MPoly, g: MPoly, cofactors: bool = False):
         return h
     if h.is_const():
         return h, f0, g0
-    # f0 = raw * qf = h * qf * s
-    return (h,
-            _rescale(qf, 0, s, 1) if qf is not None else f0.divide_exact(h),
-            _rescale(qg, 0, s, 1) if qg is not None else g0.divide_exact(h))
+    return h, f0.divide_exact(h), g0.divide_exact(h)
 
 
 def _prs_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Primitive pseudo-remainder sequence gcd (fallback path)."""
+    """gcd(f, g) times a nonzero integer: a primitive pseudo-remainder
+    sequence in the shared variable of least degree, whose coefficients
+    are polynomials in the other variables.  The gcd of their contents
+    comes from ``mpoly_gcd``, which also makes the result primitive."""
     mf, mg = f.monomial_content(), g.monomial_content()
     common = _min_exp(mf, mg)
     f, g = f.shift_down(mf), g.shift_down(mg)
@@ -994,14 +846,14 @@ def _cofactors(f: MPoly, g: MPoly):
 
 def _trial(f: MPoly, g: MPoly):
     """``(h, f/h, g/h)`` for f factored and g not: g is divided by each
-    factor of f as often as it divides, up to its multiplicity in f.  The
-    divisions are unbounded, so a failed one proves the factor absent."""
+    factor of f as often as it divides, up to its multiplicity in f.  A
+    failed division proves the factor absent."""
     m = _min_exp(f._fac[1], g.monomial_content())
     g = g.shift_down(m)
     h, failed = [1, m], set()
     for p in f._fac[2:]:
         if p not in failed:
-            r = g.divide_exact(p, bounded=False)
+            r = g.divide_exact(p)
             if r is None:
                 failed.add(p)
             else:
@@ -1102,14 +954,16 @@ def _reciprocal(x: "FieldElement") -> "FieldElement":
 
 
 # Entries of the field memo, set against peak RSS.  The four exact-algebra
-# suites in one process (cauchy, skew-sum --max-size 2, eval-sym,
-# an-cauchy; 2-vCPU Xeon VM, Python 3.11.7) make 20,580 memo lookups on
-# 2,748 distinct keys; an operation with a rational constant makes none.
-# Median CPU seconds and peak RSS of seven cold runs by size: no memo
-# 0.52 s, 20.7 MB; 128 0.35 s, 20.6 MB; 256 0.33 s, 20.8 MB (3,270
-# misses); 512 0.32 s, 21.4 MB; 1,024 0.32 s, 22.1 MB; unbounded 0.31 s,
-# 24.4 MB.  256 is kept: a larger memo saves at most 6% of the time for 3
-# to 17% more peak RSS, on a workload whose peak_rss_mb bound is 5%.
+# suites in one process (cauchy, skew-sum --max-size 2, eval-sym, an-cauchy;
+# 2-vCPU Xeon VM, Python 3.11.7) make 14,295 memo lookups on 2,719 distinct
+# keys (3,219 misses at 256); an operation with a rational constant makes
+# none, nor do x**0, x**1 and x**-1.  Median CPU seconds and peak RSS of
+# seven cold runs by size, measured while those powers made 6,285 more
+# lookups on 29 more keys: no memo 0.52 s, 20.7 MB; 128 0.35 s, 20.6 MB; 256
+# 0.33 s, 20.8 MB (3,270 misses); 512 0.32 s, 21.4 MB; 1,024 0.32 s, 22.1
+# MB; no limit 0.31 s, 24.4 MB.  256 is kept: a larger memo saves at most 6%
+# of the time for 3 to 17% more peak RSS, on a workload whose peak_rss_mb
+# bound is 5%.
 _MEMO_SIZE = 256
 
 
@@ -1215,6 +1069,13 @@ class FieldElement:
         return other / self
 
     def __pow__(self, n: int):
+        # exponents whose result needs no polynomial power skip the memo key
+        if n == 1:
+            return self
+        if n == 0:
+            return FieldElement(1, reduce=False)
+        if n == -1:
+            return _reciprocal(self)
         if n < 0:
             return _reciprocal(self) ** -n
         return _memo(_power, self.num, self.den, n)

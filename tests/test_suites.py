@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -287,3 +290,31 @@ def test_forms_pass_and_no_numeric_case_compares_zeros():
         assert rep.passed, rep
         if rep.lhs != "equal":
             assert complex(rep.lhs) != 0 and complex(rep.rhs) != 0, rep
+
+
+_NO_GENERAL_GCD = """
+from selbergkit import cli, field
+
+def no_gcd(*args, **kwargs):
+    raise AssertionError("a suite reached the general gcd")
+
+field.mpoly_gcd = no_gcd
+for argv in (["cauchy"], ["skew-sum", "--max-size", "2"], ["eval-sym"],
+             ["an-cauchy"], ["forms"]):
+    assert cli.main(["verify", *argv, "--seed", "7", "--jobs", "1"]) == 0, argv
+"""
+
+
+def test_no_exact_suite_needs_a_general_gcd():
+    # Every denominator of the exact suites keeps its carried factorization,
+    # so no gcd leaves the factored routes.  A cold process, so that no
+    # cache or memo warmed by another test hides a gcd: a change that drops
+    # a factorization fails here instead of sending work to the PRS.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", _NO_GENERAL_GCD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    failed = [line for line in done.stdout.splitlines()
+              if line.startswith("[FAIL]")]
+    assert done.returncode == 0, (failed[:5], done.stderr[-2000:])
