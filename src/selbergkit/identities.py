@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import inv_qpoch, qpoch
+from .coeffs import _qpoch_product
 from .field import FieldElement, fe, var
 from .macdonald import (
     _pleth_P, _pleth_Q, b_lambda, macdonald_P, macdonald_Q, principal_spec_a,
@@ -36,47 +36,42 @@ __all__ = [
     "verify_skew_sum_limit", "an_cauchy_check", "zbifund", "verify_Z_Selb",
 ]
 
-def _qpoch_ratio(x, y, q, n: int):
-    """(x;q)_n / (y;q)_n for n in Z, resolved as a plain product."""
-    if n == 0:
-        return 1
-    if n > 0:
-        return qpoch(x, q, n) / qpoch(y, q, n)
-    # (x;q)_{-m}/(y;q)_{-m} = prod (1 - y q^{-u}) / (1 - x q^{-u})
-    return inv_qpoch(y, q, n) / inv_qpoch(x, q, n)
+def _f_symbols(lam: Partition, mu: Partition, k: int, l):
+    """The q-Pochhammer symbols of f^{k,l}_{lam,mu}(a;q,t) over its
+    monomial t^{-k|mu|}, as ``coeffs._qpoch_product`` reads them; l=None
+    means l = infinity."""
+    out = []
+    lm = len(mu) if l is None else l
+    for i in range(1, k + 1):
+        for j in range(1, lm + 1):
+            n = lam.part(i) - mu.part(j)
+            if n:
+                # (a q t^{j-i-1};q)_n / (a q t^{j-i};q)_n
+                out += [((1, 1, j - i - 1), n, 1), ((1, 1, j - i), n, -1)]
+        if l is None:
+            # telescoped tail: prod_{j > l(mu)} collapses to (a q t^{l(mu)-i};q)_{lam_i}
+            out.append(((1, 1, lm - i), lam.part(i), 1))
+    return out
 
 
 def f_function(lam: Partition, mu: Partition, k: int, l, a=None):
     """f^{k,l}_{lam,mu}(a;q,t) for generic a; l=None means l = infinity.
 
-    Negative-index q-Pochhammers are resolved exactly as ratios, so the
-    result is a FieldElement for symbolic a and a number for numeric a.
+    For a Laurent monomial a (a itself, t/(aq), a power of t) the value is
+    one cancelled product of binomials 1 - a^e q^i t^j, exact in
+    Q(q,t,a); for any other exact a the q-Pochhammer symbols are
+    multiplied in the field one by one, with negative-index ones resolved
+    exactly as ratios.
     """
     lam, mu = Partition(lam), Partition(mu)
     if k < len(lam):
         raise ValueError("k must be at least l(lambda)")
     if l is not None and l < len(mu):
         raise ValueError("l must be at least l(mu)")
-    q, t = var("q"), var("t")
     if a is None:
         a = var("a")
-    out = t ** (-k * mu.size)
-    if l is None:
-        # telescoped tail: prod_{j > l(mu)} collapses to (a q t^{l(mu)-i};q)_{lam_i}
-        lm = len(mu)
-        for i in range(1, k + 1):
-            for j in range(1, lm + 1):
-                n = lam.part(i) - mu.part(j)
-                out = out * _qpoch_ratio(a * q * t ** (j - i - 1),
-                                         a * q * t ** (j - i), q, n)
-            out = out * qpoch(a * q * t ** (lm - i), q, lam.part(i))
-        return out
-    for i in range(1, k + 1):
-        for j in range(1, l + 1):
-            n = lam.part(i) - mu.part(j)
-            out = out * _qpoch_ratio(a * q * t ** (j - i - 1),
-                                     a * q * t ** (j - i), q, n)
-    return out
+    return _qpoch_product(_f_symbols(lam, mu, k, l), (0, 0, -k * mu.size),
+                          var("q"), var("t"), a)
 
 
 def interleaves(lam: Partition, mu: Partition, k: int, l: int) -> bool:
@@ -94,14 +89,18 @@ def _f_ext(lam: Partition, mu: Partition, k: int, l, a):
     lam, mu = Partition(lam), Partition(mu)
     if l is None or l >= len(mu):
         return f_function(lam, mu, k, l, a)
-    from .coeffs import qt_poch
-    q, t = var("q"), var("t")
-    base = fe(1) * f_function(lam, mu, len(lam), len(mu), a)
-    corr = (fe(1) * qt_poch(a * q * t ** (len(mu) - 1), q, t, lam)
-            / (fe(1) * qt_poch(a * q * t ** (l - 1), q, t, lam)))
-    corr = corr * qt_poch(t ** len(lam) / a, q, t, mu) \
-        / (fe(1) * qt_poch(t ** k / a, q, t, mu))
-    return base * corr
+    # f^{l(lam),l(mu)} times (aq t^{l(mu)-1};q,t)_lam / (aq t^{l-1};q,t)_lam
+    # times (t^{l(lam)}/a;q,t)_mu / (t^k/a;q,t)_mu
+    ll, lm = len(lam), len(mu)
+    symbols = _f_symbols(lam, mu, ll, lm)
+    for i in range(1, ll + 1):
+        symbols += [((1, 1, lm - i), lam.part(i), 1),
+                    ((1, 1, l - i), lam.part(i), -1)]
+    for i in range(1, lm + 1):
+        symbols += [((-1, 0, ll + 1 - i), mu.part(i), 1),
+                    ((-1, 0, k + 1 - i), mu.part(i), -1)]
+    return _qpoch_product(symbols, (0, 0, -ll * mu.size), var("q"), var("t"),
+                          a)
 
 
 def f_function_limit(lam: Partition, mu: Partition, k: int, l: int):
@@ -120,8 +119,7 @@ def f_function_limit(lam: Partition, mu: Partition, k: int, l: int):
 
 @lru_cache(maxsize=None)
 def _f_limit(lam: Partition, mu: Partition, k: int, l: int):
-    q, t = var("q"), var("t")
-    out = t ** (-k * mu.size)
+    symbols = []
     # t-dependent factors survive the b -> 1 limit directly
     for i in range(1, k + 1):
         for j in range(1, l + 1):
@@ -131,24 +129,22 @@ def _f_limit(lam: Partition, mu: Partition, k: int, l: int):
             e_num = j - i - 1 + k - l
             e_den = j - i + k - l
             if e_num != 0:
-                out = out * (qpoch(q * t ** e_num, q, n) if n > 0
-                             else 1 / inv_qpoch(q * t ** e_num, q, n))
+                symbols.append(((0, 1, e_num), n, 1))
             if e_den != 0:
-                out = out * (1 / qpoch(q * t ** e_den, q, n) if n > 0
-                             else inv_qpoch(q * t ** e_den, q, n))
+                symbols.append(((0, 1, e_den), n, -1))
     # the t-free block reduces to a product with a well-defined b -> 1 limit
     n0 = lam.part(k) - mu.part(l)
     if n0 < 0:
-        block = fe(0)
+        result = fe(0)
     else:
-        block = fe(1) / qpoch(q, q, n0) if n0 else fe(1)
+        symbols.append(((0, 1, 0), n0, -1))
         for i in range(l - k + 1, l):
-            block = block * qpoch(q ** (1 + lam.part(i + k - l) - mu.part(i)),
-                                  q, mu.part(i) - mu.part(i + 1))
-    result = out * block
+            symbols.append(((0, 1 + lam.part(i + k - l) - mu.part(i), 0),
+                            mu.part(i) - mu.part(i + 1), 1))
+        result = _qpoch_product(symbols, (0, 0, -k * mu.size), var("q"),
+                                var("t"))
     vanish = not interleaves(lam, mu, k, l)
-    assert vanish == (fe(result).is_zero() if isinstance(result, FieldElement)
-                      else result == 0), "limit/vanishing mismatch"
+    assert vanish == result.is_zero(), "limit/vanishing mismatch"
     return result
 
 

@@ -14,14 +14,16 @@ or at arrays of points goes through it.
 Values that depend only on partitions and an exact alphabet are cached on
 those keys: the skew tables, the plethysms P_{lam/mu}[A] (a Q-type one is
 the P-type value times b_lam/b_mu), and `principal_spec_a` at the
-indeterminates q and t.
+indeterminates q and t.  The q,t products of hook binomials (b_lambda,
+the branching coefficients psi, `principal_spec_a` at q and t) are built
+each as one cancelled product by `coeffs._qpoch_product`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import hooks, poch, qpoch, qt_poch
+from .coeffs import _qpoch_product, hooks, poch, qpoch, qt_poch
 from .field import FieldElement, fe, var
 from .partitions import Partition, partitions_of, spectral_vector, subpartitions
 from .symfunc import Alphabet, Letters, Ratio, Sum, SymFunc, plethysm
@@ -59,19 +61,14 @@ def _horizontal_strip_preds(lam: Partition):
     yield from rec(0, ())
 
 
-def _b_cell_qt(lam: Partition, i: int, j: int) -> FieldElement:
-    q, t = var("q"), var("t")
-    a, l = lam.arm(i, j), lam.leg(i, j)
-    return (1 - q ** a * t ** (l + 1)) / (1 - q ** (a + 1) * t ** l)
-
-
 def _b_cell_gamma(lam: Partition, i: int, j: int) -> FieldElement:
     g = var("gamma")
     a, l = lam.arm(i, j), lam.leg(i, j)
     return (a + (l + 1) * g) / ((a + 1) + l * g)
 
 
-def _psi_coeff(lam: Partition, mu: Partition, b_cell) -> FieldElement:
+@lru_cache(maxsize=None)
+def _psi_cached(lam: Partition, mu: Partition, kind: str) -> FieldElement:
     """Branching coefficient: prod over cells of mu in strip rows but not
     strip columns of b_mu(s)/b_lam(s)."""
     strip_rows = {i for i in range(1, len(lam) + 1) if lam.part(i) > mu.part(i)}
@@ -79,17 +76,16 @@ def _psi_coeff(lam: Partition, mu: Partition, b_cell) -> FieldElement:
     for i in range(1, len(lam) + 1):
         for j in range(mu.part(i) + 1, lam.part(i) + 1):
             strip_cols.add(j)
+    cells = [(i, j) for (i, j) in mu.cells()
+             if i in strip_rows and j not in strip_cols]
+    if kind == "qt":
+        return _qpoch_product(_b_symbols(mu, cells, 1)
+                              + _b_symbols(lam, cells, -1),
+                              (0, 0, 0), var("q"), var("t"))
     out = fe(1)
-    for (i, j) in mu.cells():
-        if i in strip_rows and j not in strip_cols:
-            out = out * b_cell(mu, i, j) / b_cell(lam, i, j)
+    for (i, j) in cells:
+        out = out * _b_cell_gamma(mu, i, j) / _b_cell_gamma(lam, i, j)
     return out
-
-
-@lru_cache(maxsize=None)
-def _psi_cached(lam: Partition, mu: Partition, kind: str) -> FieldElement:
-    b_cell = _b_cell_qt if kind == "qt" else _b_cell_gamma
-    return _psi_coeff(lam, mu, b_cell)
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +133,18 @@ def macdonald_Q(lam: Partition) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def b_lambda(lam: Partition) -> FieldElement:
-    _, _, b = hooks(lam, var("q"), var("t"))
-    return b
+    return _qpoch_product(_b_symbols(lam, lam.cells(), 1), (0, 0, 0),
+                          var("q"), var("t"))
+
+
+def _b_symbols(lam: Partition, cells, s: int):
+    """The q-Pochhammer symbols of the product of b_lam(c)^s over the cells
+    c, b_lam(c) = (1 - q^arm t^{leg+1}) / (1 - q^{arm+1} t^leg)."""
+    out = []
+    for (i, j) in cells:
+        a, l = lam.arm(i, j), lam.leg(i, j)
+        out += [((0, a, l + 1), 1, s), ((0, a + 1, l), 1, -s)]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +254,10 @@ def principal_spec_a(lam: Partition, a, q=None, t=None):
     """P_lambda[(1-a)/(1-t)] = t^{n(lam)} (a;q,t)_lam / c_lam(q,t).
 
     At the indeterminates q and t (both left out) the value is cached on
-    (lam, a); numeric q and t are computed afresh.
+    (lam, a); for a Laurent monomial a or a = 0 it is one cancelled
+    product of binomials 1 - a^e q^i t^j (field.binomial_product).  Numeric
+    q and t are computed afresh, by the hook and qt_poch products in their
+    own arithmetic.
     """
     lam = Partition(lam)
     if q is None and t is None:
@@ -264,7 +273,13 @@ def _principal_spec(lam: Partition, a, q, t):
 
 @lru_cache(maxsize=None)
 def _principal_spec_qt(lam: Partition, a):
-    return _principal_spec(lam, a, var("q"), var("t"))
+    # (a;q,t)_lam = prod_i (a t^{1-i};q)_{lam_i} over c_lam = prod over
+    # cells of 1 - q^arm t^{leg+1}
+    symbols = [((1, 0, 1 - i), part, 1)
+               for i, part in enumerate(lam.parts, start=1)]
+    symbols += [((0, lam.arm(i, j), lam.leg(i, j) + 1), 1, -1)
+                for (i, j) in lam.cells()]
+    return _qpoch_product(symbols, (0, 0, lam.n_stat()), var("q"), var("t"), a)
 
 
 def principal_spec_n(lam: Partition, n: int, q=None, t=None):

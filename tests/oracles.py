@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from selbergkit.coeffs import poch, qpoch
+from selbergkit.coeffs import hooks, inv_qpoch, poch, qpoch, qt_poch
 from selbergkit.field import FieldElement, fe, var
 from selbergkit.partitions import Partition, partitions_of
 from selbergkit.symfunc import SymFunc, _m_to_basis
@@ -158,4 +158,94 @@ def schur_spec(lam: Partition, n, k: int | None = None):
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             out = out * Fraction(lam.part(i) - lam.part(j) + j - i, j - i)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# products of q-shifted factorials as chains of field operations
+# ---------------------------------------------------------------------------
+
+def qpoch_power(x, q, n: int, s: int) -> FieldElement:
+    """(x;q)_n^s, s = +-1, by coeffs.qpoch; a negative n reads as there."""
+    v = fe(qpoch(x, q, n) if n >= 0 else inv_qpoch(x, q, n))
+    return v if (n >= 0) == (s > 0) else 1 / v
+
+
+def f_chain(lam: Partition, mu: Partition, k: int, l, a) -> FieldElement:
+    """f^{k,l}_{lam,mu}(a;q,t) as its defining product: t^{-k|mu|} times
+    (a q t^{j-i-1};q)_n / (a q t^{j-i};q)_n, n = lam_i - mu_j, over
+    i <= k and j <= l; for l = None the factors j > l(mu) telescope to
+    (a q t^{l(mu)-i};q)_{lam_i}."""
+    q, t = var("q"), var("t")
+    out = t ** (-k * mu.size)
+    lm = len(mu) if l is None else l
+    for i in range(1, k + 1):
+        for j in range(1, lm + 1):
+            n = lam.part(i) - mu.part(j)
+            out = (out * qpoch_power(a * q * t ** (j - i - 1), q, n, 1)
+                   * qpoch_power(a * q * t ** (j - i), q, n, -1))
+        if l is None:
+            out = out * qpoch(a * q * t ** (lm - i), q, lam.part(i))
+    return out
+
+
+def f_ext_chain(lam: Partition, mu: Partition, k: int, l: int, a):
+    """f^{k,l} for l < l(mu) by the padding reduction: f^{l(lam),l(mu)}
+    times (aq t^{l(mu)-1};q,t)_lam (t^{l(lam)}/a;q,t)_mu over
+    (aq t^{l-1};q,t)_lam (t^k/a;q,t)_mu."""
+    q, t = var("q"), var("t")
+    out = f_chain(lam, mu, len(lam), len(mu), a)
+    out = out * qt_poch(a * q * t ** (len(mu) - 1), q, t, lam)
+    out = out / fe(qt_poch(a * q * t ** (l - 1), q, t, lam))
+    return out * qt_poch(t ** len(lam) / a, q, t, mu) / fe(
+        qt_poch(t ** k / a, q, t, mu))
+
+
+def f_limit_chain(lam: Partition, mu: Partition, k: int, l: int):
+    """f^{k,l}_{lam,mu}(t^{k-l};q,t), k <= l, as the b -> 1 limit: the
+    t-dependent factors of f at a = t^{k-l}, times the t-free block
+    prod_{l-k < i < l} (q^{1+lam_{i+k-l}-mu_i};q)_{mu_i-mu_{i+1}} over
+    (q;q)_{lam_k-mu_l}, which is 0 when lam_k < mu_l."""
+    q, t = var("q"), var("t")
+    out = t ** (-k * mu.size)
+    for i in range(1, k + 1):
+        for j in range(1, l + 1):
+            n = lam.part(i) - mu.part(j)
+            for e, s in ((j - i - 1 + k - l, 1), (j - i + k - l, -1)):
+                if n and e:
+                    out = out * qpoch_power(q * t ** e, q, n, s)
+    n0 = lam.part(k) - mu.part(l)
+    if n0 < 0:
+        return fe(0)
+    out = out / fe(qpoch(q, q, n0))
+    for i in range(l - k + 1, l):
+        out = out * qpoch(q ** (1 + lam.part(i + k - l) - mu.part(i)), q,
+                          mu.part(i) - mu.part(i + 1))
+    return out
+
+
+def principal_spec_chain(lam: Partition, b) -> FieldElement:
+    """P_lam[(1-b)/(1-t)] = t^{n(lam)} (b;q,t)_lam / c_lam."""
+    q, t = var("q"), var("t")
+    c, _, _ = hooks(lam, q, t)
+    return t ** lam.n_stat() * qt_poch(b, q, t, lam) / fe(c)
+
+
+def psi_chain(lam: Partition, mu: Partition) -> FieldElement:
+    """The branching coefficient psi_{lam/mu}(q,t): b_mu(s)/b_lam(s) over
+    the cells s of mu in a row but not a column of the strip lam/mu, each
+    b(s) = (1 - q^arm t^{leg+1}) / (1 - q^{arm+1} t^leg)."""
+    q, t = var("q"), var("t")
+
+    def b_cell(p, i, j):
+        a, l = p.arm(i, j), p.leg(i, j)
+        return (1 - q ** a * t ** (l + 1)) / (1 - q ** (a + 1) * t ** l)
+
+    rows = {i for i in range(1, len(lam) + 1) if lam.part(i) > mu.part(i)}
+    cols = {j for i in range(1, len(lam) + 1)
+            for j in range(mu.part(i) + 1, lam.part(i) + 1)}
+    out = fe(1)
+    for (i, j) in mu.cells():
+        if i in rows and j not in cols:
+            out = out * b_cell(mu, i, j) / b_cell(lam, i, j)
     return out

@@ -20,6 +20,28 @@ class TestReports:
         back = VerificationReport(**json.loads(rep.to_json()))
         assert back == rep
 
+    def test_line_is_the_asdict_form(self):
+        # to_json dumps the fields without dataclasses.asdict's deep copy of
+        # params: every suite's lines, passed, failed or raised, keep their
+        # bytes
+        from dataclasses import asdict
+
+        from selbergkit.suites import SUITES
+        outcomes = [Outcome(1.0 + 0j, 1.0 + 1e-12j, 1e-6, notes="n"),
+                    Outcome(True, True, rule="exact"),
+                    Outcome("pole", "pole", rule="raised", notes="pole: x")]
+        checked = 0
+        for name, (gen, _) in SUITES.items():
+            for params in list(gen({"seed": 7}))[:3]:
+                for out in outcomes:
+                    rep = make_report(name, params["case_id"],
+                                      {k: v for k, v in params.items()
+                                       if k != "case_id"}, out, 12.5)
+                    assert rep.to_json() == json.dumps(asdict(rep),
+                                                       sort_keys=True)
+                    checked += 1
+        assert checked > 100
+
     def test_pass_semantics(self):
         rep = make_report("demo", "c", {}, Outcome(1.0, 1.001, 1e-6), 0.0)
         assert not rep.passed

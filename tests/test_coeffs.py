@@ -44,6 +44,15 @@ class TestQPoch:
         with pytest.raises(PoleError):
             qpoch(q, q, -3)
 
+    def test_reciprocal_of_an_exact_product_stays_exact(self):
+        # 1/(b;q)_0 is the exact 1, and 1/(2;3)_1 the Fraction -1: no float
+        # enters the field
+        assert inv_qpoch(t, q, 0) * q == q
+        assert not isinstance(inv_qpoch(t, q, 0), float)
+        assert inv_qpoch(2, 3, 1) == Fraction(-1)
+        assert isinstance(inv_qpoch(2, 3, 1), Fraction)
+        assert inv_qpoch(b, q, 2) * qpoch(b, q, 2) == fe(1)
+
     def test_negative_index_symbolic(self):
         got = qpoch(b, q, -2)
         want = 1 / ((1 - b / q) * (1 - b / q ** 2))

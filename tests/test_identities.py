@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from selbergkit import (
     cli, coeffs, field, identities, macdonald, partitions, suites, symfunc,
 )
@@ -86,6 +87,100 @@ class TestFFunction:
             if prev is not None:
                 assert err < prev / 10
             prev = err
+
+
+def _pair_or_pole(fn, *args):
+    """fn(*args) as its canonical (num, den) pair, or "pole"."""
+    try:
+        x = fe(fn(*args))
+    except field.PoleError:
+        return "pole"
+    return x.num, x.den
+
+
+class TestExactProducts:
+    """f, its limit and extension, principal_spec_a, b_lambda and psi are
+    built as one cancelled product of binomials; each must give the
+    canonical pair of its chain of field operations on coeffs.qpoch."""
+
+    def test_products_match_the_field_chain(self):
+        rng = random.Random(20261024)
+        pool = list(partitions_up_to(4))
+        checked = 0
+        for _ in range(40):
+            lam, mu = rng.choice(pool), rng.choice(pool)
+            k = rng.randint(max(len(lam), 1), 4)
+            l = rng.randint(max(len(mu), 1), 4)
+            for x in (a, t / (a * q), t ** rng.randint(0, 3), 2 * a):
+                for ll in (l, None):
+                    assert (_pair_or_pole(f_function, lam, mu, k, ll, x)
+                            == _pair_or_pole(oracles.f_chain, lam, mu, k, ll,
+                                             x)), (lam, mu, k, ll, x)
+                    checked += 1
+            for lo in range(len(mu)):
+                assert (_pair_or_pole(identities._f_ext, lam, mu, k, lo, a)
+                        == _pair_or_pole(oracles.f_ext_chain, lam, mu, k, lo,
+                                         a)), (lam, mu, k, lo)
+                checked += 1
+            kl, ll = sorted((k, l))
+            if kl >= len(lam) and ll >= len(mu):
+                assert (_pair_or_pole(identities._f_limit.__wrapped__, lam,
+                                      mu, kl, ll)
+                        == _pair_or_pole(oracles.f_limit_chain, lam, mu, kl,
+                                         ll)), (lam, mu, kl, ll)
+                checked += 1
+        for lam in pool:
+            for x in (a, t ** 2, a * q / t, t ** 3 / a, q, fe(0), fe(1),
+                      2 * a, 1 + a):
+                assert (_pair_or_pole(macdonald._principal_spec_qt.__wrapped__,
+                                      lam, x)
+                        == _pair_or_pole(oracles.principal_spec_chain, lam,
+                                         x)), (lam, x)
+            assert (_pair_or_pole(macdonald.b_lambda.__wrapped__, lam)
+                    == _pair_or_pole(lambda p: coeffs.hooks(p, q, t)[2], lam))
+            for mu in macdonald._horizontal_strip_preds(lam):
+                assert (_pair_or_pole(macdonald._psi_cached.__wrapped__, lam,
+                                      mu, "qt")
+                        == _pair_or_pole(oracles.psi_chain, lam, mu))
+            checked += 1
+        assert checked > 300
+
+    def test_products_skip_the_field_machinery(self, monkeypatch):
+        # no field operation: no memo lookup and no gcd
+        args = [(P(3, 1), P(2, 1), 3, 2, x) for x in (a, t / (a * q), t ** 5)]
+        ext = (P(2, 1), P(2, 1, 1), 2, 1, a)
+        specs = [(P(3, 2), x) for x in (a, t ** 3, a * q / t, fe(0))]
+
+        def no(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        monkeypatch.setattr(field, "_memo", no("_memo"))
+        monkeypatch.setattr(field, "_cofactors", no("_cofactors"))
+        for lam, mu, k, l, x in args:
+            f_function(lam, mu, k, l, x)
+            f_function(lam, mu, k, None, x)
+        identities._f_ext(*ext)
+        identities._f_limit.__wrapped__(P(3, 1), P(2, 1), 2, 3)
+        for lam, x in specs:
+            macdonald._principal_spec_qt.__wrapped__(lam, x)
+        macdonald.b_lambda.__wrapped__(P(3, 2, 1))
+        macdonald._psi_cached.__wrapped__(P(3, 2), P(2, 1), "qt")
+
+    def test_a_factor_that_does_not_split_is_reduced(self):
+        # 1 - q^70 has no carried factorization (past the line power cap):
+        # it is multiplied in, and its common factor with 1 - q^5 cancels
+        vq = q.laurent()
+        got = field.binomial_product([(tuple(70 * v for v in vq), 1),
+                                      (tuple(5 * v for v in vq), -1)])
+        assert got == (1 - q ** 70) / (1 - q ** 5)
+        assert got.den == 1
+        with pytest.raises(field.PoleError):
+            field.binomial_product([((0,) * len(vq), -1)])
+        assert field.binomial_product([((0,) * len(vq), 2),
+                                       (vq, -1)]).is_zero()
+        assert field.binomial_product([((0,) * len(vq), 0)], vq) == q
 
 
 class TestSkewSum:
