@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import lru_cache
 
 from .field import FieldElement, PoleError, binomial_product
 from .partitions import Partition
@@ -173,10 +172,6 @@ def _qpoch_exact(symbols, shift, q, t, a):
         [i * u + j * v + k * w for u, v, w in zip(va, vq, vt)]))
 
 
-# The same few hundred symbols recur across an exact suite's cases (222 in
-# one round of the four exact-algebra suites, asked for 1,751 times), so
-# their binomials are built once.
-@lru_cache(maxsize=1024)
 def _binomials(sym, basis):
     """The factors of binomial_product that make up the symbol
     sym = ((i, j, k), n, s), for basis = (a, q, t) as exponent vectors:
@@ -186,7 +181,7 @@ def _binomials(sym, basis):
     va, vq, vt = basis
     us, s = (range(j, j + n), s) if n >= 0 else (range(j + n, j), -s)
     ik = [i * u + k * w for u, w in zip(va, vt)]
-    return tuple([(tuple([c + u * v for c, v in zip(ik, vq)]), s) for u in us])
+    return [(tuple([c + u * v for c, v in zip(ik, vq)]), s) for u in us]
 
 
 def _laurent(x):

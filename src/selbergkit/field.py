@@ -816,17 +816,10 @@ def _factored(p: MPoly):
 
 
 def _expand(fac: tuple) -> MPoly:
-    """c x^m times the product of the factors of ``fac``, carrying it; c x^m
-    scales and shifts the first factor's terms."""
-    c, m = fac[0], fac[1]
-    if len(fac) == 2:
-        out = _wrap({m: c})
-    else:
-        first = fac[2].terms
-        _check_degree((m & _M) + max(map(_M.__and__, first)))
-        out = _wrap({e + m: v * c for e, v in first.items()})
-        for phi in fac[3:]:
-            out = out * phi
+    """c x^m times the product of the factors of ``fac``, carrying it."""
+    out = _wrap({fac[1]: fac[0]})
+    for phi in fac[2:]:
+        out = out * phi
     out._fac = fac
     return out
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import _qpoch_product, hooks, poch, qpoch, qt_poch
+from .coeffs import _qpoch_product, poch, qpoch
 from .field import FieldElement, fe, var
 from .partitions import Partition, partitions_of, spectral_vector, subpartitions
 from .symfunc import Alphabet, Letters, Ratio, Sum, SymFunc, plethysm
@@ -253,11 +253,12 @@ def _pleth_Q(lam: Partition, mu: Partition, A: Alphabet):
 def principal_spec_a(lam: Partition, a, q=None, t=None):
     """P_lambda[(1-a)/(1-t)] = t^{n(lam)} (a;q,t)_lam / c_lam(q,t).
 
-    At the indeterminates q and t (both left out) the value is cached on
-    (lam, a); for a Laurent monomial a or a = 0 it is one cancelled
-    product of binomials 1 - a^e q^i t^j (field.binomial_product).  Numeric
-    q and t are computed afresh, by the hook and qt_poch products in their
-    own arithmetic.
+    One list of q-Pochhammer symbols, read by `coeffs._qpoch_product`, gives
+    the value for every q, t and a: for Laurent monomials q, t and a (or
+    a = 0) it is one cancelled product of binomials 1 - a^e q^i t^j
+    (field.binomial_product); otherwise, numeric q and t among them, the
+    symbols are multiplied in their own arithmetic.  At the indeterminates q
+    and t (both left out) the value is cached on (lam, a).
     """
     lam = Partition(lam)
     if q is None and t is None:
@@ -267,26 +268,24 @@ def principal_spec_a(lam: Partition, a, q=None, t=None):
 
 
 def _principal_spec(lam: Partition, a, q, t):
-    c, _, _ = hooks(lam, q, t)
-    return t ** lam.n_stat() * qt_poch(a, q, t, lam) / c
-
-
-@lru_cache(maxsize=None)
-def _principal_spec_qt(lam: Partition, a):
     # (a;q,t)_lam = prod_i (a t^{1-i};q)_{lam_i} over c_lam = prod over
     # cells of 1 - q^arm t^{leg+1}
     symbols = [((1, 0, 1 - i), part, 1)
                for i, part in enumerate(lam.parts, start=1)]
     symbols += [((0, lam.arm(i, j), lam.leg(i, j) + 1), 1, -1)
                 for (i, j) in lam.cells()]
-    return _qpoch_product(symbols, (0, 0, lam.n_stat()), var("q"), var("t"), a)
+    return _qpoch_product(symbols, (0, 0, lam.n_stat()), q, t, a)
+
+
+@lru_cache(maxsize=None)
+def _principal_spec_qt(lam: Partition, a):
+    return _principal_spec(lam, a, var("q"), var("t"))
 
 
 def principal_spec_n(lam: Partition, n: int, q=None, t=None):
     """P_lambda[(1-t^n)/(1-t)], the principal specialisation."""
-    if t is None:
-        t = var("t")
-    return principal_spec_a(lam, t ** n, q=q, t=t)
+    return principal_spec_a(lam, (var("t") if t is None else t) ** n,
+                            q=q, t=t)
 
 
 def jack_binomial_spec(lam: Partition, z, g=None, k: int | None = None):

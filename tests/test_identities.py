@@ -12,7 +12,9 @@ from selbergkit.identities import (
     an_cauchy_check, f_function, f_function_limit, interleaves,
     verify_skew_sum, verify_skew_sum_limit, verify_Z_Selb, zbifund,
 )
-from selbergkit.macdonald import b_lambda, principal_spec_a, skew_Q
+from selbergkit.macdonald import (
+    b_lambda, principal_spec_a, principal_spec_n, skew_Q,
+)
 from selbergkit.partitions import (
     Bipartition, P, Partition, partitions_up_to, spectral_vector, subpartitions,
 )
@@ -165,6 +167,9 @@ class TestExactProducts:
         identities._f_limit.__wrapped__(P(3, 1), P(2, 1), 2, 3)
         for lam, x in specs:
             macdonald._principal_spec_qt.__wrapped__(lam, x)
+        # the same route with the indeterminates passed explicitly
+        for lam, x in specs:
+            principal_spec_a(lam, x, q=q, t=t)
         macdonald.b_lambda.__wrapped__(P(3, 2, 1))
         macdonald._psi_cached.__wrapped__(P(3, 2), P(2, 1), "qt")
 
@@ -252,6 +257,10 @@ class TestStructuralCaches:
         assert f_function_limit(lam, mu, 2, 3) == identities._f_limit(lam, mu, 2, 3)
         Q = plethysm(skew_Q(lam, mu), Ratio(fe(1), a, t))
         assert macdonald._pleth_Q(lam, mu, Ratio(fe(1), a, t)) == Q
+        macdonald._principal_spec_qt(lam, t ** 2)
+        hits = macdonald._principal_spec_qt.cache_info().hits
+        assert principal_spec_n(lam, 2) == macdonald._principal_spec_qt(lam, t ** 2)
+        assert macdonald._principal_spec_qt.cache_info().hits == hits + 2
         # numeric q and t take the uncached path
         size = macdonald._principal_spec_qt.cache_info().currsize
         assert principal_spec_a(lam, 0.3, q=0.5, t=0.4) == pytest.approx(
