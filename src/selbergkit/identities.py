@@ -8,9 +8,13 @@ pins |lambda^(r)| and the y(,c,d)-degree pins |lambda^(n)| - |mu|, so
 summing all tuples with total size <= cap + |mu| reproduces every
 coefficient of y, z, c, d-degree <= cap exactly.  Those are the compared
 ones, and every product is truncated on that grading (a weighted cap of
-weight 1 on y, z, c and d), beside the total-degree cap 2 cap + |mu| that
-bounds the x-degree: exponents are non-negative, so a dropped term feeds
-only terms above the cap.
+weight 1 on y, z, c and d): exponents are non-negative, so a dropped term
+feeds only terms above the cap.  The x letters need no cap of their own.
+On the left the x-degree is |lambda^(1)| <= cap + |mu|.  On the right
+P_mu[W] has x-degree at most |mu|, and a kernel factor's monomial holds
+at most one x letter, and then also a y, z, c or d letter, so its
+x-degree is at most its weighted degree: the x-degree stays within
+cap + |mu| on both sides.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .macdonald import (
 from .partitions import Bipartition, P, Partition, partitions_up_to, subpartitions
 from .symfunc import (
     Alphabet, LetterSeries, Letters, Product, Ratio, Sum,
-    expand_in_letters, h_series_of_alphabet, plethysm,
+    _scalar_eq, expand_in_letters, h_series_of_alphabet, plethysm,
 )
 
 __all__ = [
@@ -206,28 +210,26 @@ def verify_skew_sum_limit(lam: Partition, mu: Partition, k: int,
 # rank-n Cauchy-type identities
 # ---------------------------------------------------------------------------
 
-def _mono(letters, name_powers: dict, cap, wcap) -> LetterSeries:
+def _mono(letters, name_powers: dict, wcap) -> LetterSeries:
     e = [0] * len(letters)
     for name, p in name_powers.items():
         e[letters.index(name)] = p
-    return LetterSeries(letters, {tuple(e): Fraction(1)}, cap, wcap)
+    return LetterSeries(letters, {tuple(e): Fraction(1)}, wcap)
 
 
-def _kernel_series(alpha, beta, U: LetterSeries, q, cap: int,
-                   wcap) -> LetterSeries:
+def _kernel_series(alpha, beta, U: LetterSeries, q) -> LetterSeries:
     """(alpha*U;q)_inf / (beta*U;q)_inf as a series in the monomial U, up to
-    the power of U that either cap admits."""
-    (ue, uc), = U.terms.items()
-    udeg = sum(ue)
-    mmax = cap // udeg if udeg else 0
-    if wcap is not None:
-        weights, bound = wcap
-        wdeg = sum(w * x for w, x in zip(weights, ue))
-        if wdeg:
-            mmax = min(mmax, bound // wdeg)
+    the power of U that U's weighted cap admits."""
+    (ue, _), = U.terms.items()
+    weights, bound = U.wcap or ((), 0)
+    wdeg = sum(w * x for w, x in zip(weights, ue))
+    if not wdeg:
+        raise ValueError("a kernel in a monomial of weighted degree 0 "
+                         "never ends")
+    mmax = bound // wdeg
     hs = h_series_of_alphabet(Ratio(beta, alpha, q), mmax)
-    out = LetterSeries(U.letters, cap=cap, wcap=wcap)
-    upow = LetterSeries.const(U.letters, Fraction(1), cap, wcap)
+    out = LetterSeries(U.letters, wcap=U.wcap)
+    upow = LetterSeries.const(U.letters, Fraction(1), U.wcap)
     for m in range(mmax + 1):
         out = out + upow * hs[m]
         upow = upow * U
@@ -267,7 +269,6 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
     z_names = tuple(f"z{r}" for r in range(1, n))
     cd_names = ("c", "d") if variant == "II-pleth" else ()
     letters = x_names + y_names + z_names + cd_names
-    T = 2 * cap + mu_n.size  # safe total-degree cap (see module docstring)
     # the compared grading: weight 1 on every y, z, c and d letter
     wcap = ((0,) * len(x_names) + (1,) * (len(letters) - len(x_names)), cap)
 
@@ -279,17 +280,17 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
         return t ** (ks[r - 1] - ks[r]) if ks[r] is not None else None
 
     # ---------------- left-hand side ----------------
-    lhs = LetterSeries(letters, cap=T, wcap=wcap)
+    lhs = LetterSeries(letters, wcap=wcap)
     size_cap = cap + mu_n.size
     tuples = _partition_tuples(n, size_cap, ks)
     for lams in tuples:
-        term = _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, T,
-                            wcap, x_names, y_names, z_names, cd_names)
+        term = _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, wcap,
+                            x_names, y_names)
         if term is not None:
             lhs = lhs + term
 
     # ---------------- right-hand side ----------------
-    rhs = LetterSeries.const(letters, Fraction(1), T, wcap)
+    rhs = LetterSeries.const(letters, Fraction(1), wcap)
 
     def zprod(lo, hi):  # z_lo * ... * z_hi as monomial powers
         return {f"z{r}": 1 for r in range(lo, hi + 1)}
@@ -297,61 +298,56 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
     # P_{mu_n}[W]
     if mu_n:
         W: Alphabet = Letters(
-            [_mono(letters, {**zprod(1, n - 1), f"x{i}": 1}, T, wcap)
+            [_mono(letters, {**zprod(1, n - 1), f"x{i}": 1}, wcap)
              for i in range(1, k1 + 1)])
         for r in range(1, n):
             ar = a_r(r)
             W = Sum(W, Product(
-                Letters([_mono(letters, zprod(r + 1, n - 1), T, wcap)]),
+                Letters([_mono(letters, zprod(r + 1, n - 1), wcap)]),
                 Ratio(fe(1), 1 / ar, t)))
-        rhs = rhs * _pleth_letterseries(macdonald_P(mu_n), W, letters, T, wcap)
+        rhs = rhs * _pleth_letterseries(macdonald_P(mu_n), W, letters, wcap)
 
     for r in range(1, n):
         ar = a_r(r)
         for i in range(1, k1 + 1):
-            U = _mono(letters, {**zprod(1, r), f"x{i}": 1}, T, wcap)
-            rhs = rhs * _kernel_series(ar * q, t, U, q, T, wcap)
+            U = _mono(letters, {**zprod(1, r), f"x{i}": 1}, wcap)
+            rhs = rhs * _kernel_series(ar * q, t, U, q)
         for j in range(1, ny + 1):
-            U = _mono(letters, {**zprod(r + 1, n - 1), f"y{j}": 1}, T, wcap)
-            rhs = rhs * _kernel_series(1 / ar, fe(1), U, q, T, wcap)
+            U = _mono(letters, {**zprod(r + 1, n - 1), f"y{j}": 1}, wcap)
+            rhs = rhs * _kernel_series(1 / ar, fe(1), U, q)
     for i in range(1, k1 + 1):
         for j in range(1, ny + 1):
-            U = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, f"y{j}": 1}, T, wcap)
-            rhs = rhs * _kernel_series(t, fe(1), U, q, T, wcap)
+            U = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, f"y{j}": 1}, wcap)
+            rhs = rhs * _kernel_series(t, fe(1), U, q)
     for r in range(1, n - 1):
         for s in range(r + 1, n):
             asym = a_r(s)
             for i in range(1, ks[r] - ks[r - 1] + 1):
-                U = _mono(letters, zprod(r + 1, s), T, wcap)
-                rhs = rhs * _kernel_series(asym * q * t ** (i - 1), t ** i, U, q,
-                                           T, wcap)
+                U = _mono(letters, zprod(r + 1, s), wcap)
+                rhs = rhs * _kernel_series(asym * q * t ** (i - 1), t ** i, U, q)
     if variant == "II-pleth":
         for i in range(1, k1 + 1):
-            Ud = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "d": 1}, T, wcap)
-            Uc = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "c": 1}, T, wcap)
-            rhs = rhs * _kernel_series(fe(1), fe(0), Ud, q, T, wcap)
-            rhs = rhs * _kernel_series(fe(0), fe(1), Uc, q, T, wcap)
+            Ud = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "d": 1}, wcap)
+            Uc = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "c": 1}, wcap)
+            rhs = rhs * _kernel_series(fe(1), fe(0), Ud, q)
+            rhs = rhs * _kernel_series(fe(0), fe(1), Uc, q)
         for r in range(1, n):
             for i in range(1, ks[r] - ks[r - 1] + 1):
-                Ud = _mono(letters, {**zprod(r + 1, n - 1), "d": 1}, T, wcap)
-                Uc = _mono(letters, {**zprod(r + 1, n - 1), "c": 1}, T, wcap)
-                rhs = rhs * _kernel_series(t ** (i - 1), fe(0), Ud, q, T, wcap)
-                rhs = rhs * _kernel_series(fe(0), t ** (i - 1), Uc, q, T, wcap)
+                Ud = _mono(letters, {**zprod(r + 1, n - 1), "d": 1}, wcap)
+                Uc = _mono(letters, {**zprod(r + 1, n - 1), "c": 1}, wcap)
+                rhs = rhs * _kernel_series(t ** (i - 1), fe(0), Ud, q)
+                rhs = rhs * _kernel_series(fe(0), t ** (i - 1), Uc, q)
 
     # both sides are products under wcap, so every monomial they hold is
     # exactly resolved and compared
     equal = True
     witness = ""
     for e in set(lhs.terms) | set(rhs.terms):
-        if not _fe_eq(lhs.coeff(e), rhs.coeff(e)):
+        if not _scalar_eq(lhs.coeff(e), rhs.coeff(e)):
             equal = False
             witness = str(e)
             break
     return IdentityCheck(lhs, rhs, equal, witness)
-
-
-def _fe_eq(x, y):
-    return fe(x) == fe(y)
 
 
 def _partition_tuples(n, size_cap, ks):
@@ -376,15 +372,15 @@ def _partition_tuples(n, size_cap, ks):
     return out
 
 
-def _pleth_letterseries(f, A, letters, cap, wcap) -> LetterSeries:
+def _pleth_letterseries(f, A, letters, wcap) -> LetterSeries:
     val = plethysm(f, A)
     if isinstance(val, LetterSeries):
         return val
-    return LetterSeries.const(letters, val, cap, wcap)
+    return LetterSeries.const(letters, val, wcap)
 
 
-def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, T, wcap,
-                 x_names, y_names, z_names, cd_names):
+def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, wcap,
+                 x_names, y_names):
     q, t = var("q"), var("t")
     k1 = ks[0]
     # scalar part: middle P's, all Q-prefactors, f-factors
@@ -421,44 +417,28 @@ def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, T, wcap,
     lam1 = lams[0]
     if len(lam1) > k1:
         return None
-    term = _embed(expand_in_letters(macdonald_P(lam1), x_names), letters, 0,
-                  T, wcap)
+    term = expand_in_letters(macdonald_P(lam1), letters, x_names, wcap)
     # z_r powers track |lam^(r)|
     zshift = [0] * len(letters)
     for r in range(1, n):
         zshift[letters.index(f"z{r}")] = lams[r - 1].size
-    term = term * LetterSeries(letters, {tuple(zshift): Fraction(1)}, T, wcap)
+    term = term * LetterSeries(letters, {tuple(zshift): Fraction(1)}, wcap)
     # skew Q at the y letters (+ plethystic shift for the c,d variant)
     lam_n = lams[n - 1]
-    y_off = len(x_names)
     if variant == "II-pleth":
-        yterm = LetterSeries(letters, cap=T, wcap=wcap)
-        c_ls = LetterSeries.letter(letters, "c", T, wcap)
-        d_ls = LetterSeries.letter(letters, "d", T, wcap)
+        yterm = LetterSeries(letters, wcap=wcap)
+        c_ls = LetterSeries.letter(letters, "c", wcap)
+        d_ls = LetterSeries.letter(letters, "d", wcap)
         for nu in subpartitions(lam_n):
-            qfull = _embed(expand_in_letters(skew_Q(lam_n, nu), y_names, cap=T),
-                           letters, y_off, T, wcap)
+            qfull = expand_in_letters(skew_Q(lam_n, nu), letters, y_names, wcap)
             if not qfull.terms:
                 continue
             shift_val = _pleth_letterseries(
-                macdonald_Q(nu), Ratio(c_ls, d_ls, t), letters, T, wcap)
+                macdonald_Q(nu), Ratio(c_ls, d_ls, t), letters, wcap)
             yterm = yterm + qfull * shift_val
     else:
-        yterm = _embed(expand_in_letters(skew_Q(lam_n, mu_n), y_names, cap=T),
-                       letters, y_off, T, wcap)
+        yterm = expand_in_letters(skew_Q(lam_n, mu_n), letters, y_names, wcap)
     return term * yterm * scalar
-
-
-def _embed(sub: LetterSeries, letters, offset: int, cap,
-           wcap=None) -> LetterSeries:
-    """Reinterpret a series on a letter block inside the full universe."""
-    out = LetterSeries(letters, cap=cap, wcap=wcap)
-    for e, c in sub.terms.items():
-        full = [0] * len(letters)
-        for i, p in enumerate(e):
-            full[offset + i] = p
-        out.terms[tuple(full)] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -68,17 +68,18 @@ def run_cauchy(params, cfg):
     Both sides are symmetric in x and in y, so they are compared only at
     x^a y^b with a and b non-increasing.  There the left side's coefficient
     is the m-coefficient of P_lam at a times that of Q_{lam/mu} =
-    (b_lam / b_mu) P_{lam/mu} at b, summed over lam.
+    (b_lam / b_mu) P_{lam/mu} at b, summed over lam.  The right side is
+    a LetterSeries under the unit-weight cap 2 cap, its kernels built as
+    in `an-cauchy`.
     """
-    from .identities import _embed
+    from .identities import _kernel_series, _mono
     from .macdonald import _b_ratio, macdonald_P, skew_P
-    from .symfunc import LetterSeries, Ratio, expand_in_letters, h_series_of_alphabet
-    from fractions import Fraction
+    from .symfunc import _scalar_eq, expand_in_letters
     mu = _pt(params["mu"])
     cap = params["cap"]
     q, t = var("q"), var("t")
     letters = ("x1", "x2", "y1", "y2")
-    T = 2 * cap
+    wcap = ((1, 1, 1, 1), 2 * cap)
 
     def two_part(sf):
         return [((nu.part(1), nu.part(2)), c)
@@ -98,18 +99,12 @@ def run_cauchy(params, cfg):
                 v = c1 * c2
                 prev = lhs.get(key)
                 lhs[key] = v if prev is None else prev + v
-    rhs = expand_in_letters(macdonald_P(mu), letters[:2])
-    rhs = _embed(rhs, letters, 0, T)
-    hs = h_series_of_alphabet(Ratio(fe(1), t, q), cap)
-    for i in range(2):
-        for j in range(2):
-            ker = LetterSeries(letters, cap=T)
-            for m in range(cap + 1):
-                e = [0, 0, 0, 0]
-                e[i], e[2 + j] = m, m
-                ker = ker + LetterSeries(letters, {tuple(e): Fraction(1)}, T) * hs[m]
-            rhs = rhs * ker
-    ok = all(fe(lhs.get(e, 0)) == fe(rhs.terms.get(e, 0))
+    rhs = expand_in_letters(macdonald_P(mu), letters, letters[:2], wcap)
+    for x in letters[:2]:
+        for y in letters[2:]:
+            U = _mono(letters, {x: 1, y: 1}, wcap)
+            rhs = rhs * _kernel_series(t, fe(1), U, q)
+    ok = all(_scalar_eq(lhs.get(e, 0), rhs.coeff(e))
              for e in set(lhs) | set(rhs.terms)
              if e[0] >= e[1] and e[2] >= e[3]
              and e[0] + e[1] <= cap and sum(e) <= 2 * cap - mu.size)

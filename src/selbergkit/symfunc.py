@@ -331,14 +331,6 @@ def _scalar_eq(a, b) -> bool:
     return a == b
 
 
-def _min_cap(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def sym(basis: str, lam, c=1) -> SymFunc:
     return SymFunc(basis, {Partition(lam): Fraction(c) if isinstance(c, int) else c})
 
@@ -506,23 +498,23 @@ def e_series_of_alphabet(A: Alphabet, cap: int) -> list:
 class LetterSeries:
     """Polynomial in named letters with exact scalar coefficients.
 
-    cap is a total-degree cutoff and wcap an optional weighted one, a pair
-    (weights, bound) that drops a term whose sum of weight times exponent
-    exceeds bound.  Both are applied on multiplication, to each pair of
-    terms; None means no truncation.  Weights and exponents are
-    non-negative, so a dropped term leads only to terms above the bound and
-    every coefficient within it is exact.  Series with different wcaps do
-    not mix; a series without one takes the other's.  Coefficients may be
-    Fractions or FieldElements.
+    wcap is the one truncation rule, a pair (weights, bound) that drops a
+    term whose sum of weight times exponent exceeds bound; a total-degree
+    cutoff is the pair with every weight 1, and None means no truncation.
+    It is applied on multiplication, to each pair of terms.  Weights and
+    exponents are non-negative, so a dropped term leads only to terms above
+    the bound and every coefficient within it is exact.  Series with
+    different wcaps do not mix; a series without one takes the other's.
+    Coefficients may be Fractions or FieldElements.
     """
 
-    __slots__ = ("letters", "terms", "cap", "wcap")
+    __slots__ = ("letters", "terms", "wcap")
 
     # built in place and compared by identity, so never a key: an alphabet
     # that holds a LetterSeries cannot be hashed, and no cache can take it
     __hash__ = None
 
-    def __init__(self, letters: Sequence[str], terms=None, cap: int | None = None,
+    def __init__(self, letters: Sequence[str], terms=None,
                  wcap: tuple[tuple[int, ...], int] | None = None):
         self.letters = tuple(letters)
         self.terms: dict[tuple[int, ...], object] = {}
@@ -530,18 +522,17 @@ class LetterSeries:
             for e, c in terms.items():
                 if not _scalar_is_zero(c):
                     self.terms[tuple(e)] = c
-        self.cap = cap
         self.wcap = wcap
 
     @classmethod
-    def const(cls, letters, c, cap=None, wcap=None):
-        return cls(letters, {(0,) * len(letters): c}, cap, wcap)
+    def const(cls, letters, c, wcap=None):
+        return cls(letters, {(0,) * len(letters): c}, wcap)
 
     @classmethod
-    def letter(cls, letters, name, cap=None, wcap=None):
+    def letter(cls, letters, name, wcap=None):
         e = [0] * len(letters)
         e[list(letters).index(name)] = 1
-        return cls(letters, {tuple(e): Fraction(1)}, cap, wcap)
+        return cls(letters, {tuple(e): Fraction(1)}, wcap)
 
     def _check(self, other: "LetterSeries"):
         """The weighted cap that self and other share."""
@@ -554,7 +545,7 @@ class LetterSeries:
         return self.wcap
 
     def _scalar(self, c):
-        return LetterSeries.const(self.letters, c, self.cap, self.wcap)
+        return LetterSeries.const(self.letters, c, self.wcap)
 
     def __add__(self, other):
         if not isinstance(other, LetterSeries):
@@ -570,13 +561,13 @@ class LetterSeries:
                     out[e] = v
             else:
                 out[e] = c
-        return LetterSeries(self.letters, out, _min_cap(self.cap, other.cap), wcap)
+        return LetterSeries(self.letters, out, wcap)
 
     __radd__ = __add__
 
     def __neg__(self):
         return LetterSeries(self.letters, {e: -c for e, c in self.terms.items()},
-                            self.cap, self.wcap)
+                            self.wcap)
 
     def __sub__(self, other):
         if not isinstance(other, LetterSeries):
@@ -587,21 +578,19 @@ class LetterSeries:
         if not isinstance(other, LetterSeries):
             return LetterSeries(self.letters,
                                 {e: c * other for e, c in self.terms.items()},
-                                self.cap, self.wcap)
+                                self.wcap)
         wcap = self._check(other)
-        cap = _min_cap(self.cap, other.cap)
-        top = math.inf if cap is None else cap
         weights, bound = wcap or ((), math.inf)
 
-        def graded(ls):  # (exponents, coefficient, degree, weighted degree)
-            return [(e, c, sum(e), sum(w * x for w, x in zip(weights, e)))
+        def graded(ls):  # (exponents, coefficient, weighted degree)
+            return [(e, c, sum(w * x for w, x in zip(weights, e)))
                     for e, c in ls.terms.items()]
 
         right = graded(other)
         out: dict[tuple[int, ...], object] = {}
-        for e1, c1, d1, w1 in graded(self):
-            for e2, c2, d2, w2 in right:
-                if d1 + d2 > top or w1 + w2 > bound:
+        for e1, c1, w1 in graded(self):
+            for e2, c2, w2 in right:
+                if w1 + w2 > bound:
                     continue
                 e = tuple(x + y for x, y in zip(e1, e2))
                 v = c1 * c2
@@ -611,11 +600,13 @@ class LetterSeries:
                         del out[e]
                         continue
                 out[e] = v
-        return LetterSeries(self.letters, out, cap, wcap)
+        return LetterSeries(self.letters, out, wcap)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a letter series")
         out = self._scalar(Fraction(1))
         base = self
         while n:
@@ -631,21 +622,23 @@ class LetterSeries:
 
 
 def expand_in_letters(f: SymFunc, letters: Sequence[str],
-                      cap: int | None = None) -> LetterSeries:
-    """Expand a symmetric function as a LetterSeries in the given letters."""
-    fm = f.to_basis("m")
-    n = len(letters)
-    out = LetterSeries(letters, cap=cap)
-    for lam, c in fm.coeffs.items():
-        if len(lam) > n:
-            continue
-        if cap is not None and lam.size > cap:
-            continue
-        for exps, _ in monomial_expansion(lam, n):
-            v = out.terms.get(exps)
-            out.terms[exps] = c if v is None else v + c
-    out.terms = {e: c for e, c in out.terms.items() if not _scalar_is_zero(c)}
-    return out
+                      names: Sequence[str] | None = None,
+                      wcap=None) -> LetterSeries:
+    """Expand a symmetric function as a LetterSeries over letters, in the
+    letters named by names (all of them by default); every other letter
+    has exponent 0.  wcap is the series' weighted cap."""
+    letters = tuple(letters)
+    at = [letters.index(x) for x in (letters if names is None else names)]
+    terms: dict[tuple[int, ...], object] = {}
+    for lam, c in f.to_basis("m").coeffs.items():
+        for exps, _ in monomial_expansion(lam, len(at)):
+            full = [0] * len(letters)
+            for i, p in zip(at, exps):
+                full[i] = p
+            e = tuple(full)
+            v = terms.get(e)
+            terms[e] = c if v is None else v + c
+    return LetterSeries(letters, terms, wcap)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,59 @@ class TestAnCauchy:
         # exercises the padding-extended pairing factor
         assert an_cauchy_check(2, [1, 2], P(1, 1), cap=2, variant="I").equal
 
+    def test_kernel_stops_at_its_weighted_cap(self):
+        letters = ("x1", "y1")
+        wcap = ((0, 1), 3)
+        U = identities._mono(letters, {"x1": 1, "y1": 1}, wcap)
+        ker = identities._kernel_series(t, fe(1), U, q)
+        assert set(ker.terms) == {(m, m) for m in range(4)}
+        # (t U; q)_inf / (U; q)_inf = 1 + (1 - t)/(1 - q) U + ...
+        assert fe(ker.coeff((1, 1))) == (1 - t) / (1 - q)
+
+    def test_kernel_of_weighted_degree_zero_raises(self):
+        # a series in a monomial of weighted degree 0 would never end
+        letters = ("x1", "y1")
+        U = identities._mono(letters, {"x1": 1}, ((0, 1), 3))
+        with pytest.raises(ValueError, match="weighted degree 0"):
+            identities._kernel_series(t, fe(1), U, q)
+        # nor has a monomial without a weighted cap a top power
+        U = identities._mono(letters, {"y1": 1}, None)
+        with pytest.raises(ValueError, match="weighted degree 0"):
+            identities._kernel_series(t, fe(1), U, q)
+
+    def test_no_total_degree_cap_is_needed(self, monkeypatch):
+        # the x letters carry weight 0, yet no monomial of either side has
+        # total degree above 2 cap + |mu|: every kernel factor that holds an
+        # x letter also holds a y, z, c or d letter, so its x-degree is at
+        # most its weighted degree
+        factors = []
+        kernel = identities._kernel_series
+
+        def recording(alpha, beta, U, q):
+            factors.append(U)
+            return kernel(alpha, beta, U, q)
+
+        monkeypatch.setattr(identities, "_kernel_series", recording)
+        gen, _ = suites.SUITES["an-cauchy"]
+        for case in gen({}):
+            factors.clear()
+            mu = Partition(case["mu"])
+            chk = an_cauchy_check(case["n"], case["ks"], mu, cap=case["cap"],
+                                  variant=case["variant"])
+            assert chk.equal, case["case_id"]
+            top = 2 * case["cap"] + mu.size
+            for side in (chk.lhs, chk.rhs):
+                assert side.terms
+                assert max(sum(e) for e in side.terms) <= top, case["case_id"]
+            assert factors
+            for U in factors:
+                (e, _), = U.terms.items()
+                held = [name for name, p in zip(U.letters, e) if p]
+                xdeg = sum(name.startswith("x") for name in held)
+                if xdeg:
+                    assert xdeg == 1, held
+                    assert any(name[0] in "yzcd" for name in held), held
+
 
 class TestBridge:
     def test_zbifund_empty(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from selbergkit.field import _unpack, fe, var
 from selbergkit.partitions import P, partitions_up_to, partitions_of
 from selbergkit.symfunc import (
     Binomial, Difference, Letters, LetterSeries, Product, Ratio, Scale, Sum,
+    SymFunc,
     alternant_ratio, e_series_of_alphabet, expand_in_letters,
     h_series_of_alphabet, pk_of_alphabet, plethysm, s_sf, schur_eval, sym,
 )
@@ -225,8 +227,9 @@ class TestAlphabetKeys:
 
     def test_letter_series_alphabet_is_no_key_but_evaluates(self):
         letters = ("c", "d")
-        c_ls = LetterSeries.letter(letters, "c", 4)
-        d_ls = LetterSeries.letter(letters, "d", 4)
+        unit = ((1, 1), 4)
+        c_ls = LetterSeries.letter(letters, "c", unit)
+        d_ls = LetterSeries.letter(letters, "d", unit)
         A = Ratio(c_ls, d_ls, t)
         with pytest.raises(TypeError):
             hash(A)
@@ -241,18 +244,29 @@ class TestAlphabetKeys:
 
 class TestLetterSeries:
     def test_mul_truncation(self):
-        ls = LetterSeries(("x", "y"), cap=3)
-        x = LetterSeries.letter(("x", "y"), "x", cap=3)
-        y = LetterSeries.letter(("x", "y"), "y", cap=3)
+        # a total-degree cutoff is the weighted cap with every weight 1
+        letters = ("x", "y")
+        unit = ((1, 1), 3)
+        x = LetterSeries.letter(letters, "x", unit)
+        y = LetterSeries.letter(letters, "y", unit)
         f = (x + y) ** 5
         assert max((sum(e) for e in f.terms), default=0) <= 3
+        g = (1 + x + y) ** 5
+        assert g.terms == {
+            (i, j): math.comb(5, i + j) * math.comb(i + j, i)
+            for i in range(4) for j in range(4 - i)}
+
+    def test_negative_power_raises(self):
+        x = LetterSeries.letter(("x",), "x")
+        with pytest.raises(ValueError, match="negative power"):
+            x ** -1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_weighted_cap_is_exact_within_its_bound(self, seed):
         # under a weighted cap, products, sums, scalar multiples, powers and
-        # embeddings equal the uncapped ones on every monomial within the
-        # bound, and hold no monomial above it after a product
-        from selbergkit.identities import _embed
+        # expansions at named letters equal the uncapped ones on every
+        # monomial within the bound, and hold no monomial above it after a
+        # product
         rng = random.Random(seed)
         letters = ("x", "y", "z", "w")
         weights = tuple(rng.randint(0, 2) for _ in letters)
@@ -262,29 +276,31 @@ class TestLetterSeries:
         def wdeg(e):
             return sum(w * x for w, x in zip(weights, e))
 
-        def draw(nletters=4):
-            terms = {(0,) * nletters: Fraction(rng.randint(1, 4))}
+        def draw():
+            terms = {(0,) * len(letters): Fraction(rng.randint(1, 4))}
             for _ in range(6):
-                e = tuple(rng.choice((0, 0, 1, 2)) for _ in range(nletters))
+                e = tuple(rng.choice((0, 0, 1, 2)) for _ in letters)
                 terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) \
                     * q ** rng.randint(0, 2)
-            return (LetterSeries(letters[:nletters], terms, 12, wcap),
-                    LetterSeries(letters[:nletters], terms, 12))
+            return (LetterSeries(letters, terms, wcap),
+                    LetterSeries(letters, terms))
 
         (A, a_), (B, b_), (C, c_) = draw(), draw(), draw()
-        (S, s_) = draw(2)
+        f = SymFunc("m", {lam: rng.randint(1, 4) * q ** rng.randint(0, 2)
+                          for lam in rng.sample(list(partitions_up_to(3)), 3)})
+        S = expand_in_letters(f, letters, ("y", "z"), wcap)
+        s_ = expand_in_letters(f, letters, ("y", "z"))
         pairs = [
             (A * B, a_ * b_),
             ((A * B) * C, (a_ * b_) * c_),
             ((A + B) * C, (a_ + b_) * c_),
             ((A - 3) * (C * t), (a_ - 3) * (c_ * t)),
             (A ** 3, a_ ** 3),
-            (_embed(S, letters, 1, 12, wcap) * A, _embed(s_, letters, 1, 12) * a_),
+            (S * A, s_ * a_),
             # a series without a weighted cap takes its partner's
             (b_ * A * c_, b_ * a_ * c_),
         ]
-        for carried in (A + B, A - 3, 3 + A, -A, C * t,
-                        _embed(S, letters, 1, 12, wcap)):
+        for carried in (A + B, A - 3, 3 + A, -A, C * t, S):
             assert carried.wcap == wcap
         dropped = False
         for capped, full in pairs:
@@ -313,26 +329,28 @@ class TestLetterSeries:
         f = s_sf(P(2))
         ls = expand_in_letters(f, ("x", "y"))
         assert ls.coeff((2, 0)) == 1 and ls.coeff((1, 1)) == 1
+        # at named letters of a larger universe, the others at exponent 0
+        ls = expand_in_letters(f, ("x", "y", "z"), ("z", "x"))
+        assert ls.terms == {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 2): 1}
 
     def test_cauchy_kernel_degree6(self):
         # sum_{|lam|<=cap} s_lam[X] s_lam[Y] = prod 1/(1-x_i y_j), truncated
         cap = 6
         letters = ("x1", "x2", "y1", "y2")
-        lhs = LetterSeries(letters, cap=cap)
+        unit = ((1, 1, 1, 1), cap)
+        lhs = LetterSeries(letters, wcap=unit)
         for lam in partitions_up_to(cap // 2, 2):
-            sx = expand_in_letters(s_sf(lam), letters[:2])
-            sy = expand_in_letters(s_sf(lam), letters[2:])
-            fx = LetterSeries(letters, {e + (0, 0): c for e, c in sx.terms.items()}, cap)
-            fy = LetterSeries(letters, {(0, 0) + e: c for e, c in sy.terms.items()}, cap)
+            fx = expand_in_letters(s_sf(lam), letters, letters[:2], unit)
+            fy = expand_in_letters(s_sf(lam), letters, letters[2:], unit)
             lhs = lhs + fx * fy
-        rhs = LetterSeries.const(letters, Fraction(1), cap)
+        rhs = LetterSeries.const(letters, Fraction(1), unit)
         for i in range(2):
             for j in range(2):
-                geom = LetterSeries(letters, cap=cap)
+                geom = LetterSeries(letters, wcap=unit)
                 for k in range(cap + 1):
                     e = [0, 0, 0, 0]
                     e[i], e[2 + j] = k, k
-                    geom = geom + LetterSeries(letters, {tuple(e): Fraction(1)}, cap)
+                    geom = geom + LetterSeries(letters, {tuple(e): Fraction(1)}, unit)
                 rhs = rhs * geom
         # joint degree: each lam contributes at x-degree=|lam|=y-degree, so
         # only compare monomials with x-degree <= cap/2
