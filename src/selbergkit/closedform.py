@@ -30,11 +30,10 @@ __all__ = [
 # helpers
 # ---------------------------------------------------------------------------
 
-def jack_spec(lam: Partition, z, g, pad: int | None = None) -> complex:
+def jack_spec(lam: Partition, z, g) -> complex:
     """P^(1/gamma)_lam at the binomial element z, numeric."""
     lam = Partition(lam)
-    val = jack_binomial_spec(lam, complex(z), complex(g), k=pad)
-    return complex(val)
+    return complex(jack_binomial_spec(lam, complex(z), complex(g)))
 
 
 def schur_binomial(lam: Partition, z) -> complex:
@@ -119,19 +118,14 @@ def an_selberg_rhs(n: int, ks, alphas, beta, gamma_) -> complex:
 
 
 def an_aflt_rhs(n: int, ks, alphas, beta, gamma_, lam: Partition,
-                mu: Partition, ell: int | None = None,
-                m: int | None = None) -> complex:
-    """Rank-n Jack-pair Selberg AVERAGE, closed form with free paddings."""
+                mu: Partition) -> complex:
+    """Rank-n Jack-pair Selberg AVERAGE, closed form, with the paddings
+    ell = max(l(lam), 1) and m = max(l(mu), 1)."""
     lam, mu = Partition(lam), Partition(mu)
     ks = [0] + list(ks) + [0]
     betas = [None] + _beta_list(n, beta)
     g = complex(gamma_)
-    if ell is None:
-        ell = max(len(lam), 1)
-    if m is None:
-        m = max(len(mu), 1)
-    if ell < len(lam) or m < len(mu):
-        raise ValueError("padding too short")
+    ell, m = max(len(lam), 1), max(len(mu), 1)
     out = jack_spec(lam, ks[1], g) * jack_spec(mu, ks[n] + beta / g - 1, g)
     for r in range(1, n + 1):
         a1r = sum(alphas[:r])
@@ -248,12 +242,11 @@ def nplusone_rhs(n: int, ks, alphas, beta, lams, ells=None) -> complex:
     return out
 
 
-def gamma_one_rhs(n: int, ks, alphas, beta, lams, ells=None) -> complex:
+def gamma_one_rhs(n: int, ks, alphas, beta, lams) -> complex:
     """The dual form carrying s_{lam^{n+1}}[t^{(n)} + beta - 1]."""
     lams = [Partition(x) for x in lams]
     ks_ext = [0] + list(ks) + [1 - beta]
-    if ells is None:
-        ells = [max(len(x), 1) for x in lams]
+    ells = [max(len(x), 1) for x in lams]
     eps = [1] * n + [-1]
 
     def epsv(r):
@@ -426,16 +419,13 @@ def an_alt_norm_rhs(n: int, ks, alphas, beta_nm1, beta_n, gamma_,
 # Macdonald torus closed forms
 # ---------------------------------------------------------------------------
 
-def mac_aflt_rhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
-                 m: int | None = None) -> complex:
-    """Macdonald-pair torus integral, closed form."""
+def mac_aflt_rhs(n: int, lam: Partition, mu: Partition, a, b, q, t) -> complex:
+    """Macdonald-pair torus integral, closed form (mu padded to
+    m = max(l(mu), 1))."""
     lam, mu = Partition(lam), Partition(mu)
     if len(lam) > n:
         return 0.0
-    if m is None:
-        m = max(len(mu), 1)
-    if m < len(mu):
-        raise ValueError("padding too short")
+    m = max(len(mu), 1)
     a, b, q, t = complex(a), complex(b), complex(q), complex(t)
     out = (b ** lam.size * t ** mu.size
            * complex(principal_spec_a(lam, t ** n, q=q, t=t))

@@ -164,15 +164,13 @@ class IdentityCheck:
     note: str = ""
 
 
-def verify_skew_sum(lam: Partition, mu: Partition, k: int, l: int,
-                    a=None) -> IdentityCheck:
+def verify_skew_sum(lam: Partition, mu: Partition, k: int,
+                    l: int) -> IdentityCheck:
     """Skew summation formula with symbolic a, exact in Q(q,t,a)."""
     lam, mu = Partition(lam), Partition(mu)
     if k < len(lam) or l < len(mu):
         raise ValueError("padding preconditions violated")
-    q, t = var("q"), var("t")
-    if a is None:
-        a = var("a")
+    q, t, a = var("q"), var("t"), var("a")
     lhs = fe(0)
     for nu in subpartitions(mu):
         if not lam.contains(nu):
@@ -227,13 +225,20 @@ def _kernel_series(alpha, beta, U: LetterSeries, q) -> LetterSeries:
         raise ValueError("a kernel in a monomial of weighted degree 0 "
                          "never ends")
     mmax = bound // wdeg
-    hs = h_series_of_alphabet(Ratio(beta, alpha, q), mmax)
+    hs = _kernel_h_series(Ratio(beta, alpha, q), mmax)
     out = LetterSeries(U.letters, wcap=U.wcap)
     upow = LetterSeries.const(U.letters, Fraction(1), U.wcap)
     for m in range(mmax + 1):
         out = out + upow * hs[m]
         upow = upow * U
     return out
+
+
+@lru_cache(maxsize=None)
+def _kernel_h_series(A: Ratio, mmax: int) -> tuple:
+    """[h_0[A], ..., h_mmax[A]], computed once per kernel alphabet and
+    length: the factors of one identity share a few of them."""
+    return tuple(h_series_of_alphabet(A, mmax))
 
 
 def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,

@@ -9,7 +9,7 @@ cells give P_lambda(q,t), the gamma cells the Jack P^(1/gamma) over
 Q(gamma), built independently and not as a limit.  The tests compare both
 with the Gram-Schmidt solve of the orthogonality system.  `plethysm_eval`
 is the one numeric plethysm: every Jack or Macdonald evaluation at numbers
-or at arrays of points goes through it.
+or at arrays of points goes through it, the Jack ones through `jack_eval`.
 
 Values that depend only on partitions and an exact alphabet are cached on
 those keys: the skew tables, the plethysms P_{lam/mu}[A] (a Q-type one is
@@ -312,14 +312,19 @@ def jack_binomial_spec(lam: Partition, z, g=None, k: int | None = None):
 
 
 def jack_eval(lam: Partition, xs, g, shift=None):
-    """P^(1/gamma)_lam at points xs (plus optional binomial shift), numeric g."""
-    def pk(k: int) -> complex:
-        v = sum(complex(x) ** k for x in xs)
-        if shift is not None:
-            v += complex(shift)
-        return v
+    """P^(1/gamma)_lam of the letters xs plus an optional binomial shift,
+    at numeric gamma g.
 
-    return plethysm_eval(jack_P(Partition(lam)), pk, {"gamma": g})
+    xs is a list of numbers or of open-grid arrays, one per letter, that
+    broadcast against each other (None: no letters); the value broadcasts
+    like them, or is a scalar when lam is empty.  Every numeric Jack
+    evaluation at points goes through here.
+    """
+    def pk(k):
+        val = sum(a ** k for a in xs) if xs is not None else 0.0
+        return val + shift if shift is not None else val
+
+    return plethysm_eval(jack_P(Partition(lam)), pk, {"gamma": complex(g)})
 
 
 def plethysm_eval(f: SymFunc, pk_fn, env: dict):

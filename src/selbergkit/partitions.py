@@ -179,28 +179,21 @@ def subpartitions(lam: Partition) -> Iterator[Partition]:
     yield from rec(1, lam.part(1), ())
 
 
-def spectral_vector(lam: Partition, n: int, q=None, t=None) -> list:
-    """The point (q^{lambda_i} t^{n-i})_{i=1..n}; symbolic if q, t omitted."""
+def spectral_vector(lam: Partition, n: int) -> list:
+    """The point (q^{lambda_i} t^{n-i})_{i=1..n} at the indeterminates."""
     lam = Partition(lam)
     if len(lam) > n:
         raise ValueError(f"l({lam}) > {n}")
-    if q is None:
-        q = fe("q")
-    if t is None:
-        t = fe("t")
+    q, t = fe("q"), fe("t")
     return [q ** lam.part(i) * t ** (n - i) for i in range(1, n + 1)]
 
 
-def bipartite_spectral_vector(blam: Bipartition, n: int, q=None, p=None, t=None) -> list:
-    """Entries q^{lam1_i} p^{lam2_i} t^{n-i} for the bipartition (lam1, lam2)."""
+def bipartite_spectral_vector(blam: Bipartition, n: int) -> list:
+    """Entries q^{lam1_i} p^{lam2_i} t^{n-i} for the bipartition (lam1, lam2),
+    at the indeterminates q, p and t."""
     lam1, lam2 = Partition(blam.first), Partition(blam.second)
     if len(lam1) > n or len(lam2) > n:
         raise ValueError("component length exceeds n")
-    if q is None:
-        q = fe("q")
-    if p is None:
-        p = fe("p")
-    if t is None:
-        t = fe("t")
+    q, p, t = fe("q"), fe("p"), fe("t")
     return [q ** lam1.part(i) * p ** lam2.part(i) * t ** (n - i)
             for i in range(1, n + 1)]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .macdonald import b_lambda, jack_P, macdonald_P, plethysm_eval
+from .macdonald import b_lambda, jack_eval, macdonald_P, plethysm_eval
 from .partitions import Partition
 
 __all__ = [
@@ -420,25 +420,10 @@ def jack_pair_callback(n, lam: Partition, mu: Partition, beta, gamma_):
     shift = beta / gamma_ - 1
 
     def callback(levels):
-        return _jack_on_grid(lam, levels[0], gamma_, None) \
-            * _jack_on_grid(mu, levels[n - 1], gamma_, shift)
+        return jack_eval(lam, levels[0], gamma_, None) \
+            * jack_eval(mu, levels[n - 1], gamma_, shift)
 
     return callback
-
-
-def _jack_on_grid(lam: Partition, arrs, gamma_, shift):
-    """P^(1/gamma)_lam of the letters arrs, plus an optional binomial shift.
-
-    arrs is a list of open-grid arrays, one per letter, that broadcast
-    against each other (None: no letters); the value broadcasts like them,
-    or is a scalar when lam is empty.
-    """
-    def pk(k):
-        val = sum(a ** k for a in arrs) if arrs is not None else 0.0
-        return val + shift if shift is not None else val
-
-    return plethysm_eval(jack_P(Partition(lam)), pk,
-                         {"gamma": complex(gamma_)})
 
 
 def aflt_lhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
@@ -448,8 +433,8 @@ def aflt_lhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
     shift = beta / gamma_ - 1
     if k == 1:
         t, w = gauss_jacobi_01(npts, alpha - 1, beta - 1)
-        vals = _jack_on_grid(lam, [t], gamma_, None) \
-            * _jack_on_grid(mu, [t], gamma_, shift)
+        vals = jack_eval(lam, [t], gamma_, None) \
+            * jack_eval(mu, [t], gamma_, shift)
         return float(w @ np.broadcast_to(vals, t.shape))
     if k == 2:
         # ordered simplex t1 = s v < t2 = v, doubled by symmetry, on the
@@ -458,8 +443,8 @@ def aflt_lhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
         v, wv = gauss_jacobi_01(npts, 2 * alpha + 2 * gamma_ - 1, beta - 1)
         t2 = v[None, :]
         t1 = s[:, None] * t2
-        vals = _jack_on_grid(lam, [t1, t2], gamma_, None) \
-            * _jack_on_grid(mu, [t1, t2], gamma_, shift)
+        vals = jack_eval(lam, [t1, t2], gamma_, None) \
+            * jack_eval(mu, [t1, t2], gamma_, shift)
         rest = (1 - t1) ** (beta - 1)
         return 2.0 * float(ws @ np.broadcast_to(rest * vals, t1.shape) @ wv)
     raise NotImplementedError("direct simplex rule implemented for k <= 2")
@@ -476,20 +461,13 @@ def torus_integral(n: int, f, rho=1.0, npts: int = 256) -> complex:
     array of z_i has the npts nodes of circle i along axis i and length 1
     on the other axes.  It returns values broadcastable to the npts^n
     grid; every node counts, so a factor that leaves out a variable is
-    summed over that variable's nodes too.  rho is one radius or n of
-    them.  Nodes are offset by half a step so integrands with removable
-    0*inf points at z^4 = 1 stay finite.
+    summed over that variable's nodes too.  rho is the one radius of all
+    n circles.  Nodes are offset by half a step so integrands with
+    removable 0*inf points at z^4 = 1 stay finite.
     """
     angles = 2 * np.pi * (np.arange(npts) + 0.5) / npts
-    if np.ndim(rho) == 0:
-        radii = [float(rho)] * n
-    else:
-        radii = [float(r) for r in rho]
-        if len(radii) != n:
-            raise ValueError(f"torus_integral: {len(radii)} radii for "
-                             f"n = {n} variables")
-    circles = [r * np.exp(1j * angles) for r in radii]
-    vals = f(*np.meshgrid(*circles, indexing="ij", sparse=True))
+    circle = float(rho) * np.exp(1j * angles)
+    vals = f(*np.meshgrid(*[circle] * n, indexing="ij", sparse=True))
     return complex(np.sum(np.broadcast_to(vals, (npts,) * n))) / npts ** n
 
 

@@ -325,15 +325,15 @@ def cases_an_alt(cfg):
 
 def run_an_alt(params, cfg):
     from .closedform import an_alt_avg_rhs
-    from .quadrature import _jack_on_grid
+    from .macdonald import jack_eval
     ks, g = params["ks"], params["gamma"]
     b1, b2 = params["beta1"], params["beta2"]
     lam, mu = _pt(params["lam"]), _pt(params["mu"])
     alphas = [1.2, 1.4]
 
     def cb(levels):
-        return (_jack_on_grid(lam, levels[0], g, None)
-                * _jack_on_grid(mu, levels[1], g, None))
+        return (jack_eval(lam, levels[0], g, None)
+                * jack_eval(mu, levels[1], g, None))
 
     lhs = _chain_ratio(ks, alphas, None, g, cb, cfg.get("quad_points", 32),
                        companion=(b1, b2))

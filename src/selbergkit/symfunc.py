@@ -1,18 +1,21 @@
-"""The ring of symmetric functions: classical bases, plethysm, alphabets.
+"""The ring of symmetric functions in the two bases the engine runs,
+plethysm, alphabets and letter series.
 
 Symmetric functions are stored as coefficient maps over partitions with a
-basis tag ('m', 'p', 'e', 'h', 's').  Basis conversions go through exact
-per-degree transition matrices built by expanding in d variables; matrices
-are cached.  Plethysm is the p-basis homomorphism over alphabet expression
+basis tag, 'm' (monomial) or 'p' (power sum): the Macdonald and Jack
+polynomials are built in the m-basis, and every plethysm reads the
+p-basis.  The change of basis goes through exact per-degree transition
+matrices, p_lambda expanded in d variables and its inverse; both are
+cached.  Plethysm is the p-basis homomorphism over alphabet expression
 trees; an alphabet of exact scalars is hashable by value, so it can key a
 cache.  LetterSeries provides truncated polynomial arithmetic in named
 letters with exact scalar coefficients, used by the series-identity suites.
+Schur functions are evaluated numerically only, as an alternant ratio.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,16 +26,15 @@ from .field import FieldElement, fe
 from .partitions import Partition, partitions_of
 
 __all__ = [
-    "SymFunc", "sym", "s_sf",
-    "Alphabet", "Letters", "Binomial", "Ratio", "Sum", "Difference",
-    "Scale", "Product",
+    "SymFunc",
+    "Alphabet", "Letters", "Ratio", "Sum", "Difference", "Product",
     "pk_of_alphabet", "plethysm",
     "h_series_of_alphabet", "e_series_of_alphabet",
     "LetterSeries", "expand_in_letters",
     "schur_eval", "alternant_ratio",
 ]
 
-BASES = ("m", "p", "e", "h", "s")
+BASES = ("m", "p")
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +97,6 @@ def _power_sum_poly(k: int, nvars: int) -> dict:
     return out
 
 
-def _elem_poly(k: int, nvars: int) -> dict:
-    out = {}
-    for combo in itertools.combinations(range(nvars), k):
-        e = [0] * nvars
-        for i in combo:
-            e[i] = 1
-        out[tuple(e)] = Fraction(1)
-    return out
-
-
-def _complete_poly(k: int, nvars: int) -> dict:
-    out = {}
-    for combo in itertools.combinations_with_replacement(range(nvars), k):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out[tuple(e)] = Fraction(1)
-    return out
-
-
 def _collect_m(poly: dict, degree: int) -> dict[Partition, Fraction]:
     """Read m-coefficients off a symmetric polynomial in >= degree variables."""
     out = {}
@@ -126,70 +108,25 @@ def _collect_m(poly: dict, degree: int) -> dict[Partition, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _basis_in_m(basis: str, d: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """Expansion of each degree-d basis element in the m-basis."""
-    nvars = max(d, 1)
+def _p_in_m(d: int) -> dict[Partition, dict[Partition, Fraction]]:
+    """Each p_lambda of degree d in the m-basis, read off the product of
+    its power sums in d variables."""
+    if d == 0:
+        return {Partition(): {Partition(): Fraction(1)}}
     table: dict[Partition, dict[Partition, Fraction]] = {}
     for lam in partitions_of(d):
-        if basis == "m":
-            table[lam] = {lam: Fraction(1)}
-            continue
-        if basis == "s":
-            poly = _schur_poly(lam, nvars)
-        else:
-            maker = {"p": _power_sum_poly, "e": _elem_poly, "h": _complete_poly}[basis]
-            poly = {(0,) * nvars: Fraction(1)}
-            for part in lam:
-                poly = _poly_mul(poly, maker(part, nvars))
+        poly = {(0,) * d: Fraction(1)}
+        for part in lam:
+            poly = _poly_mul(poly, _power_sum_poly(part, d))
         table[lam] = _collect_m(poly, d)
-    if d == 0:
-        table[Partition()] = {Partition(): Fraction(1)}
     return table
 
 
-def _schur_poly(lam: Partition, nvars: int) -> dict:
-    """Schur polynomial via the Jacobi-Trudi determinant in the h's."""
-    k = len(lam)
-    if k == 0:
-        return {(0,) * nvars: Fraction(1)}
-    poly: dict[tuple[int, ...], Fraction] = {}
-    for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
-        degs = [lam.part(i + 1) - (i + 1) + (perm[i] + 1) for i in range(k)]
-        if any(dd < 0 for dd in degs):
-            continue
-        term = {(0,) * nvars: Fraction(sign)}
-        for dd in degs:
-            if dd:
-                term = _poly_mul(term, _complete_poly(dd, nvars))
-        for e, c in term.items():
-            v = poly.get(e)
-            poly[e] = c if v is None else v + c
-    return {e: c for e, c in poly.items() if c}
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        clen = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
-def _m_to_basis(basis: str, d: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """Inverse transition: each m_lambda of degree d in the given basis."""
+def _m_in_p(d: int) -> dict[Partition, dict[Partition, Fraction]]:
+    """Each m_lambda of degree d in the p-basis: the inverse transition."""
     lams = list(partitions_of(d)) if d else [Partition()]
-    fwd = _basis_in_m(basis, d)
+    fwd = _p_in_m(d)
     n = len(lams)
     idx = {lam: i for i, lam in enumerate(lams)}
     mat = [[Fraction(0)] * n for _ in range(n)]
@@ -241,76 +178,18 @@ class SymFunc:
     def scale(self, c) -> "SymFunc":
         return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, SymFunc):
-            return self.scale(other)
-        a = self.to_basis("p")
-        b = other.to_basis("p")
-        out: dict[Partition, object] = {}
-        for lam, ca in a.coeffs.items():
-            for mu, cb in b.coeffs.items():
-                nu = Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
-                c = ca * cb
-                out[nu] = out[nu] + c if nu in out else c
-        return SymFunc("p", out)
-
-    __rmul__ = scale
-
     def to_basis(self, target: str) -> "SymFunc":
         if target == self.basis:
             return self
+        if target not in BASES:
+            raise ValueError(f"unknown basis {target!r}")
+        table = _p_in_m if target == "m" else _m_in_p
         out: dict[Partition, object] = {}
-        for d in sorted({lam.size for lam in self.coeffs}):
-            piece = {lam: c for lam, c in self.coeffs.items() if lam.size == d}
-            if self.basis != "m":
-                fwd = _basis_in_m(self.basis, d)
-                mpiece: dict[Partition, object] = {}
-                for lam, c in piece.items():
-                    for mu, f in fwd[lam].items():
-                        v = c * f
-                        mpiece[mu] = mpiece[mu] + v if mu in mpiece else v
-                piece = mpiece
-            if target != "m":
-                back = _m_to_basis(target, d)
-                tpiece: dict[Partition, object] = {}
-                for lam, c in piece.items():
-                    for mu, f in back[lam].items():
-                        v = c * f
-                        tpiece[mu] = tpiece[mu] + v if mu in tpiece else v
-                piece = tpiece
-            for lam, c in piece.items():
-                if not _scalar_is_zero(c):
-                    out[lam] = out[lam] + c if lam in out else c
+        for lam, c in self.coeffs.items():
+            for mu, f in table(lam.size)[lam].items():
+                v = c * f
+                out[mu] = out[mu] + v if mu in out else v
         return SymFunc(target, out)
-
-    def coeff(self, lam: Partition):
-        return self.coeffs.get(Partition(lam), Fraction(0))
-
-    def eval_points(self, xs: Sequence) -> object:
-        """Evaluate at a finite list of point values (any scalar ring)."""
-        f = self.to_basis("m")
-        n = len(xs)
-        total = Fraction(0)
-        for lam, c in f.coeffs.items():
-            if len(lam) > n:
-                continue
-            s = Fraction(0)
-            for exps, _ in monomial_expansion(lam, n):
-                term = 1
-                for x, e in zip(xs, exps):
-                    if e:
-                        term = term * x ** e
-                s = s + term
-            total = total + c * s
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        a = self.to_basis("m")
-        b = other.to_basis("m")
-        keys = set(a.coeffs) | set(b.coeffs)
-        return all(_scalar_eq(a.coeff(k), b.coeff(k)) for k in keys)
 
 
 def _scalar_is_zero(c) -> bool:
@@ -329,14 +208,6 @@ def _scalar_eq(a, b) -> bool:
     if isinstance(a, FieldElement) or isinstance(b, FieldElement):
         return fe(a) == fe(b)
     return a == b
-
-
-def sym(basis: str, lam, c=1) -> SymFunc:
-    return SymFunc(basis, {Partition(lam): Fraction(c) if isinstance(c, int) else c})
-
-
-def s_sf(lam):
-    return sym("s", lam)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +234,6 @@ class Letters(Alphabet):
 
 
 @dataclass(frozen=True)
-class Binomial(Alphabet):
-    """Binomial element z: p_k[z] = z for all k."""
-    z: object
-
-
-@dataclass(frozen=True)
 class Ratio(Alphabet):
     """(a - b)/(1 - t): p_k = (a^k - b^k)/(1 - t^k)."""
     a: object
@@ -389,13 +254,6 @@ class Difference(Alphabet):
 
 
 @dataclass(frozen=True)
-class Scale(Alphabet):
-    """F-linear scaling: p_k[z X] = z p_k[X] (z a binomial-type scalar)."""
-    z: object
-    inner: Alphabet
-
-
-@dataclass(frozen=True)
 class Product(Alphabet):
     left: Alphabet
     right: Alphabet
@@ -410,8 +268,6 @@ def pk_of_alphabet(k: int, A: Alphabet):
         for v in A.values:
             total = total + v ** k
         return total
-    if isinstance(A, Binomial):
-        return A.z
     if isinstance(A, Ratio):
         den = 1 - A.t ** k
         if _scalar_is_zero(den):
@@ -424,8 +280,6 @@ def pk_of_alphabet(k: int, A: Alphabet):
         return pk_of_alphabet(k, A.left) + pk_of_alphabet(k, A.right)
     if isinstance(A, Difference):
         return pk_of_alphabet(k, A.left) - pk_of_alphabet(k, A.right)
-    if isinstance(A, Scale):
-        return A.z * pk_of_alphabet(k, A.inner)
     if isinstance(A, Product):
         return pk_of_alphabet(k, A.left) * pk_of_alphabet(k, A.right)
     raise TypeError(f"not an alphabet: {A!r}")
@@ -727,14 +581,29 @@ def _complex_det(mat) -> complex:
     return det
 
 
-def schur_eval(lam: Partition, xs: Sequence) -> object:
-    """s_lambda(x_1..x_n); exact for exact inputs, alternant for floats."""
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        clen = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def schur_eval(lam: Partition, xs: Sequence) -> complex:
+    """s_lambda(x_1..x_n) at numeric points, as the alternant ratio
+    det(x_i^{lambda_j + n - j}) / Delta(x) with the confluent fallback."""
     lam = Partition(lam)
     n = len(xs)
     if len(lam) > n:
         return 0
-    exact = all(isinstance(x, (int, Fraction, FieldElement)) for x in xs)
-    if exact:
-        return s_sf(lam).eval_points(list(xs))
     ws = [lam.part(j + 1) + n - (j + 1) for j in range(n)]
     return alternant_ratio([complex(x) for x in xs], ws)

@@ -2,8 +2,9 @@
 
 The Gram-Schmidt construction of Macdonald and Jack polynomials (the
 monic, dominance-unitriangular family orthogonal for a p-basis scalar
-product), and second forms of (b;q,t)_lambda, the hook polynomials and
-s_lambda(1^n).  None of them is reached by ``selbergkit verify`` or
+product), the Schur functions in the m-basis from Kostka numbers counted
+over semistandard tableaux, and second forms of (b;q,t)_lambda, the hook
+polynomials and s_lambda(1^n).  None of them is reached by ``selbergkit verify`` or
 ``eval``; each is the definition or a textbook form the package's own
 construction is checked against.
 """
@@ -17,7 +18,7 @@ from functools import lru_cache
 from selbergkit.coeffs import hooks, inv_qpoch, poch, qpoch, qt_poch
 from selbergkit.field import FieldElement, fe, var
 from selbergkit.partitions import Partition, partitions_of
-from selbergkit.symfunc import SymFunc, _m_to_basis
+from selbergkit.symfunc import SymFunc, _m_in_p, _scalar_eq
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +47,6 @@ def hall_norm_qt(rho: Partition) -> FieldElement:
 def hall_norm_gamma(rho: Partition) -> FieldElement:
     g = var("gamma")
     return fe(z_lambda(rho)) * g ** (-len(rho))
-
-
-@lru_cache(maxsize=None)
-def _m_in_p(d: int) -> dict[Partition, dict[Partition, Fraction]]:
-    return _m_to_basis("p", d)
 
 
 def _gram_matrix(d: int, norm) -> dict[tuple[Partition, Partition], FieldElement]:
@@ -109,6 +105,49 @@ def _solve_field(mat, rhs):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Schur functions from semistandard tableaux
+# ---------------------------------------------------------------------------
+
+def _horizontal_strips(lam: tuple, size: int):
+    """nu with lam/nu a horizontal strip of `size` cells, that is
+    lam_{i+1} <= nu_i <= lam_i, as a tuple without trailing zeros."""
+    if not lam:
+        if size == 0:
+            yield ()
+        return
+    first, rest = lam[0], lam[1:]
+    lower = max(rest[0] if rest else 0, first - size)
+    for nu1 in range(first, lower - 1, -1):
+        for tail in _horizontal_strips(rest, size - (first - nu1)):
+            yield (nu1,) + tail if nu1 else ()
+
+
+@lru_cache(maxsize=None)
+def kostka(lam: tuple, content: tuple) -> int:
+    """Semistandard tableaux of shape lam and the given content: the cells
+    holding the largest letter form a horizontal strip."""
+    if not content:
+        return int(not lam)
+    return sum(kostka(nu, content[:-1])
+               for nu in _horizontal_strips(lam, content[-1]))
+
+
+def schur_m(lam: Partition) -> SymFunc:
+    """s_lambda = sum_mu K(lambda, mu) m_mu."""
+    lam = Partition(lam)
+    mus = partitions_of(lam.size) if lam else [Partition()]
+    return SymFunc("m", {mu: Fraction(kostka(lam.parts, mu.parts))
+                         for mu in mus})
+
+
+def same_sf(f: SymFunc, g: SymFunc) -> bool:
+    """f = g, compared coefficient by coefficient in the m-basis."""
+    a, b = f.to_basis("m").coeffs, g.to_basis("m").coeffs
+    return all(_scalar_eq(a.get(lam, 0), b.get(lam, 0))
+               for lam in set(a) | set(b))
 
 
 # ---------------------------------------------------------------------------

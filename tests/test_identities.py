@@ -321,6 +321,23 @@ class TestAnCauchy:
         with pytest.raises(ValueError, match="weighted degree 0"):
             identities._kernel_series(t, fe(1), U, q)
 
+    def test_kernel_h_series_once_per_key(self, monkeypatch):
+        # the kernel factors of one identity share a few (alphabet, length)
+        # pairs; each h-series is computed once
+        calls = []
+        series = identities.h_series_of_alphabet
+
+        def counted(A, cap):
+            calls.append((A, cap))
+            return series(A, cap)
+
+        monkeypatch.setattr(identities, "h_series_of_alphabet", counted)
+        identities._kernel_h_series.cache_clear()
+        gen, _ = suites.SUITES["an-cauchy"]
+        for case in gen({}):
+            assert suites.run_case("an-cauchy", case, {}).passed
+        assert len(calls) == len(set(calls)) == 14
+
     def test_no_total_degree_cap_is_needed(self, monkeypatch):
         # the x letters carry weight 0, yet no monomial of either side has
         # total degree above 2 cap + |mu|: every kernel factor that holds an

@@ -438,11 +438,6 @@ class TestTorus:
         off = ortho_norm_lhs(2, P(2), P(1, 1), q, t, npts=96)
         assert abs(off) < 1e-10
 
-    @pytest.mark.parametrize("n, rho", [(1, [1.0, 1.0]), (2, [1.0])])
-    def test_radii_must_match_variables(self, n, rho):
-        with pytest.raises(ValueError, match="radii"):
-            torus_integral(n, lambda *zs: np.ones_like(zs[0]), rho, 8)
-
     def test_gathered_pair_factors_at_n3(self):
         # no suite runs n = 3: the pair factors gathered by node offset
         # against a direct evaluation at every node of a 16-point torus

@@ -154,6 +154,43 @@ def test_an_cauchy_sees_a_corrupted_kernel_factor(monkeypatch, cap):
         assert not rep.passed and rep.lhs == "unequal", suite
 
 
+@pytest.mark.parametrize("n, ks, mu, variant, reaches", [
+    (3, [1, 2, 2], (), "II", "z-kernel"),
+    (2, [1, 2], (1,), "II", "P_mu[W]"),
+    (2, [1, 1], (1,), "I", "P_mu[W]"),
+])
+def test_an_cauchy_right_side_factors_no_default_case_runs(
+        monkeypatch, n, ks, mu, variant, reaches):
+    # no default an-cauchy case runs P_mu[W] at n >= 2, the only plethysm
+    # at a Sum or Product of alphabets, or a z-kernel
+    # (a_s q t^{i-1} z_{r+1}..z_s; q)_inf / (t^i z_{r+1}..z_s; q)_inf of
+    # r < s < n with k_{r+1} > k_r; each case here reaches one of them and
+    # holds exactly
+    from selbergkit import identities
+    from selbergkit.partitions import Partition
+    from selbergkit.symfunc import Sum
+    reached = set()
+    kernel, pleth = identities._kernel_series, identities._pleth_letterseries
+
+    def kernel_seen(alpha, beta, U, q):
+        (e, _), = U.terms.items()
+        if all(name[0] == "z" for name, p in zip(U.letters, e) if p):
+            reached.add("z-kernel")
+        return kernel(alpha, beta, U, q)
+
+    def pleth_seen(f, A, letters, wcap):
+        if isinstance(A, Sum):
+            reached.add("P_mu[W]")
+        return pleth(f, A, letters, wcap)
+
+    monkeypatch.setattr(identities, "_kernel_series", kernel_seen)
+    monkeypatch.setattr(identities, "_pleth_letterseries", pleth_seen)
+    chk = identities.an_cauchy_check(n, ks, Partition(mu), cap=3,
+                                     variant=variant)
+    assert chk.equal
+    assert reached == {reaches}, reached
+
+
 def test_an_cauchy_degree_five_is_small():
     # truncating on the compared grading keeps the plethystic case at
     # degree 5 to a few MB; truncating on total degree alone took 99 MB

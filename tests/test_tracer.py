@@ -20,6 +20,14 @@ from selbergkit import P, quadrature
 t = tracer.Tracer()
 tracer.install(t)
 quadrature.aflt_lhs(1, P(1), P(1), 1.2, 1.3, 0.5, npts=8)
+# aflt_lhs evaluates its Jack pair through macdonald.jack_eval: two spans
+# of the macdonald.jack layer open directly inside its quadrature.chain
+# span, and each holds one more, its jack_P; a route around jack_eval that
+# reads jack_P itself leaves the inner two out
+jack, chain = t.layer_id("macdonald.jack"), t.layer_id("quadrature.chain")
+under = [t.span_layer[p] for layer, p in zip(t.span_layer, t.span_parent)
+         if layer == jack]
+assert under.count(chain) == under.count(jack) == 2, under
 quadrature.an_selberg_lhs(1, [1], [1.2], 1.3, 0.5,
                           spec=quadrature.QuadratureSpec(points=8))
 quadrature.torus_integral(1, lambda z: z * 0 + 1, npts=8)
