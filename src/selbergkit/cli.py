@@ -252,9 +252,9 @@ def _closed_form(f, args, lam, mu, ks, alphas, ts):
         if len(ts) != 6:
             raise ValueError("needs --ts with six comma-separated values; "
                              f"got {len(ts)}")
+        from .elliptic import elliptic_selberg_rhs
         try:
-            return cf.elliptic_selberg_rhs(args.n, ts, args.t, args.p,
-                                           args.q)
+            return elliptic_selberg_rhs(args.n, ts, args.t, args.p, args.q)
         except ValueError as exc:
             raise ValueError(
                 f"--ts {args.ts!r} with --n {args.n} --t {args.t} "
@@ -302,10 +302,12 @@ def cmd_eval(args) -> int:
     if not (math.isfinite(vc.real) and math.isfinite(vc.imag)):
         print(f"eval {f}: the value {vc} is not finite", file=sys.stderr)
         return 2
-    if abs(vc.imag) < 1e-14 * max(1.0, abs(vc.real)):
-        print(f"{vc.real:.12g}")
+    # adding 0.0 turns a -0.0 into 0.0, so no zero is printed with a sign
+    real, imag = vc.real + 0.0, vc.imag + 0.0
+    if abs(imag) < 1e-14 * max(1.0, abs(real)):
+        print(f"{real:.12g}")
     else:
-        print(f"{vc.real:.12g}{vc.imag:+.12g}j")
+        print(f"{real:.12g}{imag:+.12g}j")
     return 0
 
 

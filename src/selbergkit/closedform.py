@@ -1,6 +1,8 @@
 """Closed-form right-hand sides: Selberg/AFLT products at every rank, the
-Macdonald and elliptic variants, terminating hypergeometric series, and the
-gamma-deformed product family with its contiguous recursion.
+Macdonald variants, terminating hypergeometric series, and the
+gamma-deformed product family with its contiguous recursion.  The elliptic
+closed forms live in `elliptic`, beside the torus integrals they are
+checked against.
 
 All gamma products are evaluated in log space with numerator/denominator
 pairing; Pochhammers with integer index are finite products, which keeps
@@ -14,14 +16,13 @@ import math
 from .coeffs import gamma_poch, gamma_ratio, poch, qpoch, qpoch_inf, qt_poch
 from .field import PoleError
 from .macdonald import jack_binomial_spec, principal_spec_a
-from .partitions import Bipartition, Partition, bipartite_spectral_vector
+from .partitions import Partition
 
 __all__ = [
     "selberg_rhs", "aflt_rhs", "an_selberg_rhs", "an_one_rhs", "an_one_alt",
     "an_aflt_rhs", "an_alt_avg_rhs", "an_alt_norm_rhs", "nplusone_rhs",
     "gamma_one_rhs", "r_function", "r_function_params_ok",
-    "mac_aflt_rhs", "ortho_norm_rhs", "eaflt_rhs",
-    "elliptic_selberg_rhs", "hyper_pfq", "hyper_qphi", "schur_binomial",
+    "mac_aflt_rhs", "ortho_norm_rhs", "hyper_pfq", "hyper_qphi", "schur_binomial",
     "jack_spec", "seven_one_rhs", "seven_two_rhs", "seven_two_gamma_one",
 ]
 
@@ -453,66 +454,6 @@ def ortho_norm_rhs(n: int, lam: Partition, q, t) -> complex:
     for i in range(1, n + 1):
         out *= qpoch_inf(t, q) * qpoch_inf(q * t ** (i - 1), q)
         out /= qpoch_inf(q, q) * qpoch_inf(t ** i, q)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# elliptic closed forms
-# ---------------------------------------------------------------------------
-
-def elliptic_selberg_rhs(n: int, ts, t, p, q) -> complex:
-    """Elliptic Selberg product (six parameters, balanced)."""
-    from .coeffs import ell_gamma
-    _check_balancing(n, ts, t, p, q)
-    out = 1.0 + 0.0j
-    for i in range(1, n + 1):
-        out *= ell_gamma(complex(t) ** i, p, q)
-        for r in range(6):
-            for s in range(r + 1, 6):
-                out *= ell_gamma(complex(t) ** (i - 1) * ts[r] * ts[s], p, q)
-    return out
-
-
-def _check_balancing(n, ts, t, p, q):
-    prod = complex(t) ** (2 * n - 2)
-    for x in ts:
-        prod *= complex(x)
-    if abs(prod - complex(p) * complex(q)) > 1e-10 * max(1.0, abs(p * q)):
-        raise ValueError("elliptic balancing condition violated "
-                         "(t^(2n-2) t1...t6 must equal p q)")
-
-
-def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p,
-              q) -> complex:
-    """Elliptic interpolation-pair integral, closed form.
-
-    The last factor is the ratio of two Delta0's with spectral-vector
-    arguments sharing the same well-poising parameter, as produced by the
-    derivation.  The printed variant, whose denominator Delta0 is
-    well-poised at t^(n-2) t2 t3 t4 / t5, fails against quadrature for a
-    nonempty mu.
-    """
-    from .coeffs import delta0_bipartite
-    _check_balancing(n, ts, t, p, q)
-    t = complex(t)
-    t1, t2, t3, t4, t5, t6 = [complex(x) for x in ts]
-    out = elliptic_selberg_rhs(n, ts, t, p, q)
-    out *= delta0_bipartite(
-        t ** (n - 1) * t1 / t2,
-        [t ** n, t ** (n - 1) * t1 * t3, t ** (n - 1) * t1 * t4,
-         t ** (n - 1) * t1 * t5, t ** (n - 1) * t1 * t6], t, p, q, blam)
-    out *= delta0_bipartite(
-        t ** (n - 2) * t3 * t4 * t5 / t6,
-        [t ** (n - 1) * t3 * t4, t ** (n - 1) * t3 * t5, t ** (n - 1) * t4 * t5],
-        t, p, q, bmu)
-    sv = [complex(x.eval({"q": complex(q), "p": complex(p), "t": t}))
-          for x in bipartite_spectral_vector(blam, n)]
-    num_args = [t ** (n - 2) * t1 * t3 * t4 * t5 * v for v in sv]
-    den_args = [t ** (n - 1) * t1 * t3 * t4 * t5 * v for v in sv]
-    out *= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, num_args,
-                            t, p, q, bmu)
-    out /= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, den_args,
-                            t, p, q, bmu)
     return out
 
 

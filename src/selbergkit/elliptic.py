@@ -1,6 +1,8 @@
 """Rank-one elliptic interpolation functions, elliptic binomial
-coefficients, Jackson summation, skew interpolation functions, and torus
-verification of the elliptic beta/interpolation-pair integrals.
+coefficients, Jackson summation, skew interpolation functions, the elliptic
+closed forms (the elliptic Selberg product and the interpolation-pair
+integral), and torus verification of the elliptic beta/interpolation-pair
+integrals.
 
 The one-variable interpolation function is defined by its principal
 specialisation product read at a general argument (at rank one the function
@@ -12,7 +14,9 @@ and are rejected with a scope error.
 The three torus integrals (elliptic beta, interpolation pair, skew pair)
 share one side, _torus_lhs: the elliptic-gamma weight times the
 integrand's own factor, the pole scan, the normalisation kappa_1 and the
-torus rule.  The rank-n integrals will replace that one function.
+torus rule.  The rank-n integrals will replace that one function.  The
+torus rule is `kernels.torus_integral`, so the elliptic suites load
+neither `quadrature` nor `closedform`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 
 from . import kernels
 from .coeffs import (
-    c_minus, c_plus, delta0, ell_gamma, ell_qt_poch, theta_poch,
+    c_minus, c_plus, delta0, delta0_bipartite, ell_gamma, ell_qt_poch,
+    qpoch_inf, theta_poch,
 )
 from .field import PoleError
 from .partitions import Bipartition, P, Partition, bipartite_spectral_vector
@@ -33,7 +38,8 @@ __all__ = [
     "jackson_sum_check", "skew_interp", "skew_interp_pm",
     "bipartite_skew_interp_pm", "connection_check",
     "elliptic_beta_lhs", "thm92_lhs_n1", "thm92_rhs_n1", "eaflt_lhs_n1",
-    "contour_pole_scan", "skew_limit_value",
+    "elliptic_selberg_rhs", "eaflt_rhs", "contour_pole_scan",
+    "skew_limit_value",
 ]
 
 
@@ -243,6 +249,64 @@ def connection_check(blam: Bipartition, x, a, a2, b, t, p, q):
 
 
 # ---------------------------------------------------------------------------
+# elliptic closed forms
+# ---------------------------------------------------------------------------
+
+def elliptic_selberg_rhs(n: int, ts, t, p, q) -> complex:
+    """Elliptic Selberg product (six parameters, balanced)."""
+    _check_balancing(n, ts, t, p, q)
+    out = 1.0 + 0.0j
+    for i in range(1, n + 1):
+        out *= ell_gamma(complex(t) ** i, p, q)
+        for r in range(6):
+            for s in range(r + 1, 6):
+                out *= ell_gamma(complex(t) ** (i - 1) * ts[r] * ts[s], p, q)
+    return out
+
+
+def _check_balancing(n, ts, t, p, q):
+    prod = complex(t) ** (2 * n - 2)
+    for x in ts:
+        prod *= complex(x)
+    if abs(prod - complex(p) * complex(q)) > 1e-10 * max(1.0, abs(p * q)):
+        raise ValueError("elliptic balancing condition violated "
+                         "(t^(2n-2) t1...t6 must equal p q)")
+
+
+def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p,
+              q) -> complex:
+    """Elliptic interpolation-pair integral, closed form.
+
+    The last factor is the ratio of two Delta0's with spectral-vector
+    arguments sharing the same well-poising parameter, as produced by the
+    derivation.  The printed variant, whose denominator Delta0 is
+    well-poised at t^(n-2) t2 t3 t4 / t5, fails against quadrature for a
+    nonempty mu.
+    """
+    _check_balancing(n, ts, t, p, q)
+    t = complex(t)
+    t1, t2, t3, t4, t5, t6 = [complex(x) for x in ts]
+    out = elliptic_selberg_rhs(n, ts, t, p, q)
+    out *= delta0_bipartite(
+        t ** (n - 1) * t1 / t2,
+        [t ** n, t ** (n - 1) * t1 * t3, t ** (n - 1) * t1 * t4,
+         t ** (n - 1) * t1 * t5, t ** (n - 1) * t1 * t6], t, p, q, blam)
+    out *= delta0_bipartite(
+        t ** (n - 2) * t3 * t4 * t5 / t6,
+        [t ** (n - 1) * t3 * t4, t ** (n - 1) * t3 * t5, t ** (n - 1) * t4 * t5],
+        t, p, q, bmu)
+    sv = [complex(x.eval({"q": complex(q), "p": complex(p), "t": t}))
+          for x in bipartite_spectral_vector(blam, n)]
+    num_args = [t ** (n - 2) * t1 * t3 * t4 * t5 * v for v in sv]
+    den_args = [t ** (n - 1) * t1 * t3 * t4 * t5 * v for v in sv]
+    out *= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, num_args,
+                            t, p, q, bmu)
+    out /= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, den_args,
+                            t, p, q, bmu)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # torus integrals at one integration variable
 # ---------------------------------------------------------------------------
 
@@ -306,8 +370,6 @@ def _torus_lhs(ts, t, p, q, factor, npts: int) -> complex:
     The integrand must pass the pole scan first.  kappa_1 =
     (p;p)_inf (q;q)_inf Gamma(t; p, q) / 2 leaves out the 1/(2 pi i) that
     the torus rule absorbs."""
-    from .coeffs import qpoch_inf
-    from .quadrature import torus_integral
     weight = _gamma_weight_factory(ts, p, q)
 
     def f(z):
@@ -316,7 +378,7 @@ def _torus_lhs(ts, t, p, q, factor, npts: int) -> complex:
     if not contour_pole_scan(f):
         raise ValueError("pole scan failed near the unit torus")
     kappa = (qpoch_inf(p, p) * qpoch_inf(q, q) * ell_gamma(t, p, q)) / 2.0
-    return kappa * torus_integral(1, f, 1.0, npts)
+    return kappa * kernels.torus_integral(1, f, 1.0, npts)
 
 
 def elliptic_beta_lhs(ts, t, p, q, npts: int = 256) -> complex:
@@ -326,8 +388,6 @@ def elliptic_beta_lhs(ts, t, p, q, npts: int = 256) -> complex:
 
 def thm92_rhs_n1(blam: Bipartition, bmu: Bipartition, ts, t, p, q) -> complex:
     """Interpolation-pair integral at n = 1: the closed right-hand side."""
-    from .closedform import elliptic_selberg_rhs
-    from .coeffs import delta0_bipartite
     t = complex(t)
     t1, t2, t3, t4, t5, t6 = (complex(x) for x in ts)
     zeta = cmath.sqrt(t1 * t2)

@@ -4,7 +4,9 @@ Each kernel takes a whole array of points and runs in numpy: q-Pochhammer
 symbols at infinity, theta functions and the elliptic gamma function.
 ellgamma_arr is the package's only elliptic gamma: the torus weights call
 it on arrays, and coeffs.ell_gamma (the closed forms and the torus
-normalisation) at one point.
+normalisation) at one point.  torus_integral, the equal-radius torus
+rule, lives here too: `elliptic` and `quadrature` both integrate with it,
+and the elliptic suites load nothing of `quadrature`.
 
 The elliptic gamma function is a double product over p^j q^k, symmetric in
 p and q; the kernel takes |p| <= |q|.  A call works through its points in
@@ -35,7 +37,7 @@ import numpy as np
 HAS_NUMBA = False
 
 __all__ = ["HAS_NUMBA", "qpoch_inf_arr", "theta_arr", "ellgamma_arr",
-           "trunc_order"]
+           "trunc_order", "torus_integral"]
 
 
 def trunc_order(m: float) -> int:
@@ -197,3 +199,20 @@ def _log_series(u, v, p, q, r):
         acc += c
     acc *= w
     return acc[0] - acc[1]
+
+
+def torus_integral(n: int, f, rho=1.0, npts: int = 256) -> complex:
+    """(1/(2 pi i)^n) oint f(z) dz_1/z_1 ... dz_n/z_n on |z_i| = rho.
+
+    f receives the n variables as an open grid (a sparse meshgrid): the
+    array of z_i has the npts nodes of circle i along axis i and length 1
+    on the other axes.  It returns values broadcastable to the npts^n
+    grid; every node counts, so a factor that leaves out a variable is
+    summed over that variable's nodes too.  rho is the one radius of all
+    n circles.  Nodes are offset by half a step so integrands with
+    removable 0*inf points at z^4 = 1 stay finite.
+    """
+    angles = 2 * np.pi * (np.arange(npts) + 0.5) / npts
+    circle = float(rho) * np.exp(1j * angles)
+    vals = f(*np.meshgrid(*[circle] * n, indexing="ij", sparse=True))
+    return complex(np.sum(np.broadcast_to(vals, (npts,) * n))) / npts ** n

@@ -22,12 +22,15 @@ __all__ = [
 class Partition:
     """Weakly decreasing sequence of positive integers; trailing zeros dropped."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts", "_hash", "_conj")
 
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
-            parts = parts.parts
-        elif isinstance(parts, int):
+            # a copy: the parts are clean and checked already
+            self.parts, self._hash, self._conj = (parts.parts, parts._hash,
+                                                  parts._conj)
+            return
+        if isinstance(parts, int):
             parts = (parts,) if parts else ()
         cleaned = tuple(int(p) for p in parts if p)
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
@@ -36,6 +39,7 @@ class Partition:
             raise ValueError(f"negative part in {parts}")
         self.parts = cleaned
         self._hash = hash(cleaned)
+        self._conj = None
 
     # -- basic structure ---------------------------------------------------
     def __len__(self):
@@ -74,13 +78,16 @@ class Partition:
 
     # -- diagram statistics --------------------------------------------------
     def conjugate(self) -> "Partition":
+        """The transposed diagram, built once per partition."""
         if not self.parts:
             return self
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        if self._conj is None:
+            cols = [0] * self.parts[0]
+            for p in self.parts:
+                for j in range(p):
+                    cols[j] += 1
+            self._conj = Partition(cols)
+        return self._conj
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """Young-diagram cells (i, j), 1-based."""

@@ -1,6 +1,7 @@
 """Numerical left-hand sides: Gauss-Jacobi simplex quadrature, rank-n chain
 domains with sine-weight decomposition (plus the companion chain), torus
-quadrature for q-series integrands, and sector-contour quadrature.
+quadrature for q-series integrands on the rule `kernels.torus_integral`,
+and sector-contour quadrature.
 
 Chain regions are totally ordered at rank two; each region is mapped to the
 unit cube by the ordered-ratio substitution, and every monomial part of the
@@ -29,14 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .kernels import torus_integral
 from .macdonald import b_lambda, jack_eval, macdonald_P, plethysm_eval
 from .partitions import Partition
 
 __all__ = [
     "gauss_jacobi_01", "tanh_sinh_01", "QuadratureSpec", "ChainRegion",
     "enumerate_chain", "enumerate_companion_chain", "region_covering_check",
-    "an_selberg_lhs", "aflt_lhs", "jack_pair_callback", "torus_integral",
-    "sector_integral", "SectorSpec", "mac_aflt_lhs", "ortho_norm_lhs",
+    "an_selberg_lhs", "aflt_lhs", "jack_pair_callback", "sector_integral",
+    "SectorSpec", "mac_aflt_lhs", "ortho_norm_lhs",
 ]
 
 
@@ -453,23 +455,6 @@ def aflt_lhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
 # ---------------------------------------------------------------------------
 # torus and sector quadrature
 # ---------------------------------------------------------------------------
-
-def torus_integral(n: int, f, rho=1.0, npts: int = 256) -> complex:
-    """(1/(2 pi i)^n) oint f(z) dz_1/z_1 ... dz_n/z_n on |z_i| = rho.
-
-    f receives the n variables as an open grid (a sparse meshgrid): the
-    array of z_i has the npts nodes of circle i along axis i and length 1
-    on the other axes.  It returns values broadcastable to the npts^n
-    grid; every node counts, so a factor that leaves out a variable is
-    summed over that variable's nodes too.  rho is the one radius of all
-    n circles.  Nodes are offset by half a step so integrands with
-    removable 0*inf points at z^4 = 1 stay finite.
-    """
-    angles = 2 * np.pi * (np.arange(npts) + 0.5) / npts
-    circle = float(rho) * np.exp(1j * angles)
-    vals = f(*np.meshgrid(*[circle] * n, indexing="ij", sparse=True))
-    return complex(np.sum(np.broadcast_to(vals, (npts,) * n))) / npts ** n
-
 
 def _torus_pair_weight(n, q, t, npts):
     """prod_{i<j} (r;q)(1/r;q) / ((t r;q)(t/r;q)), r = z_i/z_j, as a

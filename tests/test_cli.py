@@ -119,8 +119,25 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert abs(float(out) - 1 / 6) < 1e-9
 
+    @pytest.mark.parametrize("real, imag, printed", [
+        (-0.0, 0.0, "0"), (0.0, -0.0, "0"), (-0.0, -0.0, "0"),
+        (-0.0, 2.5, "0+2.5j"), (-1.5, -0.0, "-1.5"),
+    ])
+    def test_eval_prints_no_negative_zero(self, capsys, monkeypatch, real,
+                                          imag, printed):
+        monkeypatch.setattr(cli, "_closed_form",
+                            lambda *args: complex(real, imag))
+        assert main(["eval", "selberg"]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+
+    def test_eval_an_one_zero_has_no_sign(self, capsys):
+        # the closed form's value is -0.0 + 0.0j here
+        assert main(["eval", "an-one", "--k", "2", "--alpha", "1",
+                     "--beta", "1"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_eval_elliptic_selberg(self, capsys):
-        from selbergkit.closedform import elliptic_selberg_rhs
+        from selbergkit.elliptic import elliptic_selberg_rhs
         ts = [0.4, 0.15, 0.4, 0.35, 0.4, 0.2]
         q = 0.45
         p = 0.4 * 0.15 * 0.4 * 0.35 * 0.4 * 0.2 / q

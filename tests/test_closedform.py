@@ -5,12 +5,12 @@ import pytest
 
 from selbergkit.closedform import (
     aflt_rhs, an_aflt_rhs, an_alt_avg_rhs, an_alt_norm_rhs, an_one_alt,
-    an_one_rhs, an_selberg_rhs, eaflt_rhs, elliptic_selberg_rhs,
-    gamma_one_rhs, hyper_pfq, hyper_qphi, jack_spec, mac_aflt_rhs,
+    an_one_rhs, an_selberg_rhs, gamma_one_rhs, hyper_pfq, hyper_qphi, jack_spec, mac_aflt_rhs,
     nplusone_rhs, ortho_norm_rhs, r_function,
     schur_binomial, seven_two_gamma_one, seven_two_rhs,
 )
 from selbergkit.coeffs import gamma
+from selbergkit.elliptic import eaflt_rhs, elliptic_selberg_rhs
 from selbergkit.field import PoleError, fe, var
 from selbergkit.macdonald import macdonald_P, single_row_xminusy
 from selbergkit.partitions import Bipartition, P

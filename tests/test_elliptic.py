@@ -4,13 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from selbergkit.closedform import eaflt_rhs, elliptic_selberg_rhs
 from selbergkit.coeffs import delta0
 from selbergkit.elliptic import (
     bc1_interp, bipartite_skew_interp_pm, connection_check, eaflt_lhs_n1,
-    elliptic_beta_lhs, elliptic_binomial, jackson_sum_check, mac_side_limit,
-    normalised_binomial, skew_interp, skew_interp_pm, skew_limit_value,
-    thm92_lhs_n1, thm92_rhs_n1,
+    eaflt_rhs, elliptic_beta_lhs, elliptic_binomial, elliptic_selberg_rhs,
+    jackson_sum_check, mac_side_limit, normalised_binomial, skew_interp,
+    skew_interp_pm, skew_limit_value, thm92_lhs_n1, thm92_rhs_n1,
 )
 from selbergkit.partitions import Bipartition, P
 
@@ -202,7 +201,7 @@ class TestBatchedInterpolationFactors:
         assert np.max(rel) < 1e-12
 
     def test_thm92_factors(self):
-        from selbergkit.suites import cases_thm92
+        from selbergkit.suites_elliptic import cases_thm92
         for case in cases_thm92({"seed": 7}):
             ts, p, q = case["ts"], case["p"], case["q"]
             for row, a, b in ((case["lam"], ts[0], ts[1]),
@@ -217,7 +216,7 @@ class TestBatchedInterpolationFactors:
                     self._assert_close(batched, pointwise)
 
     def test_eaflt_factors(self):
-        from selbergkit.suites import cases_elliptic_aflt
+        from selbergkit.suites_elliptic import cases_elliptic_aflt
         for case in cases_elliptic_aflt({"seed": 7}):
             ts, p, q, t = case["ts"], case["p"], case["q"], case["t"]
             t1, t2, t3, t4, t5, t6 = ts

@@ -16,9 +16,10 @@ from selbergkit.quadrature import (
     QuadratureSpec, aflt_lhs, an_selberg_lhs, enumerate_chain,
     enumerate_companion_chain, gauss_jacobi_01, integrate_region,
     jack_pair_callback, mac_aflt_lhs, ortho_norm_lhs, region_covering_check,
-    tanh_sinh_01, torus_integral,
+    tanh_sinh_01,
 )
 from selbergkit import kernels
+from selbergkit.kernels import torus_integral
 
 
 class TestGaussJacobi:

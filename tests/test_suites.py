@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from selbergkit import cli, quadrature, suites
+from selbergkit import cli, quadrature, suites, suites_numeric
 from selbergkit.field import PoleError
 from selbergkit.reports import Outcome
 
@@ -26,7 +26,7 @@ def test_chain_norm_computed_once_per_shape(monkeypatch, suite, calls):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "an_selberg_lhs", counting)
-    suites._chain_norm.cache_clear()
+    suites_numeric._chain_norm.cache_clear()
     cfg = {"seed": 7}
     gen, _ = suites.SUITES[suite]
     for params in gen(cfg):
@@ -45,7 +45,7 @@ def _run_recording(monkeypatch, name, suite, case_id):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, name, recording)
-    suites._chain_norm.cache_clear()
+    suites_numeric._chain_norm.cache_clear()
     cfg = {"seed": 7}
     gen, _ = suites.SUITES[suite]
     params = next(c for c in gen(cfg) if c["case_id"] == case_id)
@@ -78,8 +78,10 @@ def test_size_at_cap_is_used_as_given():
 
 def test_every_verify_setting_is_read():
     # a key a --config may set, other than jobs, that no suite reads would
-    # be a setting that is parsed and then ignored
-    src = Path(suites.__file__).read_text()
+    # be a setting that is parsed and then ignored; the suites are defined
+    # in suites.py and its family modules suites_*.py
+    src = "".join(path.read_text() for path
+                  in Path(suites.__file__).parent.glob("suites*.py"))
     read = set(re.findall(r'cfg\.get\("(\w+)"', src))
     assert set(cli.VERIFY_KEYS) - {"jobs"} <= read
 
@@ -221,7 +223,7 @@ def test_recursion_draws_inside_the_domain(seed, pole):
     rep = suites.run_case("recursion", pole, {})
     assert not rep.passed and rep.lhs == "pole"
     assert rep.notes.startswith("pole: ")
-    cases = suites.cases_recursion({"seed": seed})
+    cases = suites_numeric.cases_recursion({"seed": seed})
     assert pole not in cases and len(cases) == 26
     assert [c["case_id"] for c in cases].count(pole["case_id"]) == 1
     for params in cases:
@@ -242,7 +244,7 @@ def test_nplusone_draws_inside_the_domain(seed, pole):
     rep = suites.run_case("nplusone", pole, {})
     assert not rep.passed and rep.lhs == "pole"
     assert rep.notes.startswith("pole: ")
-    cases = suites.cases_nplusone({"seed": seed})
+    cases = suites_numeric.cases_nplusone({"seed": seed})
     assert pole not in cases and len(cases) == 6
     assert [c["case_id"] for c in cases].count(pole["case_id"]) == 1
     for params in cases:
@@ -314,7 +316,7 @@ def test_quad_points_reach_the_chain_rule(monkeypatch, suite, calls):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "an_selberg_lhs", recording)
-    suites._chain_norm.cache_clear()
+    suites_numeric._chain_norm.cache_clear()
     cfg = {"seed": 7, "quad_points": 12}
     gen, run = suites.SUITES[suite]
     for params in gen(cfg):
