@@ -4,9 +4,8 @@ connection coefficients and the p -> 0 limit of the skew interpolation
 function.
 
 `suites` imports this module the first time one of these suites is
-called.  Everything they run lives in `elliptic`, `kernels`, `coeffs` and,
-for `skew-limit`, `macdonald`; `closedform` and `quadrature` stay
-unloaded.
+called.  Everything they run lives in `elliptic`, `kernels` and `coeffs`;
+`closedform`, `quadrature`, `macdonald` and `symfunc` stay unloaded.
 """
 
 from __future__ import annotations

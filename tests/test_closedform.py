@@ -9,7 +9,7 @@ from selbergkit.closedform import (
     nplusone_rhs, ortho_norm_rhs, r_function,
     schur_binomial, seven_two_gamma_one, seven_two_rhs,
 )
-from selbergkit.coeffs import gamma
+from selbergkit.coeffs import ell_gamma, gamma
 from selbergkit.elliptic import eaflt_rhs, elliptic_selberg_rhs
 from selbergkit.field import PoleError, fe, var
 from selbergkit.macdonald import macdonald_P, single_row_xminusy
@@ -159,6 +159,29 @@ class TestEllipticForms:
     def test_balancing_enforced(self):
         with pytest.raises(ValueError):
             elliptic_selberg_rhs(1, [0.3] * 6, 0.4, 0.1, 0.2)
+
+    def test_one_batched_call_matches_the_scalar_gammas(self):
+        q_, t_ = 0.45, 0.4
+        ts = [0.4, 0.15, 0.4, 0.35, 0.4, 0.2]
+        p_ = 0.4 * 0.15 * 0.4 * 0.35 * 0.4 * 0.2 / q_
+        for n in (1, 2):
+            ts_n = ts[:5] + [ts[5] / t_ ** (2 * n - 2)]
+            ref = 1.0 + 0.0j
+            for i in range(1, n + 1):
+                ref *= ell_gamma(t_ ** i, p_, q_)
+                for r in range(6):
+                    for s in range(r + 1, 6):
+                        ref *= ell_gamma(t_ ** (i - 1) * ts_n[r] * ts_n[s],
+                                         p_, q_)
+            got = elliptic_selberg_rhs(n, ts_n, t_, p_, q_)
+            assert abs(got - ref) <= 1e-14 * abs(ref), n
+
+    def test_a_pole_argument_is_named(self):
+        # t_1 t_2 = 1 is a pole of Gamma(t_1 t_2); t_6 keeps the balancing
+        p_, q_ = 0.1, 0.2
+        ts = [2.0, 0.5, 0.5, 0.5, 0.5, p_ * q_ / 0.125]
+        with pytest.raises(PoleError, match=r"pole at z=\(1\+0j\)"):
+            elliptic_selberg_rhs(1, ts, 0.4, p_, q_)
 
     def test_eaflt_reduces_to_selberg(self):
         import numpy as np

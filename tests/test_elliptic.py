@@ -183,6 +183,24 @@ class TestSkewLimit:
         ratio = errs[1] / errs[2]
         assert 1.5 < ratio < 4.0
 
+    @pytest.mark.parametrize("m", range(5))
+    def test_target_is_macdonald_p_of_the_row(self, m):
+        from selbergkit.coeffs import hooks
+        from selbergkit.macdonald import macdonald_P, plethysm_eval
+        lam = P(m) if m else P()
+        xs = [0.6 + 0.1j, 0.3 - 0.2j]
+        c, d, a, q, t = 0.35, 0.55, 0.6, 0.3, 0.4
+
+        def pk(k):
+            return sum(x ** k for x in xs) + (d ** k - c ** k) / (1 - t ** k)
+
+        cl = complex(hooks(lam, q, t)[0])
+        pref = ((-a * t ** -0.5) ** lam.size * q ** lam.conjugate().n_stat()
+                * t ** (-2 * lam.n_stat()) * cl)
+        want = pref * plethysm_eval(macdonald_P(lam), pk, {"q": q, "t": t})
+        got = mac_side_limit(lam, xs, c, d, a, q, t)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
 
 class TestBatchedInterpolationFactors:
     """The torus integrands evaluate their interpolation factors once per

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from selbergkit import kernels
+from selbergkit import elliptic, kernels
 from selbergkit.coeffs import ell_gamma, qpoch_inf, theta
 from selbergkit.elliptic import _gamma_weight_factory, contour_pole_scan
 
@@ -355,6 +355,95 @@ class TestGammaWeight:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2 ** 20, peak
+
+
+def _suite_draws():
+    """The (ts, p, q) of every torus case of the elliptic suites at three
+    seeds."""
+    from selbergkit.suites_elliptic import (
+        cases_elliptic_aflt, cases_elliptic_beta, cases_thm92)
+    return [(c["ts"], c["p"], c["q"]) for seed in (5, 7, 11)
+            for cases in (cases_elliptic_beta, cases_thm92,
+                          cases_elliptic_aflt)
+            for c in cases({"seed": seed})]
+
+
+class TestWeightSeriesRoute:
+    """The weight's series route (elliptic._weight_series) and its
+    fallback, the stacked ellgamma_arr route."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        sizes = []
+        real = kernels.ellgamma_arr
+
+        def spy(z, *args):
+            sizes.append(np.size(z))
+            return real(z, *args)
+
+        monkeypatch.setattr(kernels, "ellgamma_arr", spy)
+        return sizes
+
+    def test_suite_draws_take_the_series_route(self, monkeypatch):
+        draws = _suite_draws()
+        assert len(draws) == 33
+        sizes = self._spy(monkeypatch)
+        for ts, p, q in draws:
+            weight = _gamma_weight_factory(ts, p, q)
+            assert contour_pole_scan(weight) is True
+            for npts in (160, 192):
+                weight(_half_step_nodes(npts))
+        assert sizes == []
+
+    def test_series_route_equals_the_stacked_route(self, monkeypatch):
+        draws = _suite_draws()[::4]
+        points = [_ring(rho) for rho in _SCAN_RADII]
+        points += [_half_step_nodes(160), _half_step_nodes(192)]
+        series = [_gamma_weight_factory(*d) for d in draws]
+        monkeypatch.setattr(elliptic, "_weight_series",
+                            lambda *args: lambda z, out: False)
+        stacked = [_gamma_weight_factory(*d) for d in draws]
+        worst = 0.0
+        for got, want in zip(series, stacked):
+            for z in points:
+                w = want(z)
+                worst = max(worst, np.max(np.abs(got(z) - w) / np.abs(w)))
+        assert worst <= 1e-13
+
+    def test_large_p_takes_the_stacked_route(self, monkeypatch):
+        # pq = 0.05 and t_2 = 0.1 put |pq| / min|t_2 z| above 1/4
+        ts, p, q = _WEIGHT_PARAMS[2]
+        ref = _weight_rectangle(ts, p, q)
+        sizes = self._spy(monkeypatch)
+        weight = _gamma_weight_factory(ts, p, q)
+        for z in (_ring(_SCAN_RADII[0]), _half_step_nodes(160)):
+            got = weight(z)
+            want = ref(z)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        assert sum(sizes) == 14 * (64 + 160)
+
+    def test_a_ratio_just_above_a_quarter_takes_the_stacked_route(
+            self, monkeypatch):
+        # on the unit circle |p| max|z^2| = 0.3 and |pq| / min|t_r z| =
+        # 0.3: above the series route's bound of 1/4, within 1/2
+        ts, p, q = [0.35] * 6, 0.3, 0.35
+        sizes = self._spy(monkeypatch)
+        z = _half_step_nodes(160)
+        got = _gamma_weight_factory(ts, p, q)(z)
+        assert sum(sizes) == 14 * 160
+        want = _weight_rectangle(ts, p, q)(z)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_a_zero_or_non_finite_point_takes_the_stacked_route(
+            self, monkeypatch, bad):
+        ts, p, q = _WEIGHT_PARAMS[0]
+        sizes = self._spy(monkeypatch)
+        z = _half_step_nodes(16)
+        z[3] = bad
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _gamma_weight_factory(ts, p, q)(z)
+        assert sum(sizes) == 14 * 16
 
 
 class TestPoleScanGrid:

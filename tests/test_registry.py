@@ -58,8 +58,9 @@ EXACT_ALGEBRA = [["cauchy"], ["skew-sum", "--max-size", "2"], ["eval-sym"],
 
 @pytest.mark.parametrize("plan, family, unloaded", [
     (ELLIPTIC_TORUS, "suites_elliptic",
-     ["selbergkit.closedform", "selbergkit.quadrature",
-      "selbergkit.suites_exact", "selbergkit.suites_numeric"]),
+     ["selbergkit.closedform", "selbergkit.macdonald",
+      "selbergkit.quadrature", "selbergkit.suites_exact",
+      "selbergkit.suites_numeric", "selbergkit.symfunc"]),
     (EXACT_ALGEBRA, "suites_exact",
      ["numpy", "selbergkit.suites_elliptic", "selbergkit.suites_numeric"]),
 ], ids=["elliptic-torus", "exact-algebra"])
