@@ -7,9 +7,10 @@ as long as only +, -, *, /, integer powers are used.  Infinite products
 truncated where its terms fall below 1e-16.  The theta family (theta,
 theta_poch, ell_qt_poch, delta0) also takes numpy arrays of points in its
 first argument; theta then runs kernels.theta_arr once for the whole
-array.  ell_gamma is kernels.ellgamma_arr at one point, so the elliptic
-gamma has one implementation.  numpy is imported only by those numeric
-routes: the exact suites use this module without it.
+array.  ell_gamma is kernels.ellgamma_arr at one point or on an array of
+points, so the elliptic gamma has one implementation and one check of its
+zeros and poles.  numpy is imported only by those numeric routes: the
+exact suites use this module without it.
 """
 
 from __future__ import annotations
@@ -347,23 +348,26 @@ def theta_poch(b, q, p, n: int) -> complex:
     return 1 / out
 
 
-def ell_gamma(z, p, q) -> complex:
-    """Elliptic gamma Gamma(z; p, q): kernels.ellgamma_arr at the one point
-    z, with the kernels.trunc_order caps.  Gamma is 0 at z = p^(j+1)
-    q^(k+1); a pole (z = p^-j q^-k) is a PoleError."""
+def ell_gamma(z, p, q):
+    """Elliptic gamma Gamma(z; p, q): kernels.ellgamma_arr with the
+    kernels.trunc_order caps, at one point (a complex) or elementwise on an
+    array of points.  Gamma is 0 at z = p^(j+1) q^(k+1); an argument 0 is a
+    ZeroDivisionError, and a pole (z = p^-j q^-k) a PoleError that names
+    the first argument at one."""
     import numpy as np
 
     from . import kernels
-    z, p, q = complex(z), complex(p), complex(q)
-    if z == 0:
+    p, q = complex(p), complex(q)
+    z = np.asarray(z, dtype=np.complex128)
+    if not z.all():
         raise ZeroDivisionError("elliptic gamma undefined at z = 0")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = complex(kernels.ellgamma_arr(
-            np.array([z]), p, q, kernels.trunc_order(abs(p)),
-            kernels.trunc_order(abs(q)))[0])
-    if not cmath.isfinite(out):
-        raise PoleError(f"elliptic gamma pole at z={z}")
-    return out
+        out = kernels.ellgamma_arr(z, p, q, kernels.trunc_order(abs(p)),
+                                   kernels.trunc_order(abs(q)))
+    pole = ~np.isfinite(out)
+    if pole.any():
+        raise PoleError(f"elliptic gamma pole at z={complex(z[pole][0])}")
+    return complex(out) if out.ndim == 0 else out
 
 
 def ell_qt_poch(b, q, t, p, lam: Partition) -> complex:

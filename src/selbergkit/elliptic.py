@@ -18,19 +18,17 @@ torus rule.  The rank-n integrals will replace that one function.  The
 torus rule is `kernels.torus_integral`, so the elliptic suites load
 neither `quadrature` nor `closedform`.
 
-The weight prod_r Gamma(t_r z^pm) / Gamma(z^pm2) is one Laurent series per
-point where the call's points allow it (_weight_series): the logarithms of
-its 14 gammas, less the few factors of (x; q)_inf that the series cannot
-absorb, summed into one set of coefficients per call.  Elsewhere it stacks
-the 14 arguments into kernels.ellgamma_arr.  The closed form's gammas are
-one ellgamma_arr call, and the p -> 0 target of `skew-limit` is built from
-power sums, so the elliptic suites load neither `macdonald` nor `symfunc`.
+The weight prod_r Gamma(t_r z^pm) / Gamma(z^pm2) declares its 14 gammas as
+the rows of one kernels.ellgamma_product call per array of points, the
+package's one elliptic-gamma algorithm.  The closed form's gammas are one
+coeffs.ell_gamma call on an array, and the p -> 0 target of `skew-limit` is
+built from power sums, so the elliptic suites load neither `macdonald` nor
+`symfunc`.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -264,10 +262,9 @@ def connection_check(blam: Bipartition, x, a, a2, b, t, p, q):
 def elliptic_selberg_rhs(n: int, ts, t, p, q) -> complex:
     """Elliptic Selberg product (six parameters, balanced).
 
-    Its n (1 + 15) elliptic gammas are one kernels.ellgamma_arr call, with
-    the conventions of coeffs.ell_gamma: an argument 0 is a
-    ZeroDivisionError, and a pole is a PoleError that names the first
-    argument at one."""
+    Its n (1 + 15) elliptic gammas are one coeffs.ell_gamma call: an
+    argument 0 is a ZeroDivisionError, and a pole is a PoleError that names
+    the first argument at one."""
     _check_balancing(n, ts, t, p, q)
     t, p, q = complex(t), complex(p), complex(q)
     args = []
@@ -276,16 +273,7 @@ def elliptic_selberg_rhs(n: int, ts, t, p, q) -> complex:
         for r in range(6):
             for s in range(r + 1, 6):
                 args.append(t ** (i - 1) * ts[r] * ts[s])
-    z = np.array(args, dtype=np.complex128)
-    if not z.all():
-        raise ZeroDivisionError("elliptic gamma undefined at z = 0")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = kernels.ellgamma_arr(z, p, q, kernels.trunc_order(abs(p)),
-                                 kernels.trunc_order(abs(q)))
-    pole = ~np.isfinite(g)
-    if pole.any():
-        raise PoleError(f"elliptic gamma pole at z={complex(z[pole][0])}")
-    return complex(np.prod(g))
+    return complex(np.prod(ell_gamma(np.array(args), p, q)))
 
 
 def _check_balancing(n, ts, t, p, q):
@@ -351,178 +339,14 @@ def contour_pole_scan(f) -> bool:
     return bool(np.all(np.isfinite(vals)) and np.max(vals) <= _SCAN_SPIKE)
 
 
-# points per ellgamma_arr call of the weight's stacked route: no call
-# stacks more than 14 x 64 arguments, whatever the number of points, so a
-# 17 x 64 scan grid is 17 calls.
-# Larger calls need larger kernel buffers, and in a process that evaluates
-# the weight many times glibc then keeps more freed memory: at 256 points
-# per call the elliptic benchmark's peak RSS was 0.5 MB higher, for no gain
-# in time.
-_WEIGHT_CHUNK = 64
-# elements of the series route's array of powers of z^2 per chunk of
-# points: 12,288 (192 KiB), so the 17 x 64 scan grid is 4 chunks and a
-# ring of 192 torus nodes 1.  The elliptic benchmark's peak RSS then
-# stayed at the parent's, with the stacked route; at 2^14 (3 chunks per
-# grid) it was 0.1 MB higher, and at 2^15 about 0.4 MB, with no time saved
-# that its runs resolve.
-_SERIES_BLOCK = 3 << 12
-
-
 def _gamma_weight_factory(ts, p, q):
-    """prod_r Gamma(t_r z^pm) / Gamma(z^pm2) as a function of an array z.
-
-    A call whose points allow it takes the series route, _weight_series.
-    Otherwise the 2 len(ts) + 2 arguments of each chunk of points are
-    stacked as the rows of one ellgamma_arr call and reduced to numerator
-    over denominator."""
+    """prod_r Gamma(t_r z^pm) / Gamma(z^pm2) as a function of an array z:
+    one kernels.ellgamma_product call on its 2 len(ts) + 2 rows."""
     np_, nq = kernels.trunc_order(abs(p)), kernels.trunc_order(abs(q))
-    tcol = np.asarray(ts, dtype=np.complex128)[:, None]
-    nnum = 2 * len(ts)
-    series = _weight_series(ts, p, q)
-
-    def weight(z):
-        z = np.asarray(z, dtype=np.complex128)
-        flat = z.reshape(-1)
-        out = np.empty(flat.shape, dtype=np.complex128)
-        if series(flat, out):
-            return out.reshape(z.shape)
-        for lo in range(0, flat.size, _WEIGHT_CHUNK):
-            zc = flat[lo:lo + _WEIGHT_CHUNK]
-            inv = 1.0 / zc
-            rows = np.concatenate([tcol * zc, tcol * inv, (zc * zc)[None],
-                                   (inv * inv)[None]])
-            g = kernels.ellgamma_arr(rows, p, q, np_, nq)
-            np.divide(np.prod(g[:nnum], axis=0), g[nnum] * g[nnum + 1],
-                      out=out[lo:lo + _WEIGHT_CHUNK])
-        return out.reshape(z.shape)
-
-    return weight
-
-
-def _weight_series(ts, p, q):
-    """The weight's series route: a function of (z, out) that writes the
-    weight at the flat array of points z into out and returns True, or
-    returns False, with out untouched, where the route does not apply.
-
-    The weight is prod Gamma(c z^e)^sign over its rows: t_r z^pm in the
-    numerator, z^pm2 in the denominator.  With |p| <= |q|, each Gamma(x),
-    x = c z^e, is
-
-        exp(sum_n ((pc)^n + (q^K c)^n (1 - p^n)) z^(en) / d_n
-                  - (pq/c)^n z^(-en) / d_n) / prod_{k<K} (1 - x q^k),
-
-    d_n = n (1 - p^n) (1 - q^n): the kernel's series (see
-    kernels.ellgamma_arr) with log (x q^K; q)_inf folded in.  K is the
-    least k with |q|^k max|x| <= 1/4 over the call's points, so only the
-    factors k < K are multiplied out.  The row's ratio
-    r = max(|p| max|x|, |q|^K max|x|, |pq| / min|x|) must be at most 1/4,
-    and the row keeps at least the terms with r^n > 1e-18.  The rows'
-    terms, signed, sum to one set of Laurent coefficients C_m,
-    0 < |m| <= M, once per call.  Each point then takes exp(sum_m C_m z^m)
-    times or over the peeled factors, the sum as
-    sum_j (C_(+-2j) + C_(+-(2j+1)) z^(+-1)) z^(+-2j), so that only the
-    powers of z^2 are stored.
-
-    A point that is zero or not finite, or a ratio above 1/4, leaves the
-    call to the stacked route.  A pole x q^k = 1 has |x| >= 1, so it is a
-    zero of a peeled factor and gives a non-finite value.
-    """
-    if abs(p) > abs(q):
-        p, q = q, p
-    p, q = complex(p), complex(q)
-    ts = np.asarray(ts, dtype=np.complex128)
-    nrows = 2 * ts.size + 2
-    c = np.concatenate([ts, ts, [1.0, 1.0]])
-    e = np.array([1] * ts.size + [-1] * ts.size + [2, -2])
-    sign = [1] * (2 * ts.size) + [-1, -1]
-    rows = list(zip(np.abs(c).tolist(), e.tolist()))
-    # each row's z^e among (z, 1/z, z^2, z^-2)
-    power_at = np.array([{1: 0, -1: 1, 2: 2, -2: 3}[ei] for ei in e.tolist()])
-    # the three power series of each row, in the bases pc, q^K c and pq/c,
-    # are rows of one array; select[|e| - 1] sums them, signed, into the
-    # coefficients of z^(|e| n) (row 0) and z^-(|e| n) (row 1)
-    pc, pq_c = p * c, p * q / c
-    select = np.zeros((2, 2, 3 * nrows))
-    for i, (ei, si) in enumerate(zip(e.tolist(), sign)):
-        side = int(ei < 0)
-        select[abs(ei) - 1, side, [i, nrows + i]] = si
-        select[abs(ei) - 1, 1 - side, 2 * nrows + i] = si
-    absp, absq, bound = abs(p), abs(q), kernels._SERIES_RATIO
-
-    def series(z, out) -> bool:
-        if not z.size:
-            return False
-        mod = np.abs(z)
-        lo, hi = float(mod.min()), float(mod.max())
-        # no point may be zero, infinite or NaN
-        if not 0 < lo <= hi < math.inf:
-            return False
-        ks, degree = [], 2
-        for ac, ei in rows:
-            x_max = ac * (hi if ei > 0 else lo) ** ei
-            x_min = ac * (lo if ei > 0 else hi) ** ei
-            k = 0
-            while x_max * absq ** k > bound:
-                k += 1
-            r = max(absp * x_max, absq ** k * x_max,
-                    absp * absq / x_min if x_min else math.inf)
-            if not r <= bound:
-                return False
-            if r:
-                n = math.ceil(math.log(kernels._DROP) / math.log(r))
-                degree = max(degree, abs(ei) * n)
-            ks.append(k)
-        # coef[s, m] = C_(+-m), 0 <= m < 2 half; a row keeps n <= M / |e|
-        half = degree // 2 + 1
-        bases = np.concatenate([pc, q ** np.array(ks) * c, pq_c])
-        n = np.arange(1, degree + 1)
-        d = n * (1 - p ** n) * (1 - q ** n)
-        terms = np.vander(bases, degree + 1, increasing=True)[:, 1:]
-        terms = terms.reshape(3, nrows, degree)
-        terms *= np.stack([1 / d, (1 - p ** n) / d, -1 / d])[:, None]
-        terms = terms.reshape(3 * nrows, degree)
-        # einsum, not matmul: the elliptic suites call no BLAS routine
-        # otherwise, and the first one raised their peak RSS by 0.4 MB
-        coef = np.zeros((2, 2 * half), dtype=np.complex128)
-        coef[:, 1:degree + 1] = np.einsum("sr,rn->sn", select[0], terms)
-        coef[:, 2:degree + 1:2] += np.einsum("sr,rn->sn", select[1],
-                                             terms[:, :degree // 2])
-        coef = coef.reshape(2, half, 2)
-        # the peeled factors 1 - c_i q^j z^e_i, j < K_i, numerators first
-        at = [i for i, k in enumerate(ks) for _ in range(k)]
-        minus_c = -(c[at] * q ** np.array([j for k in ks for j in range(k)]))
-        peel_at = power_at[at]
-        nnum = sum(k for k, si in zip(ks, sign) if si > 0)
-        # the chunks, of sizes that differ by one at most, keep the powers
-        # of z^2 within _SERIES_BLOCK elements
-        nchunks = -(-z.size * 2 * half // _SERIES_BLOCK)
-        buf = np.empty((2, half, -(-z.size // nchunks)), dtype=np.complex128)
-        for i in range(nchunks):
-            a, b = z.size * i // nchunks, z.size * (i + 1) // nchunks
-            zc = z[a:b]
-            inv = 1.0 / zc
-            # w[s, j] = z^(+-2j), by doubling: rows h..h+m-1 are rows
-            # 1..m times row h-1
-            w = buf[:, :, :zc.size]
-            w[:, 0] = 1.0
-            np.multiply(zc, zc, out=w[0, 1])
-            np.multiply(inv, inv, out=w[1, 1])
-            h = 2
-            while h < half:
-                m = min(h - 1, half - h)
-                np.multiply(w[:, 1:m + 1], w[:, h - 1:h], out=w[:, h:h + m])
-                h += m
-            even, odd = np.einsum("sjt,sjp->tsp", coef, w)
-            val = np.exp(even[0] + even[1] + zc * odd[0] + inv * odd[1])
-            fac = np.stack((zc, inv, w[0, 1], w[1, 1]))[peel_at]
-            fac *= minus_c[:, None]
-            fac += 1.0
-            val *= np.prod(fac[nnum:], axis=0)
-            val /= np.prod(fac[:nnum], axis=0)
-            out[a:b] = val
-        return True
-
-    return series
+    c = list(ts) * 2 + [1.0, 1.0]
+    e = [1] * len(ts) + [-1] * len(ts) + [2, -2]
+    s = [1] * (2 * len(ts)) + [-1, -1]
+    return lambda z: kernels.ellgamma_product(z, c, e, s, p, q, np_, nq)
 
 
 def _torus_lhs(ts, t, p, q, factor, npts: int) -> complex:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels import torus_integral
+from .kernels import _SLAB, torus_integral
 from .macdonald import b_lambda, jack_eval, macdonald_P, plethysm_eval
 from .partitions import Partition
 
@@ -282,11 +282,6 @@ def _pair_exponent(a_key, b_key, gamma_):
     return -gamma_
 
 
-# nodes of the tensor rule evaluated at once; a slab holds whole indices of
-# axis 0, so a region with more nodes per index still takes one index
-_SLAB = 1 << 16
-
-
 def _on_axis(arr, axis: int, m: int):
     """A 1-D array laid along `axis` of an m-dimensional broadcast grid."""
     return arr.reshape([-1 if i == axis else 1 for i in range(m)])
@@ -349,6 +344,8 @@ def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
     nodes = [_on_axis(v, j, m) for j, (v, _, _) in enumerate(rules)]
     comps = [_on_axis(u, j, m) for j, (_, u, _) in enumerate(rules)]
     weights = [w for _, _, w in rules]
+    # a slab holds whole indices of axis 0, so a region with more nodes
+    # per index still takes one index
     rows = max(1, _SLAB // npts ** (m - 1))
     total, is_complex = 0.0, False
     for lo in range(0, npts, rows):

@@ -189,6 +189,24 @@ class TestThetaEllGamma:
         with pytest.raises(ZeroDivisionError):
             ell_gamma(0, p, qq)
 
+    def test_ell_gamma_on_an_array(self):
+        # the array call against one call per point, and the checks of
+        # the scalar call on the whole array
+        import numpy as np
+        p, qq = 0.2, 0.25
+        z = np.array([[0.3, 0.7 + 0.2j], [1.1j, p * qq]])
+        got = ell_gamma(z, p, qq)
+        assert got.shape == (2, 2)
+        for zz, g in zip(z.flat, got.flat):
+            want = ell_gamma(zz, p, qq)
+            assert isinstance(want, complex)
+            assert abs(g - want) <= 1e-13 * abs(want)
+        assert got[1, 1] == 0
+        with pytest.raises(PoleError, match=r"z=\(4\+0j\)"):
+            ell_gamma(np.array([0.3, 4.0, 1.0]), p, qq)
+        with pytest.raises(ZeroDivisionError):
+            ell_gamma(np.array([0.3, 0.0]), p, qq)
+
 
 class TestEllipticFactorials:
     def test_p0_reduction(self):

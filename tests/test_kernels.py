@@ -1,9 +1,10 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from selbergkit import elliptic, kernels
+from selbergkit import kernels
 from selbergkit.coeffs import ell_gamma, qpoch_inf, theta
 from selbergkit.elliptic import _gamma_weight_factory, contour_pole_scan
 
@@ -114,7 +115,7 @@ class TestAgainstScalarReferences:
 
 
 class TestEllgammaAgainstLogSum:
-    """ellgamma_arr (blockwise products) against the log-sum reference, on
+    """ellgamma_arr against the log-sum reference, on
     the arguments of the elliptic torus weights over the pole-scan annulus."""
 
     @pytest.mark.parametrize("p,q,t", [(1e-3, 0.45, 0.4),
@@ -175,8 +176,8 @@ class TestEllgammaAgainstLogSum:
         assert contour_pole_scan(without_pole) is True
 
     def test_many_chunks_against_log_sum(self):
-        # more points than one block holds, so the call works through
-        # several chunks, each truncated by its own largest |x|
+        # more points than one chunk of the series' buffers holds, so the
+        # call works through several chunks with one set of coefficients
         p, q = 0.2, 0.25
         n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
         z = _sample_z(n=5000, seed=7)
@@ -186,9 +187,9 @@ class TestEllgammaAgainstLogSum:
 
     @pytest.mark.parametrize("p,q", [(1e-3, 0.45), (0.2, 0.25)])
     def test_wide_spread_of_magnitudes(self, p, q):
-        # |z| from 1e-2 to 1e5, smallest first: the kept factors of z and of
-        # pq/z run out at different p-powers, and one chunk's bound must
-        # come from its largest point.  Against the full rectangle: at
+        # |z| from 1e-2 to 1e5, smallest first: the multiplied-out factors
+        # of z and of pq/z run out at different p-powers, set by the
+        # largest and the smallest point.  Against the full rectangle: at
         # |z| ~ 1e4 the log sum itself is off by about 4e-13.
         n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
         z = np.logspace(-2, 5, 257) * np.exp(1j * np.linspace(0.3, 6, 257))
@@ -212,19 +213,6 @@ class TestEllgammaAgainstLogSum:
         assert got.shape == (0, 3)
 
 
-def _spy_series(monkeypatch):
-    """Count the chunks that take ellgamma_arr's series route."""
-    calls = []
-    series = kernels._log_series
-
-    def counted(u, v, p, q, r):
-        calls.append(u.size)
-        return series(u, v, p, q, r)
-
-    monkeypatch.setattr(kernels, "_log_series", counted)
-    return calls
-
-
 def _scan_arguments(t):
     """The arguments t z, t/z, z^2 and z^-2 of the torus weights, over
     the 17 rings of the pole scan, one ring per array."""
@@ -233,9 +221,30 @@ def _scan_arguments(t):
         yield from (t * z, t / z, z ** 2, z ** -2)
 
 
+def _ellgamma_mpmath(z, p, q, n_p, n_q):
+    """Reference: the n_p x n_q rectangle of factors at the float inputs,
+    multiplied out in mpmath at 30 digits."""
+    out = []
+    with mpmath.workdps(30):
+        p, q = mpmath.mpc(p), mpmath.mpc(q)
+        for x in z:
+            x = mpmath.mpc(x)
+            y = p * q / x
+            num = den = pj = mpmath.mpc(1)
+            for _ in range(n_p):
+                b = pj
+                for _ in range(n_q):
+                    num *= 1 - b * y
+                    den *= 1 - b * x
+                    b *= q
+                pj *= p
+            out.append(complex(num / den))
+    return np.array(out)
+
+
 class TestEllgammaSeriesRoute:
-    """On the pole-scan annulus ellgamma_arr sums the p-direction as a
-    series and multiplies out only (z; q)_inf; the references multiply out
+    """ellgamma_arr multiplies out the factors above 1/4 over the call's
+    points and sums the rest as one series; the references multiply out
     every factor."""
 
     @pytest.mark.parametrize("p,q,t", [
@@ -245,9 +254,8 @@ class TestEllgammaSeriesRoute:
         (0.0, 0.45, 0.4),
         (0.05, 0.3, 0.35),
     ], ids=["real", "complex", "swapped", "p-zero", "larger-p"])
-    def test_scan_rings_against_both_references(self, monkeypatch, p, q, t):
+    def test_scan_rings_against_both_references(self, p, q, t):
         n_p, n_q = kernels.trunc_order(abs(p)), kernels.trunc_order(abs(q))
-        calls = _spy_series(monkeypatch)
         worst = 0.0
         for arg in _scan_arguments(t):
             got = kernels.ellgamma_arr(arg, p, q, n_p, n_q)
@@ -255,23 +263,70 @@ class TestEllgammaSeriesRoute:
                         _ellgamma_rectangle(arg, p, q, n_p, n_q)):
                 worst = max(worst, np.max(np.abs(got - ref) / np.abs(ref)))
         assert worst < 1e-13
-        assert len(calls) == 4 * len(_SCAN_RADII)
 
-    def test_far_points_send_their_chunk_to_the_product(self, monkeypatch):
-        # ring points and points of modulus about 1e3 in one chunk: there
-        # r = |p| max|z| is about 1, outside the annulus
+    def test_far_points_in_one_call(self):
+        # ring points and points of modulus about 1e3 in one call: the far
+        # points set what is multiplied out, and the ring points keep their
+        # values
         p, q = 1e-3, 0.45
         n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
         z = np.concatenate([_ring(0.9), 1e3 * _ring(1.02, 16)])
-        calls = _spy_series(monkeypatch)
         got = kernels.ellgamma_arr(z, p, q, n_p, n_q)
-        assert calls == []
         ref = _ellgamma_rectangle(z, p, q, n_p, n_q)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
-        # the ring points alone take the series route, to the same values
         ring = kernels.ellgamma_arr(z[:64], p, q, n_p, n_q)
-        assert calls == [64]
         assert np.max(np.abs(ring - got[:64]) / np.abs(ref[:64])) < 1e-13
+
+    @pytest.mark.parametrize("p,q", [
+        (0.45, 0.47), (0.3 * np.exp(0.4j), 0.4 * np.exp(-1j)), (0.2, 0.25),
+    ], ids=["large", "complex", "p0.2"])
+    def test_wide_spread_against_mpmath(self, p, q):
+        # |z| from 1e-2 to 1e5 in one call; the numpy references drift by
+        # up to 4e-13 here
+        n_p, n_q = kernels.trunc_order(abs(p)), kernels.trunc_order(abs(q))
+        z = np.logspace(-2, 5, 11) * np.exp(1j * np.linspace(0.3, 6, 11))
+        got = kernels.ellgamma_arr(z, p, q, n_p, n_q)
+        ref = _ellgamma_mpmath(z, p, q, n_p, n_q)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+    def test_points_far_apart_overflow_nothing(self):
+        # at |z| = 1e-13 the series' powers (1/z)^n would overflow by
+        # n = 24, within its degree; it takes them as powers of min|z| / z
+        # and z / max|z|
+        p, q = 1e-3, 0.45
+        n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
+        z = np.array([1e-13 * np.exp(0.3j), 0.9 + 0.1j, 1e9 * np.exp(2j)])
+        got = kernels.ellgamma_arr(z, p, q, n_p, n_q)
+        ref = _ellgamma_mpmath(z, p, q, n_p, n_q)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_a_zero_or_non_finite_point_leaves_the_others(self, bad):
+        p, q = 0.2, 0.25
+        n_p, n_q = kernels.trunc_order(p), kernels.trunc_order(q)
+        z = _sample_z(n=16, seed=3)
+        want = kernels.ellgamma_arr(z, p, q, n_p, n_q)
+        z[5] = bad
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got = kernels.ellgamma_arr(z, p, q, n_p, n_q)
+        assert not np.isfinite(got[5])
+        assert np.array_equal(np.delete(got, 5), np.delete(want, 5))
+
+    def test_rows_are_the_product_of_one_row_calls(self):
+        # Gamma(c_r z^e_r)^s_r over rows of every power and sign
+        p, q = 0.05 * np.exp(0.3j), 0.42
+        n_p, n_q = kernels.trunc_order(abs(p)), kernels.trunc_order(q)
+        c, e, s = [0.4, 0.7j, 1.0, 0.3], [1, -1, 2, -2], [1, -1, -1, 1]
+        z = _sample_z(n=48, seed=4)
+        got = kernels.ellgamma_product(z, c, e, s, p, q, n_p, n_q)
+        want = np.ones_like(z)
+        for cr, er, sr in zip(c, e, s):
+            want *= _ellgamma_rectangle(cr * z ** er, p, q, n_p, n_q) ** sr
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    def test_a_nome_outside_the_disc_is_rejected(self):
+        with pytest.raises(ValueError, match="modulus 1.0"):
+            kernels.ellgamma_arr(_sample_z(n=4), 0.2, 1.0, 24, 40)
 
 
 @pytest.mark.parametrize("m", [1.0, 1.5, float("nan")])
@@ -312,8 +367,8 @@ _WEIGHT_PARAMS = [
 
 
 class TestGammaWeight:
-    """elliptic._gamma_weight_factory: the stacked, truncated kernel call
-    against the weight built from full-rectangle products."""
+    """elliptic._gamma_weight_factory, one ellgamma_product call on the 14
+    rows, against the weight built from full-rectangle products."""
 
     @pytest.mark.parametrize("ts,p,q", _WEIGHT_PARAMS)
     def test_against_full_rectangle(self, ts, p, q):
@@ -369,81 +424,62 @@ def _suite_draws():
 
 
 class TestWeightSeriesRoute:
-    """The weight's series route (elliptic._weight_series) and its
-    fallback, the stacked ellgamma_arr route."""
+    """The weight as one ellgamma_product call, against the weight built
+    from full-rectangle products."""
 
-    @staticmethod
-    def _spy(monkeypatch):
-        sizes = []
-        real = kernels.ellgamma_arr
-
-        def spy(z, *args):
-            sizes.append(np.size(z))
-            return real(z, *args)
-
-        monkeypatch.setattr(kernels, "ellgamma_arr", spy)
-        return sizes
-
-    def test_suite_draws_take_the_series_route(self, monkeypatch):
+    def test_suite_draws_take_the_series_route(self):
         draws = _suite_draws()
         assert len(draws) == 33
-        sizes = self._spy(monkeypatch)
         for ts, p, q in draws:
             weight = _gamma_weight_factory(ts, p, q)
             assert contour_pole_scan(weight) is True
             for npts in (160, 192):
-                weight(_half_step_nodes(npts))
-        assert sizes == []
+                assert np.isfinite(weight(_half_step_nodes(npts))).all()
 
-    def test_series_route_equals_the_stacked_route(self, monkeypatch):
-        draws = _suite_draws()[::4]
+    def test_suite_draws_against_full_rectangle(self):
         points = [_ring(rho) for rho in _SCAN_RADII]
         points += [_half_step_nodes(160), _half_step_nodes(192)]
-        series = [_gamma_weight_factory(*d) for d in draws]
-        monkeypatch.setattr(elliptic, "_weight_series",
-                            lambda *args: lambda z, out: False)
-        stacked = [_gamma_weight_factory(*d) for d in draws]
         worst = 0.0
-        for got, want in zip(series, stacked):
+        for ts, p, q in _suite_draws()[::4]:
+            got, ref = _gamma_weight_factory(ts, p, q), _weight_rectangle(
+                ts, p, q)
             for z in points:
-                w = want(z)
+                w = ref(z)
                 worst = max(worst, np.max(np.abs(got(z) - w) / np.abs(w)))
         assert worst <= 1e-13
 
-    def test_large_p_takes_the_stacked_route(self, monkeypatch):
-        # pq = 0.05 and t_2 = 0.1 put |pq| / min|t_2 z| above 1/4
+    def test_large_p_against_full_rectangle(self):
+        # pq = 0.05 and t_2 = 0.1 put |pq| / min|t_2 z| above 1/4, so
+        # numerator factors are multiplied out too
         ts, p, q = _WEIGHT_PARAMS[2]
         ref = _weight_rectangle(ts, p, q)
-        sizes = self._spy(monkeypatch)
         weight = _gamma_weight_factory(ts, p, q)
         for z in (_ring(_SCAN_RADII[0]), _half_step_nodes(160)):
             got = weight(z)
             want = ref(z)
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
-        assert sum(sizes) == 14 * (64 + 160)
 
-    def test_a_ratio_just_above_a_quarter_takes_the_stacked_route(
-            self, monkeypatch):
+    def test_a_ratio_just_above_a_quarter_against_full_rectangle(self):
         # on the unit circle |p| max|z^2| = 0.3 and |pq| / min|t_r z| =
-        # 0.3: above the series route's bound of 1/4, within 1/2
+        # 0.3: the first p-row's first factors of both sides are
+        # multiplied out
         ts, p, q = [0.35] * 6, 0.3, 0.35
-        sizes = self._spy(monkeypatch)
         z = _half_step_nodes(160)
         got = _gamma_weight_factory(ts, p, q)(z)
-        assert sum(sizes) == 14 * 160
         want = _weight_rectangle(ts, p, q)(z)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
-    def test_a_zero_or_non_finite_point_takes_the_stacked_route(
-            self, monkeypatch, bad):
+    def test_a_zero_or_non_finite_point_leaves_the_others(self, bad):
         ts, p, q = _WEIGHT_PARAMS[0]
-        sizes = self._spy(monkeypatch)
+        weight = _gamma_weight_factory(ts, p, q)
         z = _half_step_nodes(16)
+        want = weight(z)
         z[3] = bad
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _gamma_weight_factory(ts, p, q)(z)
-        assert sum(sizes) == 14 * 16
+            got = weight(z)
+        assert not np.isfinite(got[3])
+        assert np.array_equal(np.delete(got, 3), np.delete(want, 3))
 
 
 class TestPoleScanGrid:

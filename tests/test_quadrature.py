@@ -403,6 +403,33 @@ class TestOpenGrid:
         ref = lhs()
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
+    def test_torus_slabs_sum_to_the_full_grid(self, monkeypatch):
+        # slabs of 3 nodes of the first circle (16 = 5 x 3 + 1), each with
+        # the 16 nodes of the second, against the full meshgrid
+        def f(z1, z2):
+            calls.append(z1.size)
+            return (2 + z1 / z2 + 0.3 * z1 * z2) / (1 - 0.2 * z1) ** 2
+
+        calls = []
+        monkeypatch.setattr(kernels, "_SLAB", 3 * 16)
+        got = torus_integral(2, f, 0.9, 16)
+        assert calls == [3] * 5 + [1]
+        ref = _full_torus(2, f, 0.9, 16)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_torus_slab_memory_at_rank_three(self):
+        # 128^3 nodes are 32 slabs; the whole grid at once peaked at
+        # 224 MB of traced memory
+        tracemalloc.start()
+        try:
+            got = mac_aflt_lhs(3, P(1), P(1), 0.45, 0.35, 0.3, 0.4, npts=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20, peak
+        ref = mac_aflt_rhs(3, P(1), P(1), 0.45, 0.35, 0.3, 0.4)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
     def test_torus_counts_a_variable_the_integrand_ignores(self):
         assert torus_integral(2, lambda z1, z2: np.ones_like(z1),
                               1.0, 16) == 1
