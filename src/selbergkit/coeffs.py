@@ -351,9 +351,11 @@ def theta_poch(b, q, p, n: int) -> complex:
 def ell_gamma(z, p, q):
     """Elliptic gamma Gamma(z; p, q): kernels.ellgamma_arr with the
     kernels.trunc_order caps, at one point (a complex) or elementwise on an
-    array of points.  Gamma is 0 at z = p^(j+1) q^(k+1); an argument 0 is a
-    ZeroDivisionError, and a pole (z = p^-j q^-k) a PoleError that names
-    the first argument at one."""
+    array of points.  At z = p^(j+1) q^(k+1) Gamma is zero to within
+    rounding (p q / z is formed through a rounded reciprocal, so the zero
+    is exact at some nomes only); an argument 0 is a ZeroDivisionError, and
+    a pole (z = p^-j q^-k) a PoleError that names the first argument at
+    one."""
     import numpy as np
 
     from . import kernels

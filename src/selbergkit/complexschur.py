@@ -13,11 +13,11 @@ import math
 
 from .coeffs import gamma, gamma_ratio, poch
 from .partitions import P, Partition, subpartitions
-from .symfunc import _complex_det, _perm_sign, alternant_ratio, schur_eval
+from .symfunc import _complex_det, _perm_sign, alternant_ratio
 
 __all__ = [
     "complex_schur", "split_expansion",
-    "thm_schur_residue_oracle", "thm_schur_closed", "schur_points",
+    "thm_schur_residue_oracle", "thm_schur_closed",
     "staircase_exponents", "beta_contour_closed", "skew_schur_binomial",
     "beta_schur_exact_sum", "beta_schur_rhs",
     "complex_an_aflt_recursive", "complex_an_aflt_closed",
@@ -32,11 +32,6 @@ def complex_schur(xs, zs) -> complex:
         if x == 0 or (x.real < 0 and x.imag == 0):
             raise ValueError("points must avoid 0 and the branch cut")
     return alternant_ratio(xs, list(zs))
-
-
-def schur_points(lam: Partition, ys) -> complex:
-    """s_lambda at a finite list of complex points."""
-    return complex(schur_eval(Partition(lam), [complex(y) for y in ys]))
 
 
 def split_expansion(xs, zs, m: int) -> complex:
@@ -65,26 +60,18 @@ def staircase_exponents(lam: Partition, length: int) -> list:
 
 def thm_schur_residue_oracle(k: int, ell: int, ys, zs,
                              lam: Partition) -> complex:
-    """Finite residue sum for the sector integral of S(x;z) s_lam[y-x]."""
+    """Finite residue sum for the sector integral of S(x;z) s_lam[y-x]: the
+    sum over k-subsets of the spectators of S(inside; z) s_lam(outside)
+    over the cross differences, with the sign (-1)^(k(k-1)/2).  s_lam is
+    S at staircase exponents, so the sum is the subset expansion."""
     lam = Partition(lam)
-    ys = [complex(y) for y in ys]
     if len(ys) != ell:
         raise ValueError("need ell spectator points")
-    if k > ell:
+    if k > ell or len(lam) > ell - k:
         return 0.0
-    sign = (-1.0) ** (k * (k - 1) // 2)
-    total = 0.0 + 0.0j
-    for idx in itertools.combinations(range(ell), k):
-        inside = [ys[i] for i in idx]
-        outside = [ys[i] for i in range(ell) if i not in idx]
-        denom = 1.0 + 0.0j
-        for i in idx:
-            for j in range(ell):
-                if j not in idx:
-                    denom *= ys[i] - ys[j]
-        total += (complex_schur(inside, zs) * schur_points(lam, outside)
-                  / denom)
-    return sign * total
+    return ((-1.0) ** (k * (k - 1) // 2)
+            * split_expansion(ys, list(zs) + staircase_exponents(lam, ell - k),
+                              k))
 
 
 def thm_schur_closed(k: int, ell: int, ys, zs, lam: Partition) -> complex:

@@ -3,18 +3,18 @@ the skew summation formula, rank-n Cauchy-type series identities (exact,
 degree-truncated), and the combinatorial partition-function bridge.
 
 The Cauchy-type checks compare both sides as truncated series in named
-letters over Q(q,t[,a]).  The grading is exact: the z_r-degree of a term
-pins |lambda^(r)| and the y(,c,d)-degree pins |lambda^(n)| - |mu|, so
-summing all tuples with total size <= cap + |mu| reproduces every
-coefficient of y, z, c, d-degree <= cap exactly.  Those are the compared
-ones, and every product is truncated on that grading (a weighted cap of
-weight 1 on y, z, c and d): exponents are non-negative, so a dropped term
-feeds only terms above the cap.  The x letters need no cap of their own.
-On the left the x-degree is |lambda^(1)| <= cap + |mu|.  On the right
-P_mu[W] has x-degree at most |mu|, and a kernel factor's monomial holds
-at most one x letter, and then also a y, z, c or d letter, so its
-x-degree is at most its weighted degree: the x-degree stays within
-cap + |mu| on both sides.
+letters over Q(q,t[,a]), at their dominant monomials.  The grading is
+exact: the z_r-degree of a term pins |lambda^(r)| and the y(,c,d)-degree
+pins |lambda^(n)| - |mu|, so summing all tuples with total size <= cap +
+|mu| reproduces every coefficient of y, z, c, d-degree <= cap exactly.
+Those are the compared ones, and every right-side product is truncated on
+that grading (a weighted cap of weight 1 on y, z, c and d): exponents are
+non-negative, so a dropped term feeds only terms above the cap.  The x
+letters need no cap of their own.  On the left the x-degree is
+|lambda^(1)| <= cap + |mu|.  On the right P_mu[W] has x-degree at most
+|mu|, and a kernel factor's monomial holds at most one x letter, and then
+also a y, z, c or d letter, so its x-degree is at most its weighted
+degree: the x-degree stays within cap + |mu| on both sides.
 """
 
 from __future__ import annotations
@@ -23,16 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import macdonald
 from .coeffs import _qpoch_product
 from .field import FieldElement, fe, var
 from .macdonald import (
-    _pleth_P, _pleth_Q, b_lambda, macdonald_P, macdonald_Q, principal_spec_a,
-    skew_Q,
+    _pleth_P, _pleth_Q, b_lambda, macdonald_P, principal_spec_a, skew_P,
 )
 from .partitions import Bipartition, P, Partition, partitions_up_to, subpartitions
 from .symfunc import (
     Alphabet, LetterSeries, Letters, Product, Ratio, Sum,
-    _scalar_eq, expand_in_letters, h_series_of_alphabet, plethysm,
+    _scalar_eq, h_series_of_alphabet, plethysm,
 )
 
 __all__ = [
@@ -243,11 +243,31 @@ def _kernel_h_series(A: Ratio, mmax: int) -> tuple:
 
 def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
                     variant: str = "II") -> IdentityCheck:
-    """Rank-n Cauchy-type identity, exact as a truncated letter series.
+    """Rank-n Cauchy-type identity, exact as a truncated letter series,
+    compared at its dominant monomials.
 
     variant: 'I' (finite k_n, symbolic a_{n-1}), 'I-inf' (k_n = infinity,
     symbolic a_{n-1}), 'II' (all a_r = t^{k_r - k_{r+1}}), or 'II-pleth'
     (variant II with the extra (c-d)/(1-t) plethystic shift, mu_n = 0).
+    At n = 1 variant I is the skew Cauchy identity sum_lam P_lam(x)
+    Q_{lam/mu}(y) = P_mu(x) prod_{i,j} (t x_i y_j; q)_inf / (x_i y_j; q)_inf.
+
+    Both sides are symmetric in the x letters, and separately in the y
+    letters: on the left P_{lam^(1)}(x) and the skew Q in y, on the right
+    P_mu[W] and the kernel products over every pair of letters (the cap
+    weighs all x alike and all y alike).  So within each side all monomials
+    of one orbit have the same coefficient, and one representative per
+    orbit decides: the dominant monomial, whose x-exponents and y-exponents
+    are each non-increasing.  The z, c and d letters appear one at a time,
+    so every exponent of theirs is compared.
+
+    The left side is built only there, from m-coefficients: a partition
+    tuple's term at (a, b, z, c^i d^j) is its scalar times [m_a]
+    P_{lam^(1)} times [m_b] Q_{lam^(n)/mu}, a of at most k_1 parts and b of
+    at most n_y; for 'II-pleth' the y factor is sum_nu [m_b] Q_{lam^(n)/nu}
+    [c^i d^j] Q_nu[(c - d)/(1 - t)].  The right side is a product of letter
+    series under the weighted cap.  lhs holds the left side's dominant
+    terms, rhs the right side, and note the first differing monomial.
     """
     mu_n = Partition(mu_n)
     q, t = var("q"), var("t")
@@ -284,15 +304,23 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
             return a_sym
         return t ** (ks[r - 1] - ks[r]) if ks[r] is not None else None
 
-    # ---------------- left-hand side ----------------
-    lhs = LetterSeries(letters, wcap=wcap)
-    size_cap = cap + mu_n.size
-    tuples = _partition_tuples(n, size_cap, ks)
-    for lams in tuples:
-        term = _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, wcap,
-                            x_names, y_names)
-        if term is not None:
-            lhs = lhs + term
+    # ---------------- left-hand side, at the dominant monomials ----------
+    # every tuple's term has weighted degree |tuple| - |mu| <= cap
+    lhs: dict[tuple[int, ...], FieldElement] = {}
+    for lams in _partition_tuples(n, cap + mu_n.size, ks):
+        scalar = _cauchy_scalar(n, ks, lams, mu_n, variant, a_r)
+        if scalar is None:
+            continue
+        z = tuple(lam.size for lam in lams[:-1])
+        xs = [(_padded(a, k1), c) for a, c in macdonald_P(lams[0]).coeffs.items()
+              if len(a) <= k1]
+        for y, cd, c in _y_factor(lams[-1], mu_n, ny, variant):
+            c = c * scalar
+            for x, cx in xs:
+                key = x + y + z + cd
+                v = cx * c
+                lhs[key] = lhs[key] + v if key in lhs else v
+    lhs = LetterSeries(letters, lhs, wcap)
 
     # ---------------- right-hand side ----------------
     rhs = LetterSeries.const(letters, Fraction(1), wcap)
@@ -343,25 +371,23 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
                 rhs = rhs * _kernel_series(t ** (i - 1), fe(0), Ud, q)
                 rhs = rhs * _kernel_series(fe(0), t ** (i - 1), Uc, q)
 
-    # both sides are products under wcap, so every monomial they hold is
-    # exactly resolved and compared
-    equal = True
-    witness = ""
-    for e in set(lhs.terms) | set(rhs.terms):
-        if not _scalar_eq(lhs.coeff(e), rhs.coeff(e)):
-            equal = False
-            witness = str(e)
-            break
-    return IdentityCheck(lhs, rhs, equal, witness)
+    # both sides hold only monomials within wcap, so each compared
+    # coefficient is exactly resolved
+    steps = [i for i in range(k1 + ny - 1) if i != k1 - 1]
+    dominant = {e for e in rhs.terms if all(e[i] >= e[i + 1] for i in steps)}
+    witness = next((str(e) for e in sorted(dominant | set(lhs.terms))
+                    if not _scalar_eq(lhs.coeff(e), rhs.coeff(e))), "")
+    return IdentityCheck(lhs, rhs, not witness, witness)
 
 
 def _partition_tuples(n, size_cap, ks):
-    # length bounds apply for r <= n-1 where X^(r) has k_r letters; the
-    # last slot is unrestricted (variant II terms beyond k_n die through
-    # the vanishing of their scalar prefactor)
+    # length bounds apply for r <= n-1 where X^(r) has k_r letters, and to
+    # lambda^(1), which P_{lambda^(1)} places in the k_1 x letters; the
+    # last slot is otherwise unrestricted (variant II terms beyond k_n die
+    # through the vanishing of their scalar prefactor)
     pools = []
     for r in range(n):
-        max_len = ks[r] if (r < n - 1 and ks[r] is not None) else None
+        max_len = ks[r] if r == 0 or (r < n - 1 and ks[r] is not None) else None
         pools.append(list(partitions_up_to(size_cap, max_len)))
     out = []
 
@@ -384,11 +410,43 @@ def _pleth_letterseries(f, A, letters, wcap) -> LetterSeries:
     return LetterSeries.const(letters, val, wcap)
 
 
-def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, wcap,
-                 x_names, y_names):
+def _padded(lam: Partition, length: int) -> tuple[int, ...]:
+    return lam.parts + (0,) * (length - len(lam))
+
+
+def _y_factor(lam_n, mu_n, ny, variant):
+    """(y exponents, (c, d) exponents, coefficient) of P_{lam/mu}(y) in ny
+    letters at its dominant monomials, or for 'II-pleth' of
+    sum_nu P_{lam/nu}(y) P_nu[(c - d)/(1 - t)]; b_lam / b_mu turns either
+    into the left side's Q's."""
+    pleth = variant == "II-pleth"
+    out = []
+    for nu in subpartitions(lam_n) if pleth else (mu_n,):
+        py = [(_padded(a, ny), c)
+              for a, c in skew_P(lam_n, nu).coeffs.items() if len(a) <= ny]
+        for j, w in enumerate(_p_at_c_minus_d(nu) if pleth else (fe(1),)):
+            cd = (nu.size - j, j) if pleth else ()
+            out += [(y, cd, c * w) for y, c in py]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _p_at_c_minus_d(nu: Partition) -> tuple:
+    """[c^(|nu| - j) d^j] P_nu[(c - d)/(1 - t)] for j = 0..|nu|: the
+    coefficients of u^j in P_nu[(1 - u)/(1 - t)] = P_nu[1/(1 - t)] times
+    the product over the cells (i, j) of 1 - u q^(j-1) t^(1-i)."""
     q, t = var("q"), var("t")
-    k1 = ks[0]
-    # scalar part: middle P's, all Q-prefactors, f-factors
+    w = [principal_spec_a(nu, fe(0))]
+    for (i, j) in nu.cells():
+        x = -(q ** (j - 1) * t ** (1 - i))
+        w = [u + v * x for u, v in zip(w + [fe(0)], [fe(0)] + w)]
+    return tuple(w)
+
+
+def _cauchy_scalar(n, ks, lams, mu_n, variant, a_r):
+    """The scalar part of a partition tuple's term: the middle P's, every
+    Q prefactor and the f-factors; None where it vanishes."""
+    q, t = var("q"), var("t")
     scalar = fe(1)
     for r in range(2, n + 1):
         lam_r = lams[r - 1]
@@ -418,32 +476,10 @@ def _cauchy_term(n, ks, lams, mu_n, variant, a_r, letters, wcap,
         scalar = scalar * f_val
         if scalar.is_zero():
             return None
-    # letter parts
-    lam1 = lams[0]
-    if len(lam1) > k1:
-        return None
-    term = expand_in_letters(macdonald_P(lam1), letters, x_names, wcap)
-    # z_r powers track |lam^(r)|
-    zshift = [0] * len(letters)
-    for r in range(1, n):
-        zshift[letters.index(f"z{r}")] = lams[r - 1].size
-    term = term * LetterSeries(letters, {tuple(zshift): Fraction(1)}, wcap)
-    # skew Q at the y letters (+ plethystic shift for the c,d variant)
-    lam_n = lams[n - 1]
-    if variant == "II-pleth":
-        yterm = LetterSeries(letters, wcap=wcap)
-        c_ls = LetterSeries.letter(letters, "c", wcap)
-        d_ls = LetterSeries.letter(letters, "d", wcap)
-        for nu in subpartitions(lam_n):
-            qfull = expand_in_letters(skew_Q(lam_n, nu), letters, y_names, wcap)
-            if not qfull.terms:
-                continue
-            shift_val = _pleth_letterseries(
-                macdonald_Q(nu), Ratio(c_ls, d_ls, t), letters, wcap)
-            yterm = yterm + qfull * shift_val
-    else:
-        yterm = expand_in_letters(skew_Q(lam_n, mu_n), letters, y_names, wcap)
-    return term * yterm * scalar
+    # Q_{lam^(n)/mu} = (b_lam / b_mu) P_{lam^(n)/mu}, and at mu = 0 b_lam
+    # turns P_{lam/nu} P_nu into Q_{lam/nu} Q_nu; looked up in `macdonald`
+    # at each call
+    return scalar * macdonald._b_ratio(lams[-1], mu_n)
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,10 @@ def ellgamma_product(z, c, e, s, p: complex, q: complex,
 
     A pole p^j q^k v = 1 (or a zero of Gamma) has |v| >= 1, so it is a
     zero of a multiplied-out factor and gives a non-finite value (or 0).
-    A point that is zero or not finite gives a non-finite value and leaves
-    the other points' values as they are without it.
+    A finite, nonzero point whose multiplied-out denominator overflows is
+    one where the product underflows, and gives 0.  A point that is zero
+    or not finite gives a non-finite value and leaves the other points'
+    values as they are without it.
     """
     if abs(p) > abs(q):
         p, q, n_p, n_q = q, p, n_q, n_p
@@ -211,7 +213,13 @@ def ellgamma_product(z, c, e, s, p: complex, q: complex,
         fac *= -beta
         fac += 1.0
         val *= np.prod(fac[:nnum], axis=0)
-        val /= np.prod(fac[nnum:], axis=0)
+        den = np.prod(fac[nnum:], axis=0)
+        val /= den
+        # a denominator that overflows at a finite, nonzero point is a Gamma
+        # that underflows; a pole is a zero of a factor and stays non-finite
+        far = ~np.isfinite(den)
+        if far.any():
+            val[far & np.isfinite(zc) & (zc != 0)] = 0.0
         out[i0:i1] = val
     return out.reshape(z.shape)
 

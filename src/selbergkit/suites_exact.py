@@ -9,7 +9,6 @@ called.  Their cases run in `identities`, `macdonald`, `symfunc` and
 
 from __future__ import annotations
 
-from .field import fe, var
 from .partitions import P, partitions_up_to
 from .reports import Outcome
 from .suites import _capped, _pt
@@ -25,52 +24,13 @@ def cases_cauchy(cfg):
 
 def run_cauchy(params, cfg):
     """sum_lam P_lam(x) Q_{lam/mu}(y) = P_mu(x) prod_{i,j} (t x_i y_j; q)_inf
-    / (x_i y_j; q)_inf in x = (x1, x2), y = (y1, y2).
-
-    Both sides are symmetric in x and in y, so they are compared only at
-    x^a y^b with a and b non-increasing.  There the left side's coefficient
-    is the m-coefficient of P_lam at a times that of Q_{lam/mu} =
-    (b_lam / b_mu) P_{lam/mu} at b, summed over lam.  The right side is
-    a LetterSeries under the unit-weight cap 2 cap, its kernels built as
-    in `an-cauchy`.
-    """
-    from .identities import _kernel_series, _mono
-    from .macdonald import _b_ratio, macdonald_P, skew_P
-    from .symfunc import _scalar_eq, expand_in_letters
+    / (x_i y_j; q)_inf in x = (x1, x2), y = (y1, y2): `an-cauchy`'s check
+    at n = 1, variant I.  Every monomial of either side has x-degree equal
+    to y-degree + |mu|, so its cap cap - |mu| on the y-degree is the
+    x-degree cap."""
     mu = _pt(params["mu"])
-    cap = params["cap"]
-    q, t = var("q"), var("t")
-    letters = ("x1", "x2", "y1", "y2")
-    wcap = ((1, 1, 1, 1), 2 * cap)
-
-    def two_part(sf):
-        return [((nu.part(1), nu.part(2)), c)
-                for nu, c in sf.coeffs.items() if len(nu) <= 2]
-
-    lhs = {}
-    for lam in partitions_up_to(cap, 2):
-        if not lam.contains(mu):
-            continue
-        px = two_part(macdonald_P(lam))
-        qy = two_part(skew_P(lam, mu))
-        b = _b_ratio(lam, mu)
-        qy = [(e, c * b) for e, c in qy]
-        for e1, c1 in px:
-            for e2, c2 in qy:
-                key = e1 + e2
-                v = c1 * c2
-                prev = lhs.get(key)
-                lhs[key] = v if prev is None else prev + v
-    rhs = expand_in_letters(macdonald_P(mu), letters, letters[:2], wcap)
-    for x in letters[:2]:
-        for y in letters[2:]:
-            U = _mono(letters, {x: 1, y: 1}, wcap)
-            rhs = rhs * _kernel_series(t, fe(1), U, q)
-    ok = all(_scalar_eq(lhs.get(e, 0), rhs.coeff(e))
-             for e in set(lhs) | set(rhs.terms)
-             if e[0] >= e[1] and e[2] >= e[3]
-             and e[0] + e[1] <= cap and sum(e) <= 2 * cap - mu.size)
-    return Outcome(ok, True, rule="exact")
+    return run_an_cauchy({"n": 1, "ks": [2], "variant": "I", "mu": mu.parts,
+                          "cap": params["cap"] - mu.size}, cfg)
 
 
 def cases_skew_sum(cfg):

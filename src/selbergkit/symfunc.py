@@ -10,7 +10,8 @@ cached.  Plethysm is the p-basis homomorphism over alphabet expression
 trees; an alphabet of exact scalars is hashable by value, so it can key a
 cache.  LetterSeries provides truncated polynomial arithmetic in named
 letters with exact scalar coefficients, used by the series-identity suites.
-Schur functions are evaluated numerically only, as an alternant ratio.
+alternant_ratio evaluates det(x_i^{w_j}) / Delta(x) at numeric points, the
+complex Schur function and, at staircase exponents, s_lambda.
 """
 
 from __future__ import annotations
@@ -30,46 +31,15 @@ __all__ = [
     "Alphabet", "Letters", "Ratio", "Sum", "Difference", "Product",
     "pk_of_alphabet", "plethysm",
     "h_series_of_alphabet", "e_series_of_alphabet",
-    "LetterSeries", "expand_in_letters",
-    "schur_eval", "alternant_ratio",
+    "LetterSeries", "alternant_ratio",
 ]
 
 BASES = ("m", "p")
 
 
 # ---------------------------------------------------------------------------
-# monomial expansions in d variables (exact, Fraction coefficients)
+# transition matrices between the m and p bases (exact, Fraction entries)
 # ---------------------------------------------------------------------------
-
-def _distinct_perms(seq: tuple[int, ...]):
-    # unique permutations via sorted-multiset recursion
-    seen_all = sorted(seq, reverse=True)
-
-    def rec(remaining: list[int]):
-        if not remaining:
-            yield ()
-            return
-        prev = None
-        for i, v in enumerate(remaining):
-            if v == prev:
-                continue
-            prev = v
-            rest = remaining[:i] + remaining[i + 1:]
-            for tail in rec(rest):
-                yield (v,) + tail
-
-    yield from rec(seen_all)
-
-
-@lru_cache(maxsize=None)
-def monomial_expansion(lam: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """m_lambda(x_1..x_nvars) as ((exponent tuple, coeff=1), ...)."""
-    lam = Partition(lam)
-    if len(lam) > nvars:
-        return ()
-    padded = lam.parts + (0,) * (nvars - len(lam))
-    return tuple((perm, 1) for perm in _distinct_perms(padded))
-
 
 def _poly_mul(a: dict, b: dict) -> dict:
     out: dict[tuple[int, ...], Fraction] = {}
@@ -198,12 +168,6 @@ def _scalar_is_zero(c) -> bool:
     return c == 0
 
 
-def _inv_scalar(d):
-    if isinstance(d, int):
-        return Fraction(1, d)
-    return 1 / d
-
-
 def _scalar_eq(a, b) -> bool:
     if isinstance(a, FieldElement) or isinstance(b, FieldElement):
         return fe(a) == fe(b)
@@ -272,10 +236,7 @@ def pk_of_alphabet(k: int, A: Alphabet):
         den = 1 - A.t ** k
         if _scalar_is_zero(den):
             raise ZeroDivisionError(f"Ratio alphabet needs t^{k} != 1")
-        num = A.a ** k - A.b ** k
-        if isinstance(num, LetterSeries):
-            return num * _inv_scalar(den)
-        return num / den
+        return (A.a ** k - A.b ** k) / den
     if isinstance(A, Sum):
         return pk_of_alphabet(k, A.left) + pk_of_alphabet(k, A.right)
     if isinstance(A, Difference):
@@ -382,12 +343,6 @@ class LetterSeries:
     def const(cls, letters, c, wcap=None):
         return cls(letters, {(0,) * len(letters): c}, wcap)
 
-    @classmethod
-    def letter(cls, letters, name, wcap=None):
-        e = [0] * len(letters)
-        e[list(letters).index(name)] = 1
-        return cls(letters, {tuple(e): Fraction(1)}, wcap)
-
     def _check(self, other: "LetterSeries"):
         """The weighted cap that self and other share."""
         if self.letters != other.letters:
@@ -475,28 +430,8 @@ class LetterSeries:
         return self.terms.get(tuple(exps), Fraction(0))
 
 
-def expand_in_letters(f: SymFunc, letters: Sequence[str],
-                      names: Sequence[str] | None = None,
-                      wcap=None) -> LetterSeries:
-    """Expand a symmetric function as a LetterSeries over letters, in the
-    letters named by names (all of them by default); every other letter
-    has exponent 0.  wcap is the series' weighted cap."""
-    letters = tuple(letters)
-    at = [letters.index(x) for x in (letters if names is None else names)]
-    terms: dict[tuple[int, ...], object] = {}
-    for lam, c in f.to_basis("m").coeffs.items():
-        for exps, _ in monomial_expansion(lam, len(at)):
-            full = [0] * len(letters)
-            for i, p in zip(at, exps):
-                full[i] = p
-            e = tuple(full)
-            v = terms.get(e)
-            terms[e] = c if v is None else v + c
-    return LetterSeries(letters, terms, wcap)
-
-
 # ---------------------------------------------------------------------------
-# Schur evaluation (alternant with confluent fallback)
+# alternant ratio (with confluent fallback)
 # ---------------------------------------------------------------------------
 
 def _falling(w, r: int):
@@ -596,14 +531,3 @@ def _perm_sign(perm) -> int:
         if clen % 2 == 0:
             sign = -sign
     return sign
-
-
-def schur_eval(lam: Partition, xs: Sequence) -> complex:
-    """s_lambda(x_1..x_n) at numeric points, as the alternant ratio
-    det(x_i^{lambda_j + n - j}) / Delta(x) with the confluent fallback."""
-    lam = Partition(lam)
-    n = len(xs)
-    if len(lam) > n:
-        return 0
-    ws = [lam.part(j + 1) + n - (j + 1) for j in range(n)]
-    return alternant_ratio([complex(x) for x in xs], ws)

@@ -3,7 +3,8 @@
 The Gram-Schmidt construction of Macdonald and Jack polynomials (the
 monic, dominance-unitriangular family orthogonal for a p-basis scalar
 product), the Schur functions in the m-basis from Kostka numbers counted
-over semistandard tableaux, and second forms of (b;q,t)_lambda, the hook
+over semistandard tableaux, symmetric functions expanded monomial by
+monomial in named letters, and second forms of (b;q,t)_lambda, the hook
 polynomials and s_lambda(1^n).  None of them is reached by ``selbergkit verify`` or
 ``eval``; each is the definition or a textbook form the package's own
 construction is checked against.
@@ -18,7 +19,7 @@ from functools import lru_cache
 from selbergkit.coeffs import hooks, inv_qpoch, poch, qpoch, qt_poch
 from selbergkit.field import FieldElement, fe, var
 from selbergkit.partitions import Partition, partitions_of
-from selbergkit.symfunc import SymFunc, _m_in_p, _scalar_eq
+from selbergkit.symfunc import LetterSeries, SymFunc, _m_in_p, _scalar_eq
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,55 @@ def same_sf(f: SymFunc, g: SymFunc) -> bool:
     a, b = f.to_basis("m").coeffs, g.to_basis("m").coeffs
     return all(_scalar_eq(a.get(lam, 0), b.get(lam, 0))
                for lam in set(a) | set(b))
+
+
+# ---------------------------------------------------------------------------
+# symmetric functions in named letters, every monomial of every orbit
+# ---------------------------------------------------------------------------
+
+def _distinct_perms(seq: tuple[int, ...]):
+    # unique permutations via sorted-multiset recursion
+    def rec(remaining: list[int]):
+        if not remaining:
+            yield ()
+            return
+        prev = None
+        for i, v in enumerate(remaining):
+            if v == prev:
+                continue
+            prev = v
+            for tail in rec(remaining[:i] + remaining[i + 1:]):
+                yield (v,) + tail
+
+    yield from rec(sorted(seq, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def monomial_expansion(lam: Partition, nvars: int) -> tuple:
+    """m_lambda(x_1..x_nvars) as ((exponent tuple, coeff=1), ...)."""
+    lam = Partition(lam)
+    if len(lam) > nvars:
+        return ()
+    padded = lam.parts + (0,) * (nvars - len(lam))
+    return tuple((perm, 1) for perm in _distinct_perms(padded))
+
+
+def expand_in_letters(f: SymFunc, letters, names=None,
+                      wcap=None) -> LetterSeries:
+    """f as a LetterSeries over letters, in the letters named by names
+    (all of them by default); every other letter has exponent 0.  wcap is
+    the series' weighted cap."""
+    letters = tuple(letters)
+    at = [letters.index(x) for x in (letters if names is None else names)]
+    terms: dict[tuple[int, ...], object] = {}
+    for lam, c in f.to_basis("m").coeffs.items():
+        for exps, _ in monomial_expansion(lam, len(at)):
+            full = [0] * len(letters)
+            for i, p in zip(at, exps):
+                full[i] = p
+            e = tuple(full)
+            terms[e] = terms[e] + c if e in terms else c
+    return LetterSeries(letters, terms, wcap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from oracles import schur_m
 from selbergkit.closedform import (
     an_one_alt, an_one_rhs, nplusone_rhs, schur_binomial,
 )
 from selbergkit.complexschur import (
     an_one_staircase, beta_contour_closed,
     beta_schur_exact_sum, beta_schur_rhs, complex_an_aflt_closed,
-    complex_an_aflt_recursive, complex_schur, schur_points,
+    complex_an_aflt_recursive, complex_schur,
     skew_schur_binomial, split_expansion, staircase_exponents,
     thm_schur_closed, thm_schur_residue_oracle,
 )
 from selbergkit.partitions import P, partitions_up_to
 from selbergkit.quadrature import SectorSpec, sector_integral
+from selbergkit.symfunc import Letters, plethysm
 
 
 class TestComplexSchur:
@@ -41,10 +44,12 @@ class TestComplexSchur:
         assert abs(v - ref) < 1e-12 * abs(ref)
 
     def test_staircase_recovers_schur(self):
+        # against the Kostka expansion of s_lam at exact points
         lam = P(2, 1)
-        xs = [0.4, 0.9, 1.3]
-        v = complex_schur(xs, staircase_exponents(lam, 3))
-        assert abs(v - schur_points(lam, xs)) < 1e-12 * abs(v)
+        xs = [Fraction(2, 5), Fraction(9, 10), Fraction(13, 10)]
+        v = complex_schur([float(x) for x in xs], staircase_exponents(lam, 3))
+        ref = float(plethysm(schur_m(lam), Letters(xs)))
+        assert abs(v - ref) < 1e-12 * abs(ref)
 
     def test_symmetric_in_x(self):
         rng = random.Random(2)
@@ -80,7 +85,8 @@ class TestResidueOracle:
     def test_k0_is_plain_schur(self):
         ys = [0.8, 1.2, 0.5]
         v = thm_schur_residue_oracle(0, 3, ys, [], P(2))
-        assert abs(v - schur_points(P(2), ys)) < 1e-13 * abs(v)
+        ref = complex_schur(ys, staircase_exponents(P(2), 3))
+        assert abs(v - ref) < 1e-13 * abs(v)
 
     def test_matches_closed_form(self):
         ys = [0.8 + 0.1j, 1.2 - 0.2j, 0.5 + 0.05j, 1.4]

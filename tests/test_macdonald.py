@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    hall_norm_gamma, hall_norm_qt, orthogonal_family, same_sf, schur_m,
+    expand_in_letters, hall_norm_gamma, hall_norm_qt, monomial_expansion,
+    orthogonal_family, same_sf, schur_m,
 )
 from selbergkit.field import FieldElement, fe, var
 from selbergkit.macdonald import (
@@ -15,10 +16,7 @@ from selbergkit.macdonald import (
     plethysm_eval, principal_spec_a, principal_spec_n, single_row_xminusy, skew_P, skew_Q,
 )
 from selbergkit.partitions import P, partitions_of, partitions_up_to, subpartitions
-from selbergkit.symfunc import (
-    Difference, Letters, Ratio, SymFunc, expand_in_letters,
-    monomial_expansion, plethysm,
-)
+from selbergkit.symfunc import Difference, Letters, Ratio, SymFunc, plethysm
 
 q, t, g, a = var("q"), var("t"), var("gamma"), var("a")
 

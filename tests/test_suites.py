@@ -156,6 +156,40 @@ def test_an_cauchy_sees_a_corrupted_kernel_factor(monkeypatch, cap):
         assert not rep.passed and rep.lhs == "unequal", suite
 
 
+@pytest.mark.parametrize("suite, case_id, cap, x, y", [
+    ("cauchy", "cauchy-mu0", 6, "x2", "y2"),
+    ("an-cauchy", "ancauchy-n2-k1.1-II", 4, "x1", "y2"),
+    ("an-cauchy", "ancauchy-n2-k1.1-II", 7, "x1", "y2"),
+])
+def test_one_corrupted_kernel_pair_is_seen(monkeypatch, suite, case_id, cap,
+                                           x, y):
+    # t^2 in place of t in the one (x, y) kernel breaks the symmetry that
+    # the dominant-monomial comparison rests on.  Its own first term sits
+    # at a monomial that is not dominant, but times the (x1, y1) kernel's
+    # it reaches the dominant x1 x2 y1 y2 (cauchy) or z1^2 x1^2 y1 y2
+    # (an-cauchy, weighted degree 4, so beyond the default cap 3), and the
+    # check fails there
+    from selbergkit import identities
+    from selbergkit.field import var
+    t = var("t")
+    gen, _ = suites.SUITES[suite]
+    params = next(c for c in gen({"max_degree": cap})
+                  if c["case_id"] == case_id)
+    assert suites.run_case(suite, params, {}).passed
+    kernel = identities._kernel_series
+
+    def corrupted(alpha, beta, U, q):
+        (e, _), = U.terms.items()
+        held = {name for name, p in zip(U.letters, e) if p}
+        if alpha == t and beta == 1 and {x, y} <= held:
+            alpha = t ** 2
+        return kernel(alpha, beta, U, q)
+
+    monkeypatch.setattr(identities, "_kernel_series", corrupted)
+    rep = suites.run_case(suite, params, {})
+    assert not rep.passed and rep.lhs == "unequal"
+
+
 @pytest.mark.parametrize("n, ks, mu, variant, reaches", [
     (3, [1, 2, 2], (), "II", "z-kernel"),
     (2, [1, 2], (1,), "II", "P_mu[W]"),
