@@ -73,6 +73,11 @@ chain of field operations would.  A binomial past the line power cap does
 not split; it is multiplied into its side, and that pair is reduced by
 ``_cofactors``.
 
+Sums of products.  A sum of many products, such as a symmetric function
+summed over its m-coefficients, is one ``dot``: it puts the terms over the
+lcm of their factored denominators and reduces the numerator once, by
+trial division, where a chain of sums would reduce after each term.
+
 Every result has one canonical form: zero is 0/1, and otherwise num and
 den are divided by the gcd of their integer contents, with the sign that
 makes the leading denominator coefficient positive.  ``_canonical`` makes
@@ -107,6 +112,7 @@ __all__ = [
     "fe",
     "var",
     "binomial_product",
+    "dot",
     "mpoly_gcd",
     "POLE_TOLERANCE",
 ]
@@ -1185,6 +1191,49 @@ def fe(x) -> FieldElement:
 
 def var(name: str) -> FieldElement:
     return FieldElement(MPoly.variable(name), reduce=False)
+
+
+def dot(xs: Iterable, ys: Iterable) -> FieldElement:
+    """sum_i x_i y_i over one common denominator, reduced once.
+
+    Where every denominator carries a factorization, the denominator L is
+    the lcm of the products x_i.den y_i.den (the fieldwise maximum of the
+    monomials, the lcm of the contents and each line factor to its largest
+    multiplicity), the numerator is sum_i x_i.num y_i.num L / (x_i.den
+    y_i.den), and the one gcd with L is found by trial division, as
+    ``_cofactors`` does.  The pair is made canonical, so the value is the
+    one the chain of products and sums gives.  Otherwise it is that chain.
+    """
+    xs, ys = [fe(x) for x in xs], [fe(y) for y in ys]
+    facs = []
+    for x, y in zip(xs, ys):
+        fx, fy = _factored(x.den), _factored(y.den)
+        if fx is None or fy is None:
+            total = FieldElement(0, reduce=False)
+            for u, v in zip(xs, ys):
+                total = total + u * v
+            return total
+        counts: dict[MPoly, int] = {}
+        for phi in fx[2:] + fy[2:]:
+            counts[phi] = counts.get(phi, 0) + 1
+        facs.append((fx[0] * fy[0], fx[1] + fy[1], counts))
+    content, mono, top = 1, 0, {}
+    for c, m, counts in facs:
+        content = math.lcm(content, c)
+        mono = mono + m - _min_exp(mono, m)
+        for phi, k in counts.items():
+            top[phi] = max(top.get(phi, 0), k)
+    num = MPoly()
+    for (c, m, counts), x, y in zip(facs, xs, ys):
+        rest = [phi for phi, k in top.items()
+                for _ in range(k - counts.get(phi, 0))]
+        num = num + x.num * y.num * _expand((content // c, mono - m, *rest))
+    if num.is_zero():
+        return FieldElement(0, reduce=False)
+    den = _expand((content, mono,
+                   *[phi for phi, k in top.items() for _ in range(k)]))
+    _, den, num = _trial(den, num)
+    return FieldElement(*_canonical(num, den), reduce=False)
 
 
 # --------------------------------------------------------------------------

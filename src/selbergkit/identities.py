@@ -266,8 +266,11 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
     P_{lam^(1)} times [m_b] Q_{lam^(n)/mu}, a of at most k_1 parts and b of
     at most n_y; for 'II-pleth' the y factor is sum_nu [m_b] Q_{lam^(n)/nu}
     [c^i d^j] Q_nu[(c - d)/(1 - t)].  The right side is a product of letter
-    series under the weighted cap.  lhs holds the left side's dominant
-    terms, rhs the right side, and note the first differing monomial.
+    series under the weighted cap, formed only there too: the factors are
+    multiplied so that the y letters finish one at a time, and after each
+    product a term whose finished letters already break the order is
+    dropped (`_dominant_product`).  lhs and rhs hold the two sides'
+    dominant terms, and note the first differing monomial.
     """
     mu_n = Partition(mu_n)
     q, t = var("q"), var("t")
@@ -322,8 +325,8 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
                 lhs[key] = lhs[key] + v if key in lhs else v
     lhs = LetterSeries(letters, lhs, wcap)
 
-    # ---------------- right-hand side ----------------
-    rhs = LetterSeries.const(letters, Fraction(1), wcap)
+    # ---------------- right-hand side, at the dominant monomials ---------
+    factors = []
 
     def zprod(lo, hi):  # z_lo * ... * z_hi as monomial powers
         return {f"z{r}": 1 for r in range(lo, hi + 1)}
@@ -338,46 +341,84 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
             W = Sum(W, Product(
                 Letters([_mono(letters, zprod(r + 1, n - 1), wcap)]),
                 Ratio(fe(1), 1 / ar, t)))
-        rhs = rhs * _pleth_letterseries(macdonald_P(mu_n), W, letters, wcap)
+        factors.append(_pleth_letterseries(macdonald_P(mu_n), W, letters,
+                                           wcap))
 
     for r in range(1, n):
         ar = a_r(r)
         for i in range(1, k1 + 1):
             U = _mono(letters, {**zprod(1, r), f"x{i}": 1}, wcap)
-            rhs = rhs * _kernel_series(ar * q, t, U, q)
+            factors.append(_kernel_series(ar * q, t, U, q))
         for j in range(1, ny + 1):
             U = _mono(letters, {**zprod(r + 1, n - 1), f"y{j}": 1}, wcap)
-            rhs = rhs * _kernel_series(1 / ar, fe(1), U, q)
+            factors.append(_kernel_series(1 / ar, fe(1), U, q))
     for i in range(1, k1 + 1):
         for j in range(1, ny + 1):
             U = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, f"y{j}": 1}, wcap)
-            rhs = rhs * _kernel_series(t, fe(1), U, q)
+            factors.append(_kernel_series(t, fe(1), U, q))
     for r in range(1, n - 1):
         for s in range(r + 1, n):
             asym = a_r(s)
             for i in range(1, ks[r] - ks[r - 1] + 1):
                 U = _mono(letters, zprod(r + 1, s), wcap)
-                rhs = rhs * _kernel_series(asym * q * t ** (i - 1), t ** i, U, q)
+                factors.append(_kernel_series(asym * q * t ** (i - 1), t ** i,
+                                              U, q))
     if variant == "II-pleth":
         for i in range(1, k1 + 1):
             Ud = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "d": 1}, wcap)
             Uc = _mono(letters, {**zprod(1, n - 1), f"x{i}": 1, "c": 1}, wcap)
-            rhs = rhs * _kernel_series(fe(1), fe(0), Ud, q)
-            rhs = rhs * _kernel_series(fe(0), fe(1), Uc, q)
+            factors.append(_kernel_series(fe(1), fe(0), Ud, q))
+            factors.append(_kernel_series(fe(0), fe(1), Uc, q))
         for r in range(1, n):
             for i in range(1, ks[r] - ks[r - 1] + 1):
                 Ud = _mono(letters, {**zprod(r + 1, n - 1), "d": 1}, wcap)
                 Uc = _mono(letters, {**zprod(r + 1, n - 1), "c": 1}, wcap)
-                rhs = rhs * _kernel_series(t ** (i - 1), fe(0), Ud, q)
-                rhs = rhs * _kernel_series(fe(0), t ** (i - 1), Uc, q)
+                factors.append(_kernel_series(t ** (i - 1), fe(0), Ud, q))
+                factors.append(_kernel_series(fe(0), t ** (i - 1), Uc, q))
 
-    # both sides hold only monomials within wcap, so each compared
+    rhs = _dominant_product(LetterSeries.const(letters, Fraction(1), wcap),
+                            factors, range(k1), range(k1, k1 + ny))
+
+    # both sides hold only dominant monomials within wcap, so each compared
     # coefficient is exactly resolved
-    steps = [i for i in range(k1 + ny - 1) if i != k1 - 1]
-    dominant = {e for e in rhs.terms if all(e[i] >= e[i + 1] for i in steps)}
-    witness = next((str(e) for e in sorted(dominant | set(lhs.terms))
+    witness = next((str(e) for e in sorted(set(rhs.terms) | set(lhs.terms))
                     if not _scalar_eq(lhs.coeff(e), rhs.coeff(e))), "")
     return IdentityCheck(lhs, rhs, not witness, witness)
+
+
+def _dominant_product(one: LetterSeries, factors, x_pos, y_pos) -> LetterSeries:
+    """one times the letter series ``factors``, at the monomials whose
+    exponents at the positions x_pos, and at y_pos, are non-increasing, and
+    at no other monomial.
+
+    A letter is finished once no factor left holds it.  Exponents are
+    non-negative, so later factors leave a finished letter's exponent as it
+    is and never lower the next one's: a term with e_a < e_b, for a finished
+    letter a and b the next letter of its chain, feeds only monomials that
+    are dropped, and is dropped after each product.  The factors go in the
+    order of the last y letter they hold, those with none first, so the y
+    letters finish one at a time; the x letters finish at the last product.
+    The weights of a weighted cap are non-negative, so the order changes no
+    coefficient of the truncated product.
+    """
+    held = []
+    for f in factors:
+        letters = set()
+        for e in f.terms:
+            letters.update(pos for pos, x in enumerate(e) if x)
+        held.append(letters)
+    order = sorted(range(len(factors)), key=lambda k: max(
+        (j for j, pos in enumerate(y_pos) if pos in held[k]), default=-1))
+    last = {pos: step for step, k in enumerate(order) for pos in held[k]}
+    pairs = [(a, b, last.get(a, -1)) for chain in (x_pos, y_pos)
+             for a, b in zip(chain, chain[1:])]
+    out = one
+    for step, k in enumerate(order):
+        out = out * factors[k]
+        due = [(a, b) for a, b, done in pairs if done <= step]
+        out.terms = {e: c for e, c in out.terms.items()
+                     if all(e[a] >= e[b] for a, b in due)}
+    return out
 
 
 def _partition_tuples(n, size_cap, ks):
@@ -404,10 +445,10 @@ def _partition_tuples(n, size_cap, ks):
 
 
 def _pleth_letterseries(f, A, letters, wcap) -> LetterSeries:
-    val = plethysm(f, A)
-    if isinstance(val, LetterSeries):
-        return val
-    return LetterSeries.const(letters, val, wcap)
+    """f[A] for f of positive degree and A built from letter series in
+    ``letters`` under ``wcap``: every term of the p-expansion holds a power
+    sum of A, so the value is a letter series there too."""
+    return plethysm(f, A)
 
 
 def _padded(lam: Partition, length: int) -> tuple[int, ...]:

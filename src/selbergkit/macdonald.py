@@ -14,9 +14,13 @@ or at arrays of points goes through it, the Jack ones through `jack_eval`.
 Values that depend only on partitions and an exact alphabet are cached on
 those keys: the skew tables, the plethysms P_{lam/mu}[A] (a Q-type one is
 the P-type value times b_lam/b_mu), and `principal_spec_a` at the
-indeterminates q and t.  The q,t products of hook binomials (b_lambda,
-the branching coefficients psi, `principal_spec_a` at q and t) are built
-each as one cancelled product by `coeffs._qpoch_product`.
+indeterminates q and t.  A plethysm goes through the p-basis only where
+no shorter route applies: at letters the m-expansion is evaluated, and
+P_lam at (1 - b)/(1 - t), alone or after letters, is a principal
+specialisation or the branching sum over it (ch. VI §§6-7).  The q,t
+products of hook binomials (b_lambda, the branching coefficients psi,
+`principal_spec_a` at q and t) are built each as one cancelled product by
+`coeffs._qpoch_product`.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coeffs import _qpoch_product, poch, qpoch
-from .field import FieldElement, fe, var
+from .field import FieldElement, dot, fe, var
 from .partitions import Partition, partitions_of, spectral_vector, subpartitions
-from .symfunc import Alphabet, Letters, Ratio, Sum, SymFunc, plethysm
+from .symfunc import (
+    Alphabet, Letters, Ratio, Sum, SymFunc, at_letters, plethysm,
+)
 
 __all__ = [
     "macdonald_P", "macdonald_Q", "skew_P", "skew_Q", "jack_P",
@@ -234,11 +240,28 @@ def _b_ratio(lam: Partition, mu: Partition) -> FieldElement:
 # exact suites ask for the same ones across many cases, so they are cached
 # on those keys.  A is an alphabet of exact scalars, hashed by value; an
 # alphabet holding a LetterSeries cannot be hashed and goes to `plethysm`.
+# Three alphabet kinds need no p-basis (Macdonald, ch. VI §§6-7): letters
+# are substituted into the m-expansion, P_lam[(1 - b)/(1 - t)] is
+# `principal_spec_a`, and P_lam[X + (1 - b)/(1 - t)] of letters X is the
+# branching sum over nu of P_{lam/nu}[X] P_nu[(1 - b)/(1 - t)].
 
 @lru_cache(maxsize=None)
 def _pleth_P(lam: Partition, mu: Partition, A: Alphabet):
     """P_{lam/mu}[A]; P_lam[A] when mu is empty."""
-    return plethysm(skew_P(lam, mu) if mu else macdonald_P(lam), A)
+    if not mu and _is_principal(A):
+        return principal_spec_a(lam, A.b)
+    if (not mu and isinstance(A, Sum) and isinstance(A.left, Letters)
+            and _is_principal(A.right)):
+        nus = list(subpartitions(lam))
+        return dot([at_letters(skew_P(lam, nu), A.left.values) for nu in nus],
+                   [principal_spec_a(nu, A.right.b) for nu in nus])
+    f = skew_P(lam, mu) if mu else macdonald_P(lam)
+    return at_letters(f, A.values) if isinstance(A, Letters) else plethysm(f, A)
+
+
+def _is_principal(A: Alphabet) -> bool:
+    """Whether A is (1 - b)/(1 - t) at the indeterminate t."""
+    return isinstance(A, Ratio) and A.a == 1 and A.t == var("t")
 
 
 def _pleth_Q(lam: Partition, mu: Partition, A: Alphabet):

@@ -88,7 +88,7 @@ def run_eval_sym(params, cfg):
 
 
 def cases_an_cauchy(cfg):
-    cap = _capped(cfg.get("max_degree", 3), 7, "--max-degree",
+    cap = _capped(cfg.get("max_degree", 3), 8, "--max-degree",
                   "an-cauchy")
     shapes = [(1, [2], "I"), (1, [2], "II"),
               (2, [1, 1], "I"), (2, [1, 1], "II"),

@@ -3,8 +3,9 @@ plethysm, alphabets and letter series.
 
 Symmetric functions are stored as coefficient maps over partitions with a
 basis tag, 'm' (monomial) or 'p' (power sum): the Macdonald and Jack
-polynomials are built in the m-basis, and every plethysm reads the
-p-basis.  The change of basis goes through exact per-degree transition
+polynomials are built in the m-basis.  `at_letters` substitutes exact
+letters into the m-expansion; `plethysm` reads the p-basis and takes any
+alphabet.  The change of basis goes through exact per-degree transition
 matrices, p_lambda expanded in d variables and its inverse; both are
 cached.  Plethysm is the p-basis homomorphism over alphabet expression
 trees; an alphabet of exact scalars is hashable by value, so it can key a
@@ -23,13 +24,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .field import FieldElement, fe
+from .field import FieldElement, dot, fe
 from .partitions import Partition, partitions_of
 
 __all__ = [
     "SymFunc",
     "Alphabet", "Letters", "Ratio", "Sum", "Difference", "Product",
-    "pk_of_alphabet", "plethysm",
+    "pk_of_alphabet", "plethysm", "at_letters",
     "h_series_of_alphabet", "e_series_of_alphabet",
     "LetterSeries", "alternant_ratio",
 ]
@@ -263,6 +264,43 @@ def plethysm(f: SymFunc, A: Alphabet):
             term = term * pk(part)
         total = total + term
     return total
+
+
+def at_letters(f: SymFunc, values):
+    """f(x_1, ..., x_n) at exact letter values, read off the m-basis.
+
+    m_lam(x_1..x_n) is the sum of x^a over the distinct rearrangements a of
+    lam padded with zeros to n parts, and 0 if l(lam) > n.  It is summed
+    letter by letter: m_S(x_i..x_n) = sum over the distinct parts v of the
+    multiset S of x_i^v m_{S - v}(x_{i+1}..x_n), remembered on (S, i) and
+    shared by every lam of f.  The sum over lam is one `field.dot`.
+    """
+    values = tuple(values)
+    n = len(values)
+    powers: dict[tuple[int, int], object] = {}
+    memo: dict[tuple[tuple[int, ...], int], object] = {}
+
+    def power(i, v):
+        if (i, v) not in powers:
+            powers[i, v] = values[i] ** v
+        return powers[i, v]
+
+    def m(parts, i):  # parts non-increasing, zeros included
+        if i == n:
+            return 1
+        if (parts, i) not in memo:
+            total = 0
+            for j, v in enumerate(parts):
+                if j and parts[j - 1] == v:
+                    continue
+                rest = m(parts[:j] + parts[j + 1:], i + 1)
+                total = total + (rest if not v else power(i, v) * rest)
+            memo[parts, i] = total
+        return memo[parts, i]
+
+    terms = [(c, m(lam.parts + (0,) * (n - len(lam)), 0))
+             for lam, c in f.to_basis("m").coeffs.items() if len(lam) <= n]
+    return dot([c for c, _ in terms], [v for _, v in terms])
 
 
 def h_series_of_alphabet(A: Alphabet, cap: int) -> list:

@@ -274,7 +274,7 @@ class TestCli:
         ("skew-sum", "--max-size", "7", 6),
         ("eval-sym", "--max-size", "9", 6),
         ("cauchy", "--max-degree", "11", 10),
-        ("an-cauchy", "--max-degree", "8", 7),
+        ("an-cauchy", "--max-degree", "9", 8),
     ], ids=[
         # Case names fixed from when the exact caps were lower, so each
         # case keeps its name as the caps move.

@@ -875,3 +875,29 @@ def test_trial_division_is_not_cut_by_the_step_limit(monkeypatch):
     x = (q ** 350 - 1) ** 2 / (q - 1) ** 2
     assert x == sum(q ** i for i in range(350)) ** 2
     assert x.den == MPoly.const(1)
+
+
+def test_dot_matches_the_chain_of_products_and_sums():
+    # one common denominator, reduced once, gives the canonical pair of
+    # the pairwise chain; a denominator with no factorization (three
+    # terms) takes the chain itself
+    rng = random.Random(20261020)
+    binomials = [1 - q, 1 - q * t, 1 - t ** 2, 1 - a * q / t, 2 * t, fe(3)]
+    for _ in range(80):
+        k = rng.randint(0, 5)
+        xs, ys = [], []
+        for _ in range(k):
+            den = fe(1)
+            for _ in range(rng.randint(0, 3)):
+                den = den * rng.choice(binomials)
+            xs.append(_random_fe(rng, nvars=3, nterms=1) / den)
+            ys.append(rng.choice([fe(0), fe(-2), q ** 2 / t, 1 + q + t,
+                                  1 / (1 + q + t), (1 - q) / (1 - t) ** 2]))
+        got = field.dot(xs, ys)
+        chain = fe(0)
+        for x, y in zip(xs, ys):
+            chain = chain + x * y
+        assert (got.num, got.den) == (chain.num, chain.den)
+    x = (1 - q) / (1 - t)
+    assert field.dot([x, x], [fe(1), fe(-1)]) == 0
+    assert field.dot([], []) == 0

@@ -213,7 +213,11 @@ def _clear_every_cache():
 
 
 def _skew_sum_keys(cases):
-    """The distinct keys a skew-sum run asks of each structural cache."""
+    """The distinct keys a skew-sum run asks of each structural cache.
+
+    P_lam[(1 - b)/(1 - t)] is principal_spec_a(lam, b), so each plethysm
+    with nu empty also asks the principal-specialisation cache for
+    (lam, b)."""
     pleth, ratio, spec, limit = set(), set(), set(), set()
     for c in cases:
         lam, mu, k, l = P(*c["lam"]), P(*c["mu"]), c["k"], c["l"]
@@ -228,6 +232,8 @@ def _skew_sum_keys(cases):
             if lam.contains(nu):
                 pleth |= {(mu, nu, Ratio(fe(1), ap, t)),
                           (lam, nu, Ratio(fe(1), aq, t))}
+                if not nu:
+                    spec |= {(mu, ap), (lam, aq)}
                 ratio.add((lam, nu))
     return pleth, ratio, spec, limit
 
@@ -276,7 +282,7 @@ class TestStructuralCaches:
                   macdonald._principal_spec_qt, identities._f_limit)
         sizes = [fn.cache_info().currsize for fn in caches]
         assert sizes == [len(k) for k in keys]
-        assert sizes == [68, 9, 46, 81]
+        assert sizes == [68, 9, 70, 81]
 
 
 class TestAnCauchy:
@@ -370,6 +376,47 @@ class TestAnCauchy:
                 if xdeg:
                     assert xdeg == 1, held
                     assert any(name[0] in "yzcd" for name in held), held
+
+
+def _an_cauchy_cases():
+    # every default an-cauchy shape at caps 3 and 4, and the cauchy cases
+    gen, _ = suites.SUITES["an-cauchy"]
+    cases = [("an-cauchy", c) for cap in (3, 4)
+             for c in gen({"max_degree": cap})]
+    gen, _ = suites.SUITES["cauchy"]
+    return cases + [("cauchy", c) for c in gen({})]
+
+
+@pytest.mark.parametrize("suite, case", _an_cauchy_cases(),
+                         ids=lambda x: x["case_id"] + f"-cap{x['cap']}"
+                         if isinstance(x, dict) else x)
+def test_right_side_is_the_plain_product_at_dominant_monomials(
+        monkeypatch, suite, case):
+    # the filtered product against the plain LetterSeries product of the
+    # same factors: equal at every dominant monomial, and nothing else
+    seen = []
+    product = identities._dominant_product
+
+    def recorded(one, factors, x_pos, y_pos):
+        out = product(one, factors, x_pos, y_pos)
+        seen.append((one, list(factors), list(x_pos), list(y_pos), out))
+        return out
+
+    monkeypatch.setattr(identities, "_dominant_product", recorded)
+    assert suites.run_case(suite, case, {}).passed
+    (one, factors, x_pos, y_pos, got), = seen
+    plain = one
+    for f in factors:
+        plain = plain * f
+
+    def dominant(e):
+        return all(e[i] >= e[j] for chain in (x_pos, y_pos)
+                   for i, j in zip(chain, chain[1:]))
+
+    want = {e: c for e, c in plain.terms.items() if dominant(e)}
+    assert want and set(got.terms) == set(want)
+    for e, c in want.items():
+        assert fe(got.terms[e]) == fe(c), e
 
 
 class TestBridge:

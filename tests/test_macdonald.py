@@ -8,6 +8,7 @@ from oracles import (
     expand_in_letters, hall_norm_gamma, hall_norm_qt, monomial_expansion,
     orthogonal_family, same_sf, schur_m,
 )
+from selbergkit import macdonald, suites, symfunc
 from selbergkit.field import FieldElement, fe, var
 from selbergkit.macdonald import (
     _skew_table, b_lambda, evaluation_symmetry_check,
@@ -15,8 +16,10 @@ from selbergkit.macdonald import (
     jack_P, jack_binomial_spec, jack_eval, macdonald_P, macdonald_Q,
     plethysm_eval, principal_spec_a, principal_spec_n, single_row_xminusy, skew_P, skew_Q,
 )
-from selbergkit.partitions import P, partitions_of, partitions_up_to, subpartitions
-from selbergkit.symfunc import Difference, Letters, Ratio, SymFunc, plethysm
+from selbergkit.partitions import (
+    P, partitions_of, partitions_up_to, spectral_vector, subpartitions,
+)
+from selbergkit.symfunc import Difference, Letters, Ratio, Sum, SymFunc, plethysm
 
 q, t, g, a = var("q"), var("t"), var("gamma"), var("a")
 
@@ -310,3 +313,79 @@ class TestEvaluationSymmetry:
     def test_generalized(self):
         assert generalized_evaluation_symmetry_check(P(2, 1), P(1), 2, 2)
         assert generalized_evaluation_symmetry_check(P(1), P(2), 2, 3)
+
+
+class TestPlethysmRoutes:
+    """`_pleth_P` substitutes letters into the m-expansion, reads
+    P_lam[(1 - b)/(1 - t)] off `principal_spec_a` and sums the branching
+    rule at letters plus (1 - b)/(1 - t); each route must give what the
+    p-basis plethysm gives."""
+
+    @staticmethod
+    def _same(lam, mu, A):
+        f = skew_P(lam, mu) if mu else macdonald_P(lam)
+        got = macdonald._pleth_P.__wrapped__(lam, mu, A)
+        assert fe(got) == fe(plethysm(f, A)), (lam, mu, A)
+
+    def test_letters(self):
+        # as many letters as parts, fewer, and letters with negative powers
+        alphabets = [Letters(spectral_vector(P(2, 1), 3)),
+                     Letters(spectral_vector(P(1), 1)),
+                     Letters([a * t ** -2 * v for v in spectral_vector(P(2), 2)]),
+                     Letters([fe(2), q, 1 - t])]
+        checked = 0
+        for lam in partitions_up_to(4):
+            for mu in subpartitions(lam):
+                if mu.size <= 3:
+                    for A in alphabets:
+                        self._same(lam, mu, A)
+                        checked += 1
+        assert checked == 4 * 47  # 47 pairs mu in lam
+
+    def test_principal(self):
+        for lam in partitions_up_to(4):
+            for b in (1 / a, a * q / t, t ** 2, q * t ** -3, fe(0), 2 * a):
+                self._same(lam, P(), Ratio(fe(1), b, t))
+
+    def test_branching_sum(self):
+        for lam in partitions_up_to(4):
+            for spec, npad in ((P(), 1), (P(1), 2), (P(2, 1), 3)):
+                pref = a * t ** -npad
+                X = Letters([pref * v for v in spectral_vector(spec, npad)])
+                self._same(lam, P(), Sum(X, Ratio(fe(1), pref, t)))
+
+    def test_other_alphabets_take_the_p_basis(self, monkeypatch):
+        # a skew at a Ratio, a Ratio that is not (1 - b)/(1 - t) at t, and
+        # a Sum in the other order all go to plethysm
+        calls = []
+
+        def counted(f, A):
+            calls.append(A)
+            return plethysm(f, A)
+
+        monkeypatch.setattr(macdonald, "plethysm", counted)
+        X = Letters(spectral_vector(P(1), 2))
+        alphabets = [(P(2, 1), P(1), Ratio(fe(1), a, t)),
+                     (P(2, 1), P(), Ratio(q, a, t)),
+                     (P(2, 1), P(), Ratio(fe(1), a, q)),
+                     (P(2, 1), P(), Sum(Ratio(fe(1), a, t), X))]
+        for lam, mu, A in alphabets:
+            self._same(lam, mu, A)
+        assert calls == [A for _, _, A in alphabets]
+
+    def test_eval_sym_makes_no_p_basis_plethysm(self, monkeypatch):
+        # a fall-back to the p basis fails here instead of only costing time
+        calls = []
+
+        def counted(f, A):
+            calls.append(A)
+            return plethysm(f, A)
+
+        monkeypatch.setattr(symfunc, "plethysm", counted)
+        monkeypatch.setattr(macdonald, "plethysm", counted)
+        macdonald._pleth_P.cache_clear()
+        gen, _ = suites.SUITES["eval-sym"]
+        cases = gen({})
+        assert all(suites.run_case("eval-sym", c, {}).passed for c in cases)
+        assert macdonald._pleth_P.cache_info().misses > 0
+        assert calls == []
