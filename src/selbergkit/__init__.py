@@ -1,11 +1,8 @@
 """selbergkit: exact symmetric-function engine and Selberg/AFLT verification harness."""
 
-from .field import FieldElement, MPoly, PoleError, fe, var
+from .errors import PoleError
 from .partitions import Bipartition, P, Partition
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FieldElement", "MPoly", "PoleError", "fe", "var",
-    "Partition", "Bipartition", "P",
-]
+__all__ = ["PoleError", "Partition", "Bipartition", "P"]

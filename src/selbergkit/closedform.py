@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .coeffs import gamma_poch, gamma_ratio, poch, qpoch, qpoch_inf, qt_poch
-from .field import PoleError
+from .errors import PoleError
 from .macdonald import jack_binomial_spec, principal_spec_a
 from .partitions import Partition
 

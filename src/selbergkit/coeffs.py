@@ -7,10 +7,14 @@ as long as only +, -, *, /, integer powers are used.  Infinite products
 truncated where its terms fall below 1e-16.  The theta family (theta,
 theta_poch, ell_qt_poch, delta0) also takes numpy arrays of points in its
 first argument; theta then runs kernels.theta_arr once for the whole
-array.  ell_gamma is kernels.ellgamma_arr at one point or on an array of
-points, so the elliptic gamma has one implementation and one check of its
-zeros and poles.  numpy is imported only by those numeric routes: the
-exact suites use this module without it.
+array, and at one point it computes each (z, p) once, in a bounded memo.
+ell_gamma is kernels.ellgamma_arr at one point or on an array of points,
+so the elliptic gamma has one implementation and one check of its zeros
+and poles.  numpy is imported only by those numeric routes: the exact
+suites use this module without it.  The module imports nothing from
+`field`, so the elliptic suites run without the exact engine; the exact
+q-Pochhammer products of the Macdonald identities are built in
+`macdonald`.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from functools import lru_cache
 
-from .field import FieldElement, PoleError, binomial_product
+from .errors import PoleError
 from .partitions import Partition
 
 __all__ = [
@@ -124,69 +129,6 @@ def qt_poch(b, q, t, lam: Partition):
     for i, part in enumerate(lam.parts, start=1):
         out = out * qpoch(b * t ** (1 - i), q, part)
     return out
-
-
-def _qpoch_product(symbols, shift, q, t, a=0):
-    """a^i q^j t^k times the product of (x;q)_n^s over the q-Pochhammer
-    symbols (x, n, s), where shift = (i, j, k) and each argument x is
-    a^i' q^j' t^k' given as its exponent triple (i', j', k'); a negative n
-    is read as in qpoch.
-
-    Where ``_qpoch_exact`` applies, the product is one binomial_product;
-    otherwise the ring's own arithmetic multiplies it symbol by symbol.
-    """
-    out = _qpoch_exact(symbols, shift, q, t, a)
-    if out is not None:
-        return out
-    i, j, k = shift
-    out = a ** i * q ** j * t ** k
-    for (i, j, k), n, s in symbols:
-        if not n:
-            continue
-        x = a ** i * q ** j * t ** k
-        # (x;q)_n is p for n > 0 and 1/p for n < 0
-        p = qpoch(x, q, n) if n > 0 else inv_qpoch(x, q, n)
-        out = out * p if (n > 0) == (s > 0) else out / p
-    return out
-
-
-def _qpoch_exact(symbols, shift, q, t, a):
-    """The product of ``_qpoch_product`` as one field.binomial_product, or
-    None unless q, t and a are Laurent monomials with coefficient 1; a may
-    also be 0 if no argument holds a negative power of it."""
-    vq, vt, va = _laurent(q), _laurent(t), _laurent(a)
-    if vq is None or vt is None:
-        return None
-    if va is None:
-        if (not _is_exact_zero(a) or shift[0]
-                or any(x[0] < 0 for x, _, _ in symbols)):
-            return None
-        # a symbol whose argument holds a power of a = 0 is 1
-        symbols = [sym for sym in symbols if not sym[0][0]]
-        va = (0,) * len(vq)
-    basis = (va, vq, vt)
-    factors = []
-    for sym in symbols:
-        factors += _binomials(sym, basis)
-    i, j, k = shift
-    return binomial_product(factors, tuple(
-        [i * u + j * v + k * w for u, v, w in zip(va, vq, vt)]))
-
-
-def _binomials(sym, basis):
-    """The factors of binomial_product that make up the symbol
-    sym = ((i, j, k), n, s), for basis = (a, q, t) as exponent vectors:
-    (x;q)_n is the product of 1 - x q^u over 0 <= u < n, or for n < 0 the
-    inverse of that over n <= u < 0."""
-    (i, j, k), n, s = sym
-    va, vq, vt = basis
-    us, s = (range(j, j + n), s) if n >= 0 else (range(j + n, j), -s)
-    ik = [i * u + k * w for u, w in zip(va, vt)]
-    return [(tuple([c + u * v for c, v in zip(ik, vq)]), s) for u in us]
-
-
-def _laurent(x):
-    return x.laurent() if isinstance(x, FieldElement) else None
 
 
 def gamma_poch(b, g, lam: Partition):
@@ -323,15 +265,21 @@ def _point(x):
 def theta(z, p) -> complex:
     """Modified theta theta(z;p) = (z;p)_inf (p/z;p)_inf, z != 0, |p| < 1.
 
-    On an array z the product is truncated at kernels.trunc_order(|p|).
+    On an array z the product is truncated at kernels.trunc_order(|p|).  At
+    one point it is _theta_at, which computes each (z, p) once.
     """
     if _is_array(z):
         from . import kernels
         return kernels.theta_arr(z, complex(p), kernels.trunc_order(abs(p)))
-    z = complex(z)
+    return _theta_at(complex(z), complex(p))
+
+
+@lru_cache(maxsize=4096)
+def _theta_at(z: complex, p: complex) -> complex:
+    # lru_cache stores no exception, so theta(0; p) raises at every call
     if z == 0:
         raise ZeroDivisionError("theta(0; p) undefined")
-    return qpoch_inf(z, p) * qpoch_inf(complex(p) / z, p)
+    return qpoch_inf(z, p) * qpoch_inf(p / z, p)
 
 
 def theta_poch(b, q, p, n: int) -> complex:

@@ -37,8 +37,8 @@ from .coeffs import (
     c_minus, c_plus, delta0, delta0_bipartite, ell_gamma, ell_qt_poch,
     hooks, qpoch_inf, theta_poch,
 )
-from .field import PoleError
-from .partitions import Bipartition, P, Partition, bipartite_spectral_vector
+from .errors import PoleError
+from .partitions import Bipartition, P, Partition
 
 __all__ = [
     "bc1_interp", "elliptic_binomial", "normalised_binomial",
@@ -285,6 +285,17 @@ def _check_balancing(n, ts, t, p, q):
                          "(t^(2n-2) t1...t6 must equal p q)")
 
 
+def _spectral_points(blam: Bipartition, n: int, t, p, q) -> list:
+    """The spectral points t^{n-i} q^{lam1_i} p^{lam2_i}, i = 1..n, of the
+    bipartition blam = (lam1, lam2), as complex numbers."""
+    lam1, lam2 = Partition(blam.first), Partition(blam.second)
+    if len(lam1) > n or len(lam2) > n:
+        raise ValueError("component length exceeds n")
+    t, p, q = complex(t), complex(p), complex(q)
+    return [t ** (n - i) * q ** lam1.part(i) * p ** lam2.part(i)
+            for i in range(1, n + 1)]
+
+
 def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p,
               q) -> complex:
     """Elliptic interpolation-pair integral, closed form.
@@ -307,8 +318,7 @@ def eaflt_rhs(n: int, blam: Bipartition, bmu: Bipartition, t, ts, p,
         t ** (n - 2) * t3 * t4 * t5 / t6,
         [t ** (n - 1) * t3 * t4, t ** (n - 1) * t3 * t5, t ** (n - 1) * t4 * t5],
         t, p, q, bmu)
-    sv = [complex(x.eval({"q": complex(q), "p": complex(p), "t": t}))
-          for x in bipartite_spectral_vector(blam, n)]
+    sv = _spectral_points(blam, n, t, p, q)
     num_args = [t ** (n - 2) * t1 * t3 * t4 * t5 * v for v in sv]
     den_args = [t ** (n - 1) * t1 * t3 * t4 * t5 * v for v in sv]
     out *= delta0_bipartite(t ** (n - 2) * t3 * t4 * t5 / t6, num_args,
@@ -385,8 +395,7 @@ def thm92_rhs_n1(blam: Bipartition, bmu: Bipartition, ts, t, p, q) -> complex:
                        t2 * zeta_p, q, p)
             * bc1_interp(_single_row(blam.second), t3 / zeta_p, t1 * zeta_p,
                          t2 * zeta_p, p, q))
-    z_lam = [complex(x.eval({"q": complex(q), "p": complex(p), "t": t}))
-             for x in bipartite_spectral_vector(blam, 1)]
+    z_lam = _spectral_points(blam, 1, t, p, q)
     out *= (bc1_interp(_single_row(bmu.first), t1 * z_lam[0] / zeta,
                        t3 * zeta, t6 * zeta, q, p)
             * bc1_interp(_single_row(bmu.second), t1 * z_lam[0] / zeta,

@@ -105,6 +105,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .errors import PoleError
+
 __all__ = [
     "PoleError",
     "MPoly",
@@ -128,10 +130,6 @@ _M = (1 << _W) - 1
 _DEG_GUARD = 1 << (_W - 1)
 # guard bits of field 0 and of every registered indeterminate's field
 _GUARD = _DEG_GUARD
-
-
-class PoleError(ArithmeticError):
-    """Raised when a denominator vanishes (exactly or within pole tolerance)."""
 
 
 def _register(name: str) -> int:

@@ -24,10 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import macdonald
-from .coeffs import _qpoch_product
 from .field import FieldElement, fe, var
 from .macdonald import (
-    _pleth_P, _pleth_Q, b_lambda, macdonald_P, principal_spec_a, skew_P,
+    _pleth_P, _pleth_Q, _qpoch_product, b_lambda, macdonald_P,
+    principal_spec_a, skew_P,
 )
 from .partitions import Bipartition, P, Partition, partitions_up_to, subpartitions
 from .symfunc import (
@@ -42,7 +42,7 @@ __all__ = [
 
 def _f_symbols(lam: Partition, mu: Partition, k: int, l):
     """The q-Pochhammer symbols of f^{k,l}_{lam,mu}(a;q,t) over its
-    monomial t^{-k|mu|}, as ``coeffs._qpoch_product`` reads them; l=None
+    monomial t^{-k|mu|}, as ``macdonald._qpoch_product`` reads them; l=None
     means l = infinity."""
     out = []
     lm = len(mu) if l is None else l

@@ -20,27 +20,94 @@ P_lam at (1 - b)/(1 - t), alone or after letters, is a principal
 specialisation or the branching sum over it (ch. VI §§6-7).  The q,t
 products of hook binomials (b_lambda, the branching coefficients psi,
 `principal_spec_a` at q and t) are built each as one cancelled product by
-`coeffs._qpoch_product`.
+`_qpoch_product`, which `identities` also reads for the f-function.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import _qpoch_product, poch, qpoch
-from .field import FieldElement, dot, fe, var
-from .partitions import Partition, partitions_of, spectral_vector, subpartitions
+from .coeffs import _is_exact_zero, inv_qpoch, poch, qpoch
+from .field import FieldElement, binomial_product, dot, fe, var
+from .partitions import Partition, partitions_of, subpartitions
 from .symfunc import (
     Alphabet, Letters, Ratio, Sum, SymFunc, at_letters, plethysm,
 )
 
 __all__ = [
     "macdonald_P", "macdonald_Q", "skew_P", "skew_Q", "jack_P",
-    "b_lambda",
+    "b_lambda", "spectral_vector",
     "principal_spec_a", "principal_spec_n", "jack_binomial_spec",
     "single_row_xminusy", "evaluation_symmetry_check",
     "generalized_evaluation_symmetry_check", "jack_eval", "plethysm_eval",
 ]
+
+
+# ---------------------------------------------------------------------------
+# exact q-Pochhammer products
+# ---------------------------------------------------------------------------
+
+def _qpoch_product(symbols, shift, q, t, a=0):
+    """a^i q^j t^k times the product of (x;q)_n^s over the q-Pochhammer
+    symbols (x, n, s), where shift = (i, j, k) and each argument x is
+    a^i' q^j' t^k' given as its exponent triple (i', j', k'); a negative n
+    is read as in qpoch.
+
+    Where ``_qpoch_exact`` applies, the product is one binomial_product;
+    otherwise the ring's own arithmetic multiplies it symbol by symbol.
+    """
+    out = _qpoch_exact(symbols, shift, q, t, a)
+    if out is not None:
+        return out
+    i, j, k = shift
+    out = a ** i * q ** j * t ** k
+    for (i, j, k), n, s in symbols:
+        if not n:
+            continue
+        x = a ** i * q ** j * t ** k
+        # (x;q)_n is p for n > 0 and 1/p for n < 0
+        p = qpoch(x, q, n) if n > 0 else inv_qpoch(x, q, n)
+        out = out * p if (n > 0) == (s > 0) else out / p
+    return out
+
+
+def _qpoch_exact(symbols, shift, q, t, a):
+    """The product of ``_qpoch_product`` as one field.binomial_product, or
+    None unless q, t and a are Laurent monomials with coefficient 1; a may
+    also be 0 if no argument holds a negative power of it."""
+    vq, vt, va = _laurent(q), _laurent(t), _laurent(a)
+    if vq is None or vt is None:
+        return None
+    if va is None:
+        if (not _is_exact_zero(a) or shift[0]
+                or any(x[0] < 0 for x, _, _ in symbols)):
+            return None
+        # a symbol whose argument holds a power of a = 0 is 1
+        symbols = [sym for sym in symbols if not sym[0][0]]
+        va = (0,) * len(vq)
+    basis = (va, vq, vt)
+    factors = []
+    for sym in symbols:
+        factors += _binomials(sym, basis)
+    i, j, k = shift
+    return binomial_product(factors, tuple(
+        [i * u + j * v + k * w for u, v, w in zip(va, vq, vt)]))
+
+
+def _binomials(sym, basis):
+    """The factors of binomial_product that make up the symbol
+    sym = ((i, j, k), n, s), for basis = (a, q, t) as exponent vectors:
+    (x;q)_n is the product of 1 - x q^u over 0 <= u < n, or for n < 0 the
+    inverse of that over n <= u < 0."""
+    (i, j, k), n, s = sym
+    va, vq, vt = basis
+    us, s = (range(j, j + n), s) if n >= 0 else (range(j + n, j), -s)
+    ik = [i * u + k * w for u, w in zip(va, vt)]
+    return [(tuple([c + u * v for c, v in zip(ik, vq)]), s) for u in us]
+
+
+def _laurent(x):
+    return x.laurent() if isinstance(x, FieldElement) else None
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +343,7 @@ def _pleth_Q(lam: Partition, mu: Partition, A: Alphabet):
 def principal_spec_a(lam: Partition, a, q=None, t=None):
     """P_lambda[(1-a)/(1-t)] = t^{n(lam)} (a;q,t)_lam / c_lam(q,t).
 
-    One list of q-Pochhammer symbols, read by `coeffs._qpoch_product`, gives
+    One list of q-Pochhammer symbols, read by `_qpoch_product`, gives
     the value for every q, t and a: for Laurent monomials q, t and a (or
     a = 0) it is one cancelled product of binomials 1 - a^e q^i t^j
     (field.binomial_product); otherwise, numeric q and t among them, the
@@ -392,6 +459,15 @@ def single_row_xminusy(r: int, x, y, q=None, t=None):
 # ---------------------------------------------------------------------------
 # evaluation symmetry
 # ---------------------------------------------------------------------------
+
+def spectral_vector(lam: Partition, n: int) -> list:
+    """The point (q^{lambda_i} t^{n-i})_{i=1..n} at the indeterminates."""
+    lam = Partition(lam)
+    if len(lam) > n:
+        raise ValueError(f"l({lam}) > {n}")
+    q, t = fe("q"), fe("t")
+    return [q ** lam.part(i) * t ** (n - i) for i in range(1, n + 1)]
+
 
 def evaluation_symmetry_check(lam: Partition, mu: Partition, n: int) -> bool:
     """Eq: P_mu[<0>_n] P_lam[<mu>_n] = P_lam[<0>_n] P_mu[<lam>_n], exact."""

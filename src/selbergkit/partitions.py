@@ -1,11 +1,13 @@
-"""Partitions, bipartitions, Young-diagram statistics and spectral vectors."""
+"""Partitions, bipartitions, Young-diagram statistics and enumeration.
+
+It imports nothing from the package, so the numeric paths load it without
+the exact engine `field`; the spectral vectors at the indeterminates are
+`macdonald.spectral_vector`."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterator, NamedTuple
-
-from .field import fe
 
 __all__ = [
     "Partition",
@@ -14,8 +16,6 @@ __all__ = [
     "partitions_of",
     "partitions_up_to",
     "subpartitions",
-    "spectral_vector",
-    "bipartite_spectral_vector",
 ]
 
 
@@ -184,23 +184,3 @@ def subpartitions(lam: Partition) -> Iterator[Partition]:
             yield from rec(i + 1, p, acc + (p,))
 
     yield from rec(1, lam.part(1), ())
-
-
-def spectral_vector(lam: Partition, n: int) -> list:
-    """The point (q^{lambda_i} t^{n-i})_{i=1..n} at the indeterminates."""
-    lam = Partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"l({lam}) > {n}")
-    q, t = fe("q"), fe("t")
-    return [q ** lam.part(i) * t ** (n - i) for i in range(1, n + 1)]
-
-
-def bipartite_spectral_vector(blam: Bipartition, n: int) -> list:
-    """Entries q^{lam1_i} p^{lam2_i} t^{n-i} for the bipartition (lam1, lam2),
-    at the indeterminates q, p and t."""
-    lam1, lam2 = Partition(blam.first), Partition(blam.second)
-    if len(lam1) > n or len(lam2) > n:
-        raise ValueError("component length exceeds n")
-    q, p, t = fe("q"), fe("p"), fe("t")
-    return [q ** lam1.part(i) * p ** lam2.part(i) * t ** (n - i)
-            for i in range(1, n + 1)]

@@ -21,7 +21,7 @@ import dataclasses
 import time
 from importlib import import_module
 
-from .field import PoleError
+from .errors import PoleError
 from .partitions import Partition
 from .reports import Outcome, VerificationReport, make_report
 

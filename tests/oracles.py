@@ -4,8 +4,9 @@ The Gram-Schmidt construction of Macdonald and Jack polynomials (the
 monic, dominance-unitriangular family orthogonal for a p-basis scalar
 product), the Schur functions in the m-basis from Kostka numbers counted
 over semistandard tableaux, symmetric functions expanded monomial by
-monomial in named letters, and second forms of (b;q,t)_lambda, the hook
-polynomials and s_lambda(1^n).  None of them is reached by ``selbergkit verify`` or
+monomial in named letters, second forms of (b;q,t)_lambda, the hook
+polynomials and s_lambda(1^n), and the bipartite spectral vector at the
+indeterminates.  None of them is reached by ``selbergkit verify`` or
 ``eval``; each is the definition or a textbook form the package's own
 construction is checked against.
 """
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 from selbergkit.coeffs import hooks, inv_qpoch, poch, qpoch, qt_poch
 from selbergkit.field import FieldElement, fe, var
-from selbergkit.partitions import Partition, partitions_of
+from selbergkit.partitions import Bipartition, Partition, partitions_of
 from selbergkit.symfunc import LetterSeries, SymFunc, _m_in_p, _scalar_eq
 
 
@@ -248,6 +249,17 @@ def schur_spec(lam: Partition, n, k: int | None = None):
         for j in range(i + 1, k + 1):
             out = out * Fraction(lam.part(i) - lam.part(j) + j - i, j - i)
     return out
+
+
+def bipartite_spectral_vector(blam: Bipartition, n: int) -> list:
+    """Entries q^{lam1_i} p^{lam2_i} t^{n-i} for the bipartition (lam1, lam2),
+    at the indeterminates q, p and t."""
+    lam1, lam2 = Partition(blam.first), Partition(blam.second)
+    if len(lam1) > n or len(lam2) > n:
+        raise ValueError("component length exceeds n")
+    q, p, t = fe("q"), fe("p"), fe("t")
+    return [q ** lam1.part(i) * p ** lam2.part(i) * t ** (n - i)
+            for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import hooks_row_form, qt_poch_cells
+from oracles import bipartite_spectral_vector, hooks_row_form, qt_poch_cells
+from selbergkit import coeffs
 from selbergkit.coeffs import (
     c_minus, c_plus, delta0, ell_gamma, ell_qt_poch, gamma,
     gamma_poch, gamma_ratio, hooks, inv_qpoch, poch, qpoch,
     qpoch_inf, qt_poch, theta, theta_poch,
 )
 from selbergkit.field import PoleError, fe, var
-from selbergkit.partitions import P, bipartite_spectral_vector, Bipartition, partitions_up_to
+from selbergkit.partitions import P, Bipartition, partitions_up_to
 
 q, t, b = var("q"), var("t"), var("b")
 
@@ -159,6 +160,39 @@ class TestGamma:
 class TestThetaEllGamma:
     def test_theta_p0(self):
         assert abs(theta(0.3, 0) - 0.7) < 1e-15
+
+    def test_theta_memo_repeats_the_product_bit_for_bit(self):
+        z, p = 0.37 + 0.21j, 0.3
+        want = qpoch_inf(z, p) * qpoch_inf(p / z, p)
+        coeffs._theta_at.cache_clear()
+        assert theta(z, p) == want
+        assert theta(complex(z), p) == want
+        assert coeffs._theta_at.cache_info().hits == 1
+
+    def test_theta_at_zero_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                theta(0, 0.3)
+
+    def test_theta_on_an_array_runs_the_kernel(self, monkeypatch):
+        import numpy as np
+
+        from selbergkit import kernels
+        seen = []
+
+        def spy(z, p, order):
+            seen.append(z.shape)
+            return kernel(z, p, order)
+
+        kernel = kernels.theta_arr
+        monkeypatch.setattr(kernels, "theta_arr", spy)
+        coeffs._theta_at.cache_clear()
+        z = np.array([0.3, 0.5 + 0.2j, -0.7j])
+        got = theta(z, 0.25)
+        assert seen == [(3,)]
+        assert coeffs._theta_at.cache_info().currsize == 0
+        for zz, g in zip(z, got):
+            assert abs(g - theta(zz, 0.25)) <= 1e-13 * abs(g)
 
     def test_ell_gamma_p0(self):
         z, qq = 0.35 + 0.1j, 0.25

@@ -143,6 +143,23 @@ class TestConnection:
         assert abs(tot - lhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+class TestBalancing:
+    def test_rank_two_balancing(self):
+        # t^2 t1...t6 = p q holds at n = 2 and not at n = 1, and the
+        # other way round
+        p, q, t = 0.12, 0.45, 0.5
+        ts = [0.8, 0.8, 0.75, 0.75, 0.75]
+        ts.append(p * q / (t ** 2 * np.prod(ts)))
+        val = elliptic_selberg_rhs(2, ts, t, p, q)
+        assert cmath.isfinite(val) and val != 0
+        with pytest.raises(ValueError, match="balancing"):
+            elliptic_selberg_rhs(1, ts, t, p, q)
+        ts1 = ts[:5] + [p * q / np.prod(ts[:5])]
+        assert cmath.isfinite(elliptic_selberg_rhs(1, ts1, t, p, q))
+        with pytest.raises(ValueError, match="balancing"):
+            elliptic_selberg_rhs(2, ts1, t, p, q)
+
+
 class TestEllipticIntegrals:
     def test_spiridonov_beta(self):
         ts, p, q = balanced_params()

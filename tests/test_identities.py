@@ -13,10 +13,10 @@ from selbergkit.identities import (
     verify_skew_sum, verify_skew_sum_limit, verify_Z_Selb, zbifund,
 )
 from selbergkit.macdonald import (
-    b_lambda, principal_spec_a, principal_spec_n, skew_Q,
+    b_lambda, principal_spec_a, principal_spec_n, skew_Q, spectral_vector,
 )
 from selbergkit.partitions import (
-    Bipartition, P, Partition, partitions_up_to, spectral_vector, subpartitions,
+    Bipartition, P, Partition, partitions_up_to, subpartitions,
 )
 from selbergkit.symfunc import Letters, Ratio, plethysm
 

@@ -15,9 +15,10 @@ from selbergkit.macdonald import (
     generalized_evaluation_symmetry_check,
     jack_P, jack_binomial_spec, jack_eval, macdonald_P, macdonald_Q,
     plethysm_eval, principal_spec_a, principal_spec_n, single_row_xminusy, skew_P, skew_Q,
+    spectral_vector,
 )
 from selbergkit.partitions import (
-    P, partitions_of, partitions_up_to, spectral_vector, subpartitions,
+    P, partitions_of, partitions_up_to, subpartitions,
 )
 from selbergkit.symfunc import Difference, Letters, Ratio, Sum, SymFunc, plethysm
 

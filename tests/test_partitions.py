@@ -1,9 +1,10 @@
 import pytest
 
+from oracles import bipartite_spectral_vector
 from selbergkit.field import fe, var
+from selbergkit.macdonald import spectral_vector
 from selbergkit.partitions import (
-    Bipartition, P, Partition, bipartite_spectral_vector, partitions_of,
-    partitions_up_to, spectral_vector, subpartitions,
+    Bipartition, P, Partition, partitions_of, partitions_up_to, subpartitions,
 )
 
 

@@ -58,7 +58,7 @@ EXACT_ALGEBRA = [["cauchy"], ["skew-sum", "--max-size", "2"], ["eval-sym"],
 
 @pytest.mark.parametrize("plan, family, unloaded", [
     (ELLIPTIC_TORUS, "suites_elliptic",
-     ["selbergkit.closedform", "selbergkit.macdonald",
+     ["selbergkit.closedform", "selbergkit.field", "selbergkit.macdonald",
       "selbergkit.quadrature", "selbergkit.suites_exact",
       "selbergkit.suites_numeric", "selbergkit.symfunc"]),
     (EXACT_ALGEBRA, "suites_exact",
