@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 
-from .coeffs import gamma_poch, gamma_ratio, poch, qpoch, qpoch_inf, qt_poch
+from .coeffs import (
+    gamma_poch, gamma_ratio, hooks, poch, qpoch, qpoch_inf, qt_poch,
+)
 from .errors import PoleError
-from .macdonald import jack_binomial_spec, principal_spec_a
+from .macdonald import jack_binomial_spec
 from .partitions import Partition
 
 __all__ = [
@@ -420,17 +422,25 @@ def an_alt_norm_rhs(n: int, ks, alphas, beta_nm1, beta_n, gamma_,
 # Macdonald torus closed forms
 # ---------------------------------------------------------------------------
 
+def _principal_spec(lam: Partition, x, q, t) -> complex:
+    """P_lam[(1 - x)/(1 - t)] = t^{n(lam)} (x;q,t)_lam / c_lam(q,t) at
+    numbers (Macdonald, ch. VI §6)."""
+    return t ** lam.n_stat() * qt_poch(x, q, t, lam) / hooks(lam, q, t)[0]
+
+
 def mac_aflt_rhs(n: int, lam: Partition, mu: Partition, a, b, q, t) -> complex:
     """Macdonald-pair torus integral, closed form (mu padded to
-    m = max(l(mu), 1))."""
+    m = max(l(mu), 1)).  The principal specialisations P_lam[<0>_n] and
+    P_mu[(1 - b t^{n-1})/(1 - t)] are products of coeffs.qt_poch over
+    coeffs.hooks, as in ortho_norm_rhs."""
     lam, mu = Partition(lam), Partition(mu)
     if len(lam) > n:
         return 0.0
     m = max(len(mu), 1)
     a, b, q, t = complex(a), complex(b), complex(q), complex(t)
     out = (b ** lam.size * t ** mu.size
-           * complex(principal_spec_a(lam, t ** n, q=q, t=t))
-           * complex(principal_spec_a(mu, b * t ** (n - 1), q=q, t=t)))
+           * _principal_spec(lam, t ** n, q, t)
+           * _principal_spec(mu, b * t ** (n - 1), q, t))
     for i in range(1, n + 1):
         li = lam.part(i)
         out *= qpoch_inf(t, q) * qpoch_inf(a * t ** (n - m - i) * q ** li, q)

@@ -12,9 +12,11 @@ ell_gamma is kernels.ellgamma_arr at one point or on an array of points,
 so the elliptic gamma has one implementation and one check of its zeros
 and poles.  numpy is imported only by those numeric routes: the exact
 suites use this module without it.  The module imports nothing from
-`field`, so the elliptic suites run without the exact engine; the exact
-q-Pochhammer products of the Macdonald identities are built in
-`macdonald`.
+`field`, so the elliptic suites run without the exact engine.  Each
+q-Pochhammer product has one route: an exact one of the Macdonald
+identities is one `field.binomial_product`, built in `macdonald`, and a
+numeric one is built here (qpoch, qt_poch, hooks), where `closedform`
+reads the principal specialisation of its Macdonald closed forms.
 """
 
 from __future__ import annotations
@@ -71,35 +73,18 @@ def _recip(x):
 def qpoch(b, q, n: int):
     """q-shifted factorial (b;q)_n for integer n.
 
-    Negative index uses (b;q)_{-n} = 1/(b q^{-n};q)_n and raises PoleError
-    on a vanishing factor (e.g. (q;q)_{-n}); inv_qpoch gives the
-    reciprocal, which is then exactly zero.
+    A negative index reads (b;q)_{-m} = 1/(b q^{-m};q)_m and raises
+    PoleError on a vanishing factor (e.g. (q;q)_{-m}).
     """
     if n >= 0:
         out = 1
         for i in range(n):
             out = out * (1 - b * q ** i)
         return out
-    den = inv_qpoch(b, q, n)
-    if _is_exact_zero(den):
+    den = qpoch(b * q ** n, q, -n)
+    if den == 0:
         raise PoleError(f"(b;q)_{n} has a vanishing factor in the denominator")
     return _recip(den)
-
-
-def inv_qpoch(b, q, n: int):
-    """1/(b;q)_n as a ring element: a plain product when n < 0."""
-    if n >= 0:
-        return _recip(qpoch(b, q, n))
-    out = 1
-    for i in range(1, -n + 1):
-        out = out * (1 - b * q ** (-i))
-    return out
-
-
-def _is_exact_zero(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
 
 
 def qpoch_inf(b, q) -> complex:

@@ -61,11 +61,10 @@ def _f_symbols(lam: Partition, mu: Partition, k: int, l):
 def f_function(lam: Partition, mu: Partition, k: int, l, a=None):
     """f^{k,l}_{lam,mu}(a;q,t) for generic a; l=None means l = infinity.
 
-    For a Laurent monomial a (a itself, t/(aq), a power of t) the value is
-    one cancelled product of binomials 1 - a^e q^i t^j, exact in
-    Q(q,t,a); for any other exact a the q-Pochhammer symbols are
-    multiplied in the field one by one, with negative-index ones resolved
-    exactly as ratios.
+    a is a Laurent monomial with coefficient 1 (a itself, t/(aq), a power
+    of t) or 0, and the value is one cancelled product of binomials
+    1 - a^e q^i t^j, exact in Q(q,t,a); any other a, a number among them,
+    is a ValueError that names it.
     """
     lam, mu = Partition(lam), Partition(mu)
     if k < len(lam):
@@ -74,7 +73,7 @@ def f_function(lam: Partition, mu: Partition, k: int, l, a=None):
         raise ValueError("l must be at least l(mu)")
     if a is None:
         a = var("a")
-    return _qpoch_product(_f_symbols(lam, mu, k, l), (0, 0, -k * mu.size),
+    return _qpoch_product(_f_symbols(lam, mu, k, l), (0, -k * mu.size),
                           var("q"), var("t"), a)
 
 
@@ -103,7 +102,7 @@ def _f_ext(lam: Partition, mu: Partition, k: int, l, a):
     for i in range(1, lm + 1):
         symbols += [((-1, 0, ll + 1 - i), mu.part(i), 1),
                     ((-1, 0, k + 1 - i), mu.part(i), -1)]
-    return _qpoch_product(symbols, (0, 0, -ll * mu.size), var("q"), var("t"),
+    return _qpoch_product(symbols, (0, -ll * mu.size), var("q"), var("t"),
                           a)
 
 
@@ -145,7 +144,7 @@ def _f_limit(lam: Partition, mu: Partition, k: int, l: int):
         for i in range(l - k + 1, l):
             symbols.append(((0, 1 + lam.part(i + k - l) - mu.part(i), 0),
                             mu.part(i) - mu.part(i + 1), 1))
-        result = _qpoch_product(symbols, (0, 0, -k * mu.size), var("q"),
+        result = _qpoch_product(symbols, (0, -k * mu.size), var("q"),
                                 var("t"))
     vanish = not interleaves(lam, mu, k, l)
     assert vanish == result.is_zero(), "limit/vanishing mismatch"
@@ -170,18 +169,8 @@ def verify_skew_sum(lam: Partition, mu: Partition, k: int,
     lam, mu = Partition(lam), Partition(mu)
     if k < len(lam) or l < len(mu):
         raise ValueError("padding preconditions violated")
-    q, t, a = var("q"), var("t"), var("a")
-    lhs = fe(0)
-    for nu in subpartitions(mu):
-        if not lam.contains(nu):
-            continue
-        p_part = _pleth_P(mu, nu, Ratio(fe(1), 1 / a, t))
-        q_part = _pleth_Q(lam, nu, Ratio(fe(1), a * q / t, t))
-        lhs = lhs + t ** (-nu.size) * p_part * q_part
-    rhs = (principal_spec_a(mu, t ** k / a)
-           * b_lambda(lam) * principal_spec_a(lam, a * q * t ** (l - 1))
-           * f_function(lam, mu, k, l, a))
-    return IdentityCheck(lhs, rhs, fe(lhs) == fe(rhs))
+    a = var("a")
+    return _skew_sum(lam, mu, k, l, a, f_function(lam, mu, k, l, a))
 
 
 def verify_skew_sum_limit(lam: Partition, mu: Partition, k: int,
@@ -190,17 +179,25 @@ def verify_skew_sum_limit(lam: Partition, mu: Partition, k: int,
     lam, mu = Partition(lam), Partition(mu)
     if k > l or k < len(lam):
         raise ValueError("needs l(lam) <= k <= l")
+    return _skew_sum(lam, mu, k, l, var("t") ** (k - l),
+                     f_function_limit(lam, mu, k, l))
+
+
+def _skew_sum(lam, mu, k, l, a, f) -> IdentityCheck:
+    """Both sides of the skew summation formula at a, for f the value of
+    f^{k,l}_{lam,mu}(a;q,t): the sum over nu of t^{-|nu|}
+    P_{mu/nu}[(1 - 1/a)/(1 - t)] Q_{lam/nu}[(1 - aq/t)/(1 - t)], and
+    P_mu[(1 - t^k/a)/(1 - t)] Q_lam[(1 - aq t^{l-1})/(1 - t)] f."""
     q, t = var("q"), var("t")
     lhs = fe(0)
     for nu in subpartitions(mu):
         if not lam.contains(nu):
             continue
-        p_part = _pleth_P(mu, nu, Ratio(fe(1), t ** (l - k), t))
-        q_part = _pleth_Q(lam, nu, Ratio(fe(1), q * t ** (k - l - 1), t))
+        p_part = _pleth_P(mu, nu, Ratio(fe(1), 1 / a, t))
+        q_part = _pleth_Q(lam, nu, Ratio(fe(1), a * q / t, t))
         lhs = lhs + t ** (-nu.size) * p_part * q_part
-    rhs = (principal_spec_a(mu, t ** l)
-           * b_lambda(lam) * principal_spec_a(lam, q * t ** (k - 1))
-           * f_function_limit(lam, mu, k, l))
+    rhs = (principal_spec_a(mu, t ** k / a)
+           * b_lambda(lam) * principal_spec_a(lam, a * q * t ** (l - 1)) * f)
     return IdentityCheck(lhs, rhs, fe(lhs) == fe(rhs))
 
 
@@ -341,8 +338,9 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
             W = Sum(W, Product(
                 Letters([_mono(letters, zprod(r + 1, n - 1), wcap)]),
                 Ratio(fe(1), 1 / ar, t)))
-        factors.append(_pleth_letterseries(macdonald_P(mu_n), W, letters,
-                                           wcap))
+        # every term of P_mu's p-expansion holds a power sum of W, so the
+        # value is a letter series in ``letters`` under ``wcap`` too
+        factors.append(plethysm(macdonald_P(mu_n), W))
 
     for r in range(1, n):
         ar = a_r(r)
@@ -442,13 +440,6 @@ def _partition_tuples(n, size_cap, ks):
 
     rec(0, [], size_cap)
     return out
-
-
-def _pleth_letterseries(f, A, letters, wcap) -> LetterSeries:
-    """f[A] for f of positive degree and A built from letter series in
-    ``letters`` under ``wcap``: every term of the p-expansion holds a power
-    sum of A, so the value is a letter series there too."""
-    return plethysm(f, A)
 
 
 def _padded(lam: Partition, length: int) -> tuple[int, ...]:

@@ -13,21 +13,25 @@ or at arrays of points goes through it, the Jack ones through `jack_eval`.
 
 Values that depend only on partitions and an exact alphabet are cached on
 those keys: the skew tables, the plethysms P_{lam/mu}[A] (a Q-type one is
-the P-type value times b_lam/b_mu), and `principal_spec_a` at the
-indeterminates q and t.  A plethysm goes through the p-basis only where
-no shorter route applies: at letters the m-expansion is evaluated, and
-P_lam at (1 - b)/(1 - t), alone or after letters, is a principal
+the P-type value times b_lam/b_mu), and `principal_spec_a`.  A plethysm
+goes through the p-basis only where no shorter route applies: at letters
+the m-expansion is evaluated, and P_lam at (1 - b)/(1 - t) for a Laurent
+monomial b or b = 0, alone or after letters, is a principal
 specialisation or the branching sum over it (ch. VI §§6-7).  The q,t
 products of hook binomials (b_lambda, the branching coefficients psi,
-`principal_spec_a` at q and t) are built each as one cancelled product by
-`_qpoch_product`, which `identities` also reads for the f-function.
+`principal_spec_a`) are each one cancelled `field.binomial_product`,
+made by `_qpoch_product`, which `identities` also reads for the
+f-function; it takes Laurent monomials only, so no product is multiplied
+out symbol by symbol.  The numeric principal specialisation is
+`closedform`'s, on `coeffs`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import _is_exact_zero, inv_qpoch, poch, qpoch
+from .coeffs import poch, qpoch
+from .errors import PoleError
 from .field import FieldElement, binomial_product, dot, fe, var
 from .partitions import Partition, partitions_of, subpartitions
 from .symfunc import (
@@ -48,50 +52,29 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _qpoch_product(symbols, shift, q, t, a=0):
-    """a^i q^j t^k times the product of (x;q)_n^s over the q-Pochhammer
-    symbols (x, n, s), where shift = (i, j, k) and each argument x is
-    a^i' q^j' t^k' given as its exponent triple (i', j', k'); a negative n
-    is read as in qpoch.
+    """q^j t^k times the product of (x;q)_n^s over the q-Pochhammer
+    symbols (x, n, s), as one field.binomial_product, where shift = (j, k)
+    and each argument x is a^i q^j' t^k' given as its exponent triple
+    (i, j', k'); a negative n is read as in qpoch.
 
-    Where ``_qpoch_exact`` applies, the product is one binomial_product;
-    otherwise the ring's own arithmetic multiplies it symbol by symbol.
+    q, t and a must be Laurent monomials with coefficient 1, or a = 0; any
+    other value, a number among them, is a ValueError that names it.  At
+    a = 0 a symbol whose argument holds a positive power of a is 1, and a
+    negative power is a PoleError.
     """
-    out = _qpoch_exact(symbols, shift, q, t, a)
-    if out is not None:
-        return out
-    i, j, k = shift
-    out = a ** i * q ** j * t ** k
-    for (i, j, k), n, s in symbols:
-        if not n:
-            continue
-        x = a ** i * q ** j * t ** k
-        # (x;q)_n is p for n > 0 and 1/p for n < 0
-        p = qpoch(x, q, n) if n > 0 else inv_qpoch(x, q, n)
-        out = out * p if (n > 0) == (s > 0) else out / p
-    return out
-
-
-def _qpoch_exact(symbols, shift, q, t, a):
-    """The product of ``_qpoch_product`` as one field.binomial_product, or
-    None unless q, t and a are Laurent monomials with coefficient 1; a may
-    also be 0 if no argument holds a negative power of it."""
-    vq, vt, va = _laurent(q), _laurent(t), _laurent(a)
-    if vq is None or vt is None:
-        return None
+    vq, vt, va = _laurent(q, "q"), _laurent(t, "t"), _laurent(a, "a", True)
     if va is None:
-        if (not _is_exact_zero(a) or shift[0]
-                or any(x[0] < 0 for x, _, _ in symbols)):
-            return None
-        # a symbol whose argument holds a power of a = 0 is 1
+        if any(x[0] < 0 for x, _, _ in symbols):
+            raise PoleError("a negative power of a at a = 0")
         symbols = [sym for sym in symbols if not sym[0][0]]
         va = (0,) * len(vq)
     basis = (va, vq, vt)
     factors = []
     for sym in symbols:
         factors += _binomials(sym, basis)
-    i, j, k = shift
+    j, k = shift
     return binomial_product(factors, tuple(
-        [i * u + j * v + k * w for u, v, w in zip(va, vq, vt)]))
+        [j * v + k * w for v, w in zip(vq, vt)]))
 
 
 def _binomials(sym, basis):
@@ -106,8 +89,22 @@ def _binomials(sym, basis):
     return [(tuple([c + u * v for c, v in zip(ik, vq)]), s) for u in us]
 
 
-def _laurent(x):
-    return x.laurent() if isinstance(x, FieldElement) else None
+def _laurent(x, name, zero=False):
+    """The exponent vector of x, a Laurent monomial with coefficient 1, or
+    None for x = 0 where ``zero`` allows it; a ValueError that names the
+    argument for any other x."""
+    try:
+        y = fe(x)
+    except TypeError:  # a float or a complex, which the field does not take
+        y = None
+    if y is not None:
+        if zero and y.is_zero():
+            return None
+        v = y.laurent()
+        if v is not None:
+            return v
+    raise ValueError(f"{name} = {x!r} is not a Laurent monomial with "
+                     f"coefficient 1{' or 0' if zero else ''}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +151,7 @@ def _psi_cached(lam: Partition, mu: Partition, kind: str) -> FieldElement:
     if kind == "qt":
         return _qpoch_product(_b_symbols(mu, cells, 1)
                               + _b_symbols(lam, cells, -1),
-                              (0, 0, 0), var("q"), var("t"))
+                              (0, 0), var("q"), var("t"))
     out = fe(1)
     for (i, j) in cells:
         out = out * _b_cell_gamma(mu, i, j) / _b_cell_gamma(lam, i, j)
@@ -206,7 +203,7 @@ def macdonald_Q(lam: Partition) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def b_lambda(lam: Partition) -> FieldElement:
-    return _qpoch_product(_b_symbols(lam, lam.cells(), 1), (0, 0, 0),
+    return _qpoch_product(_b_symbols(lam, lam.cells(), 1), (0, 0),
                           var("q"), var("t"))
 
 
@@ -327,8 +324,11 @@ def _pleth_P(lam: Partition, mu: Partition, A: Alphabet):
 
 
 def _is_principal(A: Alphabet) -> bool:
-    """Whether A is (1 - b)/(1 - t) at the indeterminate t."""
-    return isinstance(A, Ratio) and A.a == 1 and A.t == var("t")
+    """Whether A is (1 - b)/(1 - t) at the indeterminate t, with b a Laurent
+    monomial with coefficient 1 or 0, as `principal_spec_a` takes it."""
+    return (isinstance(A, Ratio) and A.a == 1 and A.t == var("t")
+            and isinstance(A.b, FieldElement)
+            and (A.b.is_zero() or A.b.laurent() is not None))
 
 
 def _pleth_Q(lam: Partition, mu: Partition, A: Alphabet):
@@ -340,42 +340,29 @@ def _pleth_Q(lam: Partition, mu: Partition, A: Alphabet):
 # specialisation formulas
 # ---------------------------------------------------------------------------
 
-def principal_spec_a(lam: Partition, a, q=None, t=None):
-    """P_lambda[(1-a)/(1-t)] = t^{n(lam)} (a;q,t)_lam / c_lam(q,t).
+@lru_cache(maxsize=None)
+def principal_spec_a(lam: Partition, a) -> FieldElement:
+    """P_lambda[(1-a)/(1-t)] = t^{n(lam)} (a;q,t)_lam / c_lam(q,t) at the
+    indeterminates q and t, cached on (lam, a).
 
-    One list of q-Pochhammer symbols, read by `_qpoch_product`, gives
-    the value for every q, t and a: for Laurent monomials q, t and a (or
-    a = 0) it is one cancelled product of binomials 1 - a^e q^i t^j
-    (field.binomial_product); otherwise, numeric q and t among them, the
-    symbols are multiplied in their own arithmetic.  At the indeterminates q
-    and t (both left out) the value is cached on (lam, a).
+    a is a Laurent monomial with coefficient 1 or 0, and the value is one
+    cancelled product of binomials 1 - a^e q^i t^j (`_qpoch_product`); any
+    other a is a ValueError.  The numeric value is `closedform`'s, built on
+    `coeffs`.
     """
     lam = Partition(lam)
-    if q is None and t is None:
-        return _principal_spec_qt(lam, a)
-    return _principal_spec(lam, a, var("q") if q is None else q,
-                           var("t") if t is None else t)
-
-
-def _principal_spec(lam: Partition, a, q, t):
     # (a;q,t)_lam = prod_i (a t^{1-i};q)_{lam_i} over c_lam = prod over
     # cells of 1 - q^arm t^{leg+1}
     symbols = [((1, 0, 1 - i), part, 1)
                for i, part in enumerate(lam.parts, start=1)]
     symbols += [((0, lam.arm(i, j), lam.leg(i, j) + 1), 1, -1)
                 for (i, j) in lam.cells()]
-    return _qpoch_product(symbols, (0, 0, lam.n_stat()), q, t, a)
+    return _qpoch_product(symbols, (0, lam.n_stat()), var("q"), var("t"), a)
 
 
-@lru_cache(maxsize=None)
-def _principal_spec_qt(lam: Partition, a):
-    return _principal_spec(lam, a, var("q"), var("t"))
-
-
-def principal_spec_n(lam: Partition, n: int, q=None, t=None):
+def principal_spec_n(lam: Partition, n: int) -> FieldElement:
     """P_lambda[(1-t^n)/(1-t)], the principal specialisation."""
-    return principal_spec_a(lam, (var("t") if t is None else t) ** n,
-                            q=q, t=t)
+    return principal_spec_a(lam, var("t") ** n)
 
 
 def jack_binomial_spec(lam: Partition, z, g=None, k: int | None = None):

@@ -11,7 +11,6 @@ called.
 from __future__ import annotations
 
 import functools
-import math
 import random
 
 from .field import fe, var
@@ -458,6 +457,7 @@ def cases_hyper(cfg):
 
 def run_hyper(params, cfg):
     from .closedform import seven_one_rhs, seven_two_gamma_one, seven_two_rhs
+    from .macdonald import jack_P, plethysm_eval
     points = cfg.get("quad_points", 32)
     if params["kind"] == "3f2":
         g = 0.5
@@ -470,7 +470,8 @@ def run_hyper(params, cfg):
         def cb(levels):
             (x,), (y,) = levels
             # P_(u1)[t1] P_(u2)[t2 - t1] P_mu[t2 + beta/g - 1] at gamma
-            p2 = _jack_row_diff(us[1], y, x, g)
+            p2 = plethysm_eval(jack_P(P(us[1])), lambda k: y ** k - x ** k,
+                               {"gamma": g})
             pmu = y + shift
             return x ** us[0] * p2 * pmu
 
@@ -498,23 +499,15 @@ def run_hyper(params, cfg):
 
     def cb(levels):
         (x,), (y,) = levels
-        return x ** u1 * _jack_row_diff(u2, y, x, g) * y ** u3
+        # P_(u2)[t2 - t1] at gamma
+        p2 = plethysm_eval(jack_P(P(u2)), lambda k: y ** k - x ** k,
+                           {"gamma": g})
+        return x ** u1 * p2 * y ** u3
 
     lhs = _chain_ratio([1, 1], alphas, None, g, cb, points, tol=1e-9,
                        companion=(b1, b2))
     rhs = seven_two_rhs(alphas[0], alphas[1], b1, b2, g, u1, u2, u3)
     return Outcome(lhs, rhs, 1e-8)
-
-
-def _jack_row_diff(u, x, y, g):
-    """P_(u)^{(1/gamma)}[x - y] for single letters, via the 2F1 sum."""
-    from .coeffs import poch
-    out = 0.0
-    for k in range(u + 1):
-        num = complex(poch(-g, k)) * complex(poch(-u, k))
-        den = complex(poch(1 - g - u, k)) * math.factorial(k)
-        out = out + x ** (u - k) * (y ** k) * num / den
-    return out
 
 
 # ---------------------------------------------------------------------------

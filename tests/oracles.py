@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from selbergkit.coeffs import hooks, inv_qpoch, poch, qpoch, qt_poch
+from selbergkit.coeffs import hooks, poch, qpoch, qt_poch
 from selbergkit.field import FieldElement, fe, var
 from selbergkit.partitions import Bipartition, Partition, partitions_of
 from selbergkit.symfunc import LetterSeries, SymFunc, _m_in_p, _scalar_eq
@@ -267,8 +267,9 @@ def bipartite_spectral_vector(blam: Bipartition, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 def qpoch_power(x, q, n: int, s: int) -> FieldElement:
-    """(x;q)_n^s, s = +-1, by coeffs.qpoch; a negative n reads as there."""
-    v = fe(qpoch(x, q, n) if n >= 0 else inv_qpoch(x, q, n))
+    """(x;q)_n^s, s = +-1, by coeffs.qpoch; a negative n reads as there,
+    (x;q)_{-m} = 1/(x q^{-m};q)_m."""
+    v = fe(qpoch(x, q, n) if n >= 0 else qpoch(x * q ** n, q, -n))
     return v if (n >= 0) == (s > 0) else 1 / v
 
 

@@ -13,7 +13,7 @@ from selbergkit.coeffs import ell_gamma, gamma
 from selbergkit.elliptic import eaflt_rhs, elliptic_selberg_rhs
 from selbergkit.field import PoleError, fe, var
 from selbergkit.macdonald import macdonald_P, single_row_xminusy
-from selbergkit.partitions import Bipartition, P
+from selbergkit.partitions import Bipartition, P, partitions_up_to
 from selbergkit.symfunc import Difference, Letters, plethysm
 
 ALPHAS = [1.93, 1.37]
@@ -148,6 +148,22 @@ class TestMacdonaldForms:
             pref = ((-a) ** N * q ** (-N * (N + 1) // 2)) ** n
             vals.append(raw / pref)
         assert abs(vals[0] - vals[1]) < 1e-10 * abs(vals[0])
+
+    def test_numeric_principal_spec_is_the_exact_one(self):
+        # mac_aflt_rhs reads P_lam[(1 - x)/(1 - t)] off coeffs.qt_poch and
+        # coeffs.hooks: the value of the exact principal_spec_a
+        from selbergkit import closedform
+        from selbergkit.macdonald import principal_spec_a
+        q, t = 0.3 + 0.05j, 0.4 - 0.1j
+        checked = 0
+        for lam in partitions_up_to(3):
+            exact = principal_spec_a(lam, var("a"))
+            for x in (0.45, 0.35 * 0.4 ** 2, 1.2 - 0.3j):
+                want = exact.eval({"a": x, "q": q, "t": t})
+                got = closedform._principal_spec(lam, x, q, t)
+                assert abs(got - want) <= 1e-13 * abs(want), (lam, x)
+                checked += 1
+        assert checked == 7 * 3
 
     def test_ortho_diag(self):
         # <P_1, Q_1>'_1 = b_(1) = (1-t)/(1-q)

@@ -9,7 +9,7 @@ from oracles import bipartite_spectral_vector, hooks_row_form, qt_poch_cells
 from selbergkit import coeffs
 from selbergkit.coeffs import (
     c_minus, c_plus, delta0, ell_gamma, ell_qt_poch, gamma,
-    gamma_poch, gamma_ratio, hooks, inv_qpoch, poch, qpoch,
+    gamma_poch, gamma_ratio, hooks, poch, qpoch,
     qpoch_inf, qt_poch, theta, theta_poch,
 )
 from selbergkit.field import PoleError, fe, var
@@ -39,20 +39,19 @@ class TestQPoch:
         assert qpoch(b, q, 2) == (1 - b) * (1 - b * q)
 
     def test_reciprocal_zero_convention(self):
-        # (q;q)_{-3} has the factor 1 - q q^{-1}: a pole, whose reciprocal
-        # is exactly zero
-        assert inv_qpoch(q, q, -3).is_zero()
+        # (q;q)_{-3} = 1/(q^{-2};q)_3 has the factor 1 - q q^{-1}: a pole,
+        # whose reciprocal is exactly zero
+        assert qpoch(q * q ** -3, q, 3).is_zero()
         with pytest.raises(PoleError):
             qpoch(q, q, -3)
 
     def test_reciprocal_of_an_exact_product_stays_exact(self):
-        # 1/(b;q)_0 is the exact 1, and 1/(2;3)_1 the Fraction -1: no float
-        # enters the field
-        assert inv_qpoch(t, q, 0) * q == q
-        assert not isinstance(inv_qpoch(t, q, 0), float)
-        assert inv_qpoch(2, 3, 1) == Fraction(-1)
-        assert isinstance(inv_qpoch(2, 3, 1), Fraction)
-        assert inv_qpoch(b, q, 2) * qpoch(b, q, 2) == fe(1)
+        # (b;q)_{-m} = 1/(b q^{-m};q)_m, and (2;3)_{-1} = 1/(1 - 2/3) is the
+        # Fraction 3: no float enters the field
+        assert qpoch(b, q, -2) * qpoch(b * q ** -2, q, 2) == fe(1)
+        assert qpoch(Fraction(2), Fraction(3), -1) == Fraction(3)
+        assert isinstance(qpoch(Fraction(2), Fraction(3), -1), Fraction)
+        assert qpoch(t, q, 0) * q == q
 
     def test_negative_index_symbolic(self):
         got = qpoch(b, q, -2)

@@ -30,6 +30,8 @@ def test_division_by_zero():
 
 def test_substitute_simple():
     assert (q + t).subs({"t": q}) == 2 * q
+    assert not (q + t).is_const()
+    assert ((q + t) / (1 - t)).subs({"q": fe(2), "t": fe(3)}).is_const()
     assert (1 / (1 - t)).subs({"t": fe(0)}) == fe(1)
     assert ((a - t) / (1 - t)).subs({"a": fe(1)}) == fe(1)
 
@@ -110,6 +112,8 @@ def test_canonical_text_form():
     x = (1 + q) / (1 - t)
     s = str(x)
     assert "q" in s and "t" in s and "/" in s
+    assert repr(x) == f"FieldElement({s})"
+    assert repr(x.num) == f"MPoly({x.num})"
 
 
 def test_pow_negative():
@@ -845,7 +849,6 @@ def test_factored_route_matches_the_gcd_route(monkeypatch):
 
 
 def test_factored_denominators_need_no_gcd(monkeypatch):
-    from selbergkit import macdonald
     from selbergkit.coeffs import qt_poch
     from selbergkit.macdonald import principal_spec_a
     from selbergkit.partitions import P
@@ -858,9 +861,8 @@ def test_factored_denominators_need_no_gcd(monkeypatch):
 
     monkeypatch.setattr(field, "mpoly_gcd", no_gcd)
     monkeypatch.setattr(field, "_memo", field._memo.__wrapped__)
-    monkeypatch.setattr(macdonald, "_principal_spec_qt",
-                        macdonald._principal_spec_qt.__wrapped__)
-    got = [(principal_spec_a(lam, b), qt_poch(b, q, t, lam)) for lam, b in cases]
+    got = [(principal_spec_a.__wrapped__(lam, b), qt_poch(b, q, t, lam))
+           for lam, b in cases]
     assert got == want
 
 

@@ -83,8 +83,9 @@ class TestFFunction:
         prev = None
         for exp in (4, 6):
             b = 1 - Fraction(1, 10 ** exp)
-            approx = fe(f_function(lam, mu, k, l,
-                                   b * t ** (k - l))).eval({"q": qv, "t": tv})
+            # b t^{k-l} is no Laurent monomial: the defining product
+            approx = oracles.f_chain(lam, mu, k, l,
+                                     b * t ** (k - l)).eval({"q": qv, "t": tv})
             err = abs(approx - target)
             if prev is not None:
                 assert err < prev / 10
@@ -113,7 +114,7 @@ class TestExactProducts:
             lam, mu = rng.choice(pool), rng.choice(pool)
             k = rng.randint(max(len(lam), 1), 4)
             l = rng.randint(max(len(mu), 1), 4)
-            for x in (a, t / (a * q), t ** rng.randint(0, 3), 2 * a):
+            for x in (a, t / (a * q), t ** rng.randint(0, 3)):
                 for ll in (l, None):
                     assert (_pair_or_pole(f_function, lam, mu, k, ll, x)
                             == _pair_or_pole(oracles.f_chain, lam, mu, k, ll,
@@ -132,10 +133,8 @@ class TestExactProducts:
                                          ll)), (lam, mu, kl, ll)
                 checked += 1
         for lam in pool:
-            for x in (a, t ** 2, a * q / t, t ** 3 / a, q, fe(0), fe(1),
-                      2 * a, 1 + a):
-                assert (_pair_or_pole(macdonald._principal_spec_qt.__wrapped__,
-                                      lam, x)
+            for x in (a, t ** 2, a * q / t, t ** 3 / a, q, fe(0), fe(1)):
+                assert (_pair_or_pole(principal_spec_a.__wrapped__, lam, x)
                         == _pair_or_pole(oracles.principal_spec_chain, lam,
                                          x)), (lam, x)
             assert (_pair_or_pole(macdonald.b_lambda.__wrapped__, lam)
@@ -146,6 +145,13 @@ class TestExactProducts:
                         == _pair_or_pole(oracles.psi_chain, lam, mu))
             checked += 1
         assert checked > 300
+        # an a that is no Laurent monomial, a number among them, has no
+        # product route: a ValueError names it
+        for x in (2 * a, 1 + a, a / 2, 0.3, 0.3 - 0.1j, 0.0):
+            with pytest.raises(ValueError, match="^a = "):
+                f_function(P(2, 1), P(1), 2, 1, x)
+            with pytest.raises(ValueError, match="^a = "):
+                principal_spec_a(P(2, 1), x)
 
     def test_products_skip_the_field_machinery(self, monkeypatch):
         # no field operation: no memo lookup and no gcd
@@ -166,10 +172,7 @@ class TestExactProducts:
         identities._f_ext(*ext)
         identities._f_limit.__wrapped__(P(3, 1), P(2, 1), 2, 3)
         for lam, x in specs:
-            macdonald._principal_spec_qt.__wrapped__(lam, x)
-        # the same route with the indeterminates passed explicitly
-        for lam, x in specs:
-            principal_spec_a(lam, x, q=q, t=t)
+            principal_spec_a.__wrapped__(lam, x)
         macdonald.b_lambda.__wrapped__(P(3, 2, 1))
         macdonald._psi_cached.__wrapped__(P(3, 2), P(2, 1), "qt")
 
@@ -186,6 +189,27 @@ class TestExactProducts:
         assert field.binomial_product([((0,) * len(vq), 2),
                                        (vq, -1)]).is_zero()
         assert field.binomial_product([((0,) * len(vq), 0)], vq) == q
+
+
+class TestExactArguments:
+    """The exact q-Pochhammer products take q, t and a as Laurent monomials
+    with coefficient 1, and a = 0; anything else, a number among them, is
+    a ValueError that names the argument (for a, see
+    TestExactProducts::test_products_match_the_field_chain)."""
+
+    def test_q_and_t_are_named(self):
+        sym = [((1, 0, 1), 2, 1)]
+        for name, q_, t_ in (("q", 2 * q, t), ("q", 0.3, t), ("q", fe(0), t),
+                             ("t", q, 1 - t), ("t", q, fe(0))):
+            with pytest.raises(ValueError, match=f"^{name} = "):
+                macdonald._qpoch_product(sym, (0, 0), q_, t_, a)
+
+    def test_a_zero(self):
+        # a symbol holding a power of a = 0 is 1; a negative power is a pole
+        assert (principal_spec_a(P(2, 1), 0) == principal_spec_a(P(2, 1), fe(0))
+                == oracles.principal_spec_chain(P(2, 1), fe(0)))
+        with pytest.raises(field.PoleError):
+            macdonald._qpoch_product([((-1, 0, 1), 1, 1)], (0, 0), q, t, 0)
 
 
 class TestSkewSum:
@@ -244,7 +268,7 @@ class TestStructuralCaches:
             (macdonald._pleth_P, (P(2, 1), P(1), Ratio(fe(1), 1 / a, t))),
             (macdonald._pleth_P, (P(2, 1), P(), Letters(spectral_vector(P(1), 2)))),
             (macdonald._b_ratio, (P(2, 1), P(1))),
-            (macdonald._principal_spec_qt, (P(2, 1), a * q / t)),
+            (principal_spec_a, (P(2, 1), a * q / t)),
             (identities._f_limit, (P(2, 1), P(1), 2, 3)),
         ]
         for fn, args in cached:
@@ -259,19 +283,18 @@ class TestStructuralCaches:
 
     def test_public_entries_read_the_caches(self):
         lam, mu = P(2, 1), P(1)
-        assert fe(principal_spec_a(lam, a)) == macdonald._principal_spec_qt(lam, a)
         assert f_function_limit(lam, mu, 2, 3) == identities._f_limit(lam, mu, 2, 3)
         Q = plethysm(skew_Q(lam, mu), Ratio(fe(1), a, t))
         assert macdonald._pleth_Q(lam, mu, Ratio(fe(1), a, t)) == Q
-        macdonald._principal_spec_qt(lam, t ** 2)
-        hits = macdonald._principal_spec_qt.cache_info().hits
-        assert principal_spec_n(lam, 2) == macdonald._principal_spec_qt(lam, t ** 2)
-        assert macdonald._principal_spec_qt.cache_info().hits == hits + 2
-        # numeric q and t take the uncached path
-        size = macdonald._principal_spec_qt.cache_info().currsize
-        assert principal_spec_a(lam, 0.3, q=0.5, t=0.4) == pytest.approx(
-            principal_spec_a(lam, a).eval({"a": 0.3, "q": 0.5, "t": 0.4}))
-        assert macdonald._principal_spec_qt.cache_info().currsize == size
+        principal_spec_a(lam, t ** 2)
+        hits = principal_spec_a.cache_info().hits
+        assert principal_spec_n(lam, 2) == principal_spec_a(lam, t ** 2)
+        assert principal_spec_a.cache_info().hits == hits + 2
+        # a number is rejected, and the cache keeps no entry for it
+        size = principal_spec_a.cache_info().currsize
+        with pytest.raises(ValueError, match="a = 0.3"):
+            principal_spec_a(lam, 0.3)
+        assert principal_spec_a.cache_info().currsize == size
 
     def test_one_entry_per_structural_key(self):
         _clear_every_cache()
@@ -279,7 +302,7 @@ class TestStructuralCaches:
         gen, _ = suites.SUITES["skew-sum"]
         keys = _skew_sum_keys(gen({"max_size": 2}))
         caches = (macdonald._pleth_P, macdonald._b_ratio,
-                  macdonald._principal_spec_qt, identities._f_limit)
+                  macdonald.principal_spec_a, identities._f_limit)
         sizes = [fn.cache_info().currsize for fn in caches]
         assert sizes == [len(k) for k in keys]
         assert sizes == [68, 9, 70, 81]

@@ -356,8 +356,9 @@ class TestPlethysmRoutes:
                 self._same(lam, P(), Sum(X, Ratio(fe(1), pref, t)))
 
     def test_other_alphabets_take_the_p_basis(self, monkeypatch):
-        # a skew at a Ratio, a Ratio that is not (1 - b)/(1 - t) at t, and
-        # a Sum in the other order all go to plethysm
+        # a skew at a Ratio, a Ratio that is not (1 - b)/(1 - t) at t or
+        # whose b is no Laurent monomial, and a Sum in the other order all
+        # go to plethysm
         calls = []
 
         def counted(f, A):
@@ -369,6 +370,7 @@ class TestPlethysmRoutes:
         alphabets = [(P(2, 1), P(1), Ratio(fe(1), a, t)),
                      (P(2, 1), P(), Ratio(q, a, t)),
                      (P(2, 1), P(), Ratio(fe(1), a, q)),
+                     (P(2, 1), P(), Ratio(fe(1), 2 * a, t)),
                      (P(2, 1), P(), Sum(Ratio(fe(1), a, t), X))]
         for lam, mu, A in alphabets:
             self._same(lam, mu, A)

@@ -206,7 +206,7 @@ def test_an_cauchy_right_side_factors_no_default_case_runs(
     from selbergkit.partitions import Partition
     from selbergkit.symfunc import Sum
     reached = set()
-    kernel, pleth = identities._kernel_series, identities._pleth_letterseries
+    kernel, pleth = identities._kernel_series, identities.plethysm
 
     def kernel_seen(alpha, beta, U, q):
         (e, _), = U.terms.items()
@@ -214,13 +214,13 @@ def test_an_cauchy_right_side_factors_no_default_case_runs(
             reached.add("z-kernel")
         return kernel(alpha, beta, U, q)
 
-    def pleth_seen(f, A, letters, wcap):
+    def pleth_seen(f, A):
         if isinstance(A, Sum):
             reached.add("P_mu[W]")
-        return pleth(f, A, letters, wcap)
+        return pleth(f, A)
 
     monkeypatch.setattr(identities, "_kernel_series", kernel_seen)
-    monkeypatch.setattr(identities, "_pleth_letterseries", pleth_seen)
+    monkeypatch.setattr(identities, "plethysm", pleth_seen)
     chk = identities.an_cauchy_check(n, ks, Partition(mu), cap=3,
                                      variant=variant)
     assert chk.equal
