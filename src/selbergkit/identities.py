@@ -26,8 +26,8 @@ from functools import lru_cache
 from . import macdonald
 from .field import FieldElement, fe, var
 from .macdonald import (
-    _pleth_P, _pleth_Q, _qpoch_product, b_lambda, macdonald_P,
-    principal_spec_a, skew_P,
+    _m_expansion, _pleth_P, _pleth_Q, _qpoch_product, b_lambda, macdonald_P,
+    principal_spec_a,
 )
 from .partitions import Bipartition, P, Partition, partitions_up_to, subpartitions
 from .symfunc import (
@@ -73,8 +73,7 @@ def f_function(lam: Partition, mu: Partition, k: int, l, a=None):
         raise ValueError("l must be at least l(mu)")
     if a is None:
         a = var("a")
-    return _qpoch_product(_f_symbols(lam, mu, k, l), (0, -k * mu.size),
-                          var("q"), var("t"), a)
+    return _qpoch_product(_f_symbols(lam, mu, k, l), (0, -k * mu.size), a)
 
 
 def interleaves(lam: Partition, mu: Partition, k: int, l: int) -> bool:
@@ -102,8 +101,7 @@ def _f_ext(lam: Partition, mu: Partition, k: int, l, a):
     for i in range(1, lm + 1):
         symbols += [((-1, 0, ll + 1 - i), mu.part(i), 1),
                     ((-1, 0, k + 1 - i), mu.part(i), -1)]
-    return _qpoch_product(symbols, (0, -ll * mu.size), var("q"), var("t"),
-                          a)
+    return _qpoch_product(symbols, (0, -ll * mu.size), a)
 
 
 def f_function_limit(lam: Partition, mu: Partition, k: int, l: int):
@@ -144,8 +142,7 @@ def _f_limit(lam: Partition, mu: Partition, k: int, l: int):
         for i in range(l - k + 1, l):
             symbols.append(((0, 1 + lam.part(i + k - l) - mu.part(i), 0),
                             mu.part(i) - mu.part(i + 1), 1))
-        result = _qpoch_product(symbols, (0, -k * mu.size), var("q"),
-                                var("t"))
+        result = _qpoch_product(symbols, (0, -k * mu.size))
     vanish = not interleaves(lam, mu, k, l)
     assert vanish == result.is_zero(), "limit/vanishing mismatch"
     return result
@@ -262,11 +259,14 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
     tuple's term at (a, b, z, c^i d^j) is its scalar times [m_a]
     P_{lam^(1)} times [m_b] Q_{lam^(n)/mu}, a of at most k_1 parts and b of
     at most n_y; for 'II-pleth' the y factor is sum_nu [m_b] Q_{lam^(n)/nu}
-    [c^i d^j] Q_nu[(c - d)/(1 - t)].  The right side is a product of letter
-    series under the weighted cap, formed only there too: the factors are
-    multiplied so that the y letters finish one at a time, and after each
-    product a term whose finished letters already break the order is
-    dropped (`_dominant_product`).  lhs and rhs hold the two sides'
+    [c^i d^j] Q_nu[(c - d)/(1 - t)].  Only those coefficients are read, by
+    the branching rule (`macdonald._m_expansion`, a skew started at its
+    inner partition), so no whole P_lam and no skew table is built.  The
+    right side is a product of letter series under the weighted cap,
+    formed only there too: the factors are multiplied so that the y
+    letters finish one at a time, and after each product a term whose
+    finished letters already break the order is dropped
+    (`_dominant_product`).  lhs and rhs hold the two sides'
     dominant terms, and note the first differing monomial.
     """
     mu_n = Partition(mu_n)
@@ -312,8 +312,8 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
         if scalar is None:
             continue
         z = tuple(lam.size for lam in lams[:-1])
-        xs = [(_padded(a, k1), c) for a, c in macdonald_P(lams[0]).coeffs.items()
-              if len(a) <= k1]
+        xs = [(_padded(a, k1), c) for a, c
+              in _m_expansion(lams[0], P(), "qt", k1).coeffs.items()]
         for y, cd, c in _y_factor(lams[-1], mu_n, ny, variant):
             c = c * scalar
             for x, cx in xs:
@@ -450,12 +450,13 @@ def _y_factor(lam_n, mu_n, ny, variant):
     """(y exponents, (c, d) exponents, coefficient) of P_{lam/mu}(y) in ny
     letters at its dominant monomials, or for 'II-pleth' of
     sum_nu P_{lam/nu}(y) P_nu[(c - d)/(1 - t)]; b_lam / b_mu turns either
-    into the left side's Q's."""
+    into the left side's Q's.  Each P_{lam/nu} is read only at the
+    partitions of at most ny parts, by branching from nu."""
     pleth = variant == "II-pleth"
     out = []
     for nu in subpartitions(lam_n) if pleth else (mu_n,):
         py = [(_padded(a, ny), c)
-              for a, c in skew_P(lam_n, nu).coeffs.items() if len(a) <= ny]
+              for a, c in _m_expansion(lam_n, nu, "qt", ny).coeffs.items()]
         for j, w in enumerate(_p_at_c_minus_d(nu) if pleth else (fe(1),)):
             cd = (nu.size - j, j) if pleth else ()
             out += [(y, cd, c * w) for y, c in py]

@@ -2,12 +2,17 @@
 Q(gamma), specialisation formulas, evaluation symmetry, and the numeric
 plethysm.
 
-P_lambda and the Jack polynomials are built basis-free (an m-basis
-coefficient map) by the branching rule over horizontal strips (Macdonald,
-*Symmetric Functions and Hall Polynomials*, 2nd ed., ch. VI §7): the q,t
-cells give P_lambda(q,t), the gamma cells the Jack P^(1/gamma) over
-Q(gamma), built independently and not as a limit.  The tests compare both
-with the Gram-Schmidt solve of the orthogonality system.  `plethysm_eval`
+P_lambda, the skews P_{lambda/mu} and the Jack polynomials are built
+basis-free (an m-basis coefficient map) by the branching rule over
+horizontal strips (Macdonald, *Symmetric Functions and Hall Polynomials*,
+2nd ed., ch. VI §7): P_{lambda/mu} = sum_T psi_T x^T (7.13') is the
+recursion for P_lambda started at mu instead of the empty partition, and
+one cached coefficient function `_coeff_at` serves both, so a caller can
+read only the coefficients it compares.  The q,t cells give
+P_lambda(q,t), the gamma cells the Jack P^(1/gamma) over Q(gamma), built
+independently and not as a limit.  The tests compare both with the
+Gram-Schmidt solve of the orthogonality system, and the skews with a peel
+of P_lambda[X + Y].  `plethysm_eval`
 is the one numeric plethysm: every Jack or Macdonald evaluation at numbers
 or at arrays of points goes through it, the Jack ones through `jack_eval`.
 
@@ -29,6 +34,7 @@ out symbol by symbol.  The numeric principal specialisation is
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .coeffs import poch, qpoch
 from .errors import PoleError
@@ -51,18 +57,21 @@ __all__ = [
 # exact q-Pochhammer products
 # ---------------------------------------------------------------------------
 
-def _qpoch_product(symbols, shift, q, t, a=0):
+def _qpoch_product(symbols, shift, a=0):
     """q^j t^k times the product of (x;q)_n^s over the q-Pochhammer
-    symbols (x, n, s), as one field.binomial_product, where shift = (j, k)
-    and each argument x is a^i q^j' t^k' given as its exponent triple
-    (i, j', k'); a negative n is read as in qpoch.
+    symbols (x, n, s), at the indeterminates q and t, as one
+    field.binomial_product, where shift = (j, k) and each argument x is
+    a^i q^j' t^k' given as its exponent triple (i, j', k'); a negative n
+    is read as in qpoch.
 
-    q, t and a must be Laurent monomials with coefficient 1, or a = 0; any
-    other value, a number among them, is a ValueError that names it.  At
-    a = 0 a symbol whose argument holds a positive power of a is 1, and a
-    negative power is a PoleError.
+    a must be a Laurent monomial with coefficient 1, or 0; any other
+    value, a number among them, is a ValueError that names it.  At a = 0 a
+    symbol whose argument holds a positive power of a is 1, and a negative
+    power is a PoleError.
     """
-    vq, vt, va = _laurent(q, "q"), _laurent(t, "t"), _laurent(a, "a", True)
+    q, t = var("q"), var("t")
+    va = _a_exponents(a)  # after q and t exist: all three span the registry
+    vq, vt = q.laurent(), t.laurent()
     if va is None:
         if any(x[0] < 0 for x, _, _ in symbols):
             raise PoleError("a negative power of a at a = 0")
@@ -89,46 +98,37 @@ def _binomials(sym, basis):
     return [(tuple([c + u * v for c, v in zip(ik, vq)]), s) for u in us]
 
 
-def _laurent(x, name, zero=False):
-    """The exponent vector of x, a Laurent monomial with coefficient 1, or
-    None for x = 0 where ``zero`` allows it; a ValueError that names the
-    argument for any other x."""
+def _a_exponents(a):
+    """The exponent vector of a, a Laurent monomial with coefficient 1, or
+    None for a = 0; a ValueError that names a for any other value."""
     try:
-        y = fe(x)
+        y = fe(a)
     except TypeError:  # a float or a complex, which the field does not take
         y = None
     if y is not None:
-        if zero and y.is_zero():
+        if y.is_zero():
             return None
         v = y.laurent()
         if v is not None:
             return v
-    raise ValueError(f"{name} = {x!r} is not a Laurent monomial with "
-                     f"coefficient 1{' or 0' if zero else ''}")
+    raise ValueError(f"a = {a!r} is not a Laurent monomial with "
+                     "coefficient 1 or 0")
 
 
 # ---------------------------------------------------------------------------
 # construction by the branching rule (horizontal strips)
 # ---------------------------------------------------------------------------
 
-def _horizontal_strip_preds(lam: Partition):
-    """mu with mu subseteq lam and lam/mu a horizontal strip."""
-    lam = Partition(lam)
-    if not lam:
-        yield Partition()
+def _horizontal_strip_preds(lam: Partition, mu: Partition):
+    """nu with mu subseteq nu subseteq lam and lam/nu a horizontal strip:
+    each nu_i runs over [max(lam_{i+1}, mu_i), lam_i] on its own, since
+    nu_i >= lam_{i+1} >= nu_{i+1} makes every choice a partition."""
+    if len(mu) > len(lam):
         return
-    ranges = [(lam.part(i + 1), lam.part(i)) for i in range(1, len(lam) + 1)]
-
-    def rec(i, acc):
-        if i == len(ranges):
-            yield Partition(acc)
-            return
-        lo, hi = ranges[i]
-        upper = min(hi, acc[-1]) if acc else hi
-        for v in range(upper, lo - 1, -1):
-            yield from rec(i + 1, acc + (v,))
-
-    yield from rec(0, ())
+    ranges = [range(lam.part(i), max(lam.part(i + 1), mu.part(i)) - 1, -1)
+              for i in range(1, len(lam) + 1)]
+    for parts in product(*ranges):
+        yield Partition(parts)
 
 
 def _b_cell_gamma(lam: Partition, i: int, j: int) -> FieldElement:
@@ -150,8 +150,7 @@ def _psi_cached(lam: Partition, mu: Partition, kind: str) -> FieldElement:
              if i in strip_rows and j not in strip_cols]
     if kind == "qt":
         return _qpoch_product(_b_symbols(mu, cells, 1)
-                              + _b_symbols(lam, cells, -1),
-                              (0, 0), var("q"), var("t"))
+                              + _b_symbols(lam, cells, -1), (0, 0))
     out = fe(1)
     for (i, j) in cells:
         out = out * _b_cell_gamma(mu, i, j) / _b_cell_gamma(lam, i, j)
@@ -159,41 +158,47 @@ def _psi_cached(lam: Partition, mu: Partition, kind: str) -> FieldElement:
 
 
 @lru_cache(maxsize=None)
-def _coeff_at(lam: Partition, evec: tuple[int, ...], kind: str) -> FieldElement:
-    """Coefficient of x_1^{e_1}..x_k^{e_k} in P_lambda(x_1..x_k), by branching."""
-    lam = Partition(lam)
+def _coeff_at(lam: Partition, mu: Partition, evec: tuple[int, ...],
+              kind: str) -> FieldElement:
+    """Coefficient of x_1^{e_1}..x_k^{e_k} in P_{lam/mu}(x_1..x_k), by the
+    branching rule from mu (ch. VI (7.13')): the sum over the chains
+    mu = nu_0 subseteq ... subseteq nu_k = lam, nu_i/nu_{i-1} a horizontal
+    strip of e_i cells, of the product of their psi.  P_lam is mu = ();
+    every call passes all four arguments by position, so P_lam and
+    P_{lam/()} share their cache entries."""
     if not evec:
-        return fe(1) if not lam else fe(0)
-    e_last = evec[-1]
+        return fe(1) if lam == mu else fe(0)
     total = fe(0)
-    for mu in _horizontal_strip_preds(lam):
-        if lam.size - mu.size != e_last or len(mu) > len(evec) - 1:
+    for nu in _horizontal_strip_preds(lam, mu):
+        # a horizontal strip adds at most one part
+        if lam.size - nu.size != evec[-1] or len(nu) >= len(mu) + len(evec):
             continue
-        sub = _coeff_at(mu, evec[:-1], kind)
-        if sub.is_zero():
-            continue
-        total = total + _psi_cached(lam, mu, kind) * sub
+        sub = _coeff_at(nu, mu, evec[:-1], kind)
+        if not sub.is_zero():
+            total = total + _psi_cached(lam, nu, kind) * sub
     return total
 
 
-def _family_member(lam: Partition, kind: str) -> SymFunc:
-    lam = Partition(lam)
-    if not lam:
-        return SymFunc("m", {Partition(): fe(1)})
+def _m_expansion(lam: Partition, mu: Partition, kind: str,
+                 max_len: int | None = None) -> SymFunc:
+    """P_{lam/mu} of the family ``kind`` in the m-basis, at the partitions
+    of at most max_len parts only (all of them for None); zero unless mu
+    is contained in lam."""
     coeffs: dict[Partition, FieldElement] = {}
-    for mu in partitions_of(lam.size):
-        if not lam.dominates(mu):
-            continue
-        c = _coeff_at(lam, mu.parts, kind)
-        if not c.is_zero():
-            coeffs[mu] = c
+    if not lam.contains(mu):
+        return SymFunc("m", coeffs)
+    for a in partitions_of(lam.size - mu.size, max_len):
+        if mu or lam.dominates(a):  # P_lam has no term above lam
+            c = _coeff_at(lam, mu, a.parts, kind)
+            if not c.is_zero():
+                coeffs[a] = c
     return SymFunc("m", coeffs)
 
 
 @lru_cache(maxsize=None)
 def macdonald_P(lam: Partition) -> SymFunc:
     """P_lambda(q,t) in the m-basis with FieldElement(q,t) coefficients."""
-    return _family_member(Partition(lam), "qt")
+    return _m_expansion(Partition(lam), Partition(), "qt")
 
 
 def macdonald_Q(lam: Partition) -> SymFunc:
@@ -203,8 +208,7 @@ def macdonald_Q(lam: Partition) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def b_lambda(lam: Partition) -> FieldElement:
-    return _qpoch_product(_b_symbols(lam, lam.cells(), 1), (0, 0),
-                          var("q"), var("t"))
+    return _qpoch_product(_b_symbols(lam, lam.cells(), 1), (0, 0))
 
 
 def _b_symbols(lam: Partition, cells, s: int):
@@ -220,62 +224,25 @@ def _b_symbols(lam: Partition, cells, s: int):
 @lru_cache(maxsize=None)
 def jack_P(lam: Partition) -> SymFunc:
     """Jack P^(1/gamma)_lambda in the m-basis over Q(gamma)."""
-    return _family_member(Partition(lam), "gamma")
+    return _m_expansion(Partition(lam), Partition(), "gamma")
 
 
 # ---------------------------------------------------------------------------
-# skew Macdonald polynomials via two-alphabet expansion
+# skew Macdonald polynomials
 # ---------------------------------------------------------------------------
-
-def _without(parts: tuple[int, ...], sub: tuple[int, ...]):
-    """The multiset ``parts`` less ``sub`` (both non-increasing), or None."""
-    rest = list(parts)
-    for p in sub:
-        if p not in rest:
-            return None
-        rest.remove(p)
-    return tuple(rest)
-
 
 @lru_cache(maxsize=None)
 def _skew_table(lam: Partition) -> dict[Partition, SymFunc]:
-    """All P_{lam/mu} as m-basis SymFuncs, peeled from P_lam[X + Y].
+    """All P_{lam/mu}, mu subseteq lam, as m-basis SymFuncs, each by the
+    branching rule from mu.
 
-    P_lam[X + Y] = sum_mu P_{lam/mu}[X] P_mu[Y] with |lam| X-variables and
-    l(lam) Y-variables.  Both factors are symmetric, so only the monomials
-    x^a y^b with a and b non-increasing are read: there the coefficient of
-    m_nu[X + Y] is 1 if nu is the union of a and b, and the coefficient of
-    P_{lam/mu}[X] (or P_nu[Y]) is its m-coefficient at a (or b).  For each
-    degree, mu is peeled from the lex-largest down: the y^mu coefficient
-    less the P_{lam/nu} P_nu[Y] terms of the lex-larger nu already found.
+    Only `skew_P` reads whole tables; a caller that needs a few
+    coefficients reads them from `_m_expansion`.  The table keeps its own
+    cache and its name, because perfbench's tracer times the skew layer as
+    the calls of `_skew_table`, `skew_P` and `skew_Q`.
     """
     lam = Partition(lam)
-    if not lam:
-        return {Partition(): SymFunc("m", {Partition(): fe(1)})}
-    pm = macdonald_P(lam).coeffs
-    mus = list(subpartitions(lam))
-    out: dict[Partition, SymFunc] = {}
-    for d in sorted({mu.size for mu in mus}, reverse=True):
-        degree_mus = sorted((mu for mu in mus if mu.size == d),
-                            key=lambda m: m.parts, reverse=True)
-        for mu in degree_mus:
-            coeff_map: dict[Partition, FieldElement] = {}
-            for nu, c in pm.items():
-                rest = _without(nu.parts, mu.parts)
-                if rest is not None:
-                    coeff_map[Partition(rest)] = c
-            # subtract contributions of lex-larger nu of the same degree
-            for nu in degree_mus:
-                if nu.parts <= mu.parts:
-                    continue
-                w = macdonald_P(nu).coeffs.get(mu)
-                if w is None:
-                    continue
-                for rho, c in out[nu].coeffs.items():
-                    coeff_map[rho] = coeff_map.get(rho, fe(0)) - c * w
-            out[mu] = SymFunc("m", {rho: c for rho, c in coeff_map.items()
-                                    if not c.is_zero()})
-    return out
+    return {mu: _m_expansion(lam, mu, "qt") for mu in subpartitions(lam)}
 
 
 def skew_P(lam: Partition, mu: Partition) -> SymFunc:
@@ -357,7 +324,7 @@ def principal_spec_a(lam: Partition, a) -> FieldElement:
                for i, part in enumerate(lam.parts, start=1)]
     symbols += [((0, lam.arm(i, j), lam.leg(i, j) + 1), 1, -1)
                 for (i, j) in lam.cells()]
-    return _qpoch_product(symbols, (0, lam.n_stat()), var("q"), var("t"), a)
+    return _qpoch_product(symbols, (0, lam.n_stat()), a)
 
 
 def principal_spec_n(lam: Partition, n: int) -> FieldElement:

@@ -5,8 +5,9 @@ monic, dominance-unitriangular family orthogonal for a p-basis scalar
 product), the Schur functions in the m-basis from Kostka numbers counted
 over semistandard tableaux, symmetric functions expanded monomial by
 monomial in named letters, second forms of (b;q,t)_lambda, the hook
-polynomials and s_lambda(1^n), and the bipartite spectral vector at the
-indeterminates.  None of them is reached by ``selbergkit verify`` or
+polynomials and s_lambda(1^n), the bipartite spectral vector at the
+indeterminates, and the skews P_{lambda/mu} peeled from every monomial of
+P_lambda[X + Y].  None of them is reached by ``selbergkit verify`` or
 ``eval``; each is the definition or a textbook form the package's own
 construction is checked against.
 """
@@ -19,7 +20,10 @@ from functools import lru_cache
 
 from selbergkit.coeffs import hooks, poch, qpoch, qt_poch
 from selbergkit.field import FieldElement, fe, var
-from selbergkit.partitions import Bipartition, Partition, partitions_of
+from selbergkit.macdonald import macdonald_P
+from selbergkit.partitions import (
+    Bipartition, P, Partition, partitions_of, subpartitions,
+)
 from selbergkit.symfunc import LetterSeries, SymFunc, _m_in_p, _scalar_eq
 
 
@@ -350,4 +354,46 @@ def psi_chain(lam: Partition, mu: Partition) -> FieldElement:
     for (i, j) in mu.cells():
         if i in rows and j not in cols:
             out = out * b_cell(mu, i, j) / b_cell(lam, i, j)
+    return out
+
+
+def skew_table_all_monomials(lam):
+    """Reference P_{lam/mu}: peel the coefficient of every x-monomial of
+    P_lam[X + Y] (|lam| X- and l(lam) Y-variables), sorted or not, and keep
+    the sorted ones at the end."""
+    nx, ny = lam.size, len(lam)
+
+    def xmap(f, n):
+        out = {}
+        for nu, c in f.coeffs.items():
+            for exps, _ in monomial_expansion(nu, n):
+                out[exps] = out.get(exps, fe(0)) + c
+        return out
+
+    buckets = {}
+    for nu, c in macdonald_P(lam).coeffs.items():
+        for exps, _ in monomial_expansion(nu, nx + ny):
+            b = buckets.setdefault(exps[nx:], {})
+            b[exps[:nx]] = b.get(exps[:nx], fe(0)) + c
+    mus = list(subpartitions(lam))
+    pm_y = {mu: xmap(macdonald_P(mu), ny) for mu in mus}
+    out = {}
+    for d in sorted({mu.size for mu in mus}, reverse=True):
+        degree_mus = sorted((mu for mu in mus if mu.size == d),
+                            key=lambda m: m.parts, reverse=True)
+        for mu in degree_mus:
+            key = mu.parts + (0,) * (ny - len(mu))
+            coeff_map = dict(buckets.get(key, {}))
+            for nu in degree_mus:
+                w = pm_y[nu].get(key)
+                if nu.parts <= mu.parts or w is None:
+                    continue
+                for xexp, c in xmap(out[nu], nx).items():
+                    coeff_map[xexp] = coeff_map.get(xexp, fe(0)) - c * w
+            coeffs = {}
+            for xexp, c in coeff_map.items():
+                se = tuple(sorted((x for x in xexp if x), reverse=True))
+                if xexp == se + (0,) * (nx - len(se)) and not c.is_zero():
+                    coeffs[P(*se)] = c
+            out[mu] = SymFunc("m", coeffs)
     return out

@@ -139,7 +139,7 @@ class TestExactProducts:
                                          x)), (lam, x)
             assert (_pair_or_pole(macdonald.b_lambda.__wrapped__, lam)
                     == _pair_or_pole(lambda p: coeffs.hooks(p, q, t)[2], lam))
-            for mu in macdonald._horizontal_strip_preds(lam):
+            for mu in macdonald._horizontal_strip_preds(lam, P()):
                 assert (_pair_or_pole(macdonald._psi_cached.__wrapped__, lam,
                                       mu, "qt")
                         == _pair_or_pole(oracles.psi_chain, lam, mu))
@@ -192,24 +192,17 @@ class TestExactProducts:
 
 
 class TestExactArguments:
-    """The exact q-Pochhammer products take q, t and a as Laurent monomials
-    with coefficient 1, and a = 0; anything else, a number among them, is
-    a ValueError that names the argument (for a, see
+    """The exact q-Pochhammer products are taken at the indeterminates q
+    and t, and take a as a Laurent monomial with coefficient 1 or a = 0;
+    any other a, a number among them, is a ValueError that names it (see
     TestExactProducts::test_products_match_the_field_chain)."""
-
-    def test_q_and_t_are_named(self):
-        sym = [((1, 0, 1), 2, 1)]
-        for name, q_, t_ in (("q", 2 * q, t), ("q", 0.3, t), ("q", fe(0), t),
-                             ("t", q, 1 - t), ("t", q, fe(0))):
-            with pytest.raises(ValueError, match=f"^{name} = "):
-                macdonald._qpoch_product(sym, (0, 0), q_, t_, a)
 
     def test_a_zero(self):
         # a symbol holding a power of a = 0 is 1; a negative power is a pole
         assert (principal_spec_a(P(2, 1), 0) == principal_spec_a(P(2, 1), fe(0))
                 == oracles.principal_spec_chain(P(2, 1), fe(0)))
         with pytest.raises(field.PoleError):
-            macdonald._qpoch_product([((-1, 0, 1), 1, 1)], (0, 0), q, t, 0)
+            macdonald._qpoch_product([((-1, 0, 1), 1, 1)], (0, 0), 0)
 
 
 class TestSkewSum:
@@ -329,6 +322,25 @@ class TestAnCauchy:
     def test_skew_mu_with_long_tail(self):
         # exercises the padding-extended pairing factor
         assert an_cauchy_check(2, [1, 2], P(1, 1), cap=2, variant="I").equal
+
+    def test_cauchy_runs_build_no_skew_table(self):
+        # the checks read P_lam and P_{lam/mu} at the compared monomials
+        # only, by branching: no skew table is built, and the only whole
+        # P is P_mu of the right side's P_mu[W]
+        for obj in vars(macdonald).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+        mus = set()
+        for suite, cfg in (("cauchy", {}), ("an-cauchy", {"max_degree": 3})):
+            gen, _ = suites.SUITES[suite]
+            cases = gen(cfg)
+            assert all(suites.run_case(suite, c, cfg).passed for c in cases)
+            mus |= {P(*c["mu"]) for c in cases if c["mu"]}
+        assert mus == {P(1), P(2, 1)}
+        assert macdonald._skew_table.cache_info().misses == 0
+        for mu in mus:  # each is a hit: these are the P that were built
+            macdonald.macdonald_P(mu)
+        assert macdonald.macdonald_P.cache_info().misses == len(mus)
 
     def test_kernel_stops_at_its_weighted_cap(self):
         letters = ("x1", "y1")

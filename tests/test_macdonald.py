@@ -6,7 +6,7 @@ import pytest
 
 from oracles import (
     expand_in_letters, hall_norm_gamma, hall_norm_qt, monomial_expansion,
-    orthogonal_family, same_sf, schur_m,
+    orthogonal_family, same_sf, schur_m, skew_table_all_monomials,
 )
 from selbergkit import macdonald, suites, symfunc
 from selbergkit.field import FieldElement, fe, var
@@ -23,48 +23,6 @@ from selbergkit.partitions import (
 from selbergkit.symfunc import Difference, Letters, Ratio, Sum, SymFunc, plethysm
 
 q, t, g, a = var("q"), var("t"), var("gamma"), var("a")
-
-
-def skew_table_all_monomials(lam):
-    """Reference P_{lam/mu}: peel the coefficient of every x-monomial of
-    P_lam[X + Y] (|lam| X- and l(lam) Y-variables), sorted or not, and keep
-    the sorted ones at the end."""
-    nx, ny = lam.size, len(lam)
-
-    def xmap(f, n):
-        out = {}
-        for nu, c in f.coeffs.items():
-            for exps, _ in monomial_expansion(nu, n):
-                out[exps] = out.get(exps, fe(0)) + c
-        return out
-
-    buckets = {}
-    for nu, c in macdonald_P(lam).coeffs.items():
-        for exps, _ in monomial_expansion(nu, nx + ny):
-            b = buckets.setdefault(exps[nx:], {})
-            b[exps[:nx]] = b.get(exps[:nx], fe(0)) + c
-    mus = list(subpartitions(lam))
-    pm_y = {mu: xmap(macdonald_P(mu), ny) for mu in mus}
-    out = {}
-    for d in sorted({mu.size for mu in mus}, reverse=True):
-        degree_mus = sorted((mu for mu in mus if mu.size == d),
-                            key=lambda m: m.parts, reverse=True)
-        for mu in degree_mus:
-            key = mu.parts + (0,) * (ny - len(mu))
-            coeff_map = dict(buckets.get(key, {}))
-            for nu in degree_mus:
-                w = pm_y[nu].get(key)
-                if nu.parts <= mu.parts or w is None:
-                    continue
-                for xexp, c in xmap(out[nu], nx).items():
-                    coeff_map[xexp] = coeff_map.get(xexp, fe(0)) - c * w
-            coeffs = {}
-            for xexp, c in coeff_map.items():
-                se = tuple(sorted((x for x in xexp if x), reverse=True))
-                if xexp == se + (0,) * (nx - len(se)) and not c.is_zero():
-                    coeffs[P(*se)] = c
-            out[mu] = SymFunc("m", coeffs)
-    return out
 
 
 def hall_qt(f, h):
@@ -152,8 +110,9 @@ class TestSkew:
                 assert fe(full.terms.get(k, fe(0))) == fe(recomposed.get(k, fe(0)))
 
     def test_matches_all_monomial_peel(self):
-        # the table reads only sorted monomials; peeling every monomial
-        # must give the same reduced coefficients, num and den alike
+        # the table, built by branching from each mu, must give the
+        # reduced coefficients of the peel of every monomial of
+        # P_lam[X + Y], num and den alike
         for lam in list(partitions_up_to(5))[1:]:
             want = skew_table_all_monomials(lam)
             got = _skew_table(lam)
@@ -164,6 +123,32 @@ class TestSkew:
                     d = got[mu].coeffs[nu]
                     assert isinstance(d, FieldElement)
                     assert (d.num, d.den) == (c.num, c.den), (lam, mu, nu)
+
+    def test_branching_from_mu_matches_the_peel(self):
+        # [x^e] P_{lam/mu} by the recursion started at mu, for e every
+        # ordering of every partition of |lam/mu|, alone and with one 0
+        # (zero where the peel has no term), and the m-expansion read at
+        # the partitions of at most k parts only
+        checked = 0
+        for lam in list(partitions_up_to(5))[1:]:
+            want = skew_table_all_monomials(lam)
+            for mu in subpartitions(lam):
+                peel = want[mu].coeffs
+                for part in partitions_of(lam.size - mu.size):
+                    c = peel.get(part, fe(0))
+                    n = len(part)
+                    for e, _ in (monomial_expansion(part, n)
+                                 + monomial_expansion(part, n + 1)):
+                        d = macdonald._coeff_at(lam, mu, e, "qt")
+                        assert (d.num, d.den) == (c.num, c.den), (lam, mu, e)
+                        checked += 1
+                for k in (1, 2):
+                    got = macdonald._m_expansion(lam, mu, "qt", k).coeffs
+                    assert set(got) == {b for b in peel if len(b) <= k}
+                    for part, d in got.items():
+                        c = peel[part]
+                        assert (d.num, d.den) == (c.num, c.den), (lam, mu, k)
+        assert checked > 1000
 
     def test_skew_Q_normalisation(self):
         lam, mu = P(2, 1), P(1)
