@@ -5,12 +5,13 @@ Symmetric functions are stored as coefficient maps over partitions with a
 basis tag, 'm' (monomial) or 'p' (power sum): the Macdonald and Jack
 polynomials are built in the m-basis.  `at_letters` substitutes exact
 letters into the m-expansion; `plethysm` reads the p-basis and takes any
-alphabet.  The change of basis goes through exact per-degree transition
-matrices, p_lambda expanded in d variables and its inverse; both are
-cached.  Plethysm is the p-basis homomorphism over alphabet expression
-trees; an alphabet of exact scalars is hashable by value, so it can key a
-cache.  LetterSeries provides truncated polynomial arithmetic in named
-letters with exact scalar coefficients, used by the series-identity suites.
+alphabet.  The one change of basis is m -> p, through exact per-degree
+tables of m_lambda in power sums, read off the set partitions of the parts
+of lambda by Moebius inversion (Doubilet 1972) and cached.  Plethysm is
+the p-basis homomorphism over alphabet expression trees; an alphabet of
+exact scalars is hashable by value, so it can key a cache.  LetterSeries
+provides truncated polynomial arithmetic in named letters with exact scalar
+coefficients, used by the series-identity suites.
 alternant_ratio evaluates det(x_i^{w_j}) / Delta(x) at numeric points, the
 complex Schur function and, at staircase exponents, s_lambda.
 """
@@ -39,92 +40,45 @@ BASES = ("m", "p")
 
 
 # ---------------------------------------------------------------------------
-# transition matrices between the m and p bases (exact, Fraction entries)
+# the m-basis in power sums (exact, Fraction entries)
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e)
-            if v is None:
-                out[e] = c1 * c2
-            else:
-                v = v + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-    return out
-
-
-def _power_sum_poly(k: int, nvars: int) -> dict:
-    out = {}
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = k
-        out[tuple(e)] = Fraction(1)
-    return out
-
-
-def _collect_m(poly: dict, degree: int) -> dict[Partition, Fraction]:
-    """Read m-coefficients off a symmetric polynomial in >= degree variables."""
-    out = {}
-    for e, c in poly.items():
-        se = tuple(sorted((x for x in e if x), reverse=True))
-        if e[:len(se)] == se and all(x == 0 for x in e[len(se):]):
-            out[Partition(se)] = c
-    return out
-
-
-@lru_cache(maxsize=None)
-def _p_in_m(d: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """Each p_lambda of degree d in the m-basis, read off the product of
-    its power sums in d variables."""
-    if d == 0:
-        return {Partition(): {Partition(): Fraction(1)}}
-    table: dict[Partition, dict[Partition, Fraction]] = {}
-    for lam in partitions_of(d):
-        poly = {(0,) * d: Fraction(1)}
-        for part in lam:
-            poly = _poly_mul(poly, _power_sum_poly(part, d))
-        table[lam] = _collect_m(poly, d)
-    return table
+def _set_partitions(parts: tuple[int, ...]):
+    """Every set partition of the positions of parts, as lists of blocks,
+    each block a list of parts."""
+    if not parts:
+        yield []
+        return
+    first = parts[0]
+    for blocks in _set_partitions(parts[1:]):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
 
 
 @lru_cache(maxsize=None)
 def _m_in_p(d: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """Each m_lambda of degree d in the p-basis: the inverse transition."""
+    """Each m_lambda of degree d in the p-basis, by Moebius inversion on the
+    lattice of set partitions (Doubilet, Stud. Appl. Math. 51, 1972):
+
+        r_1! r_2! ... m_lambda = sum_pi mu(0, pi) p_{lambda(pi)},
+
+    over the set partitions pi of the parts of lambda, where r_i is the
+    multiplicity of the part i, mu(0, pi) = prod over the blocks B of
+    (-1)^(|B|-1) (|B|-1)! and lambda(pi) is the partition of the block
+    sums.  Each row lists its partitions in `partitions_of(d)` order."""
     lams = list(partitions_of(d)) if d else [Partition()]
-    fwd = _p_in_m(d)
-    n = len(lams)
-    idx = {lam: i for i, lam in enumerate(lams)}
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for j, lam in enumerate(lams):
-        for mu, c in fwd[lam].items():
-            mat[idx[mu]][j] = c
-    inv = _fraction_inverse(mat)
-    out: dict[Partition, dict[Partition, Fraction]] = {}
-    for i, lam in enumerate(lams):
-        out[lam] = {lams[j]: inv[j][i] for j in range(n) if inv[j][i]}
-    return out
-
-
-def _fraction_inverse(mat):
-    n = len(mat)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    table: dict[Partition, dict[Partition, Fraction]] = {}
+    for lam in lams:
+        acc: dict[Partition, int] = {}
+        for blocks in _set_partitions(lam.parts):
+            rho = Partition(sorted(map(sum, blocks), reverse=True))
+            mobius = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1)
+                               for b in blocks)
+            acc[rho] = acc.get(rho, 0) + mobius
+        r = math.prod(math.factorial(lam.parts.count(k)) for k in set(lam.parts))
+        table[lam] = {rho: Fraction(acc[rho], r) for rho in lams if acc.get(rho)}
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +104,18 @@ class SymFunc:
         return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
 
     def to_basis(self, target: str) -> "SymFunc":
+        """self in the target basis.  The one conversion is m -> p, row by
+        row of `_m_in_p`; the engine builds every function in the m-basis,
+        so p -> m raises."""
         if target == self.basis:
             return self
         if target not in BASES:
             raise ValueError(f"unknown basis {target!r}")
-        table = _p_in_m if target == "m" else _m_in_p
+        if target != "p":
+            raise ValueError("no conversion from the p-basis to the m-basis")
         out: dict[Partition, object] = {}
         for lam, c in self.coeffs.items():
-            for mu, f in table(lam.size)[lam].items():
+            for mu, f in _m_in_p(lam.size)[lam].items():
                 v = c * f
                 out[mu] = out[mu] + v if mu in out else v
         return SymFunc(target, out)
@@ -411,15 +369,6 @@ class LetterSeries:
         return LetterSeries(self.letters, out, wcap)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return LetterSeries(self.letters, {e: -c for e, c in self.terms.items()},
-                            self.wcap)
-
-    def __sub__(self, other):
-        if not isinstance(other, LetterSeries):
-            other = self._scalar(other)
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, LetterSeries):

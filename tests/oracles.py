@@ -1,15 +1,16 @@
 """Independent oracles the tests compare the package with.
 
-The Gram-Schmidt construction of Macdonald and Jack polynomials (the
-monic, dominance-unitriangular family orthogonal for a p-basis scalar
-product), the Schur functions in the m-basis from Kostka numbers counted
-over semistandard tableaux, symmetric functions expanded monomial by
-monomial in named letters, second forms of (b;q,t)_lambda, the hook
-polynomials and s_lambda(1^n), the bipartite spectral vector at the
-indeterminates, and the skews P_{lambda/mu} peeled from every monomial of
-P_lambda[X + Y].  None of them is reached by ``selbergkit verify`` or
-``eval``; each is the definition or a textbook form the package's own
-construction is checked against.
+The change of basis between m and p by expanding power sums in d
+variables and inverting over Q, the Gram-Schmidt construction of Macdonald
+and Jack polynomials (the monic, dominance-unitriangular family orthogonal
+for a p-basis scalar product), the Schur functions in the m-basis from
+Kostka numbers counted over semistandard tableaux, symmetric functions
+expanded monomial by monomial in named letters, second forms of
+(b;q,t)_lambda, the hook polynomials and s_lambda(1^n), the bipartite
+spectral vector at the indeterminates, and the skews P_{lambda/mu} peeled
+from every monomial of P_lambda[X + Y].  None of them is reached by
+``selbergkit verify`` or ``eval``; each is the definition or a textbook
+form the package's own construction is checked against.
 """
 
 from __future__ import annotations
@@ -25,6 +26,65 @@ from selbergkit.partitions import (
     Bipartition, P, Partition, partitions_of, subpartitions,
 )
 from selbergkit.symfunc import LetterSeries, SymFunc, _m_in_p, _scalar_eq
+
+
+# ---------------------------------------------------------------------------
+# m and p bases: power sums expanded in d variables, and the inverse
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def p_in_m(d: int) -> dict[Partition, dict[Partition, Fraction]]:
+    """Each p_lambda of degree d in the m-basis: the product of its power
+    sums in d variables, read off at the weakly decreasing exponents."""
+    lams = list(partitions_of(d)) if d else [Partition()]
+    table = {}
+    for lam in lams:
+        poly = {(0,) * d: 1}
+        for part in lam:  # times p_part = x_1^part + ... + x_d^part
+            nxt: dict[tuple[int, ...], int] = {}
+            for e, c in poly.items():
+                for i in range(d):
+                    f = e[:i] + (e[i] + part,) + e[i + 1:]
+                    nxt[f] = nxt.get(f, 0) + c
+            poly = nxt
+        row = {mu: poly.get(mu.parts + (0,) * (d - len(mu)), 0)
+               for mu in lams}
+        table[lam] = {mu: Fraction(c) for mu, c in row.items() if c}
+    return table
+
+
+@lru_cache(maxsize=None)
+def m_in_p(d: int) -> dict[Partition, dict[Partition, Fraction]]:
+    """Each m_lambda of degree d in the p-basis: the matrix of `p_in_m(d)`
+    inverted by Gauss-Jordan elimination over Q.  Each row lists its
+    partitions in `partitions_of(d)` order."""
+    lams = list(partitions_of(d)) if d else [Partition()]
+    n = len(lams)
+    fwd = p_in_m(d)
+    # [A | 1] with A[i][j] = [m_{lams[j]}] p_{lams[i]}, reduced to [1 | A^-1]
+    a = [[fwd[rho].get(lam, Fraction(0)) for lam in lams]
+         + [Fraction(int(i == j)) for j in range(n)]
+         for i, rho in enumerate(lams)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return {lam: {rho: a[i][n + j] for j, rho in enumerate(lams) if a[i][n + j]}
+            for i, lam in enumerate(lams)}
+
+
+def p_to_m(f: SymFunc) -> SymFunc:
+    """f, given in the p-basis, in the m-basis through `p_in_m`."""
+    out: dict[Partition, object] = {}
+    for rho, c in f.coeffs.items():
+        for lam, v in p_in_m(rho.size)[rho].items():
+            out[lam] = out.get(lam, 0) + c * v
+    return SymFunc("m", out)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ ALLOWLIST = [
     (("field.FieldElement.__bool__",),
      "the truth value of an exact element",
      ("tests/test_field.py::test_small_exponents_skip_the_memo",)),
-    (("symfunc.LetterSeries.__neg__", "symfunc.LetterSeries.__sub__"),
-     "the subtraction of letter series, which the tests compare with",
-     ("tests/test_symfunc.py::TestLetterSeries"
-      "::test_weighted_cap_is_exact_within_its_bound",)),
     (("field._is_monomial",),
      "the input check of MPoly(terms), which no run passes terms",
      ("tests/test_field.py"

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import expand_in_letters, schur_m, schur_spec
+from oracles import (
+    expand_in_letters, m_in_p, p_in_m, p_to_m, schur_m, schur_spec,
+)
 from selbergkit.complexschur import complex_schur, staircase_exponents
 from selbergkit.field import _unpack, fe, var
 from selbergkit.partitions import P, partitions_up_to
 from selbergkit.symfunc import (
     Difference, Letters, LetterSeries, Product, Ratio, Sum, SymFunc,
-    alternant_ratio, e_series_of_alphabet, h_series_of_alphabet,
+    _m_in_p, alternant_ratio, e_series_of_alphabet, h_series_of_alphabet,
     pk_of_alphabet, plethysm,
 )
 
@@ -31,21 +33,31 @@ def letter(letters, name, wcap=None):
 class TestBasisConversion:
     def test_classical_facts(self):
         # p_2 = m_2, p_11 = m_2 + 2 m_11, p_21 = m_3 + m_21, and back
-        assert sym("p", (2,)).to_basis("m").coeffs == {P(2): 1}
-        assert sym("p", (1, 1)).to_basis("m").coeffs == {P(2): 1, P(1, 1): 2}
-        assert sym("p", (2, 1)).to_basis("m").coeffs == {P(3): 1, P(2, 1): 1}
+        assert p_in_m(2)[P(2)] == {P(2): 1}
+        assert p_in_m(2)[P(1, 1)] == {P(2): 1, P(1, 1): 2}
+        assert p_in_m(3)[P(2, 1)] == {P(3): 1, P(2, 1): 1}
         assert sym("m", (1, 1)).to_basis("p").coeffs == {
             P(1, 1): Fraction(1, 2), P(2): Fraction(-1, 2)}
         # h_2 = s_2 = (p_2 + p_11) / 2
         assert schur_m(P(2)).to_basis("p").coeffs == {
             P(2): Fraction(1, 2), P(1, 1): Fraction(1, 2)}
 
+    def test_set_partition_table_is_the_inverse_expansion(self):
+        # the Moebius sum over set partitions equals the expansion of the
+        # power sums in d variables inverted over Q, in values and row order
+        for d in range(8):
+            assert ([(lam, list(row.items())) for lam, row in _m_in_p(d).items()]
+                    == [(lam, list(row.items())) for lam, row in m_in_p(d).items()])
+
     def test_round_trips(self):
+        # m -> p by to_basis and back by the oracle, and p -> m -> p
         for lam in partitions_up_to(5):
-            for basis, other in (("p", "m"), ("m", "p")):
-                f = sym(basis, lam.parts)
-                back = f.to_basis(other).to_basis(basis)
-                assert back.basis == basis and back.coeffs == f.coeffs
+            f = sym("m", lam.parts)
+            back = p_to_m(f.to_basis("p"))
+            assert back.basis == "m" and back.coeffs == f.coeffs
+            g = sym("p", lam.parts)
+            back = p_to_m(g).to_basis("p")
+            assert back.basis == "p" and back.coeffs == g.coeffs
 
     def test_only_the_m_and_p_bases(self):
         for basis in ("e", "h", "s", "x"):
@@ -53,6 +65,11 @@ class TestBasisConversion:
                 SymFunc(basis, {P(1): 1})
             with pytest.raises(ValueError, match="unknown basis"):
                 sym("m", (1,)).to_basis(basis)
+        # the engine builds in the m-basis: p -> m is no conversion
+        with pytest.raises(ValueError, match="p-basis to the m-basis"):
+            sym("p", (1,)).to_basis("m")
+        f = sym("p", (2,))
+        assert f.to_basis("p") is f
 
 
 class TestPlethysmRules:
@@ -328,13 +345,13 @@ class TestLetterSeries:
             (A * B, a_ * b_),
             ((A * B) * C, (a_ * b_) * c_),
             ((A + B) * C, (a_ + b_) * c_),
-            ((A - 3) * (C * t), (a_ - 3) * (c_ * t)),
+            ((A + (-3)) * (C * t), (a_ + (-3)) * (c_ * t)),
             (A ** 3, a_ ** 3),
             (S * A, s_ * a_),
             # a series without a weighted cap takes its partner's
             (b_ * A * c_, b_ * a_ * c_),
         ]
-        for carried in (A + B, A - 3, 3 + A, -A, C * t, S):
+        for carried in (A + B, A + (-3), 3 + A, (-1) * A, C * t, S):
             assert carried.wcap == wcap
         dropped = False
         for capped, full in pairs:
