@@ -9,8 +9,8 @@ wrong type, a negative size, fewer than one quadrature point or job, a
 --tol that is negative or not finite, a size above a suite's cap, an eval
 flag the formula does not read, a malformed eval value, a nan or inf in
 an eval flag or list entry, an eval --k or --alpha list of the wrong
-length, a negative eval --k or --n, a closed form that rejects its
-parameters, meets a pole or a zero division or has a value that is not
+length, a negative eval --k or --n, a decreasing rank-n --k, a closed
+form that rejects its parameters, meets a pole, divides by zero or is not
 finite, and a --report file that cannot be opened for appending.
 """
 
@@ -224,6 +224,8 @@ def _check_sizes(f, args, ks, alphas) -> None:
     if f in _CHAIN and (not ks or len(alphas) != len(ks)):
         raise ValueError(f"--k {args.k!r} --alpha {args.alpha!r}: {f} "
                          "takes at least one k and one alpha per k")
+    if f in _CHAIN and any(a > b for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"--k {args.k!r}: {f} takes 0 <= k_1 <= ... <= k_n")
 
 
 def _closed_form(f, args, lam, mu, ks, alphas, ts):

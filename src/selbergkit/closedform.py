@@ -24,8 +24,8 @@ __all__ = [
     "selberg_rhs", "aflt_rhs", "an_selberg_rhs", "an_one_rhs", "an_one_alt",
     "an_aflt_rhs", "an_alt_avg_rhs", "an_alt_norm_rhs", "nplusone_rhs",
     "gamma_one_rhs", "r_function", "r_function_params_ok",
-    "mac_aflt_rhs", "ortho_norm_rhs", "hyper_pfq", "hyper_qphi", "schur_binomial",
-    "jack_spec", "seven_one_rhs", "seven_two_rhs", "seven_two_gamma_one",
+    "mac_aflt_rhs", "ortho_norm_rhs", "hyper_pfq", "hyper_qphi", "jack_spec",
+    "seven_one_rhs", "seven_two_rhs", "seven_two_gamma_one",
 ]
 
 
@@ -35,13 +35,7 @@ __all__ = [
 
 def jack_spec(lam: Partition, z, g) -> complex:
     """P^(1/gamma)_lam at the binomial element z, numeric."""
-    lam = Partition(lam)
     return complex(jack_binomial_spec(lam, complex(z), complex(g)))
-
-
-def schur_binomial(lam: Partition, z) -> complex:
-    """s_lam[z] for a binomial element z (the gamma = 1 Jack value)."""
-    return jack_spec(lam, z, 1.0)
 
 
 def gamma_pochhammer(b, g, lam: Partition) -> complex:
@@ -208,17 +202,13 @@ def an_one_alt(n: int, ks, alphas, beta) -> complex:
     return out * gamma_ratio(nums, dens)
 
 
-def nplusone_rhs(n: int, ks, alphas, beta, lams, ells=None) -> complex:
+def nplusone_rhs(n: int, ks, alphas, beta, lams) -> complex:
     """Schur-product average at gamma = 1 (n+1 Schur functions)."""
     lams = [Partition(x) for x in lams]
     if len(lams) != n + 1:
         raise ValueError("need n+1 partitions")
     ks_ext = [0] + list(ks) + [1 - beta]
-    if ells is None:
-        ells = [max(len(x), 1) for x in lams]
-    for x, e in zip(lams, ells):
-        if e < len(x):
-            raise ValueError("padding too short")
+    ells = [max(len(x), 1) for x in lams]
     out = 1.0 + 0.0j
     for r in range(1, n + 2):
         lr = lams[r - 1]
@@ -256,9 +246,10 @@ def gamma_one_rhs(n: int, ks, alphas, beta, lams) -> complex:
         return eps[r - 1]
 
     out = 1.0 + 0.0j
+    # s_lam[z] is the gamma = 1 Jack value
     for r in range(1, n + 1):
-        out *= schur_binomial(lams[r - 1], ks_ext[r] - ks_ext[r - 1])
-    out *= schur_binomial(lams[n], ks_ext[n] + beta - 1)
+        out *= jack_spec(lams[r - 1], ks_ext[r] - ks_ext[r - 1], 1.0)
+    out *= jack_spec(lams[n], ks_ext[n] + beta - 1, 1.0)
     for r in range(1, n + 2):
         for s in range(1, n + 2):
             if r == s:

@@ -17,6 +17,8 @@ q-Pochhammer product has one route: an exact one of the Macdonald
 identities is one `field.binomial_product`, built in `macdonald`, and a
 numeric one is built here (qpoch, qt_poch, hooks), where `closedform`
 reads the principal specialisation of its Macdonald closed forms.
+poch takes an integer index of either sign; qpoch and theta_poch take
+n >= 0 and raise ValueError for a negative n.
 """
 
 from __future__ import annotations
@@ -42,25 +44,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def poch(b, n):
-    """Pochhammer (b)_n.
+    """Pochhammer (b)_n for integer n.
 
-    Integer n (negative allowed, as 1/(b-1)...(b+n), with PoleError on a
-    vanishing factor); non-integer n falls back to Gamma(b+n)/Gamma(b) for
-    numeric b.
+    A negative n reads 1/(b-1)...(b+n), with PoleError on a vanishing
+    factor.
     """
-    if isinstance(n, int):
-        if n >= 0:
-            out = 1
-            for i in range(n):
-                out = out * (b + i)
-            return out
+    if n >= 0:
         out = 1
-        for i in range(1, -n + 1):
-            out = out * (b - i)
-        if out == 0:
-            raise PoleError(f"({b})_{n} has a vanishing factor in the denominator")
-        return _recip(out)
-    return gamma_ratio([b + n], [b])
+        for i in range(n):
+            out = out * (b + i)
+        return out
+    out = 1
+    for i in range(1, -n + 1):
+        out = out * (b - i)
+    if out == 0:
+        raise PoleError(f"({b})_{n} has a vanishing factor in the denominator")
+    return _recip(out)
 
 
 def _recip(x):
@@ -71,20 +70,14 @@ def _recip(x):
 
 
 def qpoch(b, q, n: int):
-    """q-shifted factorial (b;q)_n for integer n.
-
-    A negative index reads (b;q)_{-m} = 1/(b q^{-m};q)_m and raises
-    PoleError on a vanishing factor (e.g. (q;q)_{-m}).
-    """
-    if n >= 0:
-        out = 1
-        for i in range(n):
-            out = out * (1 - b * q ** i)
-        return out
-    den = qpoch(b * q ** n, q, -n)
-    if den == 0:
-        raise PoleError(f"(b;q)_{n} has a vanishing factor in the denominator")
-    return _recip(den)
+    """q-shifted factorial (b;q)_n for integer n >= 0; a negative n is a
+    ValueError."""
+    if n < 0:
+        raise ValueError(f"(b;q)_n needs n >= 0, not {n}")
+    out = 1
+    for i in range(n):
+        out = out * (1 - b * q ** i)
+    return out
 
 
 def qpoch_inf(b, q) -> complex:
@@ -166,6 +159,14 @@ def _is_nonpositive_int(z: complex) -> bool:
             and abs(z.real - round(z.real)) < 1e-12)
 
 
+def _lanczos(z: complex):
+    """The Lanczos sum x and the point t = z + g + 1/2 of Gamma(z + 1)."""
+    x = _LANCZOS[0]
+    for i in range(1, len(_LANCZOS)):
+        x += _LANCZOS[i] / (z + i)
+    return x, z + _LANCZOS_G + 0.5
+
+
 def gamma(z) -> complex:
     """Complex Gamma via Lanczos with reflection; PoleError at 0, -1, -2, ..."""
     z = complex(z)
@@ -174,10 +175,7 @@ def gamma(z) -> complex:
     if z.real < 0.5:
         return math.pi / (cmath.sin(math.pi * z) * gamma(1 - z))
     z -= 1
-    x = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        x += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    x, t = _lanczos(z)
     out = math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
     if abs(out.imag) < 1e-15 * abs(out.real):
         out = complex(out.real, 0.0)
@@ -196,10 +194,7 @@ def lgamma(z) -> complex:
         return (cmath.log(math.pi) - cmath.log(cmath.sin(math.pi * z))
                 - lgamma(1 - z))
     z -= 1
-    x = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        x += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
+    x, t = _lanczos(z)
     return (0.5 * math.log(2 * math.pi) + (z + 0.5) * cmath.log(t) - t
             + cmath.log(x))
 
@@ -268,17 +263,15 @@ def _theta_at(z: complex, p: complex) -> complex:
 
 
 def theta_poch(b, q, p, n: int) -> complex:
-    """Elliptic shifted factorial (b;q,p)_n = prod theta(b q^i;p), n in Z."""
+    """Elliptic shifted factorial (b;q,p)_n = prod_{0 <= i < n} theta(b q^i;p)
+    for integer n >= 0; a negative n is a ValueError."""
+    if n < 0:
+        raise ValueError(f"(b;q,p)_n needs n >= 0, not {n}")
     b = _point(b)
-    if n >= 0:
-        out = 1.0 + 0.0j
-        for i in range(n):
-            out *= theta(b * complex(q) ** i, p)
-        return out
     out = 1.0 + 0.0j
-    for i in range(1, -n + 1):
-        out *= theta(b * complex(q) ** (-i), p)
-    return 1 / out
+    for i in range(n):
+        out *= theta(b * complex(q) ** i, p)
+    return out
 
 
 def ell_gamma(z, p, q):

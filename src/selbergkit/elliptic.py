@@ -80,8 +80,7 @@ def bc1_interp(m: int, z, a, b, q, p) -> complex:
     return num / den
 
 
-def elliptic_binomial(lam: Partition, mu: Partition, a, b, q, t, p,
-                      sqrt_branch: int = 0) -> complex:
+def elliptic_binomial(lam: Partition, mu: Partition, a, b, q, t, p) -> complex:
     """Elliptic binomial coefficient for single-row lam, mu (n = 1).
 
     The normalising block carries the lower index with the shifted
@@ -104,16 +103,14 @@ def elliptic_binomial(lam: Partition, mu: Partition, a, b, q, t, p,
     pref /= c_minus(pq, q, t, p, mu) * c_minus(t, q, t, p, mu)
     pref /= c_plus(c, q, t, p, mu) * c_plus(pq * c / t, q, t, p, mu)
     root = cmath.sqrt(a)
-    if sqrt_branch:
-        root = -root
     # n = 1: Delta0_mu(a/b | t, 1/b) and R*_mu at z = a^{1/2} q^{lam_1}
     dv = delta0(a / b, [t, 1 / b], q, t, p, mu)
     rv = bc1_interp(mm, root * q ** lm, root, b / root, q, p)
     return pref * dv * rv
 
 
-def normalised_binomial(lam: Partition, mu: Partition, a, b, vs, q, t, p,
-                        sqrt_branch: int = 0) -> complex:
+def normalised_binomial(lam: Partition, mu: Partition, a, b, vs, q, t,
+                        p) -> complex:
     """Normalised binomial with spectator parameters (v_1..v_k)."""
     lam, mu = Partition(lam), Partition(mu)
     a, b = complex(a), complex(b)
@@ -121,8 +118,7 @@ def normalised_binomial(lam: Partition, mu: Partition, a, b, vs, q, t, p,
     den = delta0(a / b, [1 / b] + list(vs), q, t, p, mu)
     if den == 0:
         raise PoleError("normalised binomial denominator vanished")
-    return (num / den) * elliptic_binomial(lam, mu, a, b, q, t, p,
-                                           sqrt_branch)
+    return (num / den) * elliptic_binomial(lam, mu, a, b, q, t, p)
 
 
 def jackson_sum_check(lam: Partition, nu: Partition, a, b, c, d, e, q, t, p):

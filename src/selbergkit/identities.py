@@ -213,14 +213,14 @@ def _kernel_series(alpha, beta, U: LetterSeries, q) -> LetterSeries:
     """(alpha*U;q)_inf / (beta*U;q)_inf as a series in the monomial U, up to
     the power of U that U's weighted cap admits."""
     (ue, _), = U.terms.items()
-    weights, bound = U.wcap or ((), 0)
+    weights, bound = U.wcap
     wdeg = sum(w * x for w, x in zip(weights, ue))
     if not wdeg:
         raise ValueError("a kernel in a monomial of weighted degree 0 "
                          "never ends")
     mmax = bound // wdeg
     hs = _kernel_h_series(Ratio(beta, alpha, q), mmax)
-    out = LetterSeries(U.letters, wcap=U.wcap)
+    out = LetterSeries(U.letters, {}, U.wcap)
     upow = LetterSeries.const(U.letters, Fraction(1), U.wcap)
     for m in range(mmax + 1):
         out = out + upow * hs[m]

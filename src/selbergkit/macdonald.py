@@ -62,7 +62,7 @@ def _qpoch_product(symbols, shift, a=0):
     symbols (x, n, s), at the indeterminates q and t, as one
     field.binomial_product, where shift = (j, k) and each argument x is
     a^i q^j' t^k' given as its exponent triple (i, j', k'); a negative n
-    is read as in qpoch.
+    is read as 1/(x q^n;q)_{-n}, by `_binomials`.
 
     a must be a Laurent monomial with coefficient 1, or 0; any other
     value, a number among them, is a ValueError that names it.  At a = 0 a
@@ -332,20 +332,15 @@ def principal_spec_n(lam: Partition, n: int) -> FieldElement:
     return principal_spec_a(lam, var("t") ** n)
 
 
-def jack_binomial_spec(lam: Partition, z, g=None, k: int | None = None):
+def jack_binomial_spec(lam: Partition, z, g):
     """Jack polynomial at a binomial element z, fully factorised.
 
     P^(1/gamma)_lam[z] = (z g;g)_lam / (k g;g)_lam *
                          prod_{i<j<=k} ((j-i+1)g)_{lam_i-lam_j} / ((j-i)g)_{..}
-    for any padding k >= l(lam).
+    with k = max(l(lam), 1); any padding k >= l(lam) gives the same value.
     """
     lam = Partition(lam)
-    if g is None:
-        g = var("gamma")
-    if k is None:
-        k = max(len(lam), 1)
-    if k < len(lam):
-        raise ValueError("padding too short")
+    k = max(len(lam), 1)
     from .coeffs import _recip, gamma_poch
     out = gamma_poch(z * g, g, lam) * _recip(gamma_poch(k * g, g, lam))
     for i in range(1, k + 1):

@@ -13,6 +13,9 @@ accuracy.  It is evaluated in slabs of at most 2^16 nodes along the first
 axis of the tensor rule.  gamma is kept in (0,1) so all exponents are
 integrable.
 
+A chain rule doubles its caller's size at most twice, until two levels
+agree to the caller's tolerance; the sector rule has one fixed sector.
+
 Every tensor rule works on an open grid: an integrand gets broadcastable
 per-axis arrays, each varying only along the axes it depends on, and the
 sum is contracted with the 1-D weights, so no factor is expanded to the
@@ -35,10 +38,10 @@ from .macdonald import b_lambda, jack_eval, macdonald_P, plethysm_eval
 from .partitions import Partition
 
 __all__ = [
-    "gauss_jacobi_01", "tanh_sinh_01", "QuadratureSpec", "ChainRegion",
+    "gauss_jacobi_01", "tanh_sinh_01", "ChainRegion",
     "enumerate_chain", "enumerate_companion_chain", "region_covering_check",
     "an_selberg_lhs", "aflt_lhs", "jack_pair_callback", "sector_integral",
-    "SectorSpec", "mac_aflt_lhs", "ortho_norm_lhs",
+    "mac_aflt_lhs", "ortho_norm_lhs",
 ]
 
 
@@ -141,13 +144,6 @@ def tanh_sinh_01(n: int, p: float, q: float, worst: float):
         arr.flags.writeable = False
     _TS_CACHE[key] = rule
     return rule
-
-
-@dataclass
-class QuadratureSpec:
-    points: int = 48
-    tol: float = 1e-8
-    max_refine: int = 3
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +369,20 @@ def integrate_region(region: ChainRegion, n, ks, alphas, betas, gamma_,
         * region.weight
 
 
-def an_selberg_lhs(n: int, ks, alphas, beta, gamma_, integrand=None,
-                   spec: QuadratureSpec | None = None,
-                   companion: tuple | None = None):
+_MAX_REFINE = 2
+
+
+def an_selberg_lhs(n: int, ks, alphas, beta, gamma_, points: int, tol: float,
+                   integrand=None, companion: tuple | None = None):
     """Chain integral of the rank-n density times a symmetric integrand.
 
     `integrand` takes the per-level lists of open-grid arrays described
     in `integrate_region` and returns values broadcastable to their grid;
     None integrates 1.  companion = (beta_{n-1}, beta_n) switches to the
-    companion chain.  Returns (value, err_estimate); err is the last
-    refinement delta.
+    companion chain.  The rule starts at `points` per axis and doubles, at
+    most _MAX_REFINE times, until two totals agree to `tol` relative to
+    max(1, |total|).  Returns (value, err_estimate), err the last delta.
     """
-    spec = spec or QuadratureSpec()
     if integrand is None:
         def integrand(levels):
             return 1.0
@@ -397,16 +395,16 @@ def an_selberg_lhs(n: int, ks, alphas, beta, gamma_, integrand=None,
         regions = enumerate_companion_chain(n, ks, b1, gamma_)
     prev = None
     delta = float("nan")
-    npts = spec.points
+    npts = points
     total = 0.0
-    for _ in range(spec.max_refine + 1):
+    for _ in range(_MAX_REFINE + 1):
         total = 0.0
         for reg in regions:
             total += integrate_region(reg, n, ks, alphas, betas, gamma_,
                                       integrand, npts)
         if prev is not None:
             delta = abs(total - prev)
-            if delta <= spec.tol * max(1, abs(total)):
+            if delta <= tol * max(1, abs(total)):
                 return total, delta
         prev = total
         npts *= 2
@@ -547,39 +545,26 @@ def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
     return torus_integral(n, integrand, npts=npts) / math.factorial(n)
 
 
-@dataclass
-class SectorSpec:
-    """Border of the angular sector |x| <= radius, |arg x| <= theta, cut off
-    at |x| = eps0, with n_ray nodes per ray and n_arc on the arc."""
-    theta: float = 2.4
-    radius: float = 1.6
-    n_ray: int = 200
-    n_arc: int = 200
-    eps0: float = 1e-7
-
-    def __post_init__(self):
-        if not (0 < self.theta < math.pi):
-            raise ValueError("theta must lie in (0, pi)")
-        if self.radius <= 0 or self.eps0 <= 0:
-            raise ValueError("radius and eps0 must be positive")
+# the angular sector |x| <= radius, |arg x| <= theta, cut off at
+# |x| = eps0, and its Gauss-Legendre nodes per ray and on the arc
+_SECTOR = (2.4, 1.6, 1e-9)  # theta, radius, eps0
+_SECTOR_NODES = 400
 
 
-def sector_integral(f, spec: SectorSpec | None = None) -> complex:
-    """(1/2 pi i) oint f over the angular-sector border, eps0 cutoff at 0."""
-    spec = spec or SectorSpec()
-    x, w = np.polynomial.legendre.leggauss(spec.n_ray)
+def sector_integral(f) -> complex:
+    """(1/2 pi i) oint f over the border of the angular sector, eps0 cutoff
+    at 0."""
+    theta, radius, eps0 = _SECTOR
+    x, w = np.polynomial.legendre.leggauss(_SECTOR_NODES)
     # radial parameter r in [eps0, R] along arg = -theta (outgoing)
-    r_nodes = spec.eps0 + (spec.radius - spec.eps0) * (x + 1) / 2
-    r_w = (spec.radius - spec.eps0) * w / 2
-    out_dir = cmath.exp(-1j * spec.theta)
-    in_dir = cmath.exp(1j * spec.theta)
+    r_nodes = eps0 + (radius - eps0) * (x + 1) / 2
+    r_w = (radius - eps0) * w / 2
+    out_dir = cmath.exp(-1j * theta)
+    in_dir = cmath.exp(1j * theta)
     total = np.sum(r_w * f(r_nodes * out_dir) * out_dir)
-    # arc from -theta to theta at radius R
-    xa, wa = np.polynomial.legendre.leggauss(spec.n_arc)
-    phis = spec.theta * xa
-    phi_w = spec.theta * wa
-    zs = spec.radius * np.exp(1j * phis)
-    total += np.sum(phi_w * f(zs) * 1j * zs)
+    # arc from -theta to theta at radius R, on the same Legendre nodes
+    zs = radius * np.exp(1j * (theta * x))
+    total += np.sum(theta * w * f(zs) * 1j * zs)
     # return along arg = +theta (ingoing)
     total -= np.sum(r_w * f(r_nodes * in_dir) * in_dir)
     return complex(total) / (2j * math.pi)

@@ -309,14 +309,13 @@ def e_series_of_alphabet(A: Alphabet, cap: int) -> list:
 class LetterSeries:
     """Polynomial in named letters with exact scalar coefficients.
 
-    wcap is the one truncation rule, a pair (weights, bound) that drops a
-    term whose sum of weight times exponent exceeds bound; a total-degree
-    cutoff is the pair with every weight 1, and None means no truncation.
+    wcap is the one truncation rule, which every series has: a pair
+    (weights, bound) that drops a term whose sum of weight times exponent
+    exceeds bound; a total-degree cutoff is the pair with every weight 1.
     It is applied on multiplication, to each pair of terms.  Weights and
     exponents are non-negative, so a dropped term leads only to terms above
     the bound and every coefficient within it is exact.  Series with
-    different wcaps do not mix; a series without one takes the other's.
-    Coefficients may be Fractions or FieldElements.
+    different wcaps do not mix.  Coefficients are Fractions or FieldElements.
     """
 
     __slots__ = ("letters", "terms", "wcap")
@@ -325,8 +324,7 @@ class LetterSeries:
     # that holds a LetterSeries cannot be hashed, and no cache can take it
     __hash__ = None
 
-    def __init__(self, letters: Sequence[str], terms=None,
-                 wcap: tuple[tuple[int, ...], int] | None = None):
+    def __init__(self, letters: Sequence[str], terms, wcap):
         self.letters = tuple(letters)
         self.terms: dict[tuple[int, ...], object] = {}
         if terms:
@@ -336,16 +334,14 @@ class LetterSeries:
         self.wcap = wcap
 
     @classmethod
-    def const(cls, letters, c, wcap=None):
+    def const(cls, letters, c, wcap):
         return cls(letters, {(0,) * len(letters): c}, wcap)
 
     def _check(self, other: "LetterSeries"):
         """The weighted cap that self and other share."""
         if self.letters != other.letters:
             raise ValueError("letter universes differ")
-        if self.wcap is None:
-            return other.wcap
-        if other.wcap is not None and other.wcap != self.wcap:
+        if other.wcap != self.wcap:
             raise ValueError("weighted caps differ")
         return self.wcap
 
@@ -376,7 +372,7 @@ class LetterSeries:
                                 {e: c * other for e, c in self.terms.items()},
                                 self.wcap)
         wcap = self._check(other)
-        weights, bound = wcap or ((), math.inf)
+        weights, bound = wcap
 
         def graded(ls):  # (exponents, coefficient, weighted degree)
             return [(e, c, sum(w * x for w, x in zip(weights, e)))

@@ -119,6 +119,16 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert abs(float(out) - 1 / 6) < 1e-9
 
+    @pytest.mark.parametrize("alpha, printed", [("-1", "-1"),
+                                                ("-2", "-0.5")])
+    def test_eval_selberg_pairs_gamma_poles(self, capsys, alpha, printed):
+        # k = 1, beta = gamma = 1 is B(alpha, 1) = 1/alpha, continued to
+        # alpha = -1, -2: Gamma(alpha) over Gamma(alpha + 1) is a pole over
+        # a pole, which gamma_ratio pairs with its sign
+        assert main(["eval", "selberg", "--k", "1", "--alpha", alpha,
+                     "--beta", "1", "--gamma", "1"]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+
     @pytest.mark.parametrize("real, imag, printed", [
         (-0.0, 0.0, "0"), (0.0, -0.0, "0"), (-0.0, -0.0, "0"),
         (-0.0, 2.5, "0+2.5j"), (-1.5, -0.0, "-1.5"),
@@ -183,6 +193,11 @@ class TestCli:
         ("an-aflt", ["--k", "", "--alpha", ""], "--k"),
         ("nplusone", ["--k", "1", "--alpha", "1,2"], "--alpha"),
         ("selberg", ["--k", "-1"], "--k"),
+        # a chain runs over 0 <= k_1 <= ... <= k_n
+        ("an-selberg", ["--k", "2,1", "--alpha", "1,1"], "--k"),
+        ("an-one", ["--k", "2,1", "--alpha", "1,1"], "--k"),
+        ("an-aflt", ["--k", "2,1", "--alpha", "1,1", "--lam", "1"], "--k"),
+        ("nplusone", ["--k", "2,1", "--alpha", "1,1"], "--k"),
     ])
     def test_eval_list_flag_that_does_not_fit(self, capsys, formula, flags,
                                               named):

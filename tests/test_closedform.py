@@ -7,7 +7,7 @@ from selbergkit.closedform import (
     aflt_rhs, an_aflt_rhs, an_alt_avg_rhs, an_alt_norm_rhs, an_one_alt,
     an_one_rhs, an_selberg_rhs, gamma_one_rhs, hyper_pfq, hyper_qphi, jack_spec, mac_aflt_rhs,
     nplusone_rhs, ortho_norm_rhs, r_function,
-    schur_binomial, seven_two_gamma_one, seven_two_rhs,
+    seven_two_gamma_one, seven_two_rhs,
 )
 from selbergkit.coeffs import ell_gamma, gamma
 from selbergkit.elliptic import eaflt_rhs, elliptic_selberg_rhs
@@ -67,12 +67,6 @@ class TestRankN:
     def test_an_one_conventions_agree(self):
         v1 = an_one_rhs(2, [1, 2], [1.6, 2.3], 1.4)
         v2 = an_one_alt(2, [1, 2], [1.6, 2.3], 1.4)
-        assert abs(v1 - v2) < 1e-12 * abs(v1)
-
-    def test_nplusone_padding(self):
-        args = (2, [1, 2], ALPHAS, BETA, [P(1), P(1), P(2)])
-        v1 = nplusone_rhs(*args, ells=[1, 1, 1])
-        v2 = nplusone_rhs(*args, ells=[2, 2, 2])
         assert abs(v1 - v2) < 1e-12 * abs(v1)
 
     def test_nplusone_rank_reduction(self):
@@ -270,12 +264,12 @@ class TestHypergeometric:
 
 class TestJackSpec:
     def test_schur_case(self):
-        assert abs(schur_binomial(P(2, 1), 3.0) - 8) < 1e-12
+        assert abs(jack_spec(P(2, 1), 3.0, 1.0) - 8) < 1e-12
 
     def test_matches_symbolic(self):
         from selbergkit.macdonald import jack_binomial_spec
         z = var("z")
         g = var("gamma")
-        sym_val = fe(jack_binomial_spec(P(2), z))
+        sym_val = fe(jack_binomial_spec(P(2), z, g))
         num = sym_val.eval({"z": 1.7, "gamma": 0.6})
         assert abs(jack_spec(P(2), 1.7, 0.6) - num) < 1e-13

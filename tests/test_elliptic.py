@@ -67,11 +67,6 @@ class TestBinomials:
     def test_vanishes_off_containment(self):
         assert elliptic_binomial(P(1), P(2), A0, B0, Q0, T0, P0) == 0
 
-    def test_branch_independence(self):
-        v0 = elliptic_binomial(P(2), P(1), A0, B0, Q0, T0, P0, sqrt_branch=0)
-        v1 = elliptic_binomial(P(2), P(1), A0, B0, Q0, T0, P0, sqrt_branch=1)
-        assert abs(v0 - v1) < 1e-10 * abs(v0)
-
     def test_rejects_long_partitions(self):
         with pytest.raises(ValueError):
             elliptic_binomial(P(1, 1), P(), A0, B0, Q0, T0, P0)

@@ -13,7 +13,7 @@ from selbergkit import quadrature
 from selbergkit.coeffs import gamma
 from selbergkit.partitions import P
 from selbergkit.quadrature import (
-    QuadratureSpec, aflt_lhs, an_selberg_lhs, enumerate_chain,
+    aflt_lhs, an_selberg_lhs, enumerate_chain,
     enumerate_companion_chain, gauss_jacobi_01, integrate_region,
     jack_pair_callback, mac_aflt_lhs, ortho_norm_lhs, region_covering_check,
     tanh_sinh_01,
@@ -188,18 +188,16 @@ class TestAfltQuadrature:
 class TestChainQuadrature:
     def test_n2_selberg(self):
         g = 0.4
-        spec = QuadratureSpec(points=24, tol=1e-8, max_refine=2)
-        v, _ = an_selberg_lhs(2, [1, 2], [1.1, 1.3], 1.2, g, spec=spec)
+        v, _ = an_selberg_lhs(2, [1, 2], [1.1, 1.3], 1.2, g, 24, 1e-8)
         ref = an_selberg_rhs(2, [1, 2], [1.1, 1.3], 1.2, g).real
         assert abs(v - ref) < 1e-12 * abs(ref)
 
     def test_n2_aflt_average(self):
         g = 0.5
-        spec = QuadratureSpec(points=32, tol=1e-9, max_refine=1)
         cb = jack_pair_callback(2, P(1), P(1), 1.3, g)
-        num, _ = an_selberg_lhs(2, [1, 1], [1.2, 1.4], 1.3, g,
-                                integrand=cb, spec=spec)
-        den, _ = an_selberg_lhs(2, [1, 1], [1.2, 1.4], 1.3, g, spec=spec)
+        num, _ = an_selberg_lhs(2, [1, 1], [1.2, 1.4], 1.3, g, 32, 1e-9,
+                                integrand=cb)
+        den, _ = an_selberg_lhs(2, [1, 1], [1.2, 1.4], 1.3, g, 32, 1e-9)
         ref = an_aflt_rhs(2, [1, 1], [1.2, 1.4], 1.3, g, P(1), P(1)).real
         assert abs(num / den - ref) < 1e-8 * abs(ref)
 
@@ -207,9 +205,8 @@ class TestChainQuadrature:
         g = 0.5
         b1 = 0.75
         b2 = g + 1 - b1
-        spec = QuadratureSpec(points=32, tol=1e-8, max_refine=2)
-        v, _ = an_selberg_lhs(2, [1, 1], [1.2, 1.4], None, g,
-                              companion=(b1, b2), spec=spec)
+        v, _ = an_selberg_lhs(2, [1, 1], [1.2, 1.4], None, g, 32, 1e-8,
+                              companion=(b1, b2))
         ref = an_alt_norm_rhs(2, [1, 1], [1.2, 1.4], b1, b2, g).real
         assert abs(v - ref) < 1e-12 * abs(ref)
 
@@ -218,9 +215,8 @@ class TestChainQuadrature:
     def test_non_integrable_chain_exponent_is_rejected(self, alphas, g):
         # alpha_1 = 0 puts t^{-1} on the smallest variable; gamma = 1 puts
         # |t1 - t2|^{-1} on a cross pair
-        spec = QuadratureSpec(points=8, tol=0, max_refine=0)
         with pytest.raises(ValueError, match="must be > -1"):
-            an_selberg_lhs(2, [1, 1], alphas, 1.2, g, spec=spec)
+            an_selberg_lhs(2, [1, 1], alphas, 1.2, g, 8, 0)
 
 
 def _grid_shape(levels):
@@ -290,6 +286,13 @@ class TestSlabbedChainRule:
         assert max(nodes) <= 1 << 16
         assert sum(nodes) == npts ** len(region.order)
 
+    def _one_level(self, integrand, npts):
+        """One npts-point level of the k = (1, 2) chain rule: its regions
+        integrated one by one."""
+        return sum(integrate_region(region, 2, [1, 2], [1.1, 1.3],
+                                    [1.0, 1.3], self.G, integrand, npts)
+                   for region in enumerate_chain(2, [1, 2], self.G))
+
     @pytest.mark.parametrize("which", ["jack-pair", "default"])
     def test_k12_with_a_ragged_last_slab(self, which):
         # 96 = 13 * 7 + 5: slabs of 7 rows of 96^2 nodes, then 5 rows
@@ -314,11 +317,9 @@ class TestSlabbedChainRule:
     def test_memory_does_not_grow_with_the_tensor_rule(self):
         # the full 96^3 tensor rule holds 884,736 nodes per array
         cb = jack_pair_callback(2, P(1), P(1), 1.3, self.G)
-        spec = QuadratureSpec(points=96, tol=0, max_refine=0)
 
         def run():
-            return an_selberg_lhs(2, [1, 2], [1.1, 1.3], 1.3, self.G,
-                                  integrand=cb, spec=spec)
+            return self._one_level(cb, 96)
 
         run()  # warms the Gauss-Jacobi rules and the Jack polynomial
         tracemalloc.start()
@@ -333,10 +334,7 @@ class TestSlabbedChainRule:
         # the integrand sees per-axis arrays and the weights are contracted
         # axis by axis, so no slab-sized array is stacked or weighted whole
         cb = jack_pair_callback(2, P(1), P(1), 1.3, self.G)
-        spec = QuadratureSpec(points=96, tol=0, max_refine=0)
-        assert _traced_peak(lambda: an_selberg_lhs(
-            2, [1, 2], [1.1, 1.3], 1.3, self.G, integrand=cb,
-            spec=spec)) <= 4.5e6
+        assert _traced_peak(lambda: self._one_level(cb, 96)) <= 4.5e6
 
     def test_levels_are_open_grid_arrays(self):
         region = enumerate_chain(2, [1, 2], self.G)[0]

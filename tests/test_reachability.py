@@ -49,7 +49,9 @@ ALLOWLIST = [
       "::test_eaflt_factors")),
     (("field._unpack", "field.MPoly.__str__", "field.MPoly.__repr__",
       "field.FieldElement.__str__", "field.FieldElement.__repr__"),
-     "the text forms, for debugging and error messages",
+     "the text forms: perfbench/refchecks.py reads str() of an exact "
+     "value (macdonald-P2-m11-sympy), and debugging and error messages "
+     "print them",
      ("tests/test_field.py::test_canonical_text_form",)),
     (("field.FieldElement.__bool__",),
      "the truth value of an exact element",

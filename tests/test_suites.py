@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -344,9 +345,10 @@ def test_quad_points_reach_the_chain_rule(monkeypatch, suite, calls):
     # every chain integral of the suite starts at the --quad-points rule
     points = []
     real = quadrature.an_selberg_lhs
+    sig = inspect.signature(real)
 
     def recording(*args, **kwargs):
-        points.append(kwargs["spec"].points)
+        points.append(sig.bind(*args, **kwargs).arguments["points"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "an_selberg_lhs", recording)

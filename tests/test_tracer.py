@@ -28,8 +28,7 @@ jack, chain = t.layer_id("macdonald.jack"), t.layer_id("quadrature.chain")
 under = [t.span_layer[p] for layer, p in zip(t.span_layer, t.span_parent)
          if layer == jack]
 assert under.count(chain) == under.count(jack) == 2, under
-quadrature.an_selberg_lhs(1, [1], [1.2], 1.3, 0.5,
-                          spec=quadrature.QuadratureSpec(points=8))
+quadrature.an_selberg_lhs(1, [1], [1.2], 1.3, 0.5, 8, 1e-8)
 quadrature.torus_integral(1, lambda z: z * 0 + 1, npts=8)
 for counter in ("quadrature.chain.nodes", "quadrature.chain.refinements",
                 "quadrature.torus.nodes"):
@@ -37,16 +36,16 @@ for counter in ("quadrature.chain.nodes", "quadrature.chain.refinements",
 before = t.counters["quadrature.chain.nodes"]
 # the rank-2 chain rule counts npts^3 nodes per region and level, whatever
 # slabs integrate_region evaluates them in
-quadrature.an_selberg_lhs(2, [1, 2], [1.2, 1.4], 1.3, 0.4,
-                          spec=quadrature.QuadratureSpec(points=8, tol=0,
-                                                         max_refine=1))
+quadrature.an_selberg_lhs(2, [1, 2], [1.2, 1.4], 1.3, 0.4, 8, 0)
 regions = len(quadrature.enumerate_chain(2, [1, 2], 0.4))
 assert regions == 2, regions
 got = t.counters["quadrature.chain.nodes"]
-# aflt_lhs at 8 points, then the n = 1 chain refines 8 -> 64 until two
-# tanh-sinh levels agree to the default 1e-8
-assert before == 8 + 8 + 16 + 32 + 64, before
-assert got == before + regions * (8 ** 3 + 16 ** 3), got
+# aflt_lhs at 8 points, then the n = 1 chain refines 8 -> 32, its two
+# refinements, without two tanh-sinh levels agreeing to 1e-8
+assert before == 8 + 8 + 16 + 32, before
+# at tol 0 the rank-2 chain takes both refinements too
+assert got == before + regions * (8 ** 3 + 16 ** 3 + 32 ** 3), got
+assert t.counters["quadrature.chain.refinements"] == 4, t.counters
 """
 
 _TRACED_ELLIPTIC = """
