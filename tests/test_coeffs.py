@@ -9,7 +9,7 @@ from oracles import bipartite_spectral_vector, hooks_row_form, qt_poch_cells
 from selbergkit import coeffs
 from selbergkit.coeffs import (
     c_minus, c_plus, delta0, ell_gamma, ell_qt_poch, gamma,
-    gamma_poch, gamma_ratio, hooks, poch, qpoch,
+    gamma_poch, gamma_ratio, hooks, lgamma, poch, qpoch,
     qpoch_inf, qt_poch, theta, theta_poch,
 )
 from selbergkit.field import PoleError, fe, var
@@ -119,9 +119,23 @@ class TestGamma:
             g0 = gamma(z)
             assert abs(g1 - z * g0) < 1e-12 * abs(g1)
 
+    def test_lgamma_exponentiates_to_gamma(self):
+        # gamma and lgamma read the same Lanczos sum, on both sides of the
+        # reflection line Re z = 1/2; a 2*pi*i ambiguity of the branch
+        # exponentiates away
+        rng = random.Random(5)
+        for _ in range(60):
+            z = complex(rng.uniform(-30, 30), rng.uniform(-15, 15))
+            if abs(z.real - round(z.real)) < 1e-2 and z.real < 0.5:
+                continue
+            g = gamma(z)
+            assert abs(cmath.exp(lgamma(z)) - g) < 1e-12 * abs(g), z
+
     def test_pole(self):
         with pytest.raises(PoleError):
             gamma(-3)
+        with pytest.raises(PoleError):
+            lgamma(-3)
 
     def test_gamma_ratio_pole_pairing(self):
         # 1/Gamma(0) = 0
