@@ -2,22 +2,21 @@
 
 Subcommands: `verify <suite>|all`, `eval <formula>`, `list`.  Reports are
 JSON lines (one VerificationReport per line); the process exits 0 iff all
-cases pass.  A JSON config file may set any of the VERIFY_KEYS; explicit
-flags win.  Bad input gets one line on stderr and exit code 2: a config
-file that is not a JSON object, an unknown config key, a setting of the
-wrong type, a negative size, fewer than one quadrature point or job, a
---tol that is negative or not finite, a size above a suite's cap, an eval
-flag the formula does not read, a malformed eval value, a nan or inf in
-an eval flag or list entry, an eval --k or --alpha list of the wrong
-length, a negative eval --k or --n, a decreasing rank-n --k, a closed
-form that rejects its parameters, meets a pole, divides by zero or is not
-finite, and a --report file that cannot be opened for appending.
+cases pass.  Each verify setting is a flag; --seed (default 7) seeds the
+draws of every suite.  Bad input gets one line on stderr and exit code 2:
+a negative size, fewer than one quadrature point or job, a --tol that is
+negative or not finite, a size above a suite's cap, an eval flag the
+formula does not read, a malformed eval value or an empty entry in an
+eval list, a nan or inf in an eval flag or list entry, an eval --k or
+--alpha list of the wrong length, a negative eval --k or --n, a
+decreasing rank-n --k, a closed form that rejects its parameters, meets
+a pole, divides by zero or is not finite, and a --report file that
+cannot be opened for appending.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -48,13 +47,12 @@ def _build_parser():
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", help="suite name, or 'all'")
-    v.add_argument("--config", help="JSON config file mirroring flags")
     v.add_argument("--max-degree", type=int, default=None)
     v.add_argument("--max-size", type=int, default=None)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=7)
     v.add_argument("--tol", type=float, default=None)
     v.add_argument("--quad-points", type=int, default=None)
-    v.add_argument("--jobs", type=int, default=None)
+    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--report", type=str, default=None,
                    help="append JSON-lines reports to this path")
 
@@ -71,7 +69,7 @@ def _build_parser():
 
 
 def _parse_ints(s):
-    return [int(x) for x in s.split(",") if x != ""]
+    return [int(x) for x in s.split(",")] if s else []
 
 
 def _finite(x):
@@ -82,11 +80,11 @@ def _finite(x):
 
 
 def _parse_floats(s):
-    return [_finite(float(x)) for x in s.split(",") if x != ""]
+    return [_finite(float(x)) for x in s.split(",")] if s else []
 
 
 def _parse_partition(s):
-    return P(tuple(int(x) for x in s.split(",") if x != ""))
+    return P(tuple(_parse_ints(s)))
 
 
 def _flag(args, name, parse):
@@ -98,49 +96,27 @@ def _flag(args, name, parse):
         raise ValueError(f"--{name} {text!r}: {exc}") from None
 
 
-# the verify settings, each the dest of a flag and a key a --config may set,
-# with its type and least value; a float setting must also be finite
-VERIFY_KEYS = {"max_degree": (int, 0), "max_size": (int, 0),
-               "seed": (int, None), "tol": ((int, float), 0),
-               "quad_points": (int, 1), "jobs": (int, 1)}
-
-
-def _checked(where, key, val):
-    """``val`` for setting ``key``; a wrong type, a nan or inf, or a value
-    below the setting's least one is a ValueError naming ``where``."""
-    kind, least = VERIFY_KEYS[key]
-    if isinstance(val, bool) or not isinstance(val, kind):
-        want = "an integer" if kind is int else "a number"
-        raise ValueError(f"{where}: expected {want}, got {val!r}")
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ValueError(f"{where}: {val} is not finite")
-    if least is not None and val < least:
-        raise ValueError(f"{where}: {val} is below the least value {least}")
-    return val
+# the verify settings, each the dest of a flag, with its least value; a
+# --tol must also be finite
+VERIFY_KEYS = {"max_degree": 0, "max_size": 0, "seed": None, "tol": 0,
+               "quad_points": 1, "jobs": 1}
 
 
 def _config_from_args(args) -> dict:
+    """The verify settings given; a nan or inf, or a value below the
+    setting's least one, is a ValueError naming its flag."""
     cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"--config {args.config}: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ValueError(f"--config {args.config}: expected a JSON "
-                             f"object, got {type(loaded).__name__}")
-        for key, val in loaded.items():
-            if key not in VERIFY_KEYS:
-                raise ValueError(f"--config {args.config}: unknown key "
-                                 f"{key!r} (known: {', '.join(VERIFY_KEYS)})")
-            cfg[key] = _checked(f"--config {args.config}: {key!r}", key, val)
-    for key in VERIFY_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = _checked("--" + key.replace("_", "-"), key, val)
-    cfg.setdefault("seed", 7)
-    cfg.setdefault("jobs", 1)
+    for key, least in VERIFY_KEYS.items():
+        val = getattr(args, key)
+        if val is None:
+            continue
+        where = "--" + key.replace("_", "-")
+        if not math.isfinite(val):
+            raise ValueError(f"{where}: {val} is not finite")
+        if least is not None and val < least:
+            raise ValueError(f"{where}: {val} is below the least value "
+                             f"{least}")
+        cfg[key] = val
     return cfg
 
 
@@ -179,7 +155,7 @@ def cmd_verify(args) -> int:
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     try:
-        jobs = cfg.get("jobs", 1)
+        jobs = cfg["jobs"]
         if jobs > 1:
             # imported here, so that a serial run does not pay for it
             from concurrent.futures import ProcessPoolExecutor

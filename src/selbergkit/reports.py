@@ -64,7 +64,8 @@ class Outcome:
 
 def format_value(v) -> str:
     if isinstance(v, complex):
-        return f"{v.real:.15g}{v.imag:+.15g}j"
+        # adding 0.0 turns a -0.0 into 0.0, so no zero is printed with a sign
+        return f"{v.real + 0.0:.15g}{v.imag + 0.0:+.15g}j"
     return str(v)
 
 

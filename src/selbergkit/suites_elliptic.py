@@ -35,7 +35,7 @@ def _elliptic_params(rng, lam_row=0, mu_row=0):
 
 
 def cases_elliptic_beta(cfg):
-    rng = random.Random(cfg.get("seed", 5))
+    rng = random.Random(cfg["seed"])
     out = []
     for i in range(3):
         ts, p, q = _elliptic_params(rng)
@@ -54,7 +54,7 @@ def run_elliptic_beta(params, cfg):
 
 
 def cases_thm92(cfg):
-    rng = random.Random(cfg.get("seed", 5))
+    rng = random.Random(cfg["seed"])
     out = []
     for i, (bl, bm) in enumerate([
             ((1, ()), (0, ())), ((0, ()), (1, ())), ((1, ()), (1, ())),
@@ -79,7 +79,7 @@ def run_thm92(params, cfg):
 
 
 def cases_elliptic_aflt(cfg):
-    rng = random.Random(cfg.get("seed", 5))
+    rng = random.Random(cfg["seed"])
     out = []
     for i, (lr, mr) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
         ts, p, q = _elliptic_params(rng, lr, mr)
@@ -101,7 +101,7 @@ def run_elliptic_aflt(params, cfg):
 
 
 def cases_jackson(cfg):
-    rng = random.Random(cfg.get("seed", 5))
+    rng = random.Random(cfg["seed"])
     out = []
     for i, (lam, nu) in enumerate([((1,), ()), ((2,), ()), ((2,), (1,)),
                                    ((1,), (1,)), ((3,), (1,))]):

@@ -24,7 +24,7 @@ from .suites import _pt, _redraw_off_poles
 # ---------------------------------------------------------------------------
 
 def cases_zbifund(cfg):
-    rng = random.Random(cfg.get("seed", 7))
+    rng = random.Random(cfg["seed"])
     out = []
     for k in (1, 2):
         for lam in partitions_up_to(2, k):
@@ -172,7 +172,7 @@ def run_an_alt(params, cfg):
 # ---------------------------------------------------------------------------
 
 def cases_complex_schur(cfg):
-    rng = random.Random(cfg.get("seed", 7))
+    rng = random.Random(cfg["seed"])
     out = []
     for i in range(50):
         k = rng.choice([1, 2])
@@ -201,7 +201,7 @@ def run_complex_schur(params, cfg):
 
 
 def cases_beta_schur(cfg):
-    rng = random.Random(cfg.get("seed", 11))
+    rng = random.Random(cfg["seed"])
     out = []
     i = 0
     for k in (1, 2, 3):
@@ -234,7 +234,7 @@ def cases_nplusone(cfg):
     closed form is a sum of consecutive alphas (with beta when the sum
     runs to alpha_n) plus an integer; seeds 1182 and 1185 drew an alpha of
     exactly 2 for np1-ratio-1 and np1-ratio-2."""
-    rng = random.Random(cfg.get("seed", 13))
+    rng = random.Random(cfg["seed"])
     shapes = [(1, [1]), (2, [1, 2]), (3, [1, 2, 3])]
     return [_redraw_off_poles(
                 functools.partial(_draw_nplusone_case, rng, kind, i, n, ks),
@@ -357,7 +357,7 @@ def cases_recursion(cfg):
     = 1.582 - 0.582 = 1 for recR-00, seed 1428 alpha_1 = 2 at gamma = 1
     for recG1-3.  A drawn case on one is redrawn, which leaves the draws
     of every case before it as they were."""
-    rng = random.Random(cfg.get("seed", 17))
+    rng = random.Random(cfg["seed"])
     draws = ([(f"recR-{i:02d}", "recR") for i in range(20)]
              + [(f"recG1-{i}", "gamma1") for i in range(6)])
     return [_redraw_off_poles(
@@ -633,7 +633,7 @@ def _props_chain_cover(cfg):
     from .quadrature import (
         enumerate_chain, enumerate_companion_chain, region_covering_check,
     )
-    rng = random.Random(cfg.get("seed", 7))
+    rng = random.Random(cfg["seed"])
     ok = region_covering_check(enumerate_chain(2, [1, 2], 0.4),
                                2, [1, 2], rng)
     ok = ok and region_covering_check(

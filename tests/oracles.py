@@ -247,8 +247,8 @@ def monomial_expansion(lam: Partition, nvars: int) -> tuple:
     return tuple((perm, 1) for perm in _distinct_perms(padded))
 
 
-def expand_in_letters(f: SymFunc, letters, names=None,
-                      wcap=None) -> LetterSeries:
+def expand_in_letters(f: SymFunc, letters, names=None, *,
+                      wcap) -> LetterSeries:
     """f as a LetterSeries over letters, in the letters named by names
     (all of them by default); every other letter has exponent 0.  wcap is
     the series' weighted cap."""

@@ -9,7 +9,9 @@ import pytest
 
 from selbergkit import cli
 from selbergkit.cli import main
-from selbergkit.reports import Outcome, VerificationReport, make_report
+from selbergkit.reports import (
+    Outcome, VerificationReport, format_value, make_report,
+)
 
 
 class TestReports:
@@ -41,6 +43,10 @@ class TestReports:
                                                        sort_keys=True)
                     checked += 1
         assert checked > 100
+
+    def test_format_value_prints_no_negative_zero(self):
+        assert format_value(complex(-0.0, -0.0)) == "0+0j"
+        assert format_value(complex(-1.5, -0.0)) == "-1.5+0j"
 
     def test_pass_semantics(self):
         rep = make_report("demo", "c", {}, Outcome(1.0, 1.001, 1e-6), 0.0)
@@ -173,6 +179,11 @@ class TestCli:
         ("selberg", "--alpha", "one"),
         ("aflt", "--lam", "2,a"),
         ("aflt", "--mu", "1.5"),
+        # an empty entry; a wholly empty value is the empty list
+        ("aflt", "--lam", "2,,1"),
+        ("selberg", "--k", "1,"),
+        ("selberg", "--alpha", ",1"),
+        ("an-selberg", "--k", "1,,2"),
     ])
     def test_eval_non_numeric_value(self, capsys, formula, flag, value):
         assert main(["eval", formula, flag, value]) == 2
@@ -277,7 +288,7 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [
         ("--n", "2"), ("--k", "1,2"), ("--precision", "extended"),
         ("--rho", "0.5"), ("--theta", "0.1"), ("--radius", "1.0"),
-        ("--epsilon0", "0.01"),
+        ("--epsilon0", "0.01"), ("--config", "cfg.json"),
     ])
     def test_verify_removed_flag(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -381,6 +392,20 @@ class TestCli:
 
         assert strip_runtime(p1) == strip_runtime(p2)
 
+    def test_verify_without_seed_draws_from_seed_seven(self, tmp_path):
+        # beta-schur once drew from seed 11 when no seed was given
+        p1, p2 = tmp_path / "default.jsonl", tmp_path / "seven.jsonl"
+        assert main(["verify", "beta-schur", "--report", str(p1)]) == 0
+        assert main(["verify", "beta-schur", "--seed", "7",
+                     "--report", str(p2)]) == 0
+        lines = []
+        for p in (p1, p2):
+            reps = [json.loads(x) for x in p.read_text().splitlines()]
+            for d in reps:
+                d.pop("runtime_ms")
+            lines.append(reps)
+        assert lines[0] and lines[0] == lines[1]
+
     def test_jobs_parallel_order(self, tmp_path):
         p1 = tmp_path / "serial.jsonl"
         p2 = tmp_path / "par.jsonl"
@@ -393,43 +418,16 @@ class TestCli:
                 for x in p2.read_text().strip().split("\n")]
         assert ids1 == ids2
 
-    def test_config_file(self, tmp_path, capsys):
-        cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"seed": 7, "quad_points": 24}))
-        assert main(["verify", "jackson", "--config", str(cfgp)]) == 0
-
-    @pytest.mark.parametrize("key", ["rho", "precision", "k"])
-    def test_config_unknown_key(self, tmp_path, capsys, key):
-        cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"seed": 7, key: 1}))
-        assert main(["verify", "jackson", "--config", str(cfgp)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert "\n" not in err and repr(key) in err
-
-    @pytest.mark.parametrize("flags, config, setting", [
-        (["--max-size", "-1"], None, "--max-size"),
-        (["--max-degree", "-1"], None, "--max-degree"),
-        (["--quad-points", "0"], None, "--quad-points"),
-        (["--jobs", "0"], None, "--jobs"),
-        ([], [1, 2], "JSON object"),
-        ([], {"max_size": "3"}, "'max_size'"),
-        ([], {"tol": True}, "'tol'"),
-        ([], {"seed": 1.5}, "'seed'"),
-        ([], {"max_degree": -1}, "'max_degree'"),
-        ([], {"quad_points": None}, "'quad_points'"),
-        (["--tol", "nan"], None, "--tol"),
-        (["--tol", "inf"], None, "--tol"),
-        (["--tol=-1"], None, "--tol"),
-        ([], {"tol": float("nan")}, "'tol'"),
-        ([], {"tol": float("-inf")}, "'tol'"),
-        ([], {"tol": -1e-9}, "'tol'"),
+    @pytest.mark.parametrize("flags, setting", [
+        (["--max-size", "-1"], "--max-size"),
+        (["--max-degree", "-1"], "--max-degree"),
+        (["--quad-points", "0"], "--quad-points"),
+        (["--jobs", "0"], "--jobs"),
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "inf"], "--tol"),
+        (["--tol=-1"], "--tol"),
     ])
-    def test_verify_rejected_setting(self, tmp_path, capsys, flags, config,
-                                     setting):
-        if config is not None:
-            cfgp = tmp_path / "cfg.json"
-            cfgp.write_text(json.dumps(config))
-            flags = flags + ["--config", str(cfgp)]
+    def test_verify_rejected_setting(self, capsys, flags, setting):
         assert main(["verify", "eval-sym"] + flags) == 2
         captured = capsys.readouterr()
         err = captured.err.strip()

@@ -96,11 +96,16 @@ class TestSkew:
         # two-alphabet expansion with 2+2 letters
         letters = ("x1", "x2", "y1", "y2")
         for lam in list(partitions_up_to(4))[1:]:
-            full = expand_in_letters(macdonald_P(lam), letters)
+            # no expansion has a degree above |lam|, so the cap drops none
+            cap = lam.size
+            full = expand_in_letters(macdonald_P(lam), letters,
+                                     wcap=((1,) * 4, cap))
             recomposed = {}
             for mu in subpartitions(lam):
-                px = expand_in_letters(skew_P(lam, mu), letters[:2])
-                py = expand_in_letters(macdonald_P(mu), letters[2:])
+                px = expand_in_letters(skew_P(lam, mu), letters[:2],
+                                       wcap=((1, 1), cap))
+                py = expand_in_letters(macdonald_P(mu), letters[2:],
+                                       wcap=((1, 1), cap))
                 for e1, c1 in px.terms.items():
                     for e2, c2 in py.terms.items():
                         key = e1 + e2

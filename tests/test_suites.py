@@ -78,12 +78,12 @@ def test_size_at_cap_is_used_as_given():
 
 
 def test_every_verify_setting_is_read():
-    # a key a --config may set, other than jobs, that no suite reads would
-    # be a setting that is parsed and then ignored; the suites are defined
-    # in suites.py and its family modules suites_*.py
+    # a verify setting, other than jobs, that no suite reads would be a
+    # flag that is parsed and then ignored; the suites are defined in
+    # suites.py and its family modules suites_*.py
     src = "".join(path.read_text() for path
                   in Path(suites.__file__).parent.glob("suites*.py"))
-    read = set(re.findall(r'cfg\.get\("(\w+)"', src))
+    read = set(re.findall(r'cfg(?:\.get\(|\[)"(\w+)"', src))
     assert set(cli.VERIFY_KEYS) - {"jobs"} <= read
 
 

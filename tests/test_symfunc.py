@@ -23,7 +23,7 @@ def sym(basis, lam):
     return SymFunc(basis, {P(*lam): Fraction(1)})
 
 
-def letter(letters, name, wcap=None):
+def letter(letters, name, wcap):
     """The letter called name, as a series over letters."""
     e = [0] * len(letters)
     e[letters.index(name)] = 1
@@ -308,7 +308,7 @@ class TestLetterSeries:
             for i in range(4) for j in range(4 - i)}
 
     def test_negative_power_raises(self):
-        x = letter(("x",), "x")
+        x = letter(("x",), "x", ((1,), 1))
         with pytest.raises(ValueError, match="negative power"):
             x ** -1
 
@@ -342,8 +342,8 @@ class TestLetterSeries:
         (A, a_), (B, b_), (C, c_) = draw(), draw(), draw()
         f = SymFunc("m", {lam: rng.randint(1, 4) * q ** rng.randint(0, 2)
                           for lam in rng.sample(list(partitions_up_to(3)), 3)})
-        S = expand_in_letters(f, letters, ("y", "z"), wcap)
-        s_ = expand_in_letters(f, letters, ("y", "z"), full_cap)
+        S = expand_in_letters(f, letters, ("y", "z"), wcap=wcap)
+        s_ = expand_in_letters(f, letters, ("y", "z"), wcap=full_cap)
         pairs = [
             (A * B, a_ * b_),
             ((A * B) * C, (a_ * b_) * c_),
@@ -379,10 +379,11 @@ class TestLetterSeries:
 
     def test_expand_symfunc(self):
         f = schur_m(P(2))
-        ls = expand_in_letters(f, ("x", "y"))
+        ls = expand_in_letters(f, ("x", "y"), wcap=((1, 1), 2))
         assert ls.coeff((2, 0)) == 1 and ls.coeff((1, 1)) == 1
         # at named letters of a larger universe, the others at exponent 0
-        ls = expand_in_letters(f, ("x", "y", "z"), ("z", "x"))
+        ls = expand_in_letters(f, ("x", "y", "z"), ("z", "x"),
+                               wcap=((1, 1, 1), 2))
         assert ls.terms == {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 2): 1}
 
     def test_cauchy_kernel_degree6(self):
@@ -392,8 +393,10 @@ class TestLetterSeries:
         unit = ((1, 1, 1, 1), cap)
         lhs = LetterSeries(letters, {}, unit)
         for lam in partitions_up_to(cap // 2, 2):
-            fx = expand_in_letters(schur_m(lam), letters, letters[:2], unit)
-            fy = expand_in_letters(schur_m(lam), letters, letters[2:], unit)
+            fx = expand_in_letters(schur_m(lam), letters, letters[:2],
+                                   wcap=unit)
+            fy = expand_in_letters(schur_m(lam), letters, letters[2:],
+                                   wcap=unit)
             lhs = lhs + fx * fy
         rhs = LetterSeries.const(letters, Fraction(1), unit)
         for i in range(2):
