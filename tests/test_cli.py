@@ -426,12 +426,26 @@ class TestCli:
         (["--tol", "nan"], "--tol"),
         (["--tol", "inf"], "--tol"),
         (["--tol=-1"], "--tol"),
+        (["--tol=-inf"], "--tol"),
+        (["--tol=-1e-9"], "--tol"),
     ])
     def test_verify_rejected_setting(self, capsys, flags, setting):
         assert main(["verify", "eval-sym"] + flags) == 2
         captured = capsys.readouterr()
         err = captured.err.strip()
         assert "\n" not in err and setting in err and captured.out == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1.5"), ("--max-size", "3.0"), ("--max-degree", "two"),
+        ("--quad-points", ""), ("--jobs", "1.5"), ("--tol", "true"),
+    ])
+    def test_verify_setting_of_wrong_type(self, capsys, flag, value):
+        # argparse's int/float types reject these before any check of ours
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "eval-sym", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("suite, rc", [("guess", 0), ("skew-limit", 1)])
     def test_tol_replaces_every_numeric_rule(self, capsys, suite, rc):
