@@ -7,9 +7,9 @@ draws of every suite.  Bad input gets one line on stderr and exit code 2:
 a negative size, fewer than one quadrature point or job, a --tol that is
 negative or not finite, a size above a suite's cap, an eval flag the
 formula does not read, a malformed eval value or an empty entry in an
-eval list, a nan or inf in an eval flag or list entry, an eval --k or
---alpha list of the wrong length, a negative eval --k or --n, a
-decreasing rank-n --k, a closed form that rejects its parameters, meets
+eval list, a --lam or --mu that is not weakly decreasing as typed, a nan
+or inf in an eval flag or list entry, an eval --k or --alpha list of the
+wrong length, a negative eval --k or --n, a decreasing rank-n --k, a closed form that rejects its parameters, meets
 a pole, divides by zero or is not finite, and a --report file that
 cannot be opened for appending.
 """
@@ -20,7 +20,7 @@ import argparse
 import math
 import sys
 
-from .partitions import P
+from .partitions import P, Partition
 from .suites import SUITES, run_case
 
 
@@ -84,7 +84,11 @@ def _parse_floats(s):
 
 
 def _parse_partition(s):
-    return P(tuple(_parse_ints(s)))
+    # ordered as typed, so zeros may pad the end but not sit inside
+    parts = tuple(_parse_ints(s))
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"not weakly decreasing: {parts}")
+    return Partition(parts)
 
 
 def _flag(args, name, parse):

@@ -67,7 +67,6 @@ def selberg_rhs(k: int, alpha, beta, gamma_) -> complex:
 def aflt_rhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
              m: int | None = None) -> complex:
     """Jack-pair Selberg integral over [0,1]^k, closed form."""
-    lam, mu = Partition(lam), Partition(mu)
     if len(lam) > k:
         return 0.0
     if m is None:
@@ -118,7 +117,6 @@ def an_aflt_rhs(n: int, ks, alphas, beta, gamma_, lam: Partition,
                 mu: Partition) -> complex:
     """Rank-n Jack-pair Selberg AVERAGE, closed form, with the paddings
     ell = max(l(lam), 1) and m = max(l(mu), 1)."""
-    lam, mu = Partition(lam), Partition(mu)
     ks = [0] + list(ks) + [0]
     betas = [None] + _beta_list(n, beta)
     g = complex(gamma_)
@@ -204,7 +202,6 @@ def an_one_alt(n: int, ks, alphas, beta) -> complex:
 
 def nplusone_rhs(n: int, ks, alphas, beta, lams) -> complex:
     """Schur-product average at gamma = 1 (n+1 Schur functions)."""
-    lams = [Partition(x) for x in lams]
     if len(lams) != n + 1:
         raise ValueError("need n+1 partitions")
     ks_ext = [0] + list(ks) + [1 - beta]
@@ -237,7 +234,6 @@ def nplusone_rhs(n: int, ks, alphas, beta, lams) -> complex:
 
 def gamma_one_rhs(n: int, ks, alphas, beta, lams) -> complex:
     """The dual form carrying s_{lam^{n+1}}[t^{(n)} + beta - 1]."""
-    lams = [Partition(x) for x in lams]
     ks_ext = [0] + list(ks) + [1 - beta]
     ells = [max(len(x), 1) for x in lams]
     eps = [1] * n + [-1]
@@ -283,12 +279,11 @@ def r_function_params_ok(n, ks, lams, ells):
         return False
     if ells[0] > ks[0]:
         return False
-    return all(e >= len(Partition(l)) for l, e in zip(lams, ells))
+    return all(e >= len(l) for l, e in zip(lams, ells))
 
 
 def r_function(n: int, ks, alphas, beta, gamma_, lams, ells=None) -> complex:
     """Gamma-deformed (n+1)-partition product; padding-independent."""
-    lams = [Partition(x) for x in lams]
     g = complex(gamma_)
     ks_ext = [0] + list(ks) + [1 - beta / g]
     if ells is None:
@@ -344,7 +339,6 @@ def r_function(n: int, ks, alphas, beta, gamma_, lams, ells=None) -> complex:
 def an_alt_avg_rhs(n: int, ks, alphas, beta_nm1, beta_n, gamma_,
                    lam: Partition, mu: Partition) -> complex:
     """Companion-chain average of P_lam(t^(1)) P_mu(t^(n))."""
-    lam, mu = Partition(lam), Partition(mu)
     ks = [0] + list(ks) + [0]
     g = complex(gamma_)
     betas = [None] + [1.0] * (n - 2) + [beta_nm1, beta_n]
@@ -424,7 +418,6 @@ def mac_aflt_rhs(n: int, lam: Partition, mu: Partition, a, b, q, t) -> complex:
     m = max(l(mu), 1)).  The principal specialisations P_lam[<0>_n] and
     P_mu[(1 - b t^{n-1})/(1 - t)] are products of coeffs.qt_poch over
     coeffs.hooks, as in ortho_norm_rhs."""
-    lam, mu = Partition(lam), Partition(mu)
     if len(lam) > n:
         return 0.0
     m = max(len(mu), 1)
@@ -449,7 +442,6 @@ def mac_aflt_rhs(n: int, lam: Partition, mu: Partition, a, b, q, t) -> complex:
 
 def ortho_norm_rhs(n: int, lam: Partition, q, t) -> complex:
     """Torus scalar-product norm <P_lam, Q_lam>'_n."""
-    lam = Partition(lam)
     q, t = complex(q), complex(t)
     out = complex(qt_poch(t ** n, q, t, lam)) / complex(qt_poch(q * t ** (n - 1), q, t, lam))
     for i in range(1, n + 1):
@@ -527,7 +519,6 @@ def seven_one_rhs(n: int, alphas, beta, gamma_, us, mu: Partition) -> complex:
 
     The average on the other side carries shifted exponents alpha_r - u_r.
     """
-    mu = Partition(mu)
     g = complex(gamma_)
     out = jack_spec(mu, beta / g, g)
     a_all = sum(alphas)

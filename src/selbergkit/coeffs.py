@@ -102,7 +102,6 @@ def qpoch_inf(b, q) -> complex:
 
 def qt_poch(b, q, t, lam: Partition):
     """(b;q,t)_lambda = prod_i (b t^{1-i};q)_{lambda_i}."""
-    lam = Partition(lam)
     out = 1
     for i, part in enumerate(lam.parts, start=1):
         out = out * qpoch(b * t ** (1 - i), q, part)
@@ -111,7 +110,6 @@ def qt_poch(b, q, t, lam: Partition):
 
 def gamma_poch(b, g, lam: Partition):
     """(b;gamma)_lambda = prod_i (b + (1-i) gamma)_{lambda_i}."""
-    lam = Partition(lam)
     out = 1
     for i, part in enumerate(lam.parts, start=1):
         out = out * poch(b + (1 - i) * g, part)
@@ -124,7 +122,6 @@ def gamma_poch(b, g, lam: Partition):
 
 def hooks(lam: Partition, q, t):
     """Generalised hook polynomials (c_lambda, c'_lambda, b_lambda)."""
-    lam = Partition(lam)
     c = 1
     cp = 1
     for (i, j) in lam.cells():
@@ -300,7 +297,6 @@ def ell_gamma(z, p, q):
 
 def ell_qt_poch(b, q, t, p, lam: Partition) -> complex:
     """(b;q,t;p)_lambda = prod_i (b t^{1-i};q,p)_{lambda_i}."""
-    lam = Partition(lam)
     out = 1.0 + 0.0j
     for i, part in enumerate(lam.parts, start=1):
         out *= theta_poch(_point(b) * complex(t) ** (1 - i), q, p, part)
@@ -309,7 +305,6 @@ def ell_qt_poch(b, q, t, p, lam: Partition) -> complex:
 
 def delta0(a, bs, q, t, p, lam: Partition) -> complex:
     """Well-poised ratio Delta0_lambda(a | b_1..b_k; q,t;p)."""
-    lam = Partition(lam)
     pq = complex(p) * complex(q)
     out = 1.0 + 0.0j
     for b in bs:
@@ -329,7 +324,6 @@ def delta0_bipartite(a, bs, t, p, q, blam) -> complex:
 
 def c_minus(b, q, t, p, lam: Partition) -> complex:
     """C^-_lambda(b;q,t;p) = prod over cells of theta(b q^arm t^leg; p)."""
-    lam = Partition(lam)
     out = 1.0 + 0.0j
     for (i, j) in lam.cells():
         out *= theta(complex(b) * complex(q) ** lam.arm(i, j)
@@ -339,7 +333,6 @@ def c_minus(b, q, t, p, lam: Partition) -> complex:
 
 def c_plus(b, q, t, p, lam: Partition) -> complex:
     """C^+_lambda(b;q,t;p) = prod theta(b q^{lam_i+j-1} t^{2-lam'_j-i}; p)."""
-    lam = Partition(lam)
     conj = lam.conjugate()
     out = 1.0 + 0.0j
     for (i, j) in lam.cells():

@@ -54,7 +54,6 @@ def split_expansion(xs, zs, m: int) -> complex:
 
 def staircase_exponents(lam: Partition, length: int) -> list:
     """(lam_1 + length - 1, lam_2 + length - 2, ..., lam_length)."""
-    lam = Partition(lam)
     return [lam.part(j) + length - j for j in range(1, length + 1)]
 
 
@@ -64,7 +63,6 @@ def thm_schur_residue_oracle(k: int, ell: int, ys, zs,
     sum over k-subsets of the spectators of S(inside; z) s_lam(outside)
     over the cross differences, with the sign (-1)^(k(k-1)/2).  s_lam is
     S at staircase exponents, so the sum is the subset expansion."""
-    lam = Partition(lam)
     if len(ys) != ell:
         raise ValueError("need ell spectator points")
     if k > ell or len(lam) > ell - k:
@@ -76,7 +74,6 @@ def thm_schur_residue_oracle(k: int, ell: int, ys, zs,
 
 def thm_schur_closed(k: int, ell: int, ys, zs, lam: Partition) -> complex:
     """Closed form: S(y; (z, lam + staircase)) when l(lam) <= ell - k."""
-    lam = Partition(lam)
     if len(lam) > ell - k:
         return 0.0
     tail = staircase_exponents(lam, ell - k)
@@ -95,7 +92,6 @@ def beta_contour_closed(alpha, beta) -> complex:
 
 def skew_schur_binomial(lam: Partition, mu: Partition, z) -> complex:
     """s_{lam/mu}[z] via the skew Jacobi-Trudi determinant."""
-    lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
         return 0.0
     k = max(len(lam), 1)
@@ -119,7 +115,6 @@ def skew_schur_binomial(lam: Partition, mu: Partition, z) -> complex:
 def beta_schur_exact_sum(k: int, zs, beta, lam: Partition) -> complex:
     """Proof-route value of the dualised sector integral: the mu-sum of
     skew Schur values against a Pochhammer-ratio determinant."""
-    lam = Partition(lam)
     zs = [complex(z) for z in zs]
     pref = math.factorial(k)
     for z in zs:
@@ -141,7 +136,6 @@ def beta_schur_exact_sum(k: int, zs, beta, lam: Partition) -> complex:
 def beta_schur_rhs(k: int, zs, beta, lam: Partition) -> complex:
     """Closed form of the dualised sector integral (integrand carries
     s_lam[x + beta - 1])."""
-    lam = Partition(lam)
     zs = [complex(z) for z in zs]
     # S([k]; z) via the factorised specialisation
     sval = 1.0 + 0.0j
@@ -169,7 +163,6 @@ def complex_an_aflt_recursive(n: int, ks, zs, lams, alphas, beta) -> complex:
     theorem (a shift of z and a staircase extension); the base case is the
     exact mu-sum route of the beta-Schur theorem.
     """
-    lams = [Partition(x) for x in lams]
     if len(lams) != n:
         raise ValueError("need lam^(2)..lam^(n+1)")
     zs = [complex(z) for z in zs]
@@ -193,7 +186,6 @@ def complex_an_aflt_recursive(n: int, ks, zs, lams, alphas, beta) -> complex:
 
 def complex_an_aflt_closed(n: int, ks, zs, lams, alphas, beta) -> complex:
     """The closed product form of the rank-n sector integral."""
-    lams = [Partition(x) for x in lams]
     zs = [complex(z) for z in zs]
     k1 = ks[0]
     ks_ext = [0] + list(ks) + [1 - beta]

@@ -51,7 +51,6 @@ __all__ = [
 
 
 def _single_row(lam: Partition) -> int:
-    lam = Partition(lam)
     if len(lam) > 1:
         raise ValueError(
             "elliptic suites are restricted to single-row partitions; "
@@ -95,7 +94,6 @@ def elliptic_binomial(lam: Partition, mu: Partition, a, b, q, t, p) -> complex:
     a, b, q, t, p = (complex(a), complex(b), complex(q), complex(t),
                      complex(p))
     pq = p * q
-    mu = Partition(mu)
     c = a / b
     two_mu_sq = Partition(sorted([2 * x for x in mu.parts] * 2,
                                  reverse=True))
@@ -112,7 +110,6 @@ def elliptic_binomial(lam: Partition, mu: Partition, a, b, q, t, p) -> complex:
 def normalised_binomial(lam: Partition, mu: Partition, a, b, vs, q, t,
                         p) -> complex:
     """Normalised binomial with spectator parameters (v_1..v_k)."""
-    lam, mu = Partition(lam), Partition(mu)
     a, b = complex(a), complex(b)
     num = delta0(a, [b] + list(vs), q, t, p, lam)
     den = delta0(a / b, [1 / b] + list(vs), q, t, p, mu)
@@ -123,7 +120,6 @@ def normalised_binomial(lam: Partition, mu: Partition, a, b, vs, q, t,
 
 def jackson_sum_check(lam: Partition, nu: Partition, a, b, c, d, e, q, t, p):
     """Rank-one Jackson summation: (the mu-sum, the closed binomial)."""
-    lam, nu = Partition(lam), Partition(nu)
     a, b, c, d, e = (complex(x) for x in (a, b, c, d, e))
     if abs(b * c * d * e - a * p * q) > 1e-12 * max(1.0, abs(a * p * q)):
         raise ValueError("Jackson balancing bcde = apq violated")
@@ -142,7 +138,6 @@ def jackson_sum_check(lam: Partition, nu: Partition, a, b, c, d, e, q, t, p):
 def _skew_terms(lam: Partition, nu: Partition, V, a, b, q, t, p) -> list:
     """The argument-free part of R*_{lam/nu}: one (mu, binomial, binomial)
     per term, where V is the product of the arguments."""
-    lam, nu = Partition(lam), Partition(nu)
     a, b = complex(a), complex(b)
     pq = complex(p) * complex(q)
     lm, nm = _single_row(lam), _single_row(nu)
@@ -284,7 +279,7 @@ def _check_balancing(n, ts, t, p, q):
 def _spectral_points(blam: Bipartition, n: int, t, p, q) -> list:
     """The spectral points t^{n-i} q^{lam1_i} p^{lam2_i}, i = 1..n, of the
     bipartition blam = (lam1, lam2), as complex numbers."""
-    lam1, lam2 = Partition(blam.first), Partition(blam.second)
+    lam1, lam2 = blam
     if len(lam1) > n or len(lam2) > n:
         raise ValueError("component length exceeds n")
     t, p, q = complex(t), complex(p), complex(q)
@@ -437,7 +432,6 @@ def skew_limit_value(lam: Partition, xs, c, d, a, b, q, t, p) -> complex:
     Converges, as p -> 0, to the Macdonald-side value
     (-a t^{-1/2})^{|lam|} q^{n(lam')} t^{-2n(lam)} c_lam P_lam[X + (d-c)/(1-t)].
     """
-    lam = Partition(lam)
     m = _single_row(lam)
     p = complex(p)
     scale = p ** -0.25
@@ -459,7 +453,6 @@ def mac_side_limit(lam: Partition, xs, c, d, a, q, t) -> complex:
     coefficient of exp(sum_k (1 - t^k)/(1 - q^k) p_k[A] u^k / k)
     (Macdonald's g_m, Symmetric Functions and Hall Polynomials, ch. VI).
     """
-    lam = Partition(lam)
     m = _single_row(lam)
     a, q, t = complex(a), complex(q), complex(t)
     cl, _, _ = hooks(lam, q, t)

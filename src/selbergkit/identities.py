@@ -66,7 +66,6 @@ def f_function(lam: Partition, mu: Partition, k: int, l, a=None):
     1 - a^e q^i t^j, exact in Q(q,t,a); any other a, a number among them,
     is a ValueError that names it.
     """
-    lam, mu = Partition(lam), Partition(mu)
     if k < len(lam):
         raise ValueError("k must be at least l(lambda)")
     if l is not None and l < len(mu):
@@ -88,7 +87,6 @@ def _f_ext(lam: Partition, mu: Partition, k: int, l, a):
     f^{k_{n-1},k_n} needs a value when l(lam^(n)) > k_n; the padding
     reduction identity provides the unique consistent extension.
     """
-    lam, mu = Partition(lam), Partition(mu)
     if l is None or l >= len(mu):
         return f_function(lam, mu, k, l, a)
     # f^{l(lam),l(mu)} times (aq t^{l(mu)-1};q,t)_lam / (aq t^{l-1};q,t)_lam
@@ -110,7 +108,6 @@ def f_function_limit(lam: Partition, mu: Partition, k: int, l: int):
     Uses the reduced form of the t-free factor block; returns 0 exactly
     when the interleaving condition fails.  Cached on (lam, mu, k, l).
     """
-    lam, mu = Partition(lam), Partition(mu)
     if k > l:
         raise ValueError("the limit needs k <= l")
     if k < len(lam) or l < len(mu):
@@ -163,7 +160,6 @@ class IdentityCheck:
 def verify_skew_sum(lam: Partition, mu: Partition, k: int,
                     l: int) -> IdentityCheck:
     """Skew summation formula with symbolic a, exact in Q(q,t,a)."""
-    lam, mu = Partition(lam), Partition(mu)
     if k < len(lam) or l < len(mu):
         raise ValueError("padding preconditions violated")
     a = var("a")
@@ -173,7 +169,6 @@ def verify_skew_sum(lam: Partition, mu: Partition, k: int,
 def verify_skew_sum_limit(lam: Partition, mu: Partition, k: int,
                           l: int) -> IdentityCheck:
     """The a = t^{k-l} corollary (k <= l), exact in Q(q,t)."""
-    lam, mu = Partition(lam), Partition(mu)
     if k > l or k < len(lam):
         raise ValueError("needs l(lam) <= k <= l")
     return _skew_sum(lam, mu, k, l, var("t") ** (k - l),
@@ -269,7 +264,6 @@ def an_cauchy_check(n: int, ks, mu_n: Partition = P(), cap: int = 3,
     (`_dominant_product`).  lhs and rhs hold the two sides'
     dominant terms, and note the first differing monomial.
     """
-    mu_n = Partition(mu_n)
     q, t = var("q"), var("t")
     ks = list(ks)
     if variant in ("I", "II", "II-pleth"):
@@ -525,21 +519,18 @@ def _E_func(u, lam: Partition, mu: Partition, i: int, j: int, b) -> complex:
 
 def zbifund(us, blam: Bipartition, vs, bmu: Bipartition, m, b) -> complex:
     """Combinatorial bifundamental block over a pair of bipartitions."""
-    lams = [Partition(blam.first), Partition(blam.second)]
-    mus = [Partition(bmu.first), Partition(bmu.second)]
     Q = b + 1 / b
     out = 1.0 + 0.0j
     for i in (0, 1):
         for j in (0, 1):
-            for (r, c) in lams[i].cells():
-                out *= (_E_func(us[i] - vs[j], lams[i], mus[j], r, c, b) - m)
-            for (r, c) in mus[j].cells():
-                out *= (Q - m - _E_func(vs[j] - us[i], mus[j], lams[i], r, c, b))
+            for (r, c) in blam[i].cells():
+                out *= (_E_func(us[i] - vs[j], blam[i], bmu[j], r, c, b) - m)
+            for (r, c) in bmu[j].cells():
+                out *= (Q - m - _E_func(vs[j] - us[i], bmu[j], blam[i], r, c, b))
     return out
 
 
 def kappa_factor(lam: Partition, Pval, b) -> complex:
-    lam = Partition(lam)
     conj = lam.conjugate()
     out = 1.0 + 0.0j
     for (i, j) in lam.cells():
@@ -557,7 +548,6 @@ def selberg_jack_average(k: int, lam: Partition, mu: Partition,
     shifted by -N and lam replaced by its box complement.
     """
     from .closedform import aflt_rhs, selberg_rhs
-    lam, mu = Partition(lam), Partition(mu)
     if len(lam) > k:
         return 0.0
     N = lam.part(1)
@@ -576,7 +566,6 @@ def verify_Z_Selb(k: int, lam: Partition, mu: Partition, b: complex,
     transposed assignment relative to the printed display (verified to
     machine precision for k <= 2, |lam|, |mu| <= 2; see the ledger).
     """
-    lam, mu = Partition(lam), Partition(mu)
     Q = b + 1 / b
     Pp = -Pval - alpha - k * b  # constraint P + P' + alpha + k b = 0
     lhs = zbifund((Pp, -Pp), Bipartition(lam, P()), (Pval, -Pval),

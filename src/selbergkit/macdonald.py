@@ -198,11 +198,10 @@ def _m_expansion(lam: Partition, mu: Partition, kind: str,
 @lru_cache(maxsize=None)
 def macdonald_P(lam: Partition) -> SymFunc:
     """P_lambda(q,t) in the m-basis with FieldElement(q,t) coefficients."""
-    return _m_expansion(Partition(lam), Partition(), "qt")
+    return _m_expansion(lam, Partition(), "qt")
 
 
 def macdonald_Q(lam: Partition) -> SymFunc:
-    lam = Partition(lam)
     return macdonald_P(lam).scale(b_lambda(lam))
 
 
@@ -224,7 +223,7 @@ def _b_symbols(lam: Partition, cells, s: int):
 @lru_cache(maxsize=None)
 def jack_P(lam: Partition) -> SymFunc:
     """Jack P^(1/gamma)_lambda in the m-basis over Q(gamma)."""
-    return _m_expansion(Partition(lam), Partition(), "gamma")
+    return _m_expansion(lam, Partition(), "gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +240,11 @@ def _skew_table(lam: Partition) -> dict[Partition, SymFunc]:
     cache and its name, because perfbench's tracer times the skew layer as
     the calls of `_skew_table`, `skew_P` and `skew_Q`.
     """
-    lam = Partition(lam)
     return {mu: _m_expansion(lam, mu, "qt") for mu in subpartitions(lam)}
 
 
 def skew_P(lam: Partition, mu: Partition) -> SymFunc:
     """P_{lam/mu}; zero unless mu is contained in lam."""
-    lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
         return SymFunc("m", {})
     return _skew_table(lam)[mu]
@@ -255,7 +252,6 @@ def skew_P(lam: Partition, mu: Partition) -> SymFunc:
 
 def skew_Q(lam: Partition, mu: Partition) -> SymFunc:
     """Q_{lam/mu} = (b_lam / b_mu) P_{lam/mu}."""
-    lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
         return SymFunc("m", {})
     return skew_P(lam, mu).scale(_b_ratio(lam, mu))
@@ -317,7 +313,6 @@ def principal_spec_a(lam: Partition, a) -> FieldElement:
     other a is a ValueError.  The numeric value is `closedform`'s, built on
     `coeffs`.
     """
-    lam = Partition(lam)
     # (a;q,t)_lam = prod_i (a t^{1-i};q)_{lam_i} over c_lam = prod over
     # cells of 1 - q^arm t^{leg+1}
     symbols = [((1, 0, 1 - i), part, 1)
@@ -339,7 +334,6 @@ def jack_binomial_spec(lam: Partition, z, g):
                          prod_{i<j<=k} ((j-i+1)g)_{lam_i-lam_j} / ((j-i)g)_{..}
     with k = max(l(lam), 1); any padding k >= l(lam) gives the same value.
     """
-    lam = Partition(lam)
     k = max(len(lam), 1)
     from .coeffs import _recip, gamma_poch
     out = gamma_poch(z * g, g, lam) * _recip(gamma_poch(k * g, g, lam))
@@ -363,7 +357,7 @@ def jack_eval(lam: Partition, xs, g, shift=None):
         val = sum(a ** k for a in xs) if xs is not None else 0.0
         return val + shift if shift is not None else val
 
-    return plethysm_eval(jack_P(Partition(lam)), pk, {"gamma": complex(g)})
+    return plethysm_eval(jack_P(lam), pk, {"gamma": complex(g)})
 
 
 def plethysm_eval(f: SymFunc, pk_fn, env: dict):
@@ -411,7 +405,6 @@ def single_row_xminusy(r: int, x, y, q=None, t=None):
 
 def spectral_vector(lam: Partition, n: int) -> list:
     """The point (q^{lambda_i} t^{n-i})_{i=1..n} at the indeterminates."""
-    lam = Partition(lam)
     if len(lam) > n:
         raise ValueError(f"l({lam}) > {n}")
     q, t = fe("q"), fe("t")
@@ -420,7 +413,6 @@ def spectral_vector(lam: Partition, n: int) -> list:
 
 def evaluation_symmetry_check(lam: Partition, mu: Partition, n: int) -> bool:
     """Eq: P_mu[<0>_n] P_lam[<mu>_n] = P_lam[<0>_n] P_mu[<lam>_n], exact."""
-    lam, mu = Partition(lam), Partition(mu)
     if len(lam) > n or len(mu) > n:
         raise ValueError("length exceeds n")
     empty = Partition()
@@ -436,7 +428,6 @@ def evaluation_symmetry_check(lam: Partition, mu: Partition, n: int) -> bool:
 def generalized_evaluation_symmetry_check(lam: Partition, mu: Partition,
                                           n: int, m: int) -> bool:
     """Nonsymmetric evaluation symmetry with symbolic a, exact in Q(q,t,a)."""
-    lam, mu = Partition(lam), Partition(mu)
     if len(lam) > n or len(mu) > m:
         raise ValueError("length exceeds padding")
     a, t = var("a"), var("t")

@@ -1,5 +1,8 @@
 """Partitions, bipartitions, Young-diagram statistics and enumeration.
 
+A partition is checked only where it is built: by `Partition(...)`, which
+`P(...)`, the CLI's --lam/--mu and the suites' `_pt` all call.
+
 It imports nothing from the package, so the numeric paths load it without
 the exact engine `field`; the spectral vectors at the indeterminates are
 `macdonald.spectral_vector`."""
@@ -20,18 +23,11 @@ __all__ = [
 
 
 class Partition:
-    """Weakly decreasing sequence of positive integers; trailing zeros dropped."""
+    """Weakly decreasing positive integers, zeros dropped; checked only here."""
 
     __slots__ = ("parts", "_hash", "_conj")
 
     def __init__(self, parts=()):
-        if isinstance(parts, Partition):
-            # a copy: the parts are clean and checked already
-            self.parts, self._hash, self._conj = (parts.parts, parts._hash,
-                                                  parts._conj)
-            return
-        if isinstance(parts, int):
-            parts = (parts,) if parts else ()
         cleaned = tuple(int(p) for p in parts if p)
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
             raise ValueError(f"not weakly decreasing: {parts}")
@@ -61,8 +57,6 @@ class Partition:
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self.parts == other.parts
-        if other == 0:
-            return not self.parts
         return NotImplemented
 
     def __hash__(self):
@@ -110,12 +104,10 @@ class Partition:
 
     # -- orders ----------------------------------------------------------------
     def contains(self, other: "Partition") -> bool:
-        other = Partition(other)
         return all(other.part(i) <= self.part(i)
                    for i in range(1, len(other) + 1))
 
     def dominates(self, other: "Partition") -> bool:
-        other = Partition(other)
         if self.size != other.size:
             raise ValueError("dominance requires equal weight")
         run_s = run_o = 0
@@ -134,8 +126,6 @@ class Partition:
 
 
 def P(*parts) -> Partition:
-    if len(parts) == 1 and isinstance(parts[0], (tuple, list, Partition)):
-        return Partition(parts[0])
     return Partition(parts)
 
 
@@ -171,7 +161,6 @@ def partitions_up_to(max_size: int, max_length: int | None = None) -> Iterator[P
 
 def subpartitions(lam: Partition) -> Iterator[Partition]:
     """All mu contained in lam."""
-    lam = Partition(lam)
     if not lam:
         yield Partition()
         return

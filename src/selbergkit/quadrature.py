@@ -413,7 +413,6 @@ def an_selberg_lhs(n: int, ks, alphas, beta, gamma_, points: int, tol: float,
 
 def jack_pair_callback(n, lam: Partition, mu: Partition, beta, gamma_):
     """O = P_lam[t^(1)] P_mu[t^(n) + beta/gamma - 1] on level arrays."""
-    lam, mu = Partition(lam), Partition(mu)
     shift = beta / gamma_ - 1
 
     def callback(levels):
@@ -426,7 +425,6 @@ def jack_pair_callback(n, lam: Partition, mu: Partition, beta, gamma_):
 def aflt_lhs(k: int, lam: Partition, mu: Partition, alpha, beta, gamma_,
              npts: int = 48) -> float:
     """Jack-pair integral over [0,1]^k by simplex Gauss-Jacobi (k <= 2)."""
-    lam, mu = Partition(lam), Partition(mu)
     shift = beta / gamma_ - 1
     if k == 1:
         t, w = gauss_jacobi_01(npts, alpha - 1, beta - 1)
@@ -495,7 +493,6 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
     if np.ndim(rho) != 0:
         raise ValueError("mac_aflt_lhs: rho must be one radius, the pair "
                          "factors assume an equal-radius torus")
-    lam, mu = Partition(lam), Partition(mu)
     a, b, q, t = complex(a), complex(b), complex(q), complex(t)
     if rho is None:
         rho = (max(abs(b), abs(q)) + 1) / 2
@@ -528,7 +525,6 @@ def mac_aflt_lhs(n: int, lam: Partition, mu: Partition, a, b, q, t,
 def ortho_norm_lhs(n: int, lam: Partition, mu: Partition, q, t,
                    npts: int = 128) -> complex:
     """Torus quadrature of <P_lam, Q_mu>'_n on the unit torus."""
-    lam, mu = Partition(lam), Partition(mu)
     q, t = complex(q), complex(t)
     env = {"q": q, "t": t}
     bmu = complex(b_lambda(mu).eval(env)) if mu else 1.0

@@ -98,7 +98,7 @@ class SymFunc:
         if coeffs:
             for lam, c in coeffs.items():
                 if not _scalar_is_zero(c):
-                    self.coeffs[Partition(lam)] = c
+                    self.coeffs[lam] = c
 
     def scale(self, c) -> "SymFunc":
         return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})

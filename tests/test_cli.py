@@ -217,6 +217,12 @@ class TestCli:
         err = err.strip()
         assert out == "" and err and "\n" not in err and named in err
 
+    def test_eval_partition_padded_with_zeros(self, capsys):
+        assert main(["eval", "aflt", "--k", "2", "--lam", "1,0,0"]) == 0
+        assert main(["eval", "aflt", "--k", "2", "--lam", "1"]) == 0
+        padded, plain = capsys.readouterr().out.split()
+        assert padded == plain == "0.166666666667"
+
     def test_eval_chain_with_one_alpha_per_k(self, capsys):
         from selbergkit.closedform import an_selberg_rhs
         assert main(["eval", "an-selberg", "--k", "1,2", "--alpha",
@@ -245,6 +251,15 @@ class TestCli:
         ("elliptic-selberg", ["--n", "1", "--t", "0.5", "--p", "0.1",
                               "--q", "1.0", "--ts", "0.5,0.5,0.5,0.5,0.4,4"],
          "modulus 1.0"),
+        # a partition's entries must be weakly decreasing as typed: a zero
+        # inside it is not dropped to make (2,1) or (1)
+        ("aflt", ["--k", "2", "--lam", "2,0,1"],
+         "--lam '2,0,1': not weakly decreasing"),
+        ("aflt", ["--k", "2", "--lam", "0,1"],
+         "--lam '0,1': not weakly decreasing"),
+        ("aflt", ["--lam", "1,2"], "--lam '1,2': not weakly decreasing"),
+        ("aflt", ["--lam", "2,-1"], "--lam '2,-1': negative part"),
+        ("aflt", ["--mu", "1,-1"], "--mu '1,-1': negative part"),
     ])
     def test_eval_outside_the_domain(self, capsys, formula, flags, says):
         assert main(["eval", formula] + flags) == 2

@@ -105,16 +105,15 @@ def test_text_form():
     assert str(P()) == "0"
 
 
-def test_copy_reuses_the_checked_parts():
+def test_the_constructor_cleans_and_checks_its_parts():
     lam = P(3, 1, 1)
+    # the conjugate is built once
     conj = lam.conjugate()
-    copy = Partition(lam)
-    assert copy is not lam and copy == lam and hash(copy) == hash(lam)
-    assert copy.parts is lam.parts
-    # the conjugate is built once and carried into the copy
-    assert lam.conjugate() is conj and copy.conjugate() is conj
-    assert copy.leg(1, 1) == 2 and copy.leg(1, 2) == 0
-    # a tuple is still cleaned and checked
+    assert lam.conjugate() is conj
+    assert lam.leg(1, 1) == 2 and lam.leg(1, 2) == 0
+    # a Partition is read as the sequence of its parts
+    assert Partition(lam) == lam and hash(Partition(lam)) == hash(lam)
+    # a tuple is cleaned and checked
     assert Partition((2, 0, 1, 0)) == P(2, 1)
     with pytest.raises(ValueError, match="not weakly decreasing"):
         Partition((1, 2))

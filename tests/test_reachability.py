@@ -1,11 +1,18 @@
-"""Every function of the package is called by a run of the program.
+"""Every function of the package is called by a run of the program, and
+no run builds a partition from a partition.
 
 One fresh interpreter (so that no cache warmed by another test hides a
 call) runs ``list``, ``verify all --seed 7 --jobs 1 --report <tmp>`` and
 each ``eval`` formula once, under ``sys.setprofile``.  Every function and
 method defined in ``src/selbergkit`` (nested ones too; lambdas are left
 out, as they have no name to list) must be called by one of these runs, or
-be on ALLOWLIST.  Each allowlist entry names what it keeps, why it stays
+be on ALLOWLIST.
+
+A partition is checked where it is built: by ``Partition(...)`` or
+``P(...)`` from integers, by the CLI's ``--lam``/``--mu`` and by the
+suites' case parameters.  Every other function takes the ``Partition`` it
+is given, so no call of ``Partition.__init__`` in these runs may receive a
+``Partition``: such a call re-checks what was checked already.  Each allowlist entry names what it keeps, why it stays
 and the tests that call it; an entry whose definitions are gone, or are
 now called, fails the test too, so the list only shrinks.
 
@@ -19,6 +26,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "selbergkit"
@@ -73,10 +82,19 @@ _TS = "0.5,0.5,0.5,0.5,0.6,0.8"
 _CENSUS = r"""
 import contextlib, io, json, os, sys, tempfile
 seen = set()
+rebuilt = {}
 
 def hook(frame, event, arg):
     if event == "call":
-        seen.add(frame.f_code)
+        code = frame.f_code
+        seen.add(code)
+        if (code.co_name == "__init__"
+                and os.path.basename(code.co_filename) == "partitions.py"
+                and type(frame.f_locals["parts"]).__name__ == "Partition"):
+            caller = frame.f_back.f_code
+            where = "%s:%s" % (os.path.basename(caller.co_filename),
+                               caller.co_name)
+            rebuilt[where] = rebuilt.get(where, 0) + 1
 
 sys.setprofile(hook)
 from selbergkit import cli
@@ -95,7 +113,7 @@ pkg = os.path.dirname(cli.__file__)
 called = sorted({(os.path.basename(c.co_filename), c.co_firstlineno)
                  for c in seen if os.path.dirname(c.co_filename) == pkg})
 with open(sys.argv[1], "w") as fh:
-    json.dump({"codes": codes, "called": called}, fh)
+    json.dump({"codes": codes, "called": called, "rebuilt": rebuilt}, fh)
 """
 
 
@@ -135,16 +153,23 @@ def _test_exists(test_id):
     return True
 
 
-def test_every_function_is_called_by_a_run(tmp_path):
-    out = tmp_path / "called.json"
+@pytest.fixture(scope="module")
+def census(tmp_path_factory):
+    """What the runs called and where they rebuilt a partition."""
+    tmp = tmp_path_factory.mktemp("census")
+    out = tmp / "called.json"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-c", _CENSUS, str(out), _TS],
-                          cwd=tmp_path, env=env, capture_output=True,
+                          cwd=tmp, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     census = json.loads(out.read_text())
     # a run that stopped early would hide what it did not reach
     assert all(code == 0 for code in census["codes"].values()), census["codes"]
+    return census
+
+
+def test_every_function_is_called_by_a_run(census):
 
     defs = _definitions()
     keys = {tuple(key) for key in census["called"]}
@@ -162,3 +187,8 @@ def test_every_function_is_called_by_a_run(tmp_path):
         assert reason and tests, names
         for test_id in tests:
             assert _test_exists(test_id), test_id
+
+
+def test_no_run_rebuilds_a_partition(census):
+    assert not census["rebuilt"], ("Partition(...) of a Partition, by "
+                                   "caller: %s" % census["rebuilt"])
